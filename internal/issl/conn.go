@@ -23,7 +23,13 @@ type Conn struct {
 	rng *prng.Xorshift
 	hs  handshakeState
 
+	// master is this connection's derived secret: the record keys and
+	// Finished values come from it. secret is the session secret it was
+	// derived from on a resumption, or master itself after a full
+	// handshake; Session() and issued tickets carry secret, so it stays
+	// the same across every resumption of a session.
 	master []byte
+	secret []byte
 
 	wMu     sync.Mutex // guards write-side state and the rng
 	wCipher *aes.Cipher

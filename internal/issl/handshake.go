@@ -35,6 +35,13 @@ import (
 // macKey = HMAC(master, "c mac"/"s mac"). The Finished verify value is
 // HMAC(master, label || SHA1(transcript)), label distinguishing the
 // two directions, so a tampered handshake cannot converge.
+//
+// The session secret is the master of the full handshake that
+// established the session. A resumption feeds it in as the premaster,
+// so each resumed connection gets its own master (and keys) from the
+// secret plus fresh nonces, while the secret itself never changes:
+// the server's cache entry, every ticket it issues, and the client's
+// Session() all carry that one secret, however often it is resumed.
 
 const (
 	msgClientHello = 0x01
@@ -150,9 +157,10 @@ func (c *Conn) clientHandshake() error {
 			return fmt.Errorf("%w: server resumed a session we did not offer", ErrHandshake)
 		}
 		// Abbreviated handshake: no KeyExchange; fresh keys derive
-		// from the cached master secret plus the new nonces.
+		// from the session secret plus the new nonces.
 		c.resumed = true
-		c.hs.premaster = append([]byte(nil), cfg.Resume.master...)
+		c.secret = append([]byte(nil), cfg.Resume.master...)
+		c.hs.premaster = c.secret
 		if err := c.deriveKeys(true); err != nil {
 			return err
 		}
@@ -201,6 +209,7 @@ func (c *Conn) clientHandshake() error {
 	if err := c.deriveKeys(true); err != nil {
 		return err
 	}
+	c.secret = c.master
 	// Client speaks first under the new keys.
 	if err := c.sendFinished("client finished"); err != nil {
 		return err
@@ -242,10 +251,10 @@ func (c *Conn) recvNewTicket() error {
 	return nil
 }
 
-// sendNewTicket mints a ticket over the connection's master secret and
-// sends it sealed under the new keys (server side, after Finished).
+// sendNewTicket mints a ticket over the session secret and sends it
+// sealed under the new keys (server side, after Finished).
 func (c *Conn) sendNewTicket() error {
-	tkt, err := c.cfg.TicketKeys.Seal(c.master)
+	tkt, err := c.cfg.TicketKeys.Seal(c.secret)
 	if err != nil {
 		return fmt.Errorf("%w: sealing ticket: %v", ErrHandshake, err)
 	}
@@ -365,6 +374,7 @@ func (c *Conn) serverHandshake() error {
 			return fmt.Errorf("%w: sending ServerHello: %v", ErrHandshake, err)
 		}
 		phaseStart := c.emitPhase("server", "hello", true, hsStart)
+		c.secret = cachedMaster
 		c.hs.premaster = cachedMaster
 		if err := c.deriveKeys(false); err != nil {
 			return err
@@ -433,8 +443,9 @@ func (c *Conn) serverHandshake() error {
 	if err := c.deriveKeys(false); err != nil {
 		return err
 	}
+	c.secret = c.master
 	if cfg.Cache != nil {
-		cfg.Cache.put(c.sessionID, c.master)
+		cfg.Cache.put(c.sessionID, c.secret)
 	}
 	if err := c.recvFinished("client finished"); err != nil {
 		return err
@@ -453,8 +464,10 @@ func (c *Conn) serverHandshake() error {
 
 // --- key schedule ---------------------------------------------------------------
 
-// deriveKeys computes the master secret and installs directional
-// cipher/MAC state. isClient orients write vs read keys.
+// deriveKeys computes the connection's master secret from the
+// premaster (on a resumption, the session secret) and the nonces, and
+// installs directional cipher/MAC state. isClient orients write vs
+// read keys.
 func (c *Conn) deriveKeys(isClient bool) error {
 	seed := make([]byte, 0, len("master")+2*randomLen)
 	seed = append(seed, "master"...)

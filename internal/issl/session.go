@@ -16,17 +16,27 @@ import (
 // Wire format: ClientHello carries an optional session ID; when the
 // server finds it in its cache, ServerHello echoes it with the resumed
 // flag set and both sides derive fresh record keys from the cached
-// master secret plus the new nonces.
+// session secret plus the new nonces.
+//
+// The session secret is the master secret of the full handshake that
+// established the session, and it is invariant across resumptions:
+// each resumed connection derives its own per-connection master and
+// keys from it, but Conn.Session() and every issued ticket carry the
+// secret itself — never a resumed connection's derived master, which
+// the server's cache entry would not match on the next offer. So a
+// client can chain resumptions indefinitely, or resume one Session
+// value any number of times.
 
 // SessionIDLen is the session identifier length in bytes.
 const SessionIDLen = 16
 
 // Session is resumable handshake state, returned by Conn.Session on
-// the client and cached server-side in a SessionCache. Ticket, when
-// present, is the server's sealed session ticket (see ticket.go): the
-// client offers it on reconnect and ANY server instance holding the
-// cluster ticket key can resume the session statelessly — the ID-based
-// path below needs the specific instance whose cache holds the entry.
+// the client and cached server-side in a SessionCache; master is the
+// session secret. Ticket, when present, is the server's sealed session
+// ticket (see ticket.go): the client offers it on reconnect and ANY
+// server instance holding the cluster ticket key can resume the session
+// statelessly — the ID-based path below needs the specific instance
+// whose cache holds the entry.
 type Session struct {
 	ID     [SessionIDLen]byte
 	Ticket []byte
@@ -59,7 +69,7 @@ type sessionShard struct {
 }
 
 // sessionEntry is an LRU node: the ID keyed back to the map plus the
-// cached master secret.
+// cached session secret.
 type sessionEntry struct {
 	id     [SessionIDLen]byte
 	master []byte
@@ -177,7 +187,7 @@ func (c *Conn) Session() *Session {
 	return &Session{
 		ID:     c.sessionID,
 		Ticket: append([]byte(nil), c.ticket...),
-		master: append([]byte(nil), c.master...),
+		master: append([]byte(nil), c.secret...),
 	}
 }
 

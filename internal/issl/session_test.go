@@ -2,11 +2,19 @@ package issl
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/telemetry"
 )
+
+// resumeTimeout bounds every handshake in the resumption tests, so a
+// Finished mismatch (the server fails, the client waits for a Finished
+// that never comes) fails the test in seconds instead of hanging it.
+const resumeTimeout = 5 * time.Second
 
 // resumablePair does a full handshake with a server cache and returns
 // the client session plus the shared cache.
@@ -252,12 +260,12 @@ func TestE9ResumptionSpeedsUpHandshake(t *testing.T) {
 		srvCh := make(chan res, 1)
 		go func() {
 			c, err := BindServer(st, Config{Profile: ProfileUnix, ServerKey: key,
-				Rand: prng.NewXorshift(seed + 1), Cache: cache})
+				Rand: prng.NewXorshift(seed + 1), Cache: cache, HandshakeTimeout: resumeTimeout})
 			srvCh <- res{c, err}
 		}()
 		start := time.Now()
 		cli, err := BindClient(ct, Config{Profile: ProfileUnix,
-			Rand: prng.NewXorshift(seed), Resume: resume})
+			Rand: prng.NewXorshift(seed), Resume: resume, HandshakeTimeout: resumeTimeout})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
@@ -288,5 +296,92 @@ func TestE9ResumptionSpeedsUpHandshake(t *testing.T) {
 		fullTime, resumedAvg, float64(fullTime)/float64(resumedAvg))
 	if resumedAvg >= fullTime {
 		t.Errorf("resumption not faster: full=%v resumed=%v", fullTime, resumedAvg)
+	}
+}
+
+// TestChainedResumptionStaysResumable pins the session secret's
+// invariance in both shapes a client uses it. Chained: a Dialer
+// reconnects, each time offering the session the previous connection
+// handed back — after the first full handshake, every reconnect must
+// resume. Repeated: one Session value is resumed over and over (the E9
+// shape). Both run against a cache-only server (session-ID path) and a
+// ticket-only server (stateless path), with no failed handshake on
+// either side.
+func TestChainedResumptionStaysResumable(t *testing.T) {
+	tickets, err := NewTicketKeyStore([]byte("chained resumption ticket key"), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		cache   *SessionCache
+		tickets *TicketKeyStore
+	}{
+		{"cache", NewSessionCache(16), nil},
+		{"ticket", nil, tickets},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			seed := uint64(500)
+			// dial hands the server end of a fresh pipe to a server
+			// handshake and returns the client end.
+			dial := func() (io.ReadWriteCloser, error) {
+				ct, st := net.Pipe()
+				seed++
+				cfg := Config{Profile: ProfileUnix, ServerKey: serverKey(t),
+					Rand: prng.NewXorshift(seed), Cache: tc.cache, TicketKeys: tc.tickets,
+					Metrics: reg, HandshakeTimeout: resumeTimeout}
+				go func() {
+					if _, err := BindServer(st, cfg); err != nil {
+						st.Close()
+					}
+				}()
+				return ct, nil
+			}
+
+			d := &Dialer{
+				Dial: dial,
+				Config: Config{Profile: ProfileUnix, Rand: prng.NewXorshift(61),
+					HandshakeTimeout: resumeTimeout},
+				Sleep: func(time.Duration) {},
+			}
+			const reconnects = 8
+			var first *Session
+			for i := 0; i <= reconnects; i++ {
+				c, tr, err := d.DialWithRetry()
+				if err != nil {
+					t.Fatalf("dial %d: %v", i, err)
+				}
+				if got, want := c.Resumed(), i > 0; got != want {
+					t.Errorf("dial %d: resumed = %v, want %v", i, got, want)
+				}
+				if i == 0 {
+					first = c.Session()
+				}
+				tr.Close()
+			}
+			if st := d.Stats(); st.FullHandshakes != 1 || st.Resumptions != reconnects || st.ResumeFallbacks != 0 {
+				t.Errorf("chained: stats = %+v, want 1 full, %d resumed, 0 fallbacks", st, reconnects)
+			}
+
+			if first == nil {
+				t.Fatal("no session after the full handshake")
+			}
+			for i := 0; i < 5; i++ {
+				tr, _ := dial()
+				c, err := BindClient(tr, Config{Profile: ProfileUnix,
+					Rand: prng.NewXorshift(uint64(70 + i)), Resume: first, HandshakeTimeout: resumeTimeout})
+				if err != nil {
+					t.Fatalf("repeated resume %d: %v", i, err)
+				}
+				if !c.Resumed() {
+					t.Errorf("repeated resume %d: not resumed", i)
+				}
+				tr.Close()
+			}
+			if v := reg.Counter("issl.handshakes_failed").Value(); v != 0 {
+				t.Errorf("server issl.handshakes_failed = %d, want 0", v)
+			}
+		})
 	}
 }

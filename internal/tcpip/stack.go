@@ -26,6 +26,7 @@ type Stack struct {
 
 	udpConns  map[uint16]*UDPConn
 	tcbs      map[tcpKey]*TCB
+	tcbPorts  map[uint16]int // live tcbs entries per local port; see addTCBLocked
 	listeners map[uint16]*Listener
 	dcListen  map[uint16][]*TCB // Dynamic-C-style one-shot listening TCBs
 	nextPort  uint16
@@ -91,6 +92,7 @@ func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, tr
 		arpPending: map[Addr][][]byte{},
 		udpConns:   map[uint16]*UDPConn{},
 		tcbs:       map[tcpKey]*TCB{},
+		tcbPorts:   map[uint16]int{},
 		listeners:  map[uint16]*Listener{},
 		dcListen:   map[uint16][]*TCB{},
 		nextPort:   49152,
@@ -216,8 +218,34 @@ func (s *Stack) timerLoop() {
 	}
 }
 
-// ephemeralPort allocates a port for outgoing connections. Called with
-// s.mu held.
+// addTCBLocked registers t in the connection table under key, which
+// must be free, and counts its local port. Every s.tcbs insertion goes
+// through here and every removal through removeTCBLocked, so tcbPorts
+// always holds, per local port, the number of s.tcbs entries using it.
+// Called with s.mu held.
+func (s *Stack) addTCBLocked(key tcpKey, t *TCB) {
+	s.tcbs[key] = t
+	s.tcbPorts[key.localPort]++
+}
+
+// removeTCBLocked unregisters t from key, if t still owns it. Called
+// with s.mu held.
+func (s *Stack) removeTCBLocked(key tcpKey, t *TCB) {
+	if s.tcbs[key] != t {
+		return
+	}
+	delete(s.tcbs, key)
+	if n := s.tcbPorts[key.localPort] - 1; n > 0 {
+		s.tcbPorts[key.localPort] = n
+	} else {
+		delete(s.tcbPorts, key.localPort)
+	}
+}
+
+// ephemeralPort allocates a port for outgoing connections: the next
+// port in 49152..65535, cycling, that no TCB, listener or UDP conn
+// holds. Each candidate costs three map lookups, whatever the number
+// of live (or TIME_WAIT) connections. Called with s.mu held.
 func (s *Stack) ephemeralPort() uint16 {
 	for i := 0; i < 16384; i++ {
 		p := s.nextPort
@@ -231,14 +259,7 @@ func (s *Stack) ephemeralPort() uint16 {
 		if _, taken := s.udpConns[p]; taken {
 			continue
 		}
-		inUse := false
-		for k := range s.tcbs {
-			if k.localPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if s.tcbPorts[p] == 0 {
 			return p
 		}
 	}

@@ -455,9 +455,7 @@ func (t *TCB) tick(now time.Time) {
 func (t *TCB) removeLocked() {
 	key := tcpKey{t.remoteIP, t.remotePort, t.localPort}
 	t.stack.mu.Lock()
-	if t.stack.tcbs[key] == t {
-		delete(t.stack.tcbs, key)
-	}
+	t.stack.removeTCBLocked(key, t)
 	// A LISTEN-state Dynamic-C socket lives in dcListen instead.
 	if ls := t.stack.dcListen[t.localPort]; len(ls) > 0 {
 		kept := ls[:0]
@@ -924,7 +922,7 @@ func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, err
 	t.sndUna = t.iss
 	t.sndNxt = t.iss + 1
 	t.state = stateSynSent
-	s.tcbs[tcpKey{dst, port, local}] = t
+	s.addTCBLocked(tcpKey{dst, port, local}, t)
 	s.mu.Unlock()
 
 	t.mu.Lock()
@@ -1096,9 +1094,7 @@ func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
 		// socket was closed in the meantime, refuse the connection.
 		if !t.bindPassive(src, seg) {
 			s.mu.Lock()
-			if s.tcbs[key] == t {
-				delete(s.tcbs, key)
-			}
+			s.removeTCBLocked(key, t)
 			s.mu.Unlock()
 			s.sendRST(src, seg)
 			return
@@ -1124,7 +1120,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		if len(s.dcListen[port]) == 0 {
 			delete(s.dcListen, port)
 		}
-		s.tcbs[key] = t
+		s.addTCBLocked(key, t)
 		return t, true
 	}
 	if l, ok := s.listeners[port]; ok {
@@ -1140,7 +1136,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		t := newTCB(s)
 		t.localPort = port
 		t.onEstablished = l.deliver
-		s.tcbs[key] = t
+		s.addTCBLocked(key, t)
 		return t, true
 	}
 	return nil, false
