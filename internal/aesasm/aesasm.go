@@ -52,6 +52,10 @@ func (m *Machine) EnableProfiler() *rabbit.Profiler {
 	return p
 }
 
+// CPU returns the simulator the machine runs on; its counters
+// describe the last run.
+func (m *Machine) CPU() *rabbit.CPU { return m.cpu }
+
 // CodeSize returns the size in bytes of the code section only
 // (tables and buffers excluded) — the paper's E3 metric.
 func (m *Machine) CodeSize() int {

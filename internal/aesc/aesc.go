@@ -40,6 +40,10 @@ func (a *Machine) CodeSize() int { return a.comp.CodeSize() }
 // and returns it. Attach before EncryptChain; read reports after.
 func (a *Machine) EnableProfiler() *rabbit.Profiler { return a.m.EnableProfiler() }
 
+// CPU returns the simulator the machine runs on; its counters
+// describe the last run.
+func (a *Machine) CPU() *rabbit.CPU { return a.m.CPU }
+
 // Asm returns the generated assembly listing.
 func (a *Machine) Asm() string { return a.comp.Asm }
 
@@ -60,12 +64,10 @@ func (a *Machine) EncryptChain(key, block [16]byte, blocks int) ([16]byte, uint6
 	if err := a.m.Run(budget); err != nil {
 		return [16]byte{}, 0, fmt.Errorf("aesc: %w", err)
 	}
-	out, err := a.m.PeekBytes("state", 16)
-	if err != nil {
+	var res [16]byte
+	if err := a.m.PeekBytes("state", res[:]); err != nil {
 		return [16]byte{}, 0, err
 	}
-	var res [16]byte
-	copy(res[:], out)
 	return res, a.m.CPU.Cycles, nil
 }
 

@@ -63,14 +63,14 @@ type xpcBus struct{ mem *rabbit.Memory }
 
 func (b xpcBus) In(port uint16) uint8 {
 	if port == XPCPort {
-		return b.mem.XPC
+		return b.mem.MMU(rabbit.XPCReg)
 	}
 	return 0xff
 }
 
 func (b xpcBus) Out(port uint16, v uint8) {
 	if port == XPCPort {
-		b.mem.XPC = v
+		b.mem.SetMMU(rabbit.XPCReg, v)
 	}
 }
 
@@ -120,17 +120,16 @@ func (m *Machine) PokeBytes(name string, data []byte) error {
 	return nil
 }
 
-// PeekBytes reads bytes from a global char array.
-func (m *Machine) PeekBytes(name string, n int) ([]byte, error) {
+// PeekBytes fills dst from a global char array.
+func (m *Machine) PeekBytes(name string, dst []byte) error {
 	addr, ok := m.comp.Symbol(name)
 	if !ok {
-		return nil, fmt.Errorf("dcc: no global %q", name)
+		return fmt.Errorf("dcc: no global %q", name)
 	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.CPU.Mem.Read(addr + uint16(i))
+	for i := range dst {
+		dst[i] = m.CPU.Mem.Read(addr + uint16(i))
 	}
-	return out, nil
+	return nil
 }
 
 // PokeInt writes a 16-bit global.

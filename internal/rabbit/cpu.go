@@ -148,56 +148,6 @@ func (c *CPU) setHL(v uint16) { c.H, c.L = uint8(v>>8), uint8(v) }
 func (c *CPU) af() uint16     { return uint16(c.A)<<8 | uint16(c.F) }
 func (c *CPU) setAF(v uint16) { c.A, c.F = uint8(v>>8), uint8(v) }
 
-// getRP reads register pair p (0=BC 1=DE 2=HL 3=SP).
-func (c *CPU) getRP(p int, ix *uint16) uint16 {
-	switch p {
-	case 0:
-		return c.bc()
-	case 1:
-		return c.de()
-	case 2:
-		if ix != nil {
-			return *ix
-		}
-		return c.hl()
-	default:
-		return c.SP
-	}
-}
-
-func (c *CPU) setRP(p int, ix *uint16, v uint16) {
-	switch p {
-	case 0:
-		c.setBC(v)
-	case 1:
-		c.setDE(v)
-	case 2:
-		if ix != nil {
-			*ix = v
-		} else {
-			c.setHL(v)
-		}
-	default:
-		c.SP = v
-	}
-}
-
-// getRP2 is getRP with AF instead of SP (PUSH/POP encoding).
-func (c *CPU) getRP2(p int, ix *uint16) uint16 {
-	if p == 3 {
-		return c.af()
-	}
-	return c.getRP(p, ix)
-}
-
-func (c *CPU) setRP2(p int, ix *uint16, v uint16) {
-	if p == 3 {
-		c.setAF(v)
-		return
-	}
-	c.setRP(p, ix, v)
-}
-
 // memRead8 honors the IOI prefix for operand access.
 func (c *CPU) memRead8(addr uint16) uint8 {
 	if c.ioPrefix {
@@ -214,58 +164,36 @@ func (c *CPU) memWrite8(addr uint16, v uint8) {
 	c.Mem.Write(addr, v)
 }
 
-// getR reads register index r (6 = (HL) or (IX+d)).
-func (c *CPU) getR(r int, ix *uint16, d int8) uint8 {
-	switch r {
-	case 0:
-		return c.B
-	case 1:
-		return c.C
-	case 2:
-		return c.D
-	case 3:
-		return c.E
-	case 4:
-		return c.H
-	case 5:
-		return c.L
-	case 6:
-		if ix != nil {
-			return c.memRead8(uint16(int32(*ix) + int32(d)))
-		}
-		return c.memRead8(c.hl())
-	default:
-		return c.A
+// readHL and writeHL access the (HL) operand.
+func (c *CPU) readHL() uint8   { return c.memRead8(c.hl()) }
+func (c *CPU) writeHL(v uint8) { c.memWrite8(c.hl(), v) }
+
+// ixd fetches the displacement of an (IX+d) operand and returns its
+// address.
+func (c *CPU) ixd(ix *uint16) uint16 { return *ix + uint16(int8(c.fetch8())) }
+
+// load16 and store16 move the word of LD HL/IX/IY,(nn) and
+// LD (nn),HL/IX/IY, which go to internal I/O under the IOI prefix.
+func (c *CPU) load16(addr uint16) uint16 {
+	if c.ioPrefix {
+		return uint16(c.IO.In(addr)) | uint16(c.IO.In(addr+1))<<8
 	}
+	return c.Mem.Read16(addr)
 }
 
-func (c *CPU) setR(r int, ix *uint16, d int8, v uint8) {
-	switch r {
-	case 0:
-		c.B = v
-	case 1:
-		c.C = v
-	case 2:
-		c.D = v
-	case 3:
-		c.E = v
-	case 4:
-		c.H = v
-	case 5:
-		c.L = v
-	case 6:
-		if ix != nil {
-			c.memWrite8(uint16(int32(*ix)+int32(d)), v)
-		} else {
-			c.memWrite8(c.hl(), v)
-		}
-	default:
-		c.A = v
+func (c *CPU) store16(addr, v uint16) {
+	if c.ioPrefix {
+		c.IO.Out(addr, uint8(v))
+		c.IO.Out(addr+1, uint8(v>>8))
+		return
 	}
+	c.Mem.Write16(addr, v)
 }
 
 // --- fetch helpers -------------------------------------------------------------
 
+// fetch8 reads the byte at PC and advances PC. It inlines to a single
+// page-table lookup and load.
 func (c *CPU) fetch8() uint8 {
 	v := c.Mem.Read(c.PC)
 	c.PC++
@@ -289,137 +217,79 @@ func (c *CPU) pop16() uint16 {
 	return v
 }
 
-// --- flags -----------------------------------------------------------------------
+// --- control transfer ------------------------------------------------------------
 
-func parity(v uint8) bool {
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return v&1 == 0
+// jr is DJNZ's and JR cc's tail: fetch the displacement, branch if taken.
+func (c *CPU) jr(taken bool) {
+	e := int8(c.fetch8())
+	if taken {
+		c.PC += uint16(e)
+		c.Cycles += 7
+		return
+	}
+	c.Cycles += 5
 }
 
-func (c *CPU) setFlag(f uint8, on bool) {
-	if on {
-		c.F |= f
-	} else {
-		c.F &^= f
+func (c *CPU) jpIf(taken bool) {
+	addr := c.fetch16()
+	if taken {
+		c.PC = addr
+	}
+	c.Cycles += 7
+}
+
+func (c *CPU) callIf(taken bool) {
+	addr := c.fetch16()
+	if taken {
+		c.push16(c.PC)
+		c.PC = addr
+		c.Cycles += 12
+		if c.Hook != nil {
+			c.flow, c.flowTarget = FlowCall, addr
+		}
+		return
+	}
+	c.Cycles += 7
+}
+
+func (c *CPU) retIf(taken bool) {
+	if taken {
+		c.PC = c.pop16()
+		c.Cycles += 8
+		if c.Hook != nil {
+			c.flow, c.flowTarget = FlowRet, c.PC
+		}
+		return
+	}
+	c.Cycles += 2
+}
+
+func (c *CPU) rst(addr uint16) {
+	c.push16(c.PC)
+	c.PC = addr
+	c.Cycles += 8
+	if c.Hook != nil {
+		c.flow, c.flowTarget = FlowCall, addr
 	}
 }
 
-func (c *CPU) flag(f uint8) bool { return c.F&f != 0 }
-
-// szp sets S, Z and parity-as-PV from an 8-bit result.
-func (c *CPU) szp(v uint8) {
-	c.setFlag(FlagS, v&0x80 != 0)
-	c.setFlag(FlagZ, v == 0)
-	c.setFlag(FlagPV, parity(v))
-}
-
-// cond evaluates condition code y (NZ Z NC C PO PE P M).
-func (c *CPU) cond(y int) bool {
-	switch y {
-	case 0:
-		return !c.flag(FlagZ)
-	case 1:
-		return c.flag(FlagZ)
-	case 2:
-		return !c.flag(FlagC)
-	case 3:
-		return c.flag(FlagC)
-	case 4:
-		return !c.flag(FlagPV)
-	case 5:
-		return c.flag(FlagPV)
-	case 6:
-		return !c.flag(FlagS)
-	default:
-		return c.flag(FlagS)
+// blockMove is LDI/LDD (once) or LDIR/LDDR (until BC is zero); step is
+// +1 or -1.
+func (c *CPU) blockMove(step uint16, repeat bool) {
+	for {
+		c.Mem.Write(c.de(), c.Mem.Read(c.hl()))
+		c.setHL(c.hl() + step)
+		c.setDE(c.de() + step)
+		c.setBC(c.bc() - 1)
+		c.Cycles += 7
+		if !repeat || c.bc() == 0 {
+			break
+		}
 	}
-}
-
-// --- ALU -------------------------------------------------------------------------
-
-// alu performs operation y (ADD ADC SUB SBC AND XOR OR CP) on A and v.
-func (c *CPU) alu(y int, v uint8) {
-	a := c.A
-	switch y {
-	case 0, 1: // ADD / ADC
-		carry := uint16(0)
-		if y == 1 && c.flag(FlagC) {
-			carry = 1
-		}
-		r := uint16(a) + uint16(v) + carry
-		res := uint8(r)
-		c.setFlag(FlagC, r > 0xff)
-		c.setFlag(FlagH, a&0x0f+v&0x0f+uint8(carry) > 0x0f)
-		c.setFlag(FlagN, false)
-		c.setFlag(FlagS, res&0x80 != 0)
-		c.setFlag(FlagZ, res == 0)
-		c.setFlag(FlagPV, (a^res)&(v^res)&0x80 != 0) // signed overflow
-		c.A = res
-	case 2, 3, 7: // SUB / SBC / CP
-		carry := uint16(0)
-		if y == 3 && c.flag(FlagC) {
-			carry = 1
-		}
-		r := uint16(a) - uint16(v) - carry
-		res := uint8(r)
-		c.setFlag(FlagC, r > 0xff) // borrow
-		c.setFlag(FlagH, uint16(a&0x0f) < uint16(v&0x0f)+carry)
-		c.setFlag(FlagN, true)
-		c.setFlag(FlagS, res&0x80 != 0)
-		c.setFlag(FlagZ, res == 0)
-		c.setFlag(FlagPV, (a^v)&(a^res)&0x80 != 0)
-		if y != 7 {
-			c.A = res
-		}
-	case 4: // AND
-		c.A = a & v
-		c.szp(c.A)
-		c.setFlag(FlagH, true)
-		c.setFlag(FlagN, false)
-		c.setFlag(FlagC, false)
-	case 5: // XOR
-		c.A = a ^ v
-		c.szp(c.A)
-		c.setFlag(FlagH, false)
-		c.setFlag(FlagN, false)
-		c.setFlag(FlagC, false)
-	case 6: // OR
-		c.A = a | v
-		c.szp(c.A)
-		c.setFlag(FlagH, false)
-		c.setFlag(FlagN, false)
-		c.setFlag(FlagC, false)
+	c.F &^= FlagPV | FlagH | FlagN
+	if c.bc() != 0 {
+		c.F |= FlagPV
 	}
-}
-
-func (c *CPU) inc8(v uint8) uint8 {
-	r := v + 1
-	c.setFlag(FlagS, r&0x80 != 0)
-	c.setFlag(FlagZ, r == 0)
-	c.setFlag(FlagH, v&0x0f == 0x0f)
-	c.setFlag(FlagPV, v == 0x7f)
-	c.setFlag(FlagN, false)
-	return r
-}
-
-func (c *CPU) dec8(v uint8) uint8 {
-	r := v - 1
-	c.setFlag(FlagS, r&0x80 != 0)
-	c.setFlag(FlagZ, r == 0)
-	c.setFlag(FlagH, v&0x0f == 0)
-	c.setFlag(FlagPV, v == 0x80)
-	c.setFlag(FlagN, true)
-	return r
-}
-
-func (c *CPU) addHL(hl, v uint16) uint16 {
-	r := uint32(hl) + uint32(v)
-	c.setFlag(FlagC, r > 0xffff)
-	c.setFlag(FlagH, hl&0x0fff+v&0x0fff > 0x0fff)
-	c.setFlag(FlagN, false)
-	return uint16(r)
 }
 
 // --- execution ---------------------------------------------------------------------
@@ -443,7 +313,7 @@ func (c *CPU) Step() error {
 	}
 	op := c.fetch8()
 	c.Instructions++
-	err := c.exec(op, nil)
+	err := c.exec(op)
 	c.ioPrefix = false
 	return err
 }
@@ -473,7 +343,7 @@ func (c *CPU) stepHooked() error {
 	c.flow = FlowNone
 	op := c.fetch8()
 	c.Instructions++
-	err := c.exec(op, nil)
+	err := c.exec(op)
 	c.ioPrefix = false
 	c.Hook.OnInstr(InstrEvent{
 		PC:     pc,
@@ -486,11 +356,23 @@ func (c *CPU) stepHooked() error {
 }
 
 // Run executes until HALT, an error, or the cycle budget is exhausted.
-// It returns the error, if any.
+// It returns the error, if any. Instructions run straight through the
+// decoder; only with a hook attached or an interrupt pending does an
+// iteration take Step's slower path.
 func (c *CPU) Run(maxCycles uint64) error {
 	start := c.Cycles
 	for !c.Halted && c.Cycles-start < maxCycles {
-		if err := c.Step(); err != nil {
+		if c.Hook != nil || c.intPending {
+			if err := c.Step(); err != nil {
+				return err
+			}
+			continue
+		}
+		op := c.fetch8()
+		c.Instructions++
+		err := c.exec(op)
+		c.ioPrefix = false
+		if err != nil {
 			return err
 		}
 	}

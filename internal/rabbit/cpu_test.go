@@ -4,6 +4,8 @@ import (
 	"testing"
 )
 
+func (c *CPU) flag(f uint8) bool { return c.F&f != 0 }
+
 // run loads code at 0 and executes until HALT (0x76), failing the test
 // on decode errors or budget exhaustion.
 func run(t *testing.T, code []byte) *CPU {
@@ -428,13 +430,13 @@ func TestMMURootIsIdentity(t *testing.T) {
 
 func TestMMUXPCWindow(t *testing.T) {
 	m := NewMemory()
-	m.XPC = 0x20 // window at 0xE000 maps to 0x20000+0xE000
+	m.SetMMU(XPCReg, 0x20) // window at 0xE000 maps to 0x20000+0xE000
 	got := m.Physical(0xE000)
 	if got != 0x20000+0xE000 {
 		t.Errorf("XPC mapping = %05x", got)
 	}
 	// Changing XPC re-banks the same logical address.
-	m.XPC = 0x21
+	m.SetMMU(XPCReg, 0x21)
 	if m.Physical(0xE000) != 0x21000+0xE000 {
 		t.Errorf("rebank = %05x", m.Physical(0xE000))
 	}
@@ -442,7 +444,7 @@ func TestMMUXPCWindow(t *testing.T) {
 
 func TestMMUStackSegment(t *testing.T) {
 	m := NewMemory()
-	m.StackSeg = 0x05
+	m.SetMMU(StackSegReg, 0x05)
 	if m.Physical(0xD800) != 0x5000+0xD800 {
 		t.Errorf("stack seg = %05x", m.Physical(0xD800))
 	}
@@ -450,8 +452,8 @@ func TestMMUStackSegment(t *testing.T) {
 
 func TestMMUDataSegment(t *testing.T) {
 	m := NewMemory()
-	m.SegSize = 0x06 // data segment starts at 0x6000
-	m.DataSeg = 0x10
+	m.SetMMU(SegSizeReg, 0x06) // data segment starts at 0x6000
+	m.SetMMU(DataSegReg, 0x10)
 	if m.Physical(0x5FFF) != 0x5FFF {
 		t.Error("below boundary should be root")
 	}
@@ -462,7 +464,7 @@ func TestMMUDataSegment(t *testing.T) {
 
 func TestMMUWrap20Bits(t *testing.T) {
 	m := NewMemory()
-	m.XPC = 0xFF
+	m.SetMMU(XPCReg, 0xFF)
 	got := m.Physical(0xFFFF)
 	if got >= PhysMemSize {
 		t.Errorf("physical address %x exceeds 20 bits", got)

@@ -23,6 +23,17 @@ const (
 	XPCSegBase = 0xE000
 )
 
+// MMUReg names one of the Rabbit's four MMU registers.
+type MMUReg uint8
+
+// The MMU registers (Rabbit 2000 user's manual, ch. 3).
+const (
+	SegSizeReg  MMUReg = iota // SEGSIZE: low nibble is the data segment boundary (4K units)
+	StackSegReg               // STACKSEG
+	DataSegReg                // DATASEG
+	XPCReg                    // XPC
+)
+
 // Memory is the Rabbit's MMU plus physical storage.
 //
 // Physical address calculation (Rabbit 2000 user's manual, ch. 3):
@@ -34,52 +45,61 @@ const (
 //
 // where dataBase = (SEGSIZE & 0x0F) << 12. All physical addresses wrap
 // at 20 bits.
+//
+// Every segment boundary falls on a 4 KB page, so the mapping is kept
+// as a 16-entry page table and each access is one table lookup.
+// SetMMU is the only way to change an MMU register: it rebuilds the
+// table, and a register changed any other way would leave the table
+// stale.
 type Memory struct {
 	Phys []byte
-
-	// MMU registers.
-	SegSize  uint8 // low nibble: data segment boundary (4K units)
-	StackSeg uint8
-	DataSeg  uint8
-	XPC      uint8
 
 	// FlashEnd marks [0, FlashEnd) as write-protected flash; writes
 	// there are ignored (and counted), like real flash without an
 	// unlock sequence.
 	FlashEnd      uint32
 	IgnoredWrites uint64
-	physReads     uint64
-	physWrites    uint64
+
+	mmu [4]uint8 // indexed by MMUReg
+	// page holds, per 4 KB logical page, the offset the MMU adds to
+	// a logical address in that page (before the 20-bit wrap).
+	page [16]uint32
 }
 
-// NewMemory allocates the full 1 MB physical space.
+// NewMemory allocates the full 1 MB physical space. All MMU registers
+// start at zero, which maps every logical address to itself.
 func NewMemory() *Memory {
 	return &Memory{Phys: make([]byte, PhysMemSize)}
 }
 
-// dataBase returns the start of the data segment window.
-func (m *Memory) dataBase() uint32 {
-	return uint32(m.SegSize&0x0f) << 12
+// MMU returns the value of an MMU register.
+func (m *Memory) MMU(r MMUReg) uint8 { return m.mmu[r] }
+
+// SetMMU writes an MMU register and remaps the logical pages.
+func (m *Memory) SetMMU(r MMUReg, v uint8) {
+	m.mmu[r] = v
+	dataBase := int(m.mmu[SegSizeReg] & 0x0f)
+	for p := range m.page {
+		var seg uint8
+		switch {
+		case p<<12 >= XPCSegBase:
+			seg = m.mmu[XPCReg]
+		case p<<12 >= StackSegBase:
+			seg = m.mmu[StackSegReg]
+		case p >= dataBase:
+			seg = m.mmu[DataSegReg]
+		}
+		m.page[p] = uint32(seg) << 12
+	}
 }
 
 // Physical translates a logical address through the MMU.
 func (m *Memory) Physical(logical uint16) uint32 {
-	l := uint32(logical)
-	switch {
-	case l >= XPCSegBase:
-		return (l + uint32(m.XPC)<<12) & (PhysMemSize - 1)
-	case l >= StackSegBase:
-		return (l + uint32(m.StackSeg)<<12) & (PhysMemSize - 1)
-	case l >= m.dataBase():
-		return (l + uint32(m.DataSeg)<<12) & (PhysMemSize - 1)
-	default:
-		return l
-	}
+	return (uint32(logical) + m.page[logical>>12]) & (PhysMemSize - 1)
 }
 
 // Read fetches one byte through the MMU.
 func (m *Memory) Read(addr uint16) byte {
-	m.physReads++
 	return m.Phys[m.Physical(addr)]
 }
 
@@ -90,7 +110,6 @@ func (m *Memory) Write(addr uint16, v byte) {
 		m.IgnoredWrites++
 		return
 	}
-	m.physWrites++
 	m.Phys[p] = v
 }
 
@@ -110,6 +129,3 @@ func (m *Memory) Write16(addr uint16, v uint16) {
 func (m *Memory) LoadPhysical(addr uint32, img []byte) {
 	copy(m.Phys[addr:], img)
 }
-
-// Stats reports MMU-mediated access counts (diagnostics).
-func (m *Memory) Stats() (reads, writes uint64) { return m.physReads, m.physWrites }

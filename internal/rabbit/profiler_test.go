@@ -237,6 +237,37 @@ func BenchmarkStepNoHookAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkRunNoHookAllocs is BenchmarkStepNoHookAllocs for Run's
+// straight-line loop: one op runs a 256-iteration NOP/DJNZ loop to
+// HALT, and the loop must not allocate either.
+func BenchmarkRunNoHookAllocs(b *testing.B) {
+	prog, err := rasm.Assemble("        org 0\n        ld b, 0\nloop:   nop\n        djnz loop\n        halt\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := rabbit.New()
+	c.Mem.LoadPhysical(uint32(prog.Origin), prog.Code)
+	run := func() {
+		c.PC, c.Halted = prog.Origin, false
+		if err := c.Run(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, run)
+	if allocs != 0 {
+		b.Fatalf("Run with no hook allocates %.1f per op, want 0", allocs)
+	}
+
+	b.ReportAllocs()
+	start := c.Instructions
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Instructions-start), "ns/instr")
+}
+
 // BenchmarkStepProfiled measures hook overhead for the steady state
 // (straight-line code, cached symbol resolution) and guards that the
 // profiler itself does not allocate per instruction once its stack is

@@ -127,7 +127,7 @@ func (a busAdapter) In(port uint16) uint8 {
 	b := a.b
 	switch {
 	case port == PortXPC:
-		return b.CPU.Mem.XPC
+		return b.CPU.Mem.MMU(rabbit.XPCReg)
 	case port == PortTimerLo:
 		return uint8(b.timer.latched)
 	case port == PortTimerHi:
@@ -150,7 +150,7 @@ func (a busAdapter) Out(port uint16, v uint8) {
 	b := a.b
 	switch {
 	case port == PortXPC:
-		b.CPU.Mem.XPC = v
+		b.CPU.Mem.SetMMU(rabbit.XPCReg, v)
 	case port == PortTimerLo:
 		b.timer.latch()
 	case port == PortI0CR:

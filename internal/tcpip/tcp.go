@@ -1085,14 +1085,19 @@ func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
 	s.mu.Lock()
 	t, found := s.tcbs[key]
 	var fresh bool
+	var iss uint32
 	if !found && seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
 		t, fresh = s.matchSYNLocked(src, seg, key)
+		if fresh {
+			// s.isn is shared with Connect; both draw under s.mu.
+			iss = s.isn.Uint32()
+		}
 	}
 	s.mu.Unlock()
 	if t != nil && fresh {
 		// Bind outside s.mu (lock order: t.mu → s.mu only). If the
 		// socket was closed in the meantime, refuse the connection.
-		if !t.bindPassive(src, seg) {
+		if !t.bindPassive(src, seg, iss) {
 			s.mu.Lock()
 			s.removeTCBLocked(key, t)
 			s.mu.Unlock()
@@ -1143,10 +1148,11 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 }
 
 // bindPassive points a TCB at the SYN's originator and moves it to
-// SYN_RCVD. It reports false if the socket was concurrently closed.
+// SYN_RCVD with initial send sequence iss. It reports false if the
+// socket was concurrently closed.
 // The SYN-ACK itself is sent by handleSegment, which processes this
 // same SYN next and hits the SYN_RCVD duplicate-SYN path.
-func (t *TCB) bindPassive(src Addr, seg tcpSegment) bool {
+func (t *TCB) bindPassive(src Addr, seg tcpSegment, iss uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// A DC socket must still be listening; a fresh BSD-side TCB is in
@@ -1159,7 +1165,7 @@ func (t *TCB) bindPassive(src Addr, seg tcpSegment) bool {
 	t.remotePort = seg.srcPort
 	t.irs = seg.seq
 	t.rcvNxt = seg.seq + 1
-	t.iss = t.stack.isn.Uint32()
+	t.iss = iss
 	t.sndUna = t.iss
 	t.sndNxt = t.iss + 1
 	t.peerWnd = seg.window

@@ -1,9 +1,10 @@
 package repro
 
-// Host-side crypto kernel benchmarks — the CI perf regression gate.
-// Every BenchmarkKernel* here times one of the hot-path kernels the
-// perf rewrite touched (T-table AES-CBC, unrolled SHA-1, streaming
-// HMAC, Montgomery/CRT RSA, the issl record path) and reports through
+// Host-side kernel benchmarks — the CI perf regression gate. Every
+// BenchmarkKernel* here times one of the hot paths a perf rewrite
+// touched (T-table AES-CBC, unrolled SHA-1, streaming HMAC,
+// Montgomery/CRT RSA, the issl record path, the Rabbit simulator's
+// decoder) and reports through
 // record(), so `-benchjson` captures them next to the paper
 // experiments. CI runs them with -benchtime=1x and diffs the result
 // against the committed BENCH_baseline.json via cmd/benchdiff; each
@@ -14,6 +15,9 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/aesasm"
+	"repro/internal/aesc"
+	"repro/internal/core"
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/bignum"
 	"repro/internal/crypto/bignum32"
@@ -21,6 +25,7 @@ import (
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
 	"repro/internal/issl"
+	"repro/internal/race"
 )
 
 const kernelBufLen = 64 * 1024
@@ -316,4 +321,54 @@ func BenchmarkKernelRecordPath(b *testing.B) {
 	// with nobody left reading.
 	ct.Close()
 	st.Close()
+}
+
+// BenchmarkKernelRabbitAES times one rabbit-aes request on the Rabbit
+// simulator: an 8-block chain of the hand-written assembly AES and a
+// 1-block chain of the dcc-compiled C AES with every optimization, as
+// the towerbench rabbit-aes workload runs them. Every op retires the
+// same simulated instructions, so ns/op moves only with the
+// interpreter's speed; Minstr/s and Mcycle/s report that speed in the
+// simulator's own units.
+func BenchmarkKernelRabbitAES(b *testing.B) {
+	asm, err := aesasm.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := aesc.Build(core.E2Configs[len(core.E2Configs)-1].Opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var key, block [16]byte
+	copy(key[:], kernelBuf()[:16])
+	copy(block[:], kernelBuf()[16:32])
+	var instr, cycles uint64
+	request := func() {
+		_, asmCyc, err := asm.EncryptChain(key, block, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, cCyc, err := c.EncryptChain(key, block, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instr += asm.CPU().Instructions + c.CPU().Instructions
+		cycles += asmCyc + cCyc
+	}
+	request() // warm caches
+	if allocs := testing.AllocsPerRun(3, request); allocs != 0 && !race.Enabled {
+		b.Fatalf("rabbit-aes request allocates %.1f per op, want 0", allocs)
+	}
+	instr, cycles = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
+	b.StopTimer()
+	secs := b.Elapsed().Seconds()
+	record(b, map[string]float64{
+		"Minstr/s": float64(instr) / 1e6 / secs,
+		"Mcycle/s": float64(cycles) / 1e6 / secs,
+	})
 }
