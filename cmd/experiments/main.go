@@ -95,8 +95,8 @@ func runE4(payload int) error {
 		return err
 	}
 	fmt.Println("E4 — redirector throughput, plaintext vs issl-secured (§2, after Goldberg et al.)")
-	fmt.Printf("  plaintext   %10.0f KB/s\n", r.PlainKBps)
-	fmt.Printf("  issl        %10.0f KB/s\n", r.SecureKBps)
+	fmt.Printf("  plaintext   %10.0f KB/s (per CPU-second)\n", r.PlainKBps)
+	fmt.Printf("  issl        %10.0f KB/s (per CPU-second)\n", r.SecureKBps)
 	fmt.Printf("  slowdown    %10.1fx   (paper cites ~an order of magnitude)\n", r.Slowdown)
 	return nil
 }

@@ -41,9 +41,17 @@ func main() {
 		log.Fatal(err)
 	}
 	var captured bytes.Buffer
+	sniffed := make(chan struct{})
 	go func() {
-		for f := range sniffer.Recv() {
-			captured.Write(f.Payload)
+		defer close(sniffed)
+		for {
+			frames, err := sniffer.DrainFrames(nil)
+			if err != nil { // ErrPortClosed, once every captured frame is drained
+				return
+			}
+			for _, f := range frames {
+				captured.Write(f.Payload()) // copies out of the drain slab
+			}
 		}
 	}()
 
@@ -113,7 +121,10 @@ func main() {
 	missing := fetch("/nothing", 3)
 	fmt.Printf("GET /nothing -> %d\n", missing.Status)
 
-	time.Sleep(100 * time.Millisecond) // let the sniffer drain
+	// Unplug the sniffer and wait until it has drained every frame it
+	// saw before reading what it captured.
+	sniffer.Close()
+	<-sniffed
 	if bytes.Contains(captured.Bytes(), []byte(secretMarker)) {
 		fmt.Println("\n!!! the sensitive marker crossed the wire IN THE CLEAR")
 	} else {

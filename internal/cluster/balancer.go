@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/issl"
+	"repro/internal/redirector"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
 )
@@ -123,7 +123,7 @@ type nodeEntry struct {
 	forwarded *telemetry.Counter
 }
 
-// Balancer is the L4 node: it accepts on ListenPort and splices each
+// Balancer is the L4 node: it accepts on ListenPort and relays each
 // connection byte-for-byte to a fleet node chosen by the policy over
 // the currently-up set. It terminates nothing — the issl handshake
 // passes through to the node, whose ticket store makes any choice
@@ -283,48 +283,13 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 		n.forwarded.Inc()
 		b.stats.Accepted.Inc()
 		b.cfg.Trace.Emit("cluster", "forward.accept", "node", idx)
-		splice(client, backend, b.stats.BytesIn, b.stats.BytesOut)
+		redirector.Relay(client, backend, b.stats.BytesIn, b.stats.BytesOut, nil)
 		n.inflight.Add(-1)
 		return
 	}
 	b.stats.Refused.Inc()
 	b.cfg.Trace.Emit("cluster", "forward.refused", "tried", tried)
 	client.Close()
-}
-
-// splice pumps client<->backend until both directions finish,
-// propagating one-sided EOF as a half-close so request/response flows
-// survive an early client FIN (same contract as the redirector pump).
-func splice(client, backend *tcpip.TCB, in, out *telemetry.Counter) {
-	var wg sync.WaitGroup
-	cp := func(dst, src *tcpip.TCB, ctr *telemetry.Counter) {
-		defer wg.Done()
-		buf := make([]byte, 4096)
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				ctr.Add(uint64(n))
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					dst.Close()
-					return
-				}
-			}
-			if err == io.EOF {
-				dst.CloseWrite()
-				return
-			}
-			if err != nil {
-				dst.Close()
-				return
-			}
-		}
-	}
-	wg.Add(2)
-	go cp(backend, client, in)
-	go cp(client, backend, out)
-	wg.Wait()
-	client.Close()
-	backend.Close()
 }
 
 // probeLoop is one node's health checker: a TCP connect to the node's

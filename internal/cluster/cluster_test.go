@@ -346,3 +346,85 @@ func TestNoNodesRefusesCleanly(t *testing.T) {
 		t.Error("refusal not counted")
 	}
 }
+
+// TestBalancerHalfClosePassThrough: the balancer hop propagates a
+// one-sided FIN. The client writes a request and half-closes; a node
+// that answers only after EOF still gets its full response back
+// through the balancer.
+func TestBalancerHalfClosePassThrough(t *testing.T) {
+	hub := netsim.NewHub()
+	defer hub.Close()
+	stack := func(last byte) *tcpip.Stack {
+		s, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	cli, lb, node := stack(1), stack(2), stack(4)
+
+	// A request/response node: read to EOF, then reply.
+	const port = 4443
+	l, err := node.Listen(port, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := l.Accept(30 * time.Second)
+		if err != nil {
+			return
+		}
+		var req []byte
+		buf := make([]byte, 4096)
+		for {
+			n, err := conn.ReadDeadline(buf, time.Now().Add(30*time.Second))
+			req = append(req, buf[:n]...)
+			if err != nil {
+				break
+			}
+		}
+		conn.Write(append([]byte("reply:"), req...))
+		conn.Close()
+	}()
+
+	// No health endpoint: probing is pushed past the test's lifetime so
+	// the node stays in rotation.
+	b, err := NewBalancer(lb, []tcpip.Addr{node.Addr()}, BalancerConfig{
+		ListenPort: port,
+		Health:     HealthConfig{ProbeInterval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	tcb, err := cli.Connect(lb.Addr(), port, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tcb.Write([]byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tcb.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	var resp []byte
+	buf := make([]byte, 64)
+	for {
+		n, err := tcb.ReadDeadline(buf, time.Now().Add(10*time.Second))
+		resp = append(resp, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("response read: %v", err)
+		}
+	}
+	if string(resp) != "reply:request" {
+		t.Errorf("response = %q", resp)
+	}
+	if in, out := b.Stats().BytesIn.Value(), b.Stats().BytesOut.Value(); in != 7 || out != 13 {
+		t.Errorf("relayed %d bytes in, %d out; want 7 and 13", in, out)
+	}
+}

@@ -321,7 +321,10 @@ func checkTCPIPIngressSweep(c *checkCtx) {
 
 func drainPort(p *netsim.Port) {
 	go func() {
-		for range p.Recv() {
+		for {
+			if _, err := p.DrainFrames(nil); err != nil { // ErrPortClosed: the rogue port is gone
+				return
+			}
 		}
 	}()
 }

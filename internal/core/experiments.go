@@ -176,7 +176,9 @@ func RunE3() (*E3Result, error) {
 
 // E4Result compares plaintext and issl-secured redirector throughput
 // (the §2 Goldberg et al. observation: SSL costs about an order of
-// magnitude).
+// magnitude). Throughput is KB of payload per second of process CPU
+// time, so it counts the work done rather than how the scheduler
+// interleaved it with idle waits.
 type E4Result struct {
 	PlainKBps  float64
 	SecureKBps float64
@@ -184,16 +186,25 @@ type E4Result struct {
 	Bytes      int
 }
 
+// e4Rounds is how many transfers RunE4 makes per configuration. The
+// best one is reported, which filters out work that other goroutines
+// happened to do inside a transfer's window.
+const e4Rounds = 5
+
 // RunE4 builds a three-host world (client, redirector, backend sink)
-// and pumps payload bytes through both configurations.
+// and relays payload bytes through both configurations.
 func RunE4(payload int) (*E4Result, error) {
-	plain, err := RedirectorThroughput(false, payload)
-	if err != nil {
-		return nil, fmt.Errorf("plain: %w", err)
-	}
-	secure, err := RedirectorThroughput(true, payload)
-	if err != nil {
-		return nil, fmt.Errorf("secure: %w", err)
+	var plain, secure float64
+	for i := 0; i < e4Rounds; i++ {
+		p, err := RedirectorThroughput(false, payload)
+		if err != nil {
+			return nil, fmt.Errorf("plain: %w", err)
+		}
+		s, err := RedirectorThroughput(true, payload)
+		if err != nil {
+			return nil, fmt.Errorf("secure: %w", err)
+		}
+		plain, secure = max(plain, p), max(secure, s)
 	}
 	return &E4Result{
 		PlainKBps:  plain,
@@ -203,8 +214,10 @@ func RunE4(payload int) (*E4Result, error) {
 	}, nil
 }
 
-// RedirectorThroughput measures one configuration in KB/s of payload
-// moved client -> redirector -> sink over the simulated LAN.
+// RedirectorThroughput measures one configuration in KB of payload
+// moved client -> redirector -> sink over the simulated LAN per second
+// of process CPU time, over one connection from connect to the sink's
+// acknowledgment.
 func RedirectorThroughput(secure bool, payload int) (float64, error) {
 	hub := netsim.NewHub()
 	defer hub.Close()
@@ -271,44 +284,44 @@ func RedirectorThroughput(secure bool, payload int) (float64, error) {
 	go srv.Serve()
 	defer srv.Close()
 
+	cpu0 := processCPU()
 	tcb, err := cli.Connect(mid.Addr(), 443, 10*time.Second)
 	if err != nil {
 		return 0, err
 	}
+	defer tcb.Close()
+	deadline := time.Now().Add(10 * time.Second)
 	var w io.Writer = tcb
-	var closeFn func()
-	start := time.Now()
+	closeWrite := tcb.CloseWrite
+	readAck := func(b []byte) (int, error) { return tcb.ReadDeadline(b, deadline) }
 	if secure {
 		sc, err := issl.BindClient(tcb, issl.Config{Profile: issl.ProfileUnix, Rand: prng.NewXorshift(12)})
 		if err != nil {
 			return 0, err
 		}
-		w = sc
-		closeFn = func() { sc.Close(); tcb.Close() }
-	} else {
-		closeFn = func() { tcb.Close() }
+		sc.SetReadDeadline(deadline)
+		w, closeWrite, readAck = sc, sc.CloseWrite, sc.Read
 	}
 	chunk := make([]byte, 4096)
 	for i := range chunk {
 		chunk[i] = byte(i)
 	}
-	sent := 0
-	for sent < payload {
-		n := payload - sent
-		if n > len(chunk) {
-			n = len(chunk)
-		}
+	for sent := 0; sent < payload; {
+		n := min(payload-sent, len(chunk))
 		if _, err := w.Write(chunk[:n]); err != nil {
 			return 0, fmt.Errorf("after %d bytes: %w", sent, err)
 		}
 		sent += n
 	}
-	closeFn()
-	// Wait for the sink's 1-byte EOF acknowledgment via the redirector.
-	buf := make([]byte, 1)
-	tcb.ReadDeadline(buf, time.Now().Add(10*time.Second))
-	elapsed := time.Since(start).Seconds()
-	return float64(payload) / 1024 / elapsed, nil
+	closeWrite()
+	// The sink acknowledges with one byte at EOF, via the redirector and,
+	// when secure, through the issl layer: only then has every payload
+	// byte crossed both hops.
+	if n, err := readAck(make([]byte, 1)); n != 1 {
+		return 0, fmt.Errorf("acknowledgment: %v", err)
+	}
+	cpu := (processCPU() - cpu0).Seconds()
+	return float64(payload) / 1024 / cpu, nil
 }
 
 // --- E5: Fig. 3 connection limit ---------------------------------------------------

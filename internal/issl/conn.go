@@ -46,16 +46,16 @@ type Conn struct {
 	rHMAC *sha1.HMACState
 
 	rbuf      []byte // decrypted-but-undelivered plaintext
-	rdScratch []byte // readRecord body scratch, owned by the reader
 	peerClose bool
 	closed    atomic.Bool
 
 	// pk is the transport's zero-copy receive interface, resolved once
-	// at construction when the transport offers it (tcpip.TCB does).
-	// With pk set, records are opened in place inside the transport's
-	// receive buffer — rbuf aliases it — and pendingDiscard tracks the
-	// consumed record bytes, released lazily before the next record
-	// read (or eagerly once rbuf drains). Owned by the reader.
+	// at construction: the transport itself when it offers one
+	// (tcpip.TCB does), else a readPeeker over it. Records are opened
+	// in place inside pk's buffer — rbuf aliases it — and
+	// pendingDiscard tracks the consumed record bytes, released lazily
+	// before the next record read (or eagerly once rbuf drains). Owned
+	// by the reader.
 	pk             peekTransport
 	pendingDiscard int
 
@@ -86,6 +86,8 @@ func newConn(tr io.ReadWriter, cfg Config) *Conn {
 	c := &Conn{tr: tr, cfg: cfg, rng: cfg.Rand, metrics: newConnMetrics(cfg.Metrics)}
 	if pk, ok := tr.(peekTransport); ok {
 		c.pk = pk
+	} else {
+		c.pk = &readPeeker{r: tr}
 	}
 	return c
 }
@@ -270,10 +272,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 				return 0, c.failAndAlert(err)
 			}
 			// rbuf was empty (the loop condition), so pt can be adopted
-			// directly: it aliases either the transport's pinned receive
-			// buffer (peek path) or rdScratch (fallback path), and the
-			// next readRecord only happens after rbuf drains — both
-			// backings are stable until then. No copy either way.
+			// directly: it aliases pk's pinned buffer, and the next
+			// readRecord only happens after rbuf drains — the backing is
+			// stable until then. No copy.
 			c.rbuf = pt
 			c.bytesIn += uint64(len(pt))
 			c.recordsIn++
@@ -327,5 +328,5 @@ func (c *Conn) Close() error {
 // CloseWrite half-closes the connection: close_notify goes out and
 // further Writes fail, but Reads continue until the peer's own
 // close_notify — the secure-layer analogue of TCP shutdown(SHUT_WR),
-// which the redirector's pump uses to propagate one-directional EOF.
+// which redirector.Relay uses to propagate one-directional EOF.
 func (c *Conn) CloseWrite() error { return c.Close() }

@@ -54,7 +54,7 @@ func FuzzISSLRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Stream parse: read records until error/EOF. Must not panic,
 		// and every delivered body must match its declared length.
-		c := &Conn{tr: &fuzzTransport{r: bytes.NewReader(data)}}
+		c := newConn(&fuzzTransport{r: bytes.NewReader(data)}, Config{})
 		for i := 0; i < 8; i++ {
 			_, body, err := c.readRecord()
 			if err != nil {

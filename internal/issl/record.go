@@ -24,7 +24,7 @@ import (
 //
 // The steady-state data path is allocation-free: records are sealed
 // in place into a staging buffer (appendSealed), opened in place in
-// the read scratch (openRecord), and MACed through per-direction
+// the transport's receive buffer (openRecord), and MACed through per-direction
 // streaming HMAC states that reuse the key pad blocks.
 
 // Record types.
@@ -54,10 +54,21 @@ func (c *Conn) writeRecord(recType byte, body []byte) error {
 	return nil
 }
 
-// Deadline plumbing. The record layer is transport-agnostic; deadlines
-// are honored when the transport offers either the tcpip.TCB-style
-// per-call API or the net.Conn-style set-once API, and silently
-// best-effort otherwise.
+// peekTransport is the zero-copy receive interface: Peek returns a
+// view into the transport's receive buffer (pinning it against
+// movement) holding at least n bytes, and Discard consumes bytes and
+// releases the pin. tcpip.TCB implements it, so the record layer opens
+// records in place inside the receive buffer and one buffer carries
+// the bytes from the wire to the plaintext the application reads.
+// Other transports are wrapped in a readPeeker.
+type peekTransport interface {
+	Peek(n int, deadline time.Time) ([]byte, error)
+	Discard(n int)
+}
+
+// Deadline plumbing for plain readers. Deadlines are honored when the
+// transport offers either the tcpip.TCB-style per-call API or the
+// net.Conn-style set-once API, and silently best-effort otherwise.
 type deadlineReader interface {
 	ReadDeadline(buf []byte, deadline time.Time) (int, error)
 }
@@ -66,16 +77,60 @@ type deadlineSetter interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// peekTransport is the zero-copy receive interface: Peek returns a
-// view into the transport's receive buffer (pinning it against
-// movement) holding at least n bytes, and Discard consumes bytes and
-// releases the pin. tcpip.TCB implements it; when the transport does,
-// the record layer opens records in place inside the receive buffer,
-// so one buffer carries the bytes from the wire to the plaintext the
-// application reads.
-type peekTransport interface {
-	Peek(n int, deadline time.Time) ([]byte, error)
-	Discard(n int)
+// readPeeker gives a plain io.Reader the peekTransport shape for the
+// one record reader. Peek reads exactly the bytes it is short of and
+// never ahead, so the transport sees the same reads a copying reader
+// would make: the header, then the body. Discard drops everything
+// peeked (the record reader always discards whole records).
+type readPeeker struct {
+	r    io.Reader
+	buf  []byte
+	have int // bytes of buf already read
+}
+
+func (p *readPeeker) Peek(n int, deadline time.Time) ([]byte, error) {
+	if cap(p.buf) < n {
+		grown := make([]byte, n)
+		copy(grown, p.buf[:p.have])
+		p.buf = grown
+	}
+	p.buf = p.buf[:n]
+	if p.have < n {
+		m, err := p.fill(p.buf[p.have:], deadline)
+		p.have += m
+		if err != nil {
+			return nil, err
+		}
+	}
+	return p.buf, nil
+}
+
+func (p *readPeeker) Discard(int) { p.have = 0 }
+
+// fill reads all of buf from the transport, honoring deadline. Like
+// io.ReadFull it returns io.EOF only when nothing was read.
+func (p *readPeeker) fill(buf []byte, deadline time.Time) (int, error) {
+	if !deadline.IsZero() {
+		if dr, ok := p.r.(deadlineReader); ok {
+			n := 0
+			for n < len(buf) {
+				m, err := dr.ReadDeadline(buf[n:], deadline)
+				n += m
+				if err != nil {
+					if err == io.EOF && n > 0 {
+						err = io.ErrUnexpectedEOF
+					}
+					return n, err
+				}
+			}
+			return n, nil
+		}
+		if ds, ok := p.r.(deadlineSetter); ok {
+			ds.SetReadDeadline(deadline)
+			defer ds.SetReadDeadline(time.Time{})
+		}
+	}
+	return io.ReadFull(p.r, buf)
 }
 
 // flushPeeked releases record bytes consumed from the peek transport.
@@ -86,70 +141,16 @@ func (c *Conn) flushPeeked() {
 	}
 }
 
-// readFull fills buf from the transport, honoring c.readDeadline.
-func (c *Conn) readFull(buf []byte) error {
-	dl := c.readDeadline
-	if !dl.IsZero() {
-		if dr, ok := c.tr.(deadlineReader); ok {
-			n := 0
-			for n < len(buf) {
-				m, err := dr.ReadDeadline(buf[n:], dl)
-				n += m
-				if err != nil {
-					if err == io.EOF && n > 0 {
-						err = io.ErrUnexpectedEOF
-					}
-					return err
-				}
-			}
-			return nil
-		}
-		if ds, ok := c.tr.(deadlineSetter); ok {
-			ds.SetReadDeadline(dl)
-			defer ds.SetReadDeadline(time.Time{})
-		}
-	}
-	_, err := io.ReadFull(c.tr, buf)
-	return err
-}
-
 // readRecord reads exactly one record, returning its type and body.
-// The body aliases a per-connection scratch buffer (or, on a peek
-// transport, the transport's own receive buffer) that is valid only
-// until the next readRecord call; callers that keep record contents
-// (the transcript, the ticket) copy what they need.
+// The record is never copied out of the peek transport's buffer, so
+// the body is valid only until the next readRecord call; callers that
+// keep record contents (the transcript, the ticket) copy what they
+// need. The previous record's bytes are released first; then the
+// header is peeked, the full record is peeked (re-pinning, which
+// invalidates the header view — its fields are read into locals
+// before that), and the body view is handed back with its length
+// registered for the next flush.
 func (c *Conn) readRecord() (byte, []byte, error) {
-	if c.pk != nil {
-		return c.readRecordPeek()
-	}
-	var hdr [recordHeaderLen]byte
-	if err := c.readFull(hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if hdr[1] != protocolVersion {
-		return 0, nil, fmt.Errorf("%w: version %#x", ErrBadRecord, hdr[1])
-	}
-	n := int(hdr[2])<<8 | int(hdr[3])
-	if cap(c.rdScratch) < n {
-		c.rdScratch = make([]byte, n)
-	}
-	body := c.rdScratch[:n]
-	if err := c.readFull(body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("%w: truncated body: %v", ErrBadRecord, err)
-	}
-	return hdr[0], body, nil
-}
-
-// readRecordPeek is readRecord over a peek transport: the record is
-// never copied out of the transport's receive buffer. The previous
-// record's bytes are released first; then the header is peeked, the
-// full record is peeked (re-pinning, which invalidates the header
-// view — its fields are read into locals before that), and the body
-// view is handed back with its length registered for the next flush.
-func (c *Conn) readRecordPeek() (byte, []byte, error) {
 	c.flushPeeked()
 	hdr, err := c.pk.Peek(recordHeaderLen, c.readDeadline)
 	if err != nil {

@@ -2,6 +2,9 @@ package issl
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -124,6 +127,7 @@ func TestWriteBatchesRecords(t *testing.T) {
 	// Replay the batched stream through a reading conn.
 	r := fuzzKeyedConn(t)
 	r.tr = &fuzzTransport{r: bytes.NewReader(ct.buf.Bytes())}
+	r.pk = &readPeeker{r: r.tr}
 	got := make([]byte, 0, len(payload))
 	rbuf := make([]byte, 4096)
 	for len(got) < len(payload) {
@@ -178,6 +182,62 @@ func BenchmarkRecordOpen_1K(b *testing.B) {
 		r.rSeq = 0
 		if _, err := r.openRecord(recData, scratch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// readLog is a plain reader (no Peek) that records each Read size.
+type readLog struct {
+	r     io.Reader
+	sizes []int
+}
+
+func (l *readLog) Read(p []byte) (int, error) {
+	l.sizes = append(l.sizes, len(p))
+	return l.r.Read(p)
+}
+
+func (l *readLog) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRecordReaderPlainTransport pins the record reader over a
+// transport without Peek: it reads exactly the header, then exactly
+// the body, never ahead, and maps a short stream to the same errors a
+// peek transport gets.
+func TestRecordReaderPlainTransport(t *testing.T) {
+	stream := []byte{
+		recHandshake, protocolVersion, 0x00, 0x03, 'a', 'b', 'c',
+		recData, protocolVersion, 0x00, 0x01, 'z',
+	}
+	log := &readLog{r: bytes.NewReader(stream)}
+	c := newConn(log, Config{})
+	for _, want := range []string{"abc", "z"} {
+		_, body, err := c.readRecord()
+		if err != nil || string(body) != want {
+			t.Fatalf("readRecord = %q, %v; want %q", body, err, want)
+		}
+	}
+	if _, _, err := c.readRecord(); err != io.EOF {
+		t.Errorf("clean end of stream: err = %v, want io.EOF", err)
+	}
+	if got, want := fmt.Sprint(log.sizes), "[4 3 4 1 4]"; got != want {
+		t.Errorf("transport read sizes %s, want %s", got, want)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		check  func(error) bool
+	}{
+		{"partial header", []byte{recData, protocolVersion},
+			func(err error) bool { return err == io.ErrUnexpectedEOF }},
+		{"truncated body", []byte{recData, protocolVersion, 0x00, 0x05, 'x'},
+			func(err error) bool { return errors.Is(err, ErrBadRecord) }},
+		{"missing body", []byte{recData, protocolVersion, 0x00, 0x05},
+			func(err error) bool { return errors.Is(err, ErrBadRecord) }},
+	} {
+		c := newConn(&readLog{r: bytes.NewReader(tc.stream)}, Config{})
+		if _, _, err := c.readRecord(); !tc.check(err) {
+			t.Errorf("%s: err = %v", tc.name, err)
 		}
 	}
 }

@@ -8,23 +8,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// drain collects every frame currently deliverable on p without blocking
-// beyond the grace period.
-func drain(p *Port, grace time.Duration) []Frame {
-	var got []Frame
-	for {
-		select {
-		case f, ok := <-p.Recv():
-			if !ok {
-				return got
-			}
-			got = append(got, f)
-		case <-time.After(grace):
-			return got
-		}
-	}
-}
-
 func TestFaultPlanValidation(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
@@ -76,8 +59,8 @@ func TestClosedPortSendTypedError(t *testing.T) {
 	if err := a.Send(Frame{Dst: mac(2), Payload: []byte("gone")}); err != nil {
 		t.Errorf("send to closed port = %v", err)
 	}
-	if _, ok := <-b.Recv(); ok {
-		t.Error("closed port's recv channel still open")
+	if _, err := b.DrainFrames(nil); err != ErrPortClosed {
+		t.Errorf("DrainFrames on closed port = %v, want ErrPortClosed", err)
 	}
 	// The hub itself is still alive for other traffic.
 	c, err := h.Attach(mac(3))

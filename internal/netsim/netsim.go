@@ -197,31 +197,26 @@ var ErrPortClosed = errors.New("netsim: port closed")
 
 // Port is one attachment point on the hub — a NIC as seen by a host.
 //
-// A port runs in one of two receive modes, fixed at attach time.
-// Channel mode (Attach) hands each frame over a buffered channel with
-// its own heap-copied payload — simple, but one allocation+copy per
-// frame per receiver. Ring mode (AttachRing) writes frames back-to-back
-// into a slab the receiver drains wholesale with DrainFrames, so the
-// wire boundary costs one slab copy and zero steady-state allocations.
+// Received frames are written back-to-back into a slab the receiver
+// drains wholesale with DrainFrames, so the wire boundary costs one
+// slab copy and zero steady-state allocations.
 type Port struct {
 	hub     *Hub
 	mac     MAC
-	rx      chan Frame
 	promi   bool // promiscuous: receives every frame on the wire
-	closed  bool // guarded by hub.mu; rx is closed exactly once with it
+	closed  bool // guarded by hub.mu; closedCh is closed exactly once with it
 	metrics portMetrics
 
-	// Ring mode. rxBuf/rxEnds are the filling slab: frames are appended
-	// as [14-byte header | payload] and rxEnds records the end offset of
+	// rxBuf/rxEnds are the filling slab: frames are appended as
+	// [14-byte header | payload] and rxEnds records the end offset of
 	// each frame. DrainFrames swaps the filling slab with the drained
 	// one (drBuf/drEnds) under hub.mu, then builds views outside the
 	// lock, so senders never block on a slow receiver and the receiver
-	// touches the lock once per batch. All ring state is guarded by
+	// touches the lock once per batch. All receive state is guarded by
 	// hub.mu except drBuf/drEnds/drFrames, which are owned by the
 	// (single) draining goroutine between swaps.
-	ring     bool
 	notify   chan struct{} // cap 1: "the filling slab is non-empty"
-	closedCh chan struct{} // closed with p.closed when ring-mode
+	closedCh chan struct{}
 	rxBuf    []byte
 	rxEnds   []int
 	drBuf    []byte
@@ -245,30 +240,7 @@ func (h *Hub) Attach(mac MAC) (*Port, error) {
 			return nil, fmt.Errorf("netsim: MAC %s already attached", mac)
 		}
 	}
-	p := &Port{hub: h, mac: mac, rx: make(chan Frame, rxQueueDepth),
-		metrics: newPortMetrics(h.reg, mac)}
-	h.ports = append(h.ports, p)
-	return p, nil
-}
-
-// AttachRing adds a ring-mode port: received frames accumulate in a
-// slab the owner drains with DrainFrames. This is the zero-copy-ingress
-// attachment the TCP/IP stack uses; channel-mode Attach remains for
-// receivers that want per-frame channel semantics (sniffers, test
-// rigs).
-func (h *Hub) AttachRing(mac MAC) (*Port, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, ErrHubClosed
-	}
-	for _, p := range h.ports {
-		if p.mac == mac {
-			return nil, fmt.Errorf("netsim: MAC %s already attached", mac)
-		}
-	}
 	p := &Port{hub: h, mac: mac,
-		ring:     true,
 		notify:   make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 		metrics:  newPortMetrics(h.reg, mac)}
@@ -276,12 +248,14 @@ func (h *Hub) AttachRing(mac MAC) (*Port, error) {
 	return p, nil
 }
 
-// enqueueLocked appends one frame to a ring port's filling slab.
-// hub.mu held. Overflow policy matches channel mode: at most
-// rxQueueDepth undrained frames, beyond which frames drop as a real
-// NIC ring would.
+// enqueueLocked appends one frame to the port's filling slab. hub.mu
+// held. At most rxQueueDepth frames wait undrained; beyond that frames
+// drop as a real NIC ring would.
 func (p *Port) enqueueLocked(f Frame) {
 	h := p.hub
+	if p.closed {
+		return
+	}
 	if len(p.rxEnds) >= rxQueueDepth {
 		h.metrics.framesDropped.Inc()
 		p.metrics.rxDrops.Inc()
@@ -306,12 +280,10 @@ func (p *Port) enqueueLocked(f Frame) {
 // views over the whole pending batch. The returned slice and every
 // view in it are valid only until the next DrainFrames call. stop, if
 // non-nil, aborts the wait (returning ErrPortClosed) — receivers pass
-// their shutdown channel. After the port closes, any frames already
-// queued are still drained; the error surfaces once the ring is empty.
+// their shutdown channel, and an already-closed stop makes the call
+// non-blocking. After the port closes, any frames already queued are
+// still drained; the error surfaces once the slab is empty.
 func (p *Port) DrainFrames(stop <-chan struct{}) ([]EthFrame, error) {
-	if !p.ring {
-		return nil, errors.New("netsim: DrainFrames on channel-mode port")
-	}
 	h := p.hub
 	for {
 		h.mu.Lock()
@@ -340,18 +312,11 @@ func (p *Port) DrainFrames(stop <-chan struct{}) ([]EthFrame, error) {
 		if closed {
 			return nil, ErrPortClosed
 		}
-		if stop == nil {
-			select {
-			case <-p.notify:
-			case <-p.closedCh:
-			}
-		} else {
-			select {
-			case <-p.notify:
-			case <-p.closedCh:
-			case <-stop:
-				return nil, ErrPortClosed
-			}
+		select {
+		case <-p.notify:
+		case <-p.closedCh:
+		case <-stop: // a nil stop blocks forever, leaving the other cases
+			return nil, ErrPortClosed
 		}
 	}
 }
@@ -407,10 +372,8 @@ func (p *Port) Send(f Frame) error {
 	}
 	if h.fault == nil && h.latency == 0 {
 		// Fast path: a clean zero-latency wire delivers inline, while
-		// the sender's payload is still live — ring targets copy it
-		// straight into their slab and channel targets get one shared
-		// heap copy made lazily, so a ring-only topology sends with
-		// zero allocations.
+		// the sender's payload is still live — every target copies it
+		// straight into its slab, so the send makes no allocation.
 		h.deliverNowLocked(f, now)
 		h.mu.Unlock()
 		return nil
@@ -443,8 +406,8 @@ func (p *Port) Send(f Frame) error {
 	h.mu.Unlock()
 
 	deliver := func() {
-		// Re-take the hub lock: a port may have detached (closing its
-		// rx channel) between scheduling and delivery.
+		// Re-take the hub lock: a port may have detached between
+		// scheduling and delivery.
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.deliverLocked(deliveries)
@@ -485,13 +448,10 @@ func (h *Hub) targetsLocked(fr Frame, now time.Time) []*Port {
 }
 
 // deliverNowLocked fans one frame out to its targets immediately,
-// while the caller's payload is still live. Ring targets copy it into
-// their slab; channel targets share one lazily-made heap copy (their
-// consumers hold frames past this call). h.mu held.
+// while the caller's payload is still live; each target copies it into
+// its slab. h.mu held.
 func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
 	h.metrics.framesSent.Inc()
-	var shared []byte // heap copy for channel targets, made at most once
-	haveShared := false
 	for _, q := range h.ports {
 		if q.mac == f.Src {
 			continue
@@ -504,65 +464,25 @@ func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
 			h.trace.Emit("netsim", "fault.partition", "dst", q.mac.String(), "len", len(f.Payload))
 			continue
 		}
-		if q.closed || (f.Dst != Broadcast && f.Dst != q.mac && !q.promi) {
-			continue
-		}
-		if q.ring {
+		if f.Dst == Broadcast || f.Dst == q.mac || q.promi {
 			q.enqueueLocked(f)
-			continue
-		}
-		if !haveShared {
-			haveShared = true
-			if f.Payload != nil {
-				shared = append([]byte(nil), f.Payload...)
-			}
-		}
-		cp := f
-		cp.Payload = shared
-		select {
-		case q.rx <- cp:
-			q.metrics.rxBytes.Add(uint64(len(cp.Payload)))
-		default:
-			h.metrics.framesDropped.Inc()
-			q.metrics.rxDrops.Inc()
-			h.trace.Emit("netsim", "rx_overflow", "dst", q.mac.String(), "len", len(cp.Payload))
 		}
 	}
 }
 
-// deliverLocked pushes deliveries into receive queues. h.mu held; the
-// per-port closed flag is checked under the same lock, so a detaching
-// port can never see a send on its closed channel.
+// deliverLocked pushes deferred deliveries into receive slabs. h.mu
+// held; a port that detached since the frame was scheduled is skipped
+// under the same lock.
 func (h *Hub) deliverLocked(deliveries []delivery) {
 	for _, d := range deliveries {
 		for _, q := range d.targets {
-			if q.closed {
-				continue
-			}
-			if q.ring {
-				q.enqueueLocked(d.frame)
-				continue
-			}
-			// The payload was already copied at the Send boundary, so the
-			// frame can be fanned out to every target as-is.
-			cp := d.frame
-			select {
-			case q.rx <- cp:
-				q.metrics.rxBytes.Add(uint64(len(cp.Payload)))
-			default:
-				h.metrics.framesDropped.Inc()
-				q.metrics.rxDrops.Inc()
-				h.trace.Emit("netsim", "rx_overflow", "dst", q.mac.String(), "len", len(cp.Payload))
-			}
+			q.enqueueLocked(d.frame)
 		}
 	}
 }
 
-// Recv returns the port's receive channel. The channel is closed when
-// the hub shuts down or the port is detached.
-func (p *Port) Recv() <-chan Frame { return p.rx }
-
-// Close detaches the port from the hub: its receive channel closes and
+// Close detaches the port from the hub: DrainFrames returns
+// ErrPortClosed once the frames already queued are drained, and
 // further Sends return ErrPortClosed. Frames addressed to it are
 // dropped on the floor, as they would be for an unplugged NIC.
 func (p *Port) Close() {
@@ -578,15 +498,11 @@ func (p *Port) Close() {
 	p.hub.ports = kept
 }
 
-// closeLocked closes the rx channel (or ring-mode wakeup channel)
-// exactly once. hub.mu held.
+// closeLocked marks the port closed and wakes its drainer, exactly
+// once. hub.mu held.
 func (p *Port) closeLocked() {
 	if !p.closed {
 		p.closed = true
-		if p.ring {
-			close(p.closedCh)
-		} else {
-			close(p.rx)
-		}
+		close(p.closedCh)
 	}
 }

@@ -7,15 +7,36 @@ import (
 
 func mac(b byte) MAC { return MAC{0, 0, 0, 0, 0, b} }
 
+// copyFrame copies a drained view out of the slab, so it outlives the
+// next DrainFrames.
+func copyFrame(f EthFrame) Frame {
+	return Frame{Dst: f.Dst(), Src: f.Src(), EtherType: f.EtherType(),
+		Payload: append([]byte(nil), f.Payload()...)}
+}
+
+// drain collects every frame deliverable on p until none has arrived
+// for the grace period or the port closes.
+func drain(p *Port, grace time.Duration) []Frame {
+	var got []Frame
+	for {
+		stop := make(chan struct{})
+		timer := time.AfterFunc(grace, func() { close(stop) })
+		frames, err := p.DrainFrames(stop)
+		timer.Stop()
+		if err != nil {
+			return got
+		}
+		for _, f := range frames {
+			got = append(got, copyFrame(f))
+		}
+	}
+}
+
+// recvWithTimeout waits for the next frame on p and returns the first
+// one of the batch that carries it.
 func recvWithTimeout(t *testing.T, p *Port) Frame {
 	t.Helper()
-	select {
-	case f := <-p.Recv():
-		return f
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for frame")
-		return Frame{}
-	}
+	return copyFrame(drainOne(t, p)[0])
 }
 
 func TestUnicastDelivery(t *testing.T) {
@@ -40,10 +61,8 @@ func TestUnicastDelivery(t *testing.T) {
 	if string(f.Payload) != "hi" || f.Src != mac(1) || f.EtherType != EtherTypeIPv4 {
 		t.Errorf("got frame %+v", f)
 	}
-	select {
-	case f := <-c.Recv():
-		t.Errorf("unicast leaked to third port: %+v", f)
-	case <-time.After(50 * time.Millisecond):
+	if got := drain(c, 50*time.Millisecond); len(got) != 0 {
+		t.Errorf("unicast leaked to third port: %+v", got[0])
 	}
 }
 
@@ -56,10 +75,8 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 	a.Send(Frame{Dst: Broadcast, Payload: []byte("arp?")})
 	recvWithTimeout(t, b)
 	recvWithTimeout(t, c)
-	select {
-	case <-a.Recv():
+	if got := drain(a, 50*time.Millisecond); len(got) != 0 {
 		t.Error("broadcast looped back to sender")
-	case <-time.After(50 * time.Millisecond):
 	}
 }
 
@@ -121,10 +138,8 @@ func TestTotalLoss(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
 	}
-	select {
-	case f := <-b.Recv():
-		t.Errorf("frame delivered despite 100%% loss: %+v", f)
-	case <-time.After(50 * time.Millisecond):
+	if got := drain(b, 50*time.Millisecond); len(got) != 0 {
+		t.Errorf("frame delivered despite 100%% loss: %+v", got[0])
 	}
 	if _, dropped := h.Stats(); dropped != 10 {
 		t.Errorf("dropped = %d, want 10", dropped)
@@ -139,18 +154,7 @@ func TestPartialLossApproximatesRate(t *testing.T) {
 	b, _ := h.Attach(mac(2))
 	const n = 2000
 	counted := make(chan int)
-	go func() {
-		got := 0
-		for {
-			select {
-			case <-b.Recv():
-				got++
-			case <-time.After(200 * time.Millisecond):
-				counted <- got
-				return
-			}
-		}
-	}()
+	go func() { counted <- len(drain(b, 200*time.Millisecond)) }()
 	for i := 0; i < n; i++ {
 		a.Send(Frame{Dst: mac(2)})
 		if i%100 == 99 {
@@ -173,9 +177,9 @@ func TestClosedHubRejectsTraffic(t *testing.T) {
 	if _, err := h.Attach(mac(3)); err != ErrHubClosed {
 		t.Errorf("Attach after close = %v, want ErrHubClosed", err)
 	}
-	// Recv channel must be closed so readers unblock.
-	if _, ok := <-a.Recv(); ok {
-		t.Error("recv channel still open after hub close")
+	// The port must report closed so its drainer unblocks.
+	if _, err := a.DrainFrames(nil); err != ErrPortClosed {
+		t.Errorf("DrainFrames after hub close = %v, want ErrPortClosed", err)
 	}
 }
 
@@ -226,9 +230,7 @@ func TestPromiscuousPortSeesUnicast(t *testing.T) {
 	// A normal port still does not see other hosts' unicast.
 	b2, _ := h.Attach(mac(3))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("again")})
-	select {
-	case f := <-b2.Recv():
-		t.Errorf("non-promiscuous port saw %q", f.Payload)
-	case <-time.After(50 * time.Millisecond):
+	if got := drain(b2, 50*time.Millisecond); len(got) != 0 {
+		t.Errorf("non-promiscuous port saw %q", got[0].Payload)
 	}
 }

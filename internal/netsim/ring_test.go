@@ -1,9 +1,8 @@
 package netsim
 
-// Ring-mode port coverage: DrainFrames batching, overflow policy,
-// close semantics, coexistence with channel-mode ports, and fault/
-// latency (slow-path) delivery into rings. Plus the paired delivery
-// benchmark that measures the copy the ring path removed.
+// Port receive coverage: DrainFrames batching, overflow policy, close
+// semantics, and fault/latency (slow-path) delivery into the slab.
+// Plus the delivery benchmark.
 
 import (
 	"bytes"
@@ -39,7 +38,7 @@ func TestRingDelivery(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, err := h.AttachRing(mac(2))
+	b, err := h.Attach(mac(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestRingBatchesUnderOneDrain(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	const n = 20
 	for i := 0; i < n; i++ {
 		a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
@@ -92,7 +91,7 @@ func TestRingOverflowDropsNotBlocks(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	h.AttachRing(mac(2)) // never drained
+	h.Attach(mac(2)) // never drained
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < rxQueueDepth+50; i++ {
@@ -114,7 +113,7 @@ func TestRingOverflowDropsNotBlocks(t *testing.T) {
 func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 	h := NewHub()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("last")})
 	h.Close()
 	// Frames enqueued before close must still come out...
@@ -134,7 +133,7 @@ func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 func TestRingStopChannelUnblocksDrain(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
@@ -152,28 +151,11 @@ func TestRingStopChannelUnblocksDrain(t *testing.T) {
 	}
 }
 
-func TestRingAndChannelPortsCoexist(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
-	a, _ := h.Attach(mac(1))
-	ring, _ := h.AttachRing(mac(2))
-	ch, _ := h.Attach(mac(3))
-	a.Send(Frame{Dst: Broadcast, Payload: []byte("arp?")})
-	frames := drainOne(t, ring)
-	if len(frames) != 1 || string(frames[0].Payload()) != "arp?" {
-		t.Fatalf("ring port missed broadcast")
-	}
-	f := recvWithTimeout(t, ch)
-	if string(f.Payload) != "arp?" {
-		t.Fatalf("channel port missed broadcast")
-	}
-}
-
 func TestRingPayloadIsolation(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	payload := []byte("mutate-me")
 	a.Send(Frame{Dst: mac(2), Payload: payload})
 	// Sender scribbling on its buffer after Send must not corrupt the
@@ -191,7 +173,7 @@ func TestRingReceivesViaLatencySlowPath(t *testing.T) {
 	defer h.Close()
 	h.SetLatency(5 * time.Millisecond)
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	start := time.Now()
 	a.Send(Frame{Dst: mac(2), Payload: []byte("late")})
 	frames := drainOne(t, b)
@@ -212,7 +194,7 @@ func TestRingReceivesViaFaultSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("twin")})
 	got := 0
 	deadline := time.Now().Add(2 * time.Second)
@@ -233,7 +215,7 @@ func TestRingPartitionDrops(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	if err := h.PartitionPort(mac(2), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -246,28 +228,14 @@ func TestRingPartitionDrops(t *testing.T) {
 	}
 }
 
-func TestAttachRingRejectsDuplicateMAC(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
-	h.Attach(mac(1))
-	if _, err := h.AttachRing(mac(1)); err == nil {
-		t.Fatal("duplicate MAC accepted")
-	}
-	h.Close()
-	if _, err := h.AttachRing(mac(9)); err != ErrHubClosed {
-		t.Fatalf("attach on closed hub: err = %v, want ErrHubClosed", err)
-	}
-}
-
-// BenchmarkRingDelivery vs BenchmarkChannelDelivery: the same send/
-// receive round trip through both port modes. The channel path heap-
-// copies every payload at Send; the ring path's only copy is into the
-// receiver's slab. These are the EXPERIMENTS.md E14 ingress numbers.
+// BenchmarkRingDelivery is one send/receive round trip through a port:
+// the only copy is into the receiver's slab, and steady state makes no
+// allocation. This is the EXPERIMENTS.md E14 ingress number.
 func BenchmarkRingDelivery(b *testing.B) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	r, _ := h.AttachRing(mac(2))
+	r, _ := h.Attach(mac(2))
 	payload := make([]byte, 512)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
@@ -284,29 +252,6 @@ func BenchmarkRingDelivery(b *testing.B) {
 					b.Fatal(err)
 				}
 				got += len(frames)
-			}
-		}
-	}
-}
-
-func BenchmarkChannelDelivery(b *testing.B) {
-	h := NewHub()
-	defer h.Close()
-	a, _ := h.Attach(mac(1))
-	r, _ := h.Attach(mac(2))
-	payload := make([]byte, 512)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	got := 0
-	for i := 0; i < b.N; i++ {
-		if err := a.Send(Frame{Dst: mac(2), EtherType: EtherTypeIPv4, Payload: payload}); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 || i == b.N-1 {
-			for got <= i {
-				<-r.Recv()
-				got++
 			}
 		}
 	}

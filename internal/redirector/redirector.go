@@ -149,48 +149,38 @@ func newStats(reg *telemetry.Registry) Stats {
 	}
 }
 
-// closeWriter is implemented by every transport the pump handles: a
-// plain TCB (FIN with the read side open), a Dynamic C socket
-// (sock_close), and the issl adapters (close_notify).
-type closeWriter interface{ CloseWrite() error }
-
-// halfClose shuts down dst's write side only, so bytes still in flight
-// toward us keep flowing; a transport without half-close falls back to
-// a full close.
-func halfClose(dst io.WriteCloser, st *Stats) {
-	if cw, ok := dst.(closeWriter); ok {
-		if cw.CloseWrite() == nil {
-			st.HalfCloses.Inc()
-			return
-		}
-	}
-	dst.Close()
-}
-
-// pump copies a<->b until both directions end. When one direction sees
-// a clean EOF it half-closes its destination (TCP shutdown(SHUT_WR)
-// semantics: FIN out, reads still open; or an issl close_notify) so a
-// client that finishes its request early still receives the backend's
-// full response. Only an actual error tears a destination down; both
-// ends are fully closed once both directions are done.
-func pump(client io.ReadWriteCloser, backend io.ReadWriteCloser, st *Stats) (fwd, bwd uint64) {
+// Relay copies a<->b until both directions end, then closes both
+// ends; the redirector servers and the cluster balancer all relay
+// through it. When one direction sees a clean EOF it half-closes its
+// destination (TCP shutdown(SHUT_WR) semantics: FIN out, reads still
+// open; on a Dynamic C socket, sock_close; on an issl adapter, a
+// close_notify), so a client that finishes its request early still
+// receives the backend's full response. A destination whose CloseWrite
+// is missing or fails is closed instead, and any other error tears the
+// destination down. aToB and bToA count the bytes moved each way and
+// halfCloses each half-close sent (nil counters are no-ops); the
+// per-direction totals are returned.
+func Relay(a, b io.ReadWriteCloser, aToB, bToA, halfCloses *telemetry.Counter) (ab, ba uint64) {
 	var wg sync.WaitGroup
-	var fwdTotal, bwdTotal atomic.Uint64
-	copyDir := func(dst io.ReadWriteCloser, src io.Reader, counter *telemetry.Counter, total *atomic.Uint64) {
+	copyDir := func(dst io.WriteCloser, src io.Reader, counter *telemetry.Counter, total *uint64) {
 		defer wg.Done()
 		buf := make([]byte, 4096)
 		for {
 			n, err := src.Read(buf)
 			if n > 0 {
 				counter.Add(uint64(n))
-				total.Add(uint64(n))
+				*total += uint64(n)
 				if _, werr := dst.Write(buf[:n]); werr != nil {
 					dst.Close()
 					return
 				}
 			}
 			if err == io.EOF {
-				halfClose(dst, st)
+				if cw, ok := dst.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+					halfCloses.Inc()
+				} else {
+					dst.Close()
+				}
 				return
 			}
 			if err != nil {
@@ -200,12 +190,12 @@ func pump(client io.ReadWriteCloser, backend io.ReadWriteCloser, st *Stats) (fwd
 		}
 	}
 	wg.Add(2)
-	go copyDir(backend, client, st.BytesForward, &fwdTotal)
-	go copyDir(client, backend, st.BytesBackward, &bwdTotal)
+	go copyDir(b, a, aToB, &ab)
+	go copyDir(a, b, bToA, &ba)
 	wg.Wait()
-	client.Close()
-	backend.Close()
-	return fwdTotal.Load(), bwdTotal.Load()
+	a.Close()
+	b.Close()
+	return ab, ba
 }
 
 // dialBackend connects to the backend with capped-doubling retries.
@@ -373,7 +363,7 @@ func (s *UnixServer) handle(id uint64, tcb *tcpip.TCB) {
 	}
 	s.stats.Accepted.Inc()
 	s.cfg.Trace.Emit("redirector", "conn.accept", "conn", id)
-	fwd, bwd := pump(client, backend, &s.stats)
+	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
 	s.cfg.Trace.Emit("redirector", "conn.done", "conn", id, "bytes_fwd", fwd, "bytes_bwd", bwd)
 }
 
@@ -385,8 +375,8 @@ func (s *UnixServer) Close() { s.Shutdown(s.cfg.DrainTimeout) }
 // inflight connections get up to drain to finish on their own —
 // each one that does increments the drained_conns counter — before
 // the stragglers are aborted. It returns once every handler goroutine
-// has finished, so the half-close pump can never race the teardown
-// (the pre-drain Close aborted mid-pump and the chaos harness caught
+// has finished, so the half-close relay can never race the teardown
+// (the pre-drain Close aborted mid-relay and the chaos harness caught
 // byte-short transfers on otherwise healthy shutdowns).
 func (s *UnixServer) Shutdown(drain time.Duration) {
 	s.once.Do(func() {
@@ -473,7 +463,7 @@ func (s *EmbeddedServer) Stats() *Stats { return &s.stats }
 // costatements plus one TCP-driver costatement, scheduled
 // cooperatively, until Close is called. It blocks.
 //
-// Fidelity note: the handshake and data pump run on helper goroutines
+// Fidelity note: the handshake and data relay run on helper goroutines
 // so a slot that is mid-transfer does not stall its siblings — the
 // Dynamic C original achieved the same interleaving with non-blocking
 // socket calls inside each costatement. The structural property the
@@ -583,7 +573,7 @@ func (s *EmbeddedServer) serveSlot(slot int, sock *dcsock.TCPSocket) {
 	}
 	s.stats.Accepted.Inc()
 	s.cfg.Trace.Emit("redirector", "conn.accept", "slot", slot)
-	fwd, bwd := pump(client, backend, &s.stats)
+	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
 	s.cfg.Trace.Emit("redirector", "conn.done", "slot", slot, "bytes_fwd", fwd, "bytes_bwd", bwd)
 }
 
@@ -601,7 +591,7 @@ func (s *EmbeddedServer) Close() {
 }
 
 // dcTransport adapts a Dynamic C socket to io.ReadWriteCloser for the
-// issl layer and the pump.
+// issl layer and the relay.
 type dcTransport struct{ s *dcsock.TCPSocket }
 
 func (d dcTransport) Read(p []byte) (int, error) {

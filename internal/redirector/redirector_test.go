@@ -488,7 +488,7 @@ func TestHalfClosePassThrough(t *testing.T) {
 	if err := tcb.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	// The old pump would have torn down both directions on the client's
+	// A relay without half-close would tear down both directions on the client's
 	// EOF and this read would see a dead connection.
 	var resp []byte
 	buf := make([]byte, 64)

@@ -294,7 +294,18 @@ type NIC struct {
 	mu    sync.Mutex
 	txBuf []byte
 	rxBuf []byte
+	// batch holds drained frames not yet polled; the views stay valid
+	// until the next DrainFrames, which runs only once batch is empty.
+	batch []netsim.EthFrame
 }
+
+// noWait is a pre-closed stop channel: DrainFrames with it returns at
+// once when nothing is pending, as a poll must.
+var noWait = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // NIC commands written to PortNICCmd.
 const (
@@ -351,12 +362,16 @@ func (n *NIC) command(v uint8) {
 		n.txBuf = nil
 		n.mu.Unlock()
 	case NICCmdPoll:
-		select {
-		case f := <-n.port.Recv():
-			n.mu.Lock()
-			n.rxBuf = append(n.rxBuf, f.Payload...)
-			n.mu.Unlock()
-		default:
+		n.mu.Lock()
+		if len(n.batch) == 0 {
+			// An error means nothing is pending (or the port closed):
+			// either way the poll finds no frame.
+			n.batch, _ = n.port.DrainFrames(noWait)
 		}
+		if len(n.batch) > 0 {
+			n.rxBuf = append(n.rxBuf, n.batch[0].Payload()...)
+			n.batch = n.batch[1:]
+		}
+		n.mu.Unlock()
 	}
 }

@@ -234,9 +234,12 @@ got:    ds 2
 	done := make(chan error, 1)
 	go func() { done <- b.Run(50_000_000) }()
 	// Host peer: wait for "hi", answer "yo".
-	f := <-peer.Recv()
-	if string(f.Payload) != "hi" {
-		t.Errorf("board sent %q", f.Payload)
+	frames, err := peer.DrainFrames(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := frames[0]; string(f.Payload()) != "hi" {
+		t.Errorf("board sent %q", f.Payload())
 	}
 	peer.Send(netsim.Frame{Dst: netsim.Broadcast, Payload: []byte("yo")})
 	if err := <-done; err != nil {

@@ -1,11 +1,12 @@
 // Frame views: validated accessor types over caller-owned packet
-// buffers. Where parseIP/parseTCP decode into structs (copying
-// addresses and slicing payloads through an intermediate value), these
-// types validate the header once and then read fields in place — the
-// ingress path's half of the zero-copy story, mirroring appendTCPIP on
-// egress. parseIP and parseTCP remain as conform oracles: frame_test.go
-// diffs the views against them field-for-field, and FuzzFrameView keeps
-// the two in agreement over random input.
+// buffers. Instead of decoding into structs (copying addresses and
+// slicing payloads through an intermediate value), these types
+// validate the header once and then read fields in place — the ingress
+// path's half of the zero-copy story, mirroring appendTCPIP on egress.
+// The struct decoders parseIP and parseTCP live in oracle_test.go as
+// the reference: frame_test.go diffs the views against them
+// field-for-field, and FuzzFrameView keeps the two in agreement over
+// random input.
 package tcpip
 
 import "errors"
@@ -22,8 +23,9 @@ type IPv4Frame struct {
 }
 
 // ParseIPv4Frame validates an IPv4 packet and returns a view over it.
-// Validation is exactly parseIP's: minimum length, version, IHL
-// bounds, header checksum, and total-length bounds. Nothing is copied.
+// Validation is exactly that of the reference decoder parseIP
+// (oracle_test.go): minimum length, version, IHL bounds, header
+// checksum, and total-length bounds. Nothing is copied.
 func ParseIPv4Frame(b []byte) (IPv4Frame, error) {
 	if len(b) < ipHeaderLen {
 		return IPv4Frame{}, errBadIPHeader
@@ -77,8 +79,9 @@ type TCPFrame struct {
 }
 
 // ParseTCPFrame validates a TCP segment and returns a view over it.
-// Validation is exactly parseTCP's: minimum length and data-offset
-// bounds. Nothing is copied.
+// Validation is exactly that of the reference decoder parseTCP
+// (oracle_test.go): minimum length and data-offset bounds. Nothing is
+// copied.
 func ParseTCPFrame(b []byte) (TCPFrame, error) {
 	if len(b) < tcpHeaderLen {
 		return TCPFrame{}, errBadTCPHeader

@@ -3,9 +3,9 @@ package tcpip
 // The frame views (frame.go) must be indistinguishable from the struct
 // decoders they replaced: ParseIPv4Frame accepts exactly what parseIP
 // accepts and reads identical fields, likewise ParseTCPFrame against
-// parseTCP. The decoders stay in the tree as conform oracles — the
-// same pattern the crypto kernel rewrites used — and these tests diff
-// the two over seeded storm-style frames and fuzz input.
+// parseTCP. The decoders stay as test-only oracles (oracle_test.go) —
+// the same pattern the crypto kernel rewrites used — and these tests
+// diff the two over seeded storm-style frames and fuzz input.
 
 import (
 	"bytes"

@@ -1,9 +1,6 @@
 package tcpip
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // IP protocol numbers carried in the header.
 const (
@@ -43,32 +40,4 @@ func marshalIP(p ipPacket) []byte {
 	put16(buf[10:], cs)
 	copy(buf[ipHeaderLen:], p.payload)
 	return buf
-}
-
-// parseIP validates and splits an IPv4 packet.
-func parseIP(b []byte) (ipPacket, error) {
-	if len(b) < ipHeaderLen {
-		return ipPacket{}, fmt.Errorf("%w: %d bytes", errBadIPHeader, len(b))
-	}
-	if b[0]>>4 != 4 {
-		return ipPacket{}, fmt.Errorf("%w: version %d", errBadIPHeader, b[0]>>4)
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < ipHeaderLen || len(b) < ihl {
-		return ipPacket{}, fmt.Errorf("%w: IHL %d", errBadIPHeader, ihl)
-	}
-	if checksum(b[:ihl]) != 0 {
-		return ipPacket{}, fmt.Errorf("%w: checksum", errBadIPHeader)
-	}
-	total := int(be16(b[2:]))
-	if total < ihl || total > len(b) {
-		return ipPacket{}, fmt.Errorf("%w: total length %d", errBadIPHeader, total)
-	}
-	var p ipPacket
-	copy(p.src[:], b[12:16])
-	copy(p.dst[:], b[16:20])
-	p.proto = b[9]
-	p.ttl = b[8]
-	p.payload = b[ihl:total]
-	return p, nil
 }

@@ -80,7 +80,7 @@ func NewStack(hub *netsim.Hub, ip Addr) (*Stack, error) {
 // argument may be nil (nil registry: counters are no-ops).
 func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, trace *telemetry.Trace) (*Stack, error) {
 	mac := netsim.MAC{0x02, 0x00, ip[0], ip[1], ip[2], ip[3]}
-	port, err := hub.AttachRing(mac)
+	port, err := hub.Attach(mac)
 	if err != nil {
 		return nil, fmt.Errorf("tcpip: attach: %w", err)
 	}

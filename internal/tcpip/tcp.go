@@ -154,22 +154,6 @@ func appendTCPIP(buf []byte, src, dst Addr, seg tcpSegment) []byte {
 	return buf
 }
 
-func parseTCP(b []byte) (tcpSegment, bool) {
-	if len(b) < tcpHeaderLen {
-		return tcpSegment{}, false
-	}
-	off := int(b[12]>>4) * 4
-	if off < tcpHeaderLen || off > len(b) {
-		return tcpSegment{}, false
-	}
-	return tcpSegment{
-		srcPort: be16(b[0:]), dstPort: be16(b[2:]),
-		seq: be32(b[4:]), ack: be32(b[8:]),
-		flags: b[13] & 0x1f, window: be16(b[14:]),
-		payload: b[off:],
-	}, true
-}
-
 // Sequence-space comparisons (mod 2^32).
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
