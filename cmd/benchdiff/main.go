@@ -7,11 +7,13 @@
 //	go run ./cmd/benchdiff -old BENCH_baseline.json -new BENCH_head.json \
 //	    -filter '^BenchmarkKernel' -max-regress 25
 //
-// Only benchmarks present in both reports are compared; names that
-// appear on one side only are listed but never fail the run (adding a
+// A benchmark only in the new report is listed and passes (adding a
 // benchmark should not require regenerating the baseline in the same
-// change). The threshold applies to ns/op; results faster than -min-ns
-// are skipped as too small to time reliably at -benchtime=1x.
+// change). A baseline benchmark missing from the new report fails the
+// run, so a deleted or renamed benchmark cannot silently leave the
+// ladder: drop or rename its baseline entry in the same change. The
+// threshold applies to ns/op; results faster than -min-ns are skipped
+// as too small to time reliably at -benchtime=1x.
 //
 // -trend switches to history mode: the positional arguments are dated
 // reports (the BENCH_head_<date>.json artifacts CI uploads per run),
@@ -29,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -101,6 +104,27 @@ func main() {
 		os.Exit(2)
 	}
 
+	fmt.Printf("benchdiff: %s (%s) vs %s (%s), max regression %.0f%%\n",
+		*oldPath, oldRep.Date, *newPath, newRep.Date, *maxRegress)
+	compared, failed := gate(os.Stdout, oldRep, newRep, re, *maxRegress, *minNs)
+	if compared == 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: no benchmarks compared (filter too narrow, or empty reports)")
+		os.Exit(2)
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed beyond %.0f%% or missing from the new report\n", failed, *maxRegress)
+		os.Exit(1)
+	}
+	fmt.Printf("benchdiff: %d benchmark(s) within threshold\n", compared)
+}
+
+// gate compares every filter-matching benchmark of newRep against
+// oldRep and writes one line per benchmark to w. It returns how many
+// were timed on both sides and how many failed: a benchmark that
+// regressed by more than maxRegress percent, or a baseline benchmark
+// missing from newRep. Benchmarks faster than minNs on both sides are
+// skipped; benchmarks only in newRep are listed and pass.
+func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegress, minNs float64) (compared, failed int) {
 	oldBy := map[string]benchResult{}
 	for _, r := range oldRep.Results {
 		oldBy[r.Name] = r
@@ -113,10 +137,6 @@ func main() {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("benchdiff: %s (%s) vs %s (%s), max regression %.0f%%\n",
-		*oldPath, oldRep.Date, *newPath, newRep.Date, *maxRegress)
-	failed := 0
-	compared := 0
 	for _, name := range names {
 		if re != nil && !re.MatchString(name) {
 			continue
@@ -124,44 +144,37 @@ func main() {
 		nw := newBy[name]
 		od, ok := oldBy[name]
 		if !ok {
-			fmt.Printf("  %-44s %12.0f ns/op  (new — no baseline)\n", name, nw.NsPerOp)
+			fmt.Fprintf(w, "  %-44s %12.0f ns/op  (new — no baseline)\n", name, nw.NsPerOp)
 			continue
 		}
 		if od.NsPerOp <= 0 || nw.NsPerOp <= 0 {
-			fmt.Printf("  %-44s (no timing on one side, skipped)\n", name)
+			fmt.Fprintf(w, "  %-44s (no timing on one side, skipped)\n", name)
 			continue
 		}
 		pct := (nw.NsPerOp - od.NsPerOp) / od.NsPerOp * 100
 		status := "ok"
-		if od.NsPerOp < *minNs && nw.NsPerOp < *minNs {
+		if od.NsPerOp < minNs && nw.NsPerOp < minNs {
 			status = "skipped (below -min-ns)"
-		} else if pct > *maxRegress {
+		} else if pct > maxRegress {
 			status = "REGRESSION"
 			failed++
 		}
 		if status != "skipped (below -min-ns)" {
 			compared++
 		}
-		fmt.Printf("  %-44s %12.0f -> %-12.0f ns/op  %+7.1f%%  %s\n",
+		fmt.Fprintf(w, "  %-44s %12.0f -> %-12.0f ns/op  %+7.1f%%  %s\n",
 			name, od.NsPerOp, nw.NsPerOp, pct, status)
 	}
-	for name := range oldBy {
-		if re != nil && !re.MatchString(name) {
+	for _, r := range oldRep.Results {
+		if re != nil && !re.MatchString(r.Name) {
 			continue
 		}
-		if _, ok := newBy[name]; !ok {
-			fmt.Printf("  %-44s (baseline only — missing from new report)\n", name)
+		if _, ok := newBy[r.Name]; !ok {
+			fmt.Fprintf(w, "  %-44s (baseline only — MISSING from new report)\n", r.Name)
+			failed++
 		}
 	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no benchmarks compared (filter too narrow, or empty reports)")
-		os.Exit(2)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed beyond %.0f%%\n", failed, *maxRegress)
-		os.Exit(1)
-	}
-	fmt.Printf("benchdiff: %d benchmark(s) within threshold\n", compared)
+	return compared, failed
 }
 
 // runTrend renders the history table: one column per dated report

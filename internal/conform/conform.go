@@ -130,7 +130,6 @@ func suite(opt Options) []check {
 		{"sha1/golden-nist", "crypto", fixed(0), checkSHA1Golden},
 		{"rsa/differential", "crypto", cryptoN, checkRSADifferential},
 		{"bignum/differential", "crypto", cryptoN, checkBignumDifferential},
-		{"bignum/limb-diff", "crypto", cryptoN, checkBignumLimbDiff},
 		{"prng/differential", "crypto", cryptoN, checkPRNGDifferential},
 		{"prng/golden-ansi-c", "crypto", fixed(0), checkPRNGGolden},
 		{"isa/aes-cosim", "isa", func(o Options) int { return o.ISAPairs }, nil}, // bound at Run

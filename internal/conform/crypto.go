@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/bignum"
-	"repro/internal/crypto/bignum32"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
@@ -381,26 +380,30 @@ func (r rngReader) Read(p []byte) (int, error) {
 // --- bignum ------------------------------------------------------------------
 
 // checkBignumDifferential fuzzes every bignum operation against
-// math/big over random and boundary-shaped operands.
+// math/big over random and boundary-shaped operands. The shapes
+// straddle both limb seams (2^32 and 2^64), where a limb-width bug
+// would hide.
 func checkBignumDifferential(c *checkCtx) {
 	shapes := [][]byte{
-		nil, {0}, {1}, {2}, {0xff}, {0xff, 0xff, 0xff, 0xff},
-		{1, 0, 0, 0, 0}, // 2^32
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		{1, 0, 0, 0, 0, 0, 0, 0, 0}, // 2^64
+		nil, {0}, {1}, {2}, {0xff},
+		{0xff, 0xff, 0xff, 0xff}, // 2^32 - 1
+		{1, 0, 0, 0, 0},          // 2^32
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // 2^64 - 1
+		{1, 0, 0, 0, 0, 0, 0, 0, 0},                      // 2^64
+		{1, 0, 0, 0, 1, 0, 0, 0, 1},                      // sparse across limbs
 	}
-	operand := func() ([]byte, bignum.Int, *big.Int) {
+	operand := func(maxLen int) ([]byte, bignum.Int, *big.Int) {
 		var b []byte
 		if c.rng.Intn(8) == 0 {
 			b = shapes[c.rng.Intn(len(shapes))]
 		} else {
-			b = randBytes(c.rng, c.rng.Intn(65))
+			b = randBytes(c.rng, c.rng.Intn(maxLen+1))
 		}
 		return b, bignum.FromBytes(b), new(big.Int).SetBytes(b)
 	}
 	for c.vectors < c.budget {
-		_, x, bx := operand()
-		_, y, by := operand()
+		_, x, bx := operand(64)
+		_, y, by := operand(64)
 
 		c.expect(x.Add(y).Bytes(), new(big.Int).Add(bx, by).Bytes(), "add")
 		c.expect(x.Mul(y).Bytes(), new(big.Int).Mul(bx, by).Bytes(), "mul")
@@ -436,25 +439,31 @@ func checkBignumDifferential(c *checkCtx) {
 			c.failf("DivMod by zero did not error")
 		}
 
-		sh := c.rng.Intn(71)
+		sh := c.rng.Intn(130)
 		c.expect(x.Shl(sh).Bytes(), new(big.Int).Lsh(bx, uint(sh)).Bytes(), "shl %d", sh)
 		c.expect(x.Shr(sh).Bytes(), new(big.Int).Rsh(bx, uint(sh)).Bytes(), "shr %d", sh)
 
 		// Bounded operands for the quadratic/iterated ops.
-		gx := bignum.FromBytes(randBytes(c.rng, 1+c.rng.Intn(32)))
-		gy := bignum.FromBytes(randBytes(c.rng, 1+c.rng.Intn(32)))
-		bgx, bgy := new(big.Int).SetBytes(gx.Bytes()), new(big.Int).SetBytes(gy.Bytes())
+		_, gx, bgx := operand(32)
+		_, gy, bgy := operand(32)
 		c.expect(gx.GCD(gy).Bytes(), new(big.Int).GCD(nil, nil, bgx, bgy).Bytes(), "gcd")
 
-		m := bignum.FromBytes(randBytes(c.rng, 1+c.rng.Intn(24)))
+		// Force the modulus odd half the time so both ModExp paths run
+		// (Montgomery for odd moduli, square-and-multiply for even).
+		mb, m, bm := operand(24)
+		if c.rng.Intn(2) == 0 && len(mb) > 0 {
+			mb = append([]byte(nil), mb...)
+			mb[len(mb)-1] |= 1
+			m, bm = bignum.FromBytes(mb), new(big.Int).SetBytes(mb)
+		}
 		if !m.IsZero() {
-			ex := bignum.FromBytes(randBytes(c.rng, c.rng.Intn(13)))
-			got := gx.ModExp(ex, m)
-			want := new(big.Int).Exp(bgx, new(big.Int).SetBytes(ex.Bytes()), new(big.Int).SetBytes(m.Bytes()))
+			eb := randBytes(c.rng, c.rng.Intn(13))
+			got := gx.ModExp(bignum.FromBytes(eb), m)
+			want := new(big.Int).Exp(bgx, new(big.Int).SetBytes(eb), bm)
 			c.expect(got.Bytes(), want.Bytes(), "modexp")
 
 			inv, ok := gx.ModInverse(m)
-			winv := new(big.Int).ModInverse(bgx, new(big.Int).SetBytes(m.Bytes()))
+			winv := new(big.Int).ModInverse(bgx, bm)
 			c.vector()
 			if ok != (winv != nil) {
 				c.failf("modinverse existence: ours %v, big %v (x=%v m=%v)", ok, winv != nil, bgx, m)
@@ -476,101 +485,6 @@ func checkBignumDifferential(c *checkCtx) {
 			}
 		}
 		c.expect(bignum.FromBytes(x.Bytes()).Bytes(), bx.Bytes(), "bytes round-trip")
-	}
-}
-
-// checkBignumLimbDiff is the three-way limb-width differential: the
-// live 64-bit limb bignum, the retained 32-bit oracle (bignum32 — the
-// exact arithmetic that shipped before the limb width was doubled) and
-// math/big all run the same operation on the same bytes and must agree
-// byte-for-byte. Operand shapes deliberately straddle both limb seams
-// (2^32 and 2^64 boundaries) where a width bug would hide.
-func checkBignumLimbDiff(c *checkCtx) {
-	shapes := [][]byte{
-		nil, {0}, {1}, {0xff},
-		{0xff, 0xff, 0xff, 0xff}, // 2^32 - 1
-		{1, 0, 0, 0, 0},          // 2^32
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // 2^64 - 1
-		{1, 0, 0, 0, 0, 0, 0, 0, 0},                      // 2^64
-		{1, 0, 0, 0, 1, 0, 0, 0, 1},                      // sparse across limbs
-	}
-	operand := func(maxLen int) ([]byte, bignum.Int, bignum32.Int, *big.Int) {
-		var b []byte
-		if c.rng.Intn(8) == 0 {
-			b = shapes[c.rng.Intn(len(shapes))]
-		} else {
-			b = randBytes(c.rng, c.rng.Intn(maxLen+1))
-		}
-		return b, bignum.FromBytes(b), bignum32.FromBytes(b), new(big.Int).SetBytes(b)
-	}
-	// diff3 charges one vector and compares all three implementations.
-	diff3 := func(op string, got bignum.Int, got32 bignum32.Int, want *big.Int) {
-		c.vector()
-		w := want.Bytes()
-		if !bytesEqual(got.Bytes(), w) {
-			c.failf("%s: 64-bit got %x, want %x", op, got.Bytes(), w)
-		} else if !bytesEqual(got32.Bytes(), w) {
-			c.failf("%s: 32-bit oracle got %x, want %x", op, got32.Bytes(), w)
-		}
-	}
-	for c.vectors < c.budget {
-		_, x, x32, bx := operand(64)
-		_, y, y32, by := operand(64)
-
-		diff3("add", x.Add(y), x32.Add(y32), new(big.Int).Add(bx, by))
-		diff3("mul", x.Mul(y), x32.Mul(y32), new(big.Int).Mul(bx, by))
-
-		if x.Cmp(y) >= 0 {
-			diff3("sub", x.Sub(y), x32.Sub(y32), new(big.Int).Sub(bx, by))
-		} else {
-			diff3("sub", y.Sub(x), y32.Sub(x32), new(big.Int).Sub(by, bx))
-		}
-
-		c.vector()
-		if g, g32 := x.Cmp(y), x32.Cmp(y32); g != g32 || g != bx.Cmp(by) {
-			c.failf("cmp: 64-bit %d, 32-bit %d, big %d", g, g32, bx.Cmp(by))
-		}
-		c.vector()
-		if g, g32 := x.BitLen(), x32.BitLen(); g != g32 || g != bx.BitLen() {
-			c.failf("bitlen: 64-bit %d, 32-bit %d, big %d", g, g32, bx.BitLen())
-		}
-
-		if !y.IsZero() {
-			q, r, err := x.DivMod(y)
-			q32, r32, err32 := x32.DivMod(y32)
-			if err != nil || err32 != nil {
-				c.vector()
-				c.failf("divmod error on nonzero divisor: 64=%v 32=%v", err, err32)
-			} else {
-				bq, br := new(big.Int), new(big.Int)
-				bq.QuoRem(bx, by, br)
-				diff3("div", q, q32, bq)
-				diff3("mod", r, r32, br)
-			}
-		}
-
-		sh := c.rng.Intn(130)
-		diff3("shl", x.Shl(sh), x32.Shl(sh), new(big.Int).Lsh(bx, uint(sh)))
-		diff3("shr", x.Shr(sh), x32.Shr(sh), new(big.Int).Rsh(bx, uint(sh)))
-
-		// modexp with bounded operands (quadratic work per vector); the
-		// Montgomery path needs odd moduli often, so force odd half the
-		// time and keep even moduli for the fallback path.
-		mb, m, m32, mbig := operand(24)
-		if m.IsZero() {
-			continue
-		}
-		if c.rng.Intn(2) == 0 && mb != nil {
-			mb = append([]byte(nil), mb...)
-			mb[len(mb)-1] |= 1
-			m, m32 = bignum.FromBytes(mb), bignum32.FromBytes(mb)
-			mbig = new(big.Int).SetBytes(mb)
-		}
-		_, gx, gx32, bgx := operand(32)
-		eb := randBytes(c.rng, c.rng.Intn(9))
-		e, e32 := bignum.FromBytes(eb), bignum32.FromBytes(eb)
-		diff3("modexp", gx.ModExp(e, m), gx32.ModExp(e32, m32),
-			new(big.Int).Exp(bgx, new(big.Int).SetBytes(eb), mbig))
 	}
 }
 

@@ -9,9 +9,9 @@
 // limbs (zero is the empty slice). All values are non-negative; RSA
 // needs no signed arithmetic. The limb width was doubled from uint32
 // to uint64 (math/bits.Mul64/Add64 128-bit arithmetic) to halve the
-// inner-loop trip counts of the multiply/reduce kernels; the retained
-// 32-bit implementation lives in internal/crypto/bignum32 and is
-// diffed limb-for-limb by internal/conform and the fuzz targets.
+// inner-loop trip counts of the multiply/reduce kernels. math/big is
+// the test oracle: internal/conform and FuzzBignum diff every
+// operation against it.
 package bignum
 
 import (
@@ -46,23 +46,6 @@ func FromUint64(v uint64) Int {
 	return Int{limbs: []uint64{v}}
 }
 
-// SetUint64 resets x in place to the value v, reusing its limb storage
-// when possible, and returns x. The normalized invariant holds: zero is
-// the empty slice, never a [0] limb.
-func (x *Int) SetUint64(v uint64) *Int {
-	if v == 0 {
-		x.limbs = x.limbs[:0]
-		return x
-	}
-	if cap(x.limbs) >= 1 {
-		x.limbs = x.limbs[:1]
-	} else {
-		x.limbs = make([]uint64, 1)
-	}
-	x.limbs[0] = v
-	return x
-}
-
 // FromBytes builds an Int from big-endian bytes.
 func FromBytes(b []byte) Int {
 	n := (len(b) + 7) / 8
@@ -88,15 +71,6 @@ func FromDecimal(s string) (Int, error) {
 		x = x.Mul(ten).Add(FromUint64(uint64(r - '0')))
 	}
 	return x, nil
-}
-
-// MustDecimal is FromDecimal that panics on error; for tests and constants.
-func MustDecimal(s string) Int {
-	x, err := FromDecimal(s)
-	if err != nil {
-		panic(err)
-	}
-	return x
 }
 
 func norm(l []uint64) []uint64 {

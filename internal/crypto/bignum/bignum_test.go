@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// MustDecimal is FromDecimal that panics on error.
+func MustDecimal(s string) Int {
+	x, err := FromDecimal(s)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 func TestFromUint64RoundTrip(t *testing.T) {
 	f := func(v uint64) bool { return FromUint64(v).Uint64() == v }
 	if err := quick.Check(f, nil); err != nil {

@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"math/big"
 	"testing"
-
-	"repro/internal/crypto/bignum32"
 )
 
-// FuzzBignum cross-checks the 64-bit limb arithmetic against the
-// retained 32-bit oracle (internal/crypto/bignum32) AND math/big on
-// the same byte inputs: add, sub, mul, div/mod and modexp all have to
-// agree byte-for-byte across all three implementations. This is the
-// fuzz-shaped twin of the conform bignum/limb-diff check; the CI
-// fuzz-smoke matrix runs it for 30s per push.
+// FuzzBignum cross-checks the limb arithmetic against math/big on the
+// same byte inputs: add, sub, mul, div/mod and modexp all have to
+// agree byte-for-byte. This is the fuzz-shaped twin of the conform
+// bignum/differential check; the CI fuzz-smoke matrix runs it for 30s
+// per push.
 func FuzzBignum(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{})
 	f.Add([]byte{0x01}, []byte{0x01}, []byte{0x03})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0x01, 0x00, 0x00, 0x00, 0x00}, []byte{0x0d})
-	// Limb-boundary shapes: exactly 4, 8 and 9 bytes exercise the
-	// uint32 and uint64 limb seams.
+	// Limb-boundary shapes: exactly 4, 8 and 9 bytes straddle the
+	// 2^32 and 2^64 seams.
 	f.Add(bytes.Repeat([]byte{0xab}, 8), bytes.Repeat([]byte{0xcd}, 4), bytes.Repeat([]byte{0xef}, 9))
 	f.Add(bytes.Repeat([]byte{0xff}, 16), bytes.Repeat([]byte{0xff}, 16), bytes.Repeat([]byte{0xff}, 8))
 	// Leading zero bytes: normalization stress.
@@ -40,52 +37,43 @@ func FuzzBignum(f *testing.F) {
 			mb = mb[:24]
 		}
 		x, y := FromBytes(ab), FromBytes(bb)
-		x32, y32 := bignum32.FromBytes(ab), bignum32.FromBytes(bb)
 		xb, yb := new(big.Int).SetBytes(ab), new(big.Int).SetBytes(bb)
 
-		diff3 := func(op string, got Int, got32 bignum32.Int, want *big.Int) {
+		diff := func(op string, got Int, want *big.Int) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("%s: 64-bit %x != math/big %x (a=%x b=%x m=%x)",
+				t.Fatalf("%s: got %x, math/big %x (a=%x b=%x m=%x)",
 					op, got.Bytes(), want.Bytes(), ab, bb, mb)
-			}
-			if !bytes.Equal(got32.Bytes(), want.Bytes()) {
-				t.Fatalf("%s: 32-bit %x != math/big %x (a=%x b=%x m=%x)",
-					op, got32.Bytes(), want.Bytes(), ab, bb, mb)
 			}
 		}
 
-		diff3("add", x.Add(y), x32.Add(y32), new(big.Int).Add(xb, yb))
-		diff3("mul", x.Mul(y), x32.Mul(y32), new(big.Int).Mul(xb, yb))
+		diff("add", x.Add(y), new(big.Int).Add(xb, yb))
+		diff("mul", x.Mul(y), new(big.Int).Mul(xb, yb))
 
 		// Sub is unsigned: order the operands.
 		if x.Cmp(y) >= 0 {
-			diff3("sub", x.Sub(y), x32.Sub(y32), new(big.Int).Sub(xb, yb))
+			diff("sub", x.Sub(y), new(big.Int).Sub(xb, yb))
 		} else {
-			diff3("sub", y.Sub(x), y32.Sub(x32), new(big.Int).Sub(yb, xb))
+			diff("sub", y.Sub(x), new(big.Int).Sub(yb, xb))
 		}
 
 		m := FromBytes(mb)
 		if m.IsZero() {
 			return
 		}
-		m32 := bignum32.FromBytes(mb)
 		mbig := new(big.Int).SetBytes(mb)
 
 		q, r, err := x.DivMod(m)
 		if err != nil {
 			t.Fatalf("DivMod err on nonzero divisor: %v", err)
 		}
-		q32, r32, _ := x32.DivMod(m32)
 		qb, rb := new(big.Int).QuoRem(xb, mbig, new(big.Int))
-		diff3("div", q, q32, qb)
-		diff3("mod", r, r32, rb)
+		diff("div", q, qb)
+		diff("mod", r, rb)
 
 		// Keep the exponent small (16 bits) so modexp stays cheap per
 		// exec; width coverage comes from x and m, not e.
 		e := y.Mod(FromUint64(1 << 16))
-		e32 := y32.Mod(bignum32.FromUint64(1 << 16))
 		ebig := new(big.Int).Mod(yb, big.NewInt(1<<16))
-		diff3("modexp", x.ModExp(e, m), x32.ModExp(e32, m32),
-			new(big.Int).Exp(xb, ebig, mbig))
+		diff("modexp", x.ModExp(e, m), new(big.Int).Exp(xb, ebig, mbig))
 	})
 }

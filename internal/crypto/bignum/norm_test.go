@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// TestSetUint64Normalization pins the normalized-representation
-// invariant on the in-place setter: zero is the empty limb slice
-// (never a [0] limb), and storage reuse can't leak stale high limbs.
-func TestSetUint64Normalization(t *testing.T) {
-	var x Int
-	x.SetUint64(0)
-	if !x.IsZero() || len(x.limbs) != 0 {
-		t.Fatalf("SetUint64(0) on zero value: limbs=%v", x.limbs)
-	}
-
-	x.SetUint64(0xdeadbeefcafef00d)
-	if got := x.Uint64(); got != 0xdeadbeefcafef00d {
-		t.Fatalf("SetUint64 round trip: got %#x", got)
-	}
-	if len(x.limbs) != 1 {
-		t.Fatalf("single-limb value has %d limbs", len(x.limbs))
-	}
-
-	// Reset a wide value back to zero: must normalize, not keep a
-	// zero limb from the reused storage.
-	x = FromBytes(bytes.Repeat([]byte{0xff}, 40))
-	x.SetUint64(0)
-	if !x.IsZero() || len(x.limbs) != 0 {
-		t.Fatalf("SetUint64(0) after wide value: limbs=%v", x.limbs)
-	}
-	if x.Cmp(Zero()) != 0 || x.String() != "0" || x.Bytes() != nil {
-		t.Fatalf("zero after reset misbehaves: %q %v", x.String(), x.Bytes())
-	}
-
-	// Reset a wide value to a small one: stale high limbs must not
-	// survive the slice reuse.
-	x = FromBytes(bytes.Repeat([]byte{0xff}, 40))
-	x.SetUint64(7)
-	if x.Cmp(FromUint64(7)) != 0 || len(x.limbs) != 1 {
-		t.Fatalf("SetUint64(7) after wide value: %s limbs=%v", x.String(), x.limbs)
-	}
-}
-
 // TestFromBytesNormalization covers the FromBytes corners: empty
 // input, all-zero input, leading zero bytes (which land in the top
 // limb and must be stripped), and the limb-boundary widths.

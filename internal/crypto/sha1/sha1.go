@@ -9,8 +9,7 @@
 // The compression function is unrolled into the four 20-round stages
 // (constant f/k per stage) and the streaming paths allocate nothing,
 // so the issl record layer can MAC every record without garbage. The
-// original straight-from-spec round loop is kept as compressRef and
-// diffed against the unrolled one by the package tests.
+// package tests diff it against crypto/sha1.
 package sha1
 
 // Size is the digest length in bytes.
@@ -133,44 +132,6 @@ func (d *Digest) compress(block []byte) {
 		wi := rotl32(w[(i+13)&15]^w[(i+8)&15]^w[(i+2)&15]^w[i&15], 1)
 		w[i&15] = wi
 		tmp := rotl32(a, 5) + (b ^ c ^ dd) + e + 0xca62c1d6 + wi
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	d.h[0] += a
-	d.h[1] += b
-	d.h[2] += c
-	d.h[3] += dd
-	d.h[4] += e
-}
-
-// compressRef is the straight-from-spec round loop the seed kernel
-// used, retained as the in-package oracle for the unrolled compress.
-func (d *Digest) compressRef(block []byte) {
-	var w [80]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = uint32(block[4*i])<<24 | uint32(block[4*i+1])<<16 |
-			uint32(block[4*i+2])<<8 | uint32(block[4*i+3])
-	}
-	for i := 16; i < 80; i++ {
-		w[i] = rotl32(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
-	}
-	a, b, c, dd, e := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
-	for i := 0; i < 80; i++ {
-		var f, k uint32
-		switch {
-		case i < 20:
-			f = b&c | ^b&dd
-			k = 0x5a827999
-		case i < 40:
-			f = b ^ c ^ dd
-			k = 0x6ed9eba1
-		case i < 60:
-			f = b&c | b&dd | c&dd
-			k = 0x8f1bbcdc
-		default:
-			f = b ^ c ^ dd
-			k = 0xca62c1d6
-		}
-		tmp := rotl32(a, 5) + f + e + k + w[i]
 		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
 	}
 	d.h[0] += a

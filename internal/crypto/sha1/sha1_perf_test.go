@@ -2,29 +2,37 @@ package sha1
 
 import (
 	"bytes"
+	stdsha1 "crypto/sha1"
 	"math/rand"
 	"testing"
 
 	"repro/internal/race"
 )
 
-// TestCompressEquivalence diffs the unrolled compression function
-// against the retained straight-from-spec loop over 10k seeded blocks,
-// from randomized chaining states.
+// TestCompressEquivalence diffs Sum1 and the streaming Digest against
+// crypto/sha1 over 10k seeded messages of 0-4 blocks, so most
+// compressions start from a chaining state other than the IV. The
+// streaming side writes each message in random-sized chunks.
 func TestCompressEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	block := make([]byte, BlockSize)
+	var d Digest
 	for i := 0; i < 10_000; i++ {
-		var fast, ref Digest
-		for j := range fast.h {
-			fast.h[j] = rng.Uint32()
+		msg := make([]byte, rng.Intn(4*BlockSize+1))
+		rng.Read(msg)
+		want := stdsha1.Sum(msg)
+		if got := Sum1(msg); got != want {
+			t.Fatalf("vector %d (%d bytes): Sum1 %x, crypto/sha1 %x", i, len(msg), got, want)
 		}
-		ref.h = fast.h
-		rng.Read(block)
-		fast.compress(block)
-		ref.compressRef(block)
-		if fast.h != ref.h {
-			t.Fatalf("vector %d: unrolled %x != reference %x", i, fast.h, ref.h)
+		d.Reset()
+		for p := msg; len(p) > 0; {
+			n := 1 + rng.Intn(len(p))
+			d.Write(p[:n])
+			p = p[n:]
+		}
+		var got [Size]byte
+		d.SumInto(&got)
+		if got != want {
+			t.Fatalf("vector %d (%d bytes): Digest %x, crypto/sha1 %x", i, len(msg), got, want)
 		}
 	}
 }
@@ -97,16 +105,6 @@ func BenchmarkCompressUnrolled(b *testing.B) {
 	b.SetBytes(BlockSize)
 	for i := 0; i < b.N; i++ {
 		d.compress(block)
-	}
-}
-
-func BenchmarkCompressRef(b *testing.B) {
-	var d Digest
-	d.Reset()
-	block := make([]byte, BlockSize)
-	b.SetBytes(BlockSize)
-	for i := 0; i < b.N; i++ {
-		d.compressRef(block)
 	}
 }
 

@@ -3,8 +3,8 @@ package repro
 // Host-side kernel benchmarks — the CI perf regression gate. Every
 // BenchmarkKernel* here times one of the hot paths a perf rewrite
 // touched (T-table AES-CBC, unrolled SHA-1, streaming HMAC,
-// Montgomery/CRT RSA, the issl record path, the Rabbit simulator's
-// decoder) and reports through
+// Montgomery/CRT RSA, 1024-bit modexp, the full handshake, the issl
+// record path, the Rabbit simulator's decoder) and reports through
 // record(), so `-benchjson` captures them next to the paper
 // experiments. CI runs them with -benchtime=1x and diffs the result
 // against the committed BENCH_baseline.json via cmd/benchdiff; each
@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/bignum"
-	"repro/internal/crypto/bignum32"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/crypto/sha1"
@@ -142,69 +141,6 @@ func BenchmarkKernelModExp1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = x.ModExp(e, m)
-	}
-	record(b, nil)
-}
-
-// BenchmarkKernelModExp1024Limb32 is the same 1024-bit modexp on the
-// retired 32-bit limb implementation (kept in-tree as the conformance
-// oracle) — the denominator of the limb-width speedup the README
-// reports.
-func BenchmarkKernelModExp1024Limb32(b *testing.B) {
-	buf := kernelBuf()
-	x := bignum32.FromBytes(buf[:128])
-	e := bignum32.FromBytes(buf[128:256])
-	mb := append([]byte(nil), buf[256:384]...)
-	mb[0] |= 0x80      // full width
-	mb[len(mb)-1] |= 1 // odd
-	m := bignum32.FromBytes(mb)
-	_ = x.ModExp(e, m) // warm caches
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.ModExp(e, m)
-	}
-	record(b, nil)
-}
-
-// BenchmarkKernelRSASignLimb32 replays the 512-bit CRT private-key
-// operation (two half-width modexps + Garner recombination, the shape
-// of rsa/crt.go) on 32-bit limbs. The rsa package itself runs on the
-// 64-bit bignum; this benchmark keeps the before/after of the limb
-// rewrite measurable at the exact op the handshake pays.
-func BenchmarkKernelRSASignLimb32(b *testing.B) {
-	key, err := rsa.GenerateKey(prng.NewXorshift(0xCAFE), 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	to32 := func(x bignum.Int) bignum32.Int {
-		return bignum32.FromBytes(x.Bytes())
-	}
-	p, q, d := to32(key.P), to32(key.Q), to32(key.D)
-	one := bignum32.One()
-	dp := d.Mod(p.Sub(one))
-	dq := d.Mod(q.Sub(one))
-	qinv, ok := q.ModInverse(p)
-	if !ok {
-		b.Fatal("q not invertible mod p")
-	}
-	// The padded EMSA block SignRaw would exponentiate.
-	em := make([]byte, 64)
-	em[1] = 0x01
-	for i := 2; i < 43; i++ {
-		em[i] = 0xff
-	}
-	copy(em[44:], kernelBuf()[:20])
-	c := bignum32.FromBytes(em)
-	crtSign := func() bignum32.Int {
-		m1 := c.ModExp(dp, p)
-		m2 := c.ModExp(dq, q)
-		h := m1.Add(p).Sub(m2.Mod(p)).ModMul(qinv, p)
-		return m2.Add(h.Mul(q))
-	}
-	_ = crtSign() // warm caches
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = crtSign()
 	}
 	record(b, nil)
 }
