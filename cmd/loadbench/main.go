@@ -38,7 +38,6 @@ func main() {
 		latency     = flag.Duration("latency", 0, "one-way hub latency")
 		faults      = flag.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
 		plain       = flag.Bool("plain", false, "plaintext baseline (no issl layer)")
-		wall        = flag.Bool("wall", false, "also record wall-clock latency percentiles (not replayable)")
 		jsonPath    = flag.String("json", "BENCH_load.json", "report output path (empty = skip)")
 		baseline    = flag.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
 		smoke       = flag.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags)")
@@ -79,7 +78,6 @@ func main() {
 		CacheShards:   *shards,
 		HubLatency:    *latency,
 		Plain:         *plain,
-		Wall:          *wall,
 		Stampede:      *stampede,
 		SignWorkers:   *signpool,
 		KeyBits:       *keyBits,

@@ -265,9 +265,6 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // per-instance SLO breakdown reads these.
 func (c *Cluster) NodeRegistry(i int) *telemetry.Registry { return c.nodes[i].Registry }
 
-// NodeAddr returns instance i's fabric address.
-func (c *Cluster) NodeAddr(i int) tcpip.Addr { return c.nodes[i].Addr }
-
 // KillNode is the chaos primitive: instance i dies abruptly — live
 // connections reset, session cache gone, stack off the fabric — as if
 // the box lost power. Idempotent. The balancer's probes notice on

@@ -158,9 +158,6 @@ func words(n int) (int, bool) {
 // BlockSize returns the cipher's block size in bytes.
 func (c *Cipher) BlockSize() int { return c.nb * 4 }
 
-// KeySize returns the cipher's key size in bytes.
-func (c *Cipher) KeySize() int { return c.nk * 4 }
-
 // Rounds returns the number of rounds (10–14 depending on sizes).
 func (c *Cipher) Rounds() int { return c.nr }
 

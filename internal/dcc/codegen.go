@@ -21,10 +21,6 @@ type Options struct {
 	Peephole bool
 }
 
-// DefaultOptions mirror an out-of-the-box Dynamic C build: debugging
-// on, no optimization.
-func DefaultOptions() Options { return Options{Debug: true} }
-
 // XPCPort is the I/O port the generated code (and the board) use to
 // set the XPC bank register.
 const XPCPort = 0x12

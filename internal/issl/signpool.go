@@ -31,11 +31,10 @@ import (
 // A nil *SignPool is valid everywhere one is accepted and means "run
 // the operation inline", so single-tenant callers pay nothing.
 type SignPool struct {
-	reqs    chan signReq
-	wg      sync.WaitGroup
-	mu      sync.RWMutex // guards closed vs in-flight submits
-	closed  bool
-	workers int
+	reqs   chan signReq
+	wg     sync.WaitGroup
+	mu     sync.RWMutex // guards closed vs in-flight submits
+	closed bool
 
 	ops       *telemetry.Counter
 	queueFull *telemetry.Counter
@@ -64,7 +63,6 @@ func NewSignPool(workers, queueLen int, reg *telemetry.Registry) *SignPool {
 	}
 	p := &SignPool{
 		reqs:      make(chan signReq, queueLen),
-		workers:   workers,
 		ops:       reg.Counter("issl.signpool_ops"),
 		queueFull: reg.Counter("issl.signpool_queue_full"),
 		depth:     reg.Gauge("issl.signpool_queue_depth"),
@@ -85,14 +83,6 @@ func (p *SignPool) worker() {
 		p.ops.Inc()
 		req.done <- signResult{out, err}
 	}
-}
-
-// Workers reports the pool's worker count (0 for a nil pool).
-func (p *SignPool) Workers() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
 }
 
 // Close stops the workers after the queue drains. Operations submitted

@@ -150,9 +150,6 @@ func (s *TicketKeyStore) SetRand(rng *prng.Xorshift) {
 	s.rng = rng
 }
 
-// Lifetime returns the minting lifetime.
-func (s *TicketKeyStore) Lifetime() time.Duration { return s.lifetime }
-
 // Rotate installs fresh key material for minting. Tickets sealed under
 // the previous keys stay acceptable for acceptOld (0 = rejected
 // immediately); past the window they are rejected like any unknown

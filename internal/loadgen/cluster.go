@@ -37,9 +37,6 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		Policy:           cluster.PolicyByName(cfg.Policy),
 		ForwardTimeout:   time.Second,
 		RandSeed:         cfg.Seed ^ 0xC105FEED,
-		Metrics:          cfg.Registry,
-		Trace:            cfg.Trace,
-		Log:              cfg.Log,
 	}
 	if !cfg.Plain {
 		key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
@@ -154,9 +151,7 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		m.RPS = float64(m.Requests) / wall.Seconds()
 		m.HandshakesPerSec = float64(m.HandshakesFull+m.HandshakesResumed) / wall.Seconds()
 	}
-	if wallHist != nil {
-		pct := percentilesFrom(wallHist)
-		m.WallLatency = &pct
-	}
+	pct := percentilesFrom(wallHist)
+	m.WallLatency = &pct
 	return m, nil
 }

@@ -15,9 +15,10 @@
 //     counts, percentile tables and histogram buckets — so it can gate
 //     regressions in CI.
 //   - Measured: the same plan executed against the live stack, with
-//     byte-exact echo verification and the telemetry registry counting
-//     what the server actually did (handshakes granted full vs
-//     resumed, admission refusals, bytes redirected).
+//     byte-exact echo verification, a private telemetry registry
+//     counting what the server actually did (handshakes granted full
+//     vs resumed, admission refusals, bytes redirected), and every
+//     request's wall-clock latency in one histogram (not replayable).
 //
 // Workload knobs cover the paper's operating envelope: closed-loop
 // concurrency or open-loop Poisson arrivals, session-resumption mix
@@ -71,7 +72,9 @@ const (
 )
 
 // Config parameterizes a load run. The zero value is unusable; Run
-// fills defaults for everything but Clients.
+// fills defaults for everything but Clients. Measurement has no knobs:
+// a live run always counts into a private telemetry registry and
+// records every request's wall latency.
 type Config struct {
 	// Seed drives every random decision: the workload plan, handshake
 	// nonces, the server key. Same seed, same plan.
@@ -152,15 +155,6 @@ type Config struct {
 	// still produce a replayable virtual-SLO section. The measured
 	// section of the report is zeroed.
 	VirtualOnly bool
-	// Wall additionally records wall-clock per-request latency into
-	// the measured section (not replayable; off by default).
-	Wall bool
-	// Registry receives all counters and histograms (default: private).
-	Registry *telemetry.Registry
-	// Trace receives redirector/issl events. Optional.
-	Trace *telemetry.Trace
-	// Log receives service logs. Optional.
-	Log issl.Logger
 
 	// churnSet marks ChurnEvery=0 as intentional (see KeepConnections).
 	churnSet bool
@@ -240,9 +234,6 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	if c.RequestRetries < 0 {
 		return nil, fmt.Errorf("loadgen: RequestRetries must be >= 0")
 	}
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
-	}
 	return &c, nil
 }
 
@@ -258,7 +249,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	p := buildPlan(c)
-	model := runModel(c, p, c.Registry)
+	model := runModel(c, p)
 
 	rep := &Report{
 		Seed:        c.Seed,
@@ -351,7 +342,6 @@ func (ks *killState) recoveryNs() uint64 {
 // stacks, a plaintext echo backend, the secure redirector with the
 // sharded session cache and admission control, and the client fleet.
 func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
-	reg := cfg.Registry
 	hub := netsim.NewHub()
 	defer hub.Close()
 	if cfg.HubLatency > 0 {
@@ -393,6 +383,7 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		return runRealCluster(cfg, p, hub, cli, back)
 	}
 
+	reg := telemetry.NewRegistry()
 	rcfg := redirector.Config{
 		ListenPort:   redirectorPort,
 		Target:       back.Addr(),
@@ -403,8 +394,6 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		SignWorkers:  cfg.SignWorkers,
 		RandSeed:     cfg.Seed ^ 0x5EC0DE5EC0DE,
 		Metrics:      reg,
-		Trace:        cfg.Trace,
-		Log:          cfg.Log,
 	}
 	if !cfg.Plain {
 		key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
@@ -445,26 +434,20 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		m.RPS = float64(m.Requests) / wall.Seconds()
 		m.HandshakesPerSec = float64(m.HandshakesFull+m.HandshakesResumed) / wall.Seconds()
 	}
-	if wallHist != nil {
-		pct := percentilesFrom(wallHist)
-		m.WallLatency = &pct
-	}
+	pct := percentilesFrom(wallHist)
+	m.WallLatency = &pct
 	return m, nil
 }
 
 // runFleet launches the virtual-client fleet against the service at
-// 10.0.0.2 and waits it out. ks (optional) observes the node-kill
-// timeline for the recovery bound.
-func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCounters, time.Duration, *telemetry.HDRHistogram) {
+// 10.0.0.2, waits it out, and returns the fleet counters, the measured
+// window and the per-request wall latencies. ks (optional) observes
+// the node-kill timeline for the recovery bound.
+func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCounters, time.Duration, *telemetry.Histogram) {
 	var (
 		fc       fleetCounters
-		wallHist *telemetry.HDRHistogram
-		wallLog2 *telemetry.Histogram
+		wallHist telemetry.Histogram
 	)
-	if cfg.Wall {
-		wallHist = telemetry.NewHDRHistogram()
-		wallLog2 = cfg.Registry.Histogram("loadgen.latency_wall_ns")
-	}
 	sem := make(chan struct{}, cfg.Concurrency)
 
 	// The stampede gate: every client goroutine parks here until the
@@ -483,7 +466,7 @@ func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCoun
 		go func(ci int) {
 			defer wg.Done()
 			<-gate
-			runClient(cfg, cli, &p.clients[ci], ci, sem, start, &fc, wallHist, wallLog2, ks)
+			runClient(cfg, cli, &p.clients[ci], ci, sem, start, &fc, &wallHist, ks)
 		}(ci)
 	}
 	if cfg.Stampede {
@@ -491,7 +474,7 @@ func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCoun
 		close(gate)
 	}
 	wg.Wait()
-	return &fc, time.Since(start), wallHist
+	return &fc, time.Since(start), &wallHist
 }
 
 // startBackend serves plaintext echo until its stack closes.
@@ -533,7 +516,7 @@ const requestTimeout = 60 * time.Second
 // runClient executes one client's planned request sequence.
 func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 	sem chan struct{}, start time.Time, fc *fleetCounters,
-	wallHist *telemetry.HDRHistogram, wallLog2 *telemetry.Histogram, ks *killState) {
+	wallHist *telemetry.Histogram, ks *killState) {
 
 	d := &issl.Dialer{
 		Dial: func() (io.ReadWriteCloser, error) {
@@ -637,11 +620,7 @@ func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 		ks.noteOK()
 		fc.ok.Add(1)
 		fc.bytes.Add(uint64(rp.payload))
-		if wallHist != nil {
-			ns := uint64(time.Since(reqStart).Nanoseconds())
-			wallHist.Observe(ns)
-			wallLog2.Observe(ns)
-		}
+		wallHist.Observe(uint64(time.Since(reqStart).Nanoseconds()))
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // TestSmokeClosed runs a small closed-loop fleet end to end and checks
@@ -44,6 +42,12 @@ func TestSmokeClosed(t *testing.T) {
 	}
 	if rep.Virtual.Latency.P50 == 0 || rep.Virtual.Latency.Max < rep.Virtual.Latency.P50 {
 		t.Errorf("degenerate latency table: %+v", rep.Virtual.Latency)
+	}
+	// A live run always measures wall latency.
+	if wl := rep.Measured.WallLatency; wl == nil {
+		t.Error("no wall latency on a live run")
+	} else if wl.P50 == 0 || wl.P99 < wl.P50 || wl.Max < wl.P99 {
+		t.Errorf("degenerate wall latency table: %+v", *wl)
 	}
 	var txt bytes.Buffer
 	if err := rep.WriteText(&txt); err != nil || txt.Len() == 0 {
@@ -131,7 +135,7 @@ func TestModelQueueing(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := buildPlan(cfg)
-		m := runModel(cfg, p, telemetry.NewRegistry())
+		m := runModel(cfg, p)
 		v := &VirtualReport{DurationNs: m.durationNs, Requests: m.requests, Latency: percentilesFrom(m.latency)}
 		return v
 	}

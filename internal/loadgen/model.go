@@ -85,7 +85,7 @@ func (h *serverHeap) Pop() any          { old := *h; n := len(old); v := old[n-1
 type modelResult struct {
 	durationNs uint64
 	requests   uint64
-	latency    *telemetry.HDRHistogram
+	latency    *telemetry.Histogram
 }
 
 // runModel replays the plan through the queueing model. The server
@@ -93,7 +93,7 @@ type modelResult struct {
 // width, further capped by the redirector's admission bound when one
 // is configured (an admitted-or-queued approximation of the live
 // refuse-and-retry behavior).
-func runModel(cfg *Config, p *plan, reg *telemetry.Registry) *modelResult {
+func runModel(cfg *Config, p *plan) *modelResult {
 	pool := cfg.Concurrency
 	if cfg.MaxInflight > 0 && cfg.MaxInflight < pool {
 		pool = cfg.MaxInflight
@@ -103,8 +103,7 @@ func runModel(cfg *Config, p *plan, reg *telemetry.Registry) *modelResult {
 	}
 
 	clock := telemetry.NewManualClock(0)
-	res := &modelResult{latency: telemetry.NewHDRHistogram()}
-	log2 := reg.Histogram("loadgen.latency_virtual_ns")
+	res := &modelResult{latency: &telemetry.Histogram{}}
 
 	servers := make(serverHeap, pool) // all free at t=0
 	heap.Init(&servers)
@@ -125,9 +124,7 @@ func runModel(cfg *Config, p *plan, reg *telemetry.Registry) *modelResult {
 		start := max(cand.ready, free)
 		finish := start + serviceNs(rp)
 		heap.Push(&servers, finish)
-		lat := finish - cand.ready // queue wait + service
-		res.latency.Observe(lat)
-		log2.Observe(lat)
+		res.latency.Observe(finish - cand.ready) // queue wait + service
 		res.requests++
 		if finish > res.durationNs {
 			res.durationNs = finish

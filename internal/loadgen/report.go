@@ -10,7 +10,7 @@ import (
 
 // Percentiles is an exact-percentile latency summary read out of an
 // HDR histogram (values are bucket upper bounds, within 1/64 relative
-// error; see telemetry.HDRHistogram).
+// error; see telemetry.Histogram).
 type Percentiles struct {
 	P50    uint64  `json:"p50_ns"`
 	P90    uint64  `json:"p90_ns"`
@@ -21,7 +21,7 @@ type Percentiles struct {
 	MeanNs float64 `json:"mean_ns"`
 }
 
-func percentilesFrom(h *telemetry.HDRHistogram) Percentiles {
+func percentilesFrom(h *telemetry.Histogram) Percentiles {
 	return Percentiles{
 		P50:    h.Quantile(0.50),
 		P90:    h.Quantile(0.90),
@@ -37,13 +37,13 @@ func percentilesFrom(h *telemetry.HDRHistogram) Percentiles {
 // with the same configuration and seed. It is the regression-gate
 // axis — diff it field by field, bucket by bucket.
 type VirtualReport struct {
-	DurationNs        uint64                `json:"duration_ns"`
-	RPS               float64               `json:"rps"`
-	Requests          uint64                `json:"requests"`
-	HandshakesFull    uint64                `json:"handshakes_full"`
-	HandshakesResumed uint64                `json:"handshakes_resumed"`
-	Latency           Percentiles           `json:"latency"`
-	Buckets           []telemetry.HDRBucket `json:"buckets"`
+	DurationNs        uint64             `json:"duration_ns"`
+	RPS               float64            `json:"rps"`
+	Requests          uint64             `json:"requests"`
+	HandshakesFull    uint64             `json:"handshakes_full"`
+	HandshakesResumed uint64             `json:"handshakes_resumed"`
+	Latency           Percentiles        `json:"latency"`
+	Buckets           []telemetry.Bucket `json:"buckets"`
 }
 
 // MeasuredReport is the live section: what the real vertical did,

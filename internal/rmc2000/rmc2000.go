@@ -182,13 +182,6 @@ func (b *Board) setI0CR(v uint8) {
 	b.i0cr = v
 }
 
-// TriggerExternalInt asserts external interrupt 0 if I0CR enables it.
-func (b *Board) TriggerExternalInt() {
-	if b.readI0CR() != 0 {
-		b.CPU.RaiseInt()
-	}
-}
-
 // SetIntVector models SetVectExtern2000: installs the ISR address.
 func (b *Board) SetIntVector(addr uint16) { b.CPU.IntVector = addr }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // testNet builds a hub with n stacks at 10.0.0.1..n.
@@ -182,6 +183,66 @@ func TestTCPConnectAcceptEcho(t *testing.T) {
 		t.Errorf("echo = %q", buf[:n])
 	}
 	conn.Close()
+}
+
+// TestRTTHistogramQuantiles checks the tcp.rtt_us instrument end to
+// end: a real echo between two stacks sharing a registry samples RTTs
+// into a histogram whose quantiles read back in order.
+func TestRTTHistogramQuantiles(t *testing.T) {
+	hub := netsim.NewHub()
+	t.Cleanup(hub.Close)
+	reg := telemetry.NewRegistry()
+	stacks := make([]*Stack, 2)
+	for i := range stacks {
+		s, err := NewStackWithTelemetry(hub, IP4(10, 0, 0, byte(i+1)), reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		stacks[i] = s
+	}
+	l, err := stacks[1].Listen(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := l.Accept(2 * time.Second)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 256)
+		for {
+			n, err := conn.ReadDeadline(buf, time.Now().Add(2*time.Second))
+			if err != nil {
+				return
+			}
+			conn.Write(buf[:n])
+		}
+	}()
+	conn, err := stacks[0].Connect(stacks[1].Addr(), 7, 2*time.Second)
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer conn.Close()
+	probe := []byte("rtt probe")
+	for i := 0; i < 8; i++ {
+		if _, err := conn.Write(probe); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Peek(len(probe), time.Now().Add(2*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		conn.Discard(len(probe))
+	}
+	h := reg.Histogram("tcp.rtt_us")
+	if h.Count() == 0 {
+		t.Fatal("no RTT samples after an echo")
+	}
+	p50, p99 := h.Quantile(0.5), h.Quantile(0.99)
+	if !(h.Min() <= p50 && p50 <= p99 && p99 <= h.Max()) {
+		t.Errorf("quantiles out of order: min=%d p50=%d p99=%d max=%d", h.Min(), p50, p99, h.Max())
+	}
 }
 
 func TestTCPConnectionRefused(t *testing.T) {

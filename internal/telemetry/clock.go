@@ -52,12 +52,3 @@ func (c *ManualClock) Set(t uint64) { c.v.Store(t) }
 // Advance moves the clock forward by d nanoseconds and returns the new
 // reading.
 func (c *ManualClock) Advance(d uint64) uint64 { return c.v.Add(d) }
-
-// SetClock installs c as the trace's time source (see SetNow). A nil
-// clock is ignored.
-func (t *Trace) SetClock(c Clock) {
-	if c == nil {
-		return
-	}
-	t.SetNow(c.Now)
-}

@@ -1,29 +1,26 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 )
 
-// HDRHistogram is a high-dynamic-range latency recorder in the style
-// of Gil Tene's HdrHistogram: values keep their top hdrSubBits
-// significant bits, so every bucket's relative width is at most
-// 1/2^hdrSubBits (~1.6%) across the full uint64 range, and quantiles
-// (p50/p95/p99/p999) read back with that bounded error — unlike the
-// log2 Histogram, whose buckets are a full power of two wide. Memory
-// is a fixed ~30 KB of atomic counters; Observe is lock-free and
-// allocation-free, so the recorder can sit on a load generator's
-// per-request path. All methods are nil-safe, matching the package's
-// other instruments.
+// Histogram is a high-dynamic-range recorder in the style of Gil
+// Tene's HdrHistogram: values keep their top hdrSubBits significant
+// bits, so every bucket's relative width is at most 1/2^hdrSubBits
+// (~1.6%) across the full uint64 range, and quantiles (p50/p95/p99/
+// p999) read back with that bounded error. Memory is a fixed ~30 KB of
+// atomic counters; Observe is lock-free and allocation-free, so the
+// recorder can sit on a load generator's per-request path. The zero
+// value is ready to use, and all methods are nil-safe, matching the
+// package's other instruments.
 //
 // Determinism: the bucket an observation lands in, and therefore every
 // quantile, depends only on the observed values — two runs that
 // observe the same multiset of values report identical buckets and
 // percentiles, which is what lets a seeded virtual-time load run
 // assert replayability on its latency table.
-type HDRHistogram struct {
+type Histogram struct {
 	counts [hdrBucketCount]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64
@@ -42,9 +39,6 @@ const (
 	// linear sub-buckets each.
 	hdrBucketCount = (65 - hdrSubBits) * hdrSubBuckets
 )
-
-// NewHDRHistogram returns an empty recorder.
-func NewHDRHistogram() *HDRHistogram { return &HDRHistogram{} }
 
 // hdrIndex maps a value to its bucket.
 func hdrIndex(v uint64) int {
@@ -70,7 +64,7 @@ func hdrHigh(i int) uint64 {
 }
 
 // Observe records one value. Lock-free; safe on a nil receiver.
-func (h *HDRHistogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
@@ -99,7 +93,7 @@ func (h *HDRHistogram) Observe(v uint64) {
 }
 
 // Count returns the number of observations.
-func (h *HDRHistogram) Count() uint64 {
+func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
@@ -107,7 +101,7 @@ func (h *HDRHistogram) Count() uint64 {
 }
 
 // Sum returns the sum of observed values.
-func (h *HDRHistogram) Sum() uint64 {
+func (h *Histogram) Sum() uint64 {
 	if h == nil {
 		return 0
 	}
@@ -115,7 +109,7 @@ func (h *HDRHistogram) Sum() uint64 {
 }
 
 // Mean returns the average observation (0 when empty).
-func (h *HDRHistogram) Mean() float64 {
+func (h *Histogram) Mean() float64 {
 	n := h.Count()
 	if n == 0 {
 		return 0
@@ -124,7 +118,7 @@ func (h *HDRHistogram) Mean() float64 {
 }
 
 // Min returns the smallest observation (0 when empty).
-func (h *HDRHistogram) Min() uint64 {
+func (h *Histogram) Min() uint64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
@@ -132,7 +126,7 @@ func (h *HDRHistogram) Min() uint64 {
 }
 
 // Max returns the largest observation (0 when empty).
-func (h *HDRHistogram) Max() uint64 {
+func (h *Histogram) Max() uint64 {
 	if h == nil {
 		return 0
 	}
@@ -143,7 +137,7 @@ func (h *HDRHistogram) Max() uint64 {
 // of the bucket where the cumulative count first reaches ceil(q*n),
 // clamped to the observed max so p100 is exact. Empty histograms read
 // zero.
-func (h *HDRHistogram) Quantile(q float64) uint64 {
+func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
 	}
@@ -179,9 +173,9 @@ func (h *HDRHistogram) Quantile(q float64) uint64 {
 	return h.Max()
 }
 
-// HDRBucket is one non-empty bucket in a snapshot: Count observations
+// Bucket is one non-empty bucket in a snapshot: Count observations
 // whose quantized upper bound is High.
-type HDRBucket struct {
+type Bucket struct {
 	High  uint64 `json:"high"`
 	Count uint64 `json:"count"`
 }
@@ -189,34 +183,15 @@ type HDRBucket struct {
 // Buckets returns the non-empty buckets in ascending value order —
 // the replayable shape determinism tests compare, and the compact form
 // reports embed.
-func (h *HDRHistogram) Buckets() []HDRBucket {
+func (h *Histogram) Buckets() []Bucket {
 	if h == nil {
 		return nil
 	}
-	var out []HDRBucket
+	var out []Bucket
 	for i := range h.counts {
 		if c := h.counts[i].Load(); c > 0 {
-			out = append(out, HDRBucket{High: hdrHigh(i), Count: c})
+			out = append(out, Bucket{High: hdrHigh(i), Count: c})
 		}
 	}
 	return out
-}
-
-// WriteText renders a percentile table (one line per requested
-// quantile) for human consumption.
-func (h *HDRHistogram) WriteText(w io.Writer, unit string, div float64) error {
-	qs := []struct {
-		label string
-		q     float64
-	}{
-		{"p50", 0.50}, {"p90", 0.90}, {"p95", 0.95},
-		{"p99", 0.99}, {"p999", 0.999}, {"max", 1.0},
-	}
-	for _, e := range qs {
-		if _, err := fmt.Fprintf(w, "  %-5s %10.3f %s\n",
-			e.label, float64(h.Quantile(e.q))/div, unit); err != nil {
-			return err
-		}
-	}
-	return nil
 }

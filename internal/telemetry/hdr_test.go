@@ -8,15 +8,15 @@ import (
 )
 
 func TestHDRNilSafety(t *testing.T) {
-	var h *HDRHistogram
+	var h *Histogram
 	h.Observe(42)
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Buckets() != nil {
-		t.Error("nil HDRHistogram not inert")
+		t.Error("nil Histogram not inert")
 	}
 }
 
 func TestHDRExactRegion(t *testing.T) {
-	h := NewHDRHistogram()
+	h := &Histogram{}
 	for v := uint64(0); v < hdrSubBuckets; v++ {
 		h.Observe(v)
 	}
@@ -37,7 +37,7 @@ func TestHDRRelativeError(t *testing.T) {
 	// Large values must come back within 1/2^hdrSubBits relative error.
 	vals := []uint64{100, 1000, 12345, 1 << 20, 3<<30 + 7, 1 << 40}
 	for _, v := range vals {
-		h := NewHDRHistogram()
+		h := &Histogram{}
 		h.Observe(v)
 		got := h.Quantile(0.5)
 		relErr := math.Abs(float64(got)-float64(v)) / float64(v)
@@ -71,7 +71,7 @@ func TestHDRIndexRoundTrip(t *testing.T) {
 }
 
 func TestHDRQuantiles(t *testing.T) {
-	h := NewHDRHistogram()
+	h := &Histogram{}
 	// 1000 observations of 1ms, 10 of 100ms: p99 must stay at the fast
 	// mode, p999 must see the slow tail.
 	for i := 0; i < 1000; i++ {
@@ -94,8 +94,8 @@ func TestHDRQuantiles(t *testing.T) {
 }
 
 func TestHDRDeterministicBuckets(t *testing.T) {
-	mk := func() *HDRHistogram {
-		h := NewHDRHistogram()
+	mk := func() *Histogram {
+		h := &Histogram{}
 		v := uint64(1)
 		for i := 0; i < 10000; i++ {
 			v = v*6364136223846793005 + 1442695040888963407
@@ -115,7 +115,7 @@ func TestHDRDeterministicBuckets(t *testing.T) {
 }
 
 func TestHDRConcurrentObserve(t *testing.T) {
-	h := NewHDRHistogram()
+	h := &Histogram{}
 	var wg sync.WaitGroup
 	const workers, per = 8, 5000
 	for w := 0; w < workers; w++ {

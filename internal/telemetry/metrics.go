@@ -1,5 +1,5 @@
 // Package telemetry is the repo's dependency-free observability layer:
-// a metrics registry (atomic counters, gauges, log2-bucket histograms)
+// a metrics registry (atomic counters, gauges, HDR histograms)
 // and a bounded ring-buffer trace of structured events stamped on one
 // simulated-time axis (see trace.go). Every layer of the reproduction —
 // the netsim wire, the tcpip stack, the issl secure layer, the
@@ -15,7 +15,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,89 +70,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// HistogramBuckets is the fixed bucket count: bucket 0 holds the value
-// 0 and bucket i (1..64) holds values v with bits.Len64(v) == i, i.e.
-// v in [2^(i-1), 2^i - 1]. Log2 buckets keep Observe allocation-free
-// and O(1) with no configuration, at the price of coarse (power of
-// two) resolution — the right trade for cycle counts and RTTs.
-const HistogramBuckets = 65
-
-// Histogram counts observations in fixed log2 buckets.
-type Histogram struct {
-	buckets [HistogramBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// BucketIndex returns the bucket an observation of v lands in.
-func BucketIndex(v uint64) int { return bits.Len64(v) }
-
-// BucketLow returns the smallest value bucket i holds.
-func BucketLow(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << (i - 1)
-}
-
-// BucketHigh returns the largest value bucket i holds.
-func BucketHigh(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<i - 1
-}
-
-// Observe records one value. Safe on a nil receiver.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.buckets[BucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Mean returns the average observation (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Buckets returns a snapshot of the bucket counts.
-func (h *Histogram) Buckets() [HistogramBuckets]uint64 {
-	var out [HistogramBuckets]uint64
-	if h == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
 // Registry names and owns metrics. Get-or-create accessors hand out
 // stable pointers, so hot paths resolve a metric once and then update
 // it lock-free. A nil *Registry hands out nil metrics, which absorb
@@ -205,6 +121,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use.
+// Its fixed ~30 KB is allocated here, once, so callers that resolve it
+// at construction keep Observe allocation-free.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil

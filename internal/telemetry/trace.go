@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Attr is one key/value pair on a trace event. Values are kept as
@@ -34,15 +33,15 @@ type Event struct {
 // use and nil-safe: a nil *Trace absorbs Emit calls, so instrumented
 // code never branches on whether tracing is wired up.
 //
-// Time axis: every event is stamped by the trace's clock, nanoseconds
+// Time axis: every event is stamped by the trace's Clock, nanoseconds
 // since an epoch. The default clock is wall time since NewTrace, which
 // under netsim (whose latencies are real sleeps) doubles as simulated
-// time; SetNow installs a different clock — e.g. the Rabbit CPU cycle
-// counter scaled to ns — so hardware-level and network-level events
-// share one axis.
+// time; SetClock installs a different one — e.g. a ManualClock driven
+// by the Rabbit CPU cycle counter scaled to ns — so hardware-level and
+// network-level events share one axis.
 type Trace struct {
 	mu      sync.Mutex
-	now     func() uint64
+	clock   Clock
 	buf     []Event
 	start   int // index of oldest event
 	n       int // number of valid events
@@ -54,21 +53,21 @@ func NewTrace(capacity int) *Trace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	epoch := time.Now()
 	return &Trace{
-		now: func() uint64 { return uint64(time.Since(epoch)) },
-		buf: make([]Event, 0, capacity),
+		clock: NewWallClock(),
+		buf:   make([]Event, 0, capacity),
 	}
 }
 
-// SetNow replaces the trace clock. Call before emitting; events
-// already recorded keep their old stamps.
-func (t *Trace) SetNow(now func() uint64) {
-	if t == nil || now == nil {
+// SetClock installs c as the trace's time source. Call before
+// emitting; events already recorded keep their old stamps. A nil
+// clock is ignored.
+func (t *Trace) SetClock(c Clock) {
+	if t == nil || c == nil {
 		return
 	}
 	t.mu.Lock()
-	t.now = now
+	t.clock = c
 	t.mu.Unlock()
 }
 
@@ -80,7 +79,7 @@ func (t *Trace) Now() uint64 {
 		return 0
 	}
 	t.mu.Lock()
-	v := t.now()
+	v := t.clock.Now()
 	t.mu.Unlock()
 	return v
 }
@@ -105,7 +104,7 @@ func (t *Trace) Emit(layer, name string, kv ...any) {
 		}
 	}
 	t.mu.Lock()
-	ev := Event{T: t.now(), Layer: layer, Name: name, Attrs: attrs}
+	ev := Event{T: t.clock.Now(), Layer: layer, Name: name, Attrs: attrs}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 	} else {
