@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/issl"
 	"repro/internal/redirector"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
@@ -50,57 +49,6 @@ func (h HealthConfig) withDefaults() HealthConfig {
 	return h
 }
 
-// BalancerConfig parameterizes the L4 node.
-type BalancerConfig struct {
-	// ListenPort is the public port clients dial (default 4443).
-	ListenPort uint16
-	// NodePort is the redirector port on every fleet node (default
-	// ListenPort).
-	NodePort uint16
-	// HealthPort is the probe endpoint on every fleet node (default
-	// NodePort+10).
-	HealthPort uint16
-	// Policy orders candidates per connection (default consistent hash).
-	Policy Policy
-	// ForwardTimeout bounds one backend connect before failing over to
-	// the next candidate (default 1s).
-	ForwardTimeout time.Duration
-	// Health shapes the active probing.
-	Health HealthConfig
-	// Metrics receives the balancer counters (default private).
-	Metrics *telemetry.Registry
-	// Trace receives "cluster" layer events. Optional.
-	Trace *telemetry.Trace
-	// Log receives balancer events. Optional.
-	Log issl.Logger
-}
-
-func (c BalancerConfig) withDefaults() BalancerConfig {
-	if c.ListenPort == 0 {
-		c.ListenPort = 4443
-	}
-	if c.NodePort == 0 {
-		c.NodePort = c.ListenPort
-	}
-	if c.HealthPort == 0 {
-		c.HealthPort = c.NodePort + 10
-	}
-	if c.Policy == nil {
-		c.Policy = NewConsistentHash(0)
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = time.Second
-	}
-	c.Health = c.Health.withDefaults()
-	return c
-}
-
-func (c *BalancerConfig) logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log.Printf(format, args...)
-	}
-}
-
 // BalancerStats are the balancer's live counters (nil-safe handles
 // into the registry; read with Value()).
 type BalancerStats struct {
@@ -129,7 +77,7 @@ type nodeEntry struct {
 // passes through to the node, whose ticket store makes any choice
 // valid for a resuming client.
 type Balancer struct {
-	cfg   BalancerConfig
+	cfg   Config
 	stack *tcpip.Stack
 	lst   *tcpip.Listener
 	nodes []*nodeEntry
@@ -139,19 +87,15 @@ type Balancer struct {
 	wg    sync.WaitGroup
 }
 
-// NewBalancer starts the balancer on its stack, probing and forwarding
+// newBalancer starts the balancer on its stack, probing and forwarding
 // to the given node addresses (index in this slice is the node index
-// everywhere: policy order, counters, KillNode).
-func NewBalancer(stack *tcpip.Stack, nodeAddrs []tcpip.Addr, cfg BalancerConfig) (*Balancer, error) {
+// everywhere: policy order, counters, KillNode). cfg has its defaults
+// applied (Config.withDefaults).
+func newBalancer(stack *tcpip.Stack, nodeAddrs []tcpip.Addr, cfg Config) (*Balancer, error) {
 	if len(nodeAddrs) == 0 {
 		return nil, fmt.Errorf("cluster: balancer needs at least one node")
 	}
-	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-		cfg.Metrics = reg
-	}
 	lst, err := stack.Listen(cfg.ListenPort, 32)
 	if err != nil {
 		return nil, err
@@ -230,14 +174,9 @@ func (b *Balancer) Close() {
 func (b *Balancer) acceptLoop() {
 	defer b.wg.Done()
 	for {
-		conn, err := b.lst.Accept(200 * time.Millisecond)
+		conn, err := b.lst.Accept(0)
 		if err != nil {
-			select {
-			case <-b.stop:
-				return
-			default:
-				continue
-			}
+			return // listener closed
 		}
 		b.wg.Add(1)
 		go func(tcb *tcpip.TCB) {
@@ -276,8 +215,8 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 			b.cfg.Trace.Emit("cluster", "forward.failover", "node", idx, "err", err.Error())
 			continue
 		}
-		if tried > 0 {
-			b.cfg.logf("cluster: client %016x failed over to node %d", key, idx)
+		if tried > 0 && b.cfg.Log != nil {
+			b.cfg.Log.Printf("cluster: client %016x failed over to node %d", key, idx)
 		}
 		n.inflight.Add(1)
 		n.forwarded.Inc()
@@ -318,7 +257,9 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 					b.stats.NodeUps.Inc()
 					b.stats.NodesUp.Add(1)
 					b.cfg.Trace.Emit("cluster", "node.up", "node", n.index)
-					b.cfg.logf("cluster: node %d reinstated after %v", n.index, time.Since(downSince))
+					if b.cfg.Log != nil {
+						b.cfg.Log.Printf("cluster: node %d reinstated after %v", n.index, time.Since(downSince))
+					}
 				}
 			}
 			continue
@@ -331,7 +272,9 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 			b.stats.NodeDowns.Inc()
 			b.stats.NodesUp.Add(-1)
 			b.cfg.Trace.Emit("cluster", "node.down", "node", n.index, "fails", fails)
-			b.cfg.logf("cluster: node %d marked down after %d failed probes", n.index, fails)
+			if b.cfg.Log != nil {
+				b.cfg.Log.Printf("cluster: node %d marked down after %d failed probes", n.index, fails)
+			}
 		}
 	}
 }

@@ -44,8 +44,6 @@ type Config struct {
 	// instance derives the same sealing keys from it, which is what
 	// lets any instance resume any client. Required when Secure.
 	TicketMaterial []byte
-	// TicketLifetime bounds minted tickets (0 = issl default).
-	TicketLifetime time.Duration
 	// SessionCacheSize is each instance's private cache (default 64).
 	// The cache is warm-path only; cross-instance resumption rides the
 	// tickets.
@@ -55,17 +53,19 @@ type Config struct {
 	// SignWorkers sizes each instance's RSA sign/decrypt worker pool
 	// (see redirector.Config.SignWorkers). 0 runs key ops inline.
 	SignWorkers int
-	// DrainTimeout is each instance's graceful-close budget.
-	DrainTimeout time.Duration
-	// Policy, ForwardTimeout and Health configure the balancer.
-	Policy         Policy
+	// Policy orders the balancer's candidates per connection (default
+	// consistent hash).
+	Policy Policy
+	// ForwardTimeout bounds one balancer-to-node connect before failing
+	// over to the next candidate (default 1s).
 	ForwardTimeout time.Duration
-	Health         HealthConfig
+	// Health shapes the balancer's active probing.
+	Health HealthConfig
 	// RandSeed diversifies per-instance session crypto.
 	RandSeed uint64
-	// Metrics receives the balancer counters; each instance gets its
-	// own private registry (see Cluster.NodeRegistry) so reports can
-	// break SLOs down per instance.
+	// Metrics receives the balancer counters (default private); each
+	// instance gets its own private registry (see Cluster.NodeRegistry)
+	// so reports can break SLOs down per instance.
 	Metrics *telemetry.Registry
 	// Trace and Log are shared across the fleet. Optional.
 	Trace *telemetry.Trace
@@ -99,6 +99,16 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SessionCacheSize <= 0 {
 		c.SessionCacheSize = 64
+	}
+	if c.Policy == nil {
+		c.Policy = NewConsistentHash(0)
+	}
+	if c.ForwardTimeout <= 0 {
+		c.ForwardTimeout = time.Second
+	}
+	c.Health = c.Health.withDefaults()
+	if c.Metrics == nil {
+		c.Metrics = telemetry.NewRegistry()
 	}
 	return c, nil
 }
@@ -163,17 +173,7 @@ func New(hub *netsim.Hub, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return fail(err)
 	}
-	c.balancer, err = NewBalancer(c.balStack, addrs, BalancerConfig{
-		ListenPort:     cfg.ListenPort,
-		NodePort:       cfg.NodePort,
-		HealthPort:     cfg.HealthPort,
-		Policy:         cfg.Policy,
-		ForwardTimeout: cfg.ForwardTimeout,
-		Health:         cfg.Health,
-		Metrics:        cfg.Metrics,
-		Trace:          cfg.Trace,
-		Log:            cfg.Log,
-	})
+	c.balancer, err = newBalancer(c.balStack, addrs, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -189,24 +189,23 @@ func (c *Cluster) startNode(node *Node) error {
 		return err
 	}
 	rcfg := redirector.Config{
-		ListenPort:   c.cfg.NodePort,
-		Target:       c.cfg.Target,
-		TargetPort:   c.cfg.TargetPort,
-		Secure:       c.cfg.Secure,
-		ServerKey:    c.cfg.ServerKey,
-		MaxInflight:  c.cfg.MaxInflight,
-		SignWorkers:  c.cfg.SignWorkers,
-		DrainTimeout: c.cfg.DrainTimeout,
-		RandSeed:     c.cfg.RandSeed ^ (uint64(node.Index+1) * 0x9E3779B97F4A7C15),
-		Metrics:      node.Registry,
-		Trace:        c.cfg.Trace,
-		Log:          c.cfg.Log,
+		ListenPort:  c.cfg.NodePort,
+		Target:      c.cfg.Target,
+		TargetPort:  c.cfg.TargetPort,
+		Secure:      c.cfg.Secure,
+		ServerKey:   c.cfg.ServerKey,
+		MaxInflight: c.cfg.MaxInflight,
+		SignWorkers: c.cfg.SignWorkers,
+		RandSeed:    c.cfg.RandSeed ^ (uint64(node.Index+1) * 0x9E3779B97F4A7C15),
+		Metrics:     node.Registry,
+		Trace:       c.cfg.Trace,
+		Log:         c.cfg.Log,
 	}
 	if c.cfg.Secure {
 		// Fresh cache (a restarted node lost its RAM); same ticket keys
 		// (the material is the fleet's `protected` storage).
 		rcfg.SessionCache = issl.NewSessionCache(c.cfg.SessionCacheSize)
-		tk, err := issl.NewTicketKeyStore(c.cfg.TicketMaterial, c.cfg.TicketLifetime)
+		tk, err := issl.NewTicketKeyStore(c.cfg.TicketMaterial, 0)
 		if err != nil {
 			stack.Close()
 			return err
@@ -236,15 +235,9 @@ func (c *Cluster) startNode(node *Node) error {
 		// dies with the stack, which is exactly the signal the probes
 		// want.
 		for {
-			tcb, err := health.Accept(500 * time.Millisecond)
+			tcb, err := health.Accept(0)
 			if err != nil {
-				node.mu.Lock()
-				stopped := node.stopped
-				node.mu.Unlock()
-				if stopped {
-					return
-				}
-				continue
+				return
 			}
 			tcb.Close()
 		}
@@ -285,26 +278,7 @@ func (c *Cluster) KillNode(i int) {
 	node.hwg.Wait()
 }
 
-// DrainNode takes instance i out gracefully: health goes dark first
-// (so the balancer stops sending), inflight connections get drain to
-// finish, then the instance leaves the fabric.
-func (c *Cluster) DrainNode(i int, drain time.Duration) {
-	node := c.nodes[i]
-	node.mu.Lock()
-	if node.stopped {
-		node.mu.Unlock()
-		return
-	}
-	node.stopped = true
-	stack, srv, health := node.stack, node.srv, node.health
-	node.mu.Unlock()
-	health.Close()
-	srv.Shutdown(drain)
-	stack.Close()
-	node.hwg.Wait()
-}
-
-// RestartNode brings a killed or drained instance back: a fresh stack
+// RestartNode brings a killed instance back: a fresh stack
 // at the same address, empty session cache, ticket keys rebuilt from
 // the shared material. The balancer reinstates it only after its
 // probes pass and the backoff elapses.
@@ -320,7 +294,7 @@ func (c *Cluster) RestartNode(i int) error {
 }
 
 // Close tears the fleet down: balancer first (no new forwards), then
-// each instance with its configured drain.
+// each instance.
 func (c *Cluster) Close() {
 	if c.balancer != nil {
 		c.balancer.Close()
@@ -329,7 +303,7 @@ func (c *Cluster) Close() {
 		c.balStack.Close()
 	}
 	for i := range c.nodes {
-		c.DrainNode(i, c.cfg.DrainTimeout)
+		c.KillNode(i)
 	}
 	if c.ownHub {
 		c.hub.Close()

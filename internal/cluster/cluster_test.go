@@ -390,10 +390,15 @@ func TestBalancerHalfClosePassThrough(t *testing.T) {
 
 	// No health endpoint: probing is pushed past the test's lifetime so
 	// the node stays in rotation.
-	b, err := NewBalancer(lb, []tcpip.Addr{node.Addr()}, BalancerConfig{
+	cfg, err := Config{
 		ListenPort: port,
+		NodePort:   port,
 		Health:     HealthConfig{ProbeInterval: time.Hour},
-	})
+	}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newBalancer(lb, []tcpip.Addr{node.Addr()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

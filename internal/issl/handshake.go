@@ -348,9 +348,8 @@ func (c *Conn) serverHandshake() error {
 	}
 
 	c.rng.Fill(c.hs.serverRandom[:])
-	head := c.helloHead()
-	hello := make([]byte, 0, len(head)+randomLen+3+SessionIDLen)
-	hello = append(hello, head...)
+	hello := make([]byte, 0, 4+randomLen+3+SessionIDLen)
+	hello = append(hello, msgServerHello, byte(cfg.Profile), bitsByte(cfg.KeyBits), bitsByte(cfg.BlockBits))
 	hello = append(hello, c.hs.serverRandom[:]...)
 	promiseTicket := cfg.TicketKeys != nil
 	if cachedMaster != nil {
@@ -407,7 +406,7 @@ func (c *Conn) serverHandshake() error {
 		hello = append(hello, 0)
 	}
 	if cfg.Profile == ProfileUnix {
-		hello = append(hello, c.helloPublicKey()...)
+		hello = append(hello, marshalPublicKey(&cfg.ServerKey.PublicKey)...)
 	}
 	if err := c.sendHandshake(hello); err != nil {
 		return fmt.Errorf("%w: sending ServerHello: %v", ErrHandshake, err)

@@ -104,10 +104,6 @@ type Config struct {
 	// exponentiation. Shared across every connection of a server; see
 	// signpool.go. Optional; nil runs key ops inline.
 	SignPool *SignPool
-	// HelloPrefix, when non-nil, supplies the precomputed immutable
-	// ServerHello prefix (header bytes + marshaled public key) built
-	// once per server config; see helloprefix.go. Optional.
-	HelloPrefix *ServerHelloPrefix
 	// HandshakeTimeout bounds the whole handshake when > 0: a peer that
 	// stalls mid-handshake (a half-open connection on a degraded wire)
 	// fails with ErrHandshakeTimeout instead of wedging the endpoint

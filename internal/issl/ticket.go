@@ -60,10 +60,6 @@ const (
 	MaxTicketLen = 256
 )
 
-// DefaultTicketLifetime is how long a minted ticket resumes when the
-// store's lifetime is left zero.
-const DefaultTicketLifetime = time.Hour
-
 // Ticket rejection reasons, all wrapped in ErrTicket so callers can
 // treat "any rejection" uniformly (the handshake degrades to full).
 var (
@@ -112,13 +108,13 @@ type TicketKeyStore struct {
 
 // NewTicketKeyStore derives the sealing keys from the shared material
 // (any non-empty byte string; distribute it like the PSK). lifetime
-// bounds minted tickets (0 = DefaultTicketLifetime).
+// bounds minted tickets (0 = one hour).
 func NewTicketKeyStore(material []byte, lifetime time.Duration) (*TicketKeyStore, error) {
 	if len(material) == 0 {
 		return nil, fmt.Errorf("%w: empty ticket key material", ErrConfig)
 	}
 	if lifetime <= 0 {
-		lifetime = DefaultTicketLifetime
+		lifetime = time.Hour
 	}
 	k, err := deriveTicketKey(material)
 	if err != nil {

@@ -82,11 +82,6 @@ type Config struct {
 	// cores instead of serializing wherever the scheduler lands. 0
 	// keeps the inline per-connection behavior.
 	SignWorkers int
-	// DrainTimeout bounds the graceful phase of Close: inflight
-	// connections get this long to finish on their own (counted in
-	// DrainedConns) before the remainder are aborted. 0 aborts
-	// immediately, the pre-drain behavior.
-	DrainTimeout time.Duration
 	// BackendAttempts caps backend connect attempts per client
 	// connection (default 3). A backend that restarts — or sits behind
 	// a flaky hub — gets a second chance before the client is refused.
@@ -198,35 +193,94 @@ func Relay(a, b io.ReadWriteCloser, aToB, bToA, halfCloses *telemetry.Counter) (
 	return ab, ba
 }
 
-// dialBackend connects to the backend with capped-doubling retries.
-// Counter semantics: each retry bumps BackendRetries; exhausting all
-// attempts bumps BackendDown once (the caller then refuses the client
-// gracefully — a secure client gets a clean close_notify, not a RST).
-func dialBackend(cfg *Config, st *Stats, dial func() (*tcpip.TCB, error)) (*tcpip.TCB, error) {
-	attempts := cfg.BackendAttempts
+// service is what both flavors share: the configuration, the counters
+// and handle, the one per-connection path.
+type service struct {
+	cfg   Config
+	stats Stats
+}
+
+// Stats exposes the live counters.
+func (s *service) Stats() *Stats { return &s.stats }
+
+// handle serves one accepted client connection to the end: bind issl
+// over client (when Secure), dial the backend from stack, relay until
+// both directions end. The flavor supplies only what differs: its
+// transport, the profile fields of hs (ServerKey and SignPool, or PSK,
+// plus its Rand), the stack it dials from, and the trace key ("conn"
+// or "slot") that labels id in events and log lines.
+func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip.Stack, key string, id uint64) {
+	if s.cfg.Secure {
+		hs.Log, hs.Cache, hs.TicketKeys = s.cfg.Log, s.cfg.SessionCache, s.cfg.TicketKeys
+		hs.Metrics, hs.Trace = s.cfg.Metrics, s.cfg.Trace
+		sc, err := issl.BindServer(client, hs)
+		if err != nil {
+			s.cfg.logf("redirector: %s %d: handshake failed: %v", key, id, err)
+			s.stats.Refused.Inc()
+			s.cfg.Trace.Emit("redirector", "conn.refused", key, id, "reason", "handshake")
+			client.Close()
+			return
+		}
+		client = secureConn{sc, client}
+	}
+	backend, err := s.dialBackend(stack)
+	if err != nil {
+		s.cfg.logf("redirector: %s %d: backend unreachable, refusing client: %v", key, id, err)
+		s.stats.Refused.Inc()
+		s.cfg.Trace.Emit("redirector", "conn.refused", key, id, "reason", "backend")
+		client.Close()
+		return
+	}
+	s.stats.Accepted.Inc()
+	s.cfg.Trace.Emit("redirector", "conn.accept", key, id)
+	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
+	s.cfg.Trace.Emit("redirector", "conn.done", key, id, "bytes_fwd", fwd, "bytes_bwd", bwd)
+}
+
+// dialBackend connects to the backend from stack with capped-doubling
+// retries. Counter semantics: each retry bumps BackendRetries;
+// exhausting all attempts bumps BackendDown once (the caller then
+// refuses the client gracefully — a secure client gets a clean
+// close_notify, not a RST).
+func (s *service) dialBackend(stack *tcpip.Stack) (*tcpip.TCB, error) {
+	attempts := s.cfg.BackendAttempts
 	if attempts <= 0 {
 		attempts = 3
 	}
-	delay := cfg.BackendRetryDelay
+	delay := s.cfg.BackendRetryDelay
 	if delay <= 0 {
 		delay = 100 * time.Millisecond
 	}
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			st.BackendRetries.Inc()
-			cfg.Trace.Emit("redirector", "backend.retry", "try", i+1, "delay_ms", delay.Milliseconds())
+			s.stats.BackendRetries.Inc()
+			s.cfg.Trace.Emit("redirector", "backend.retry", "try", i+1, "delay_ms", delay.Milliseconds())
 			time.Sleep(delay)
 			delay *= 2
 		}
 		var tcb *tcpip.TCB
-		if tcb, err = dial(); err == nil {
+		if tcb, err = stack.Connect(s.cfg.Target, s.cfg.TargetPort, 5*time.Second); err == nil {
 			return tcb, nil
 		}
 	}
-	st.BackendDown.Inc()
-	cfg.Trace.Emit("redirector", "backend.down", "attempts", attempts)
+	s.stats.BackendDown.Inc()
+	s.cfg.Trace.Emit("redirector", "backend.down", "attempts", attempts)
 	return nil, err
+}
+
+// secureConn is the client side of a secure relay: closing it closes
+// the issl layer and then the transport beneath. CloseWrite is the
+// promoted issl one, so a half-close travels as a close_notify while
+// our read side (and the transport) stays open for the response.
+type secureConn struct {
+	*issl.Conn
+	transport io.Closer
+}
+
+func (c secureConn) Close() error {
+	c.Conn.Close()
+	return c.transport.Close()
 }
 
 // --- Unix flavor ----------------------------------------------------------------
@@ -234,21 +288,17 @@ func dialBackend(cfg *Config, st *Stats, dial func() (*tcpip.TCB, error)) (*tcpi
 // UnixServer is the original workstation service: accept loop plus a
 // per-connection handler process (goroutine standing in for fork).
 type UnixServer struct {
-	cfg   Config
-	stack *tcpip.Stack
-	lst   *tcpip.Listener
-	stats Stats
-	wg    sync.WaitGroup
-	stop  chan struct{}
-	once  sync.Once
+	service
+	stack    *tcpip.Stack
+	lst      *tcpip.Listener
+	signPool *issl.SignPool // RSA workers every handshake shares; nil runs inline
+	once     sync.Once
 
-	mu     sync.Mutex
-	active map[*tcpip.TCB]struct{}
-
-	// Per-server handshake-plane state, built once: the RSA worker pool
-	// every handler shares and the immutable ServerHello prefix.
-	signPool    *issl.SignPool
-	helloPrefix *issl.ServerHelloPrefix
+	mu      sync.Mutex
+	closed  bool                    // Shutdown has begun; a late Serve returns at once
+	active  map[*tcpip.TCB]struct{} // connections a handler owns
+	serving sync.WaitGroup          // Serve, while it runs
+	wg      sync.WaitGroup          // handler goroutines
 }
 
 // ErrBadConfig reports an unusable redirector configuration.
@@ -263,35 +313,31 @@ func NewUnixServer(stack *tcpip.Stack, cfg Config) (*UnixServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &UnixServer{cfg: cfg, stack: stack, lst: lst, stats: newStats(cfg.Metrics),
-		stop: make(chan struct{}), active: map[*tcpip.TCB]struct{}{}}
-	if cfg.Secure {
-		if cfg.SignWorkers > 0 {
-			s.signPool = issl.NewSignPool(cfg.SignWorkers, 4*cfg.SignWorkers, cfg.Metrics)
-		}
-		s.helloPrefix = issl.NewServerHelloPrefix(&issl.Config{
-			Profile: issl.ProfileUnix, ServerKey: cfg.ServerKey,
-		})
+	s := &UnixServer{service: service{cfg: cfg, stats: newStats(cfg.Metrics)},
+		stack: stack, lst: lst, active: map[*tcpip.TCB]struct{}{}}
+	if cfg.Secure && cfg.SignWorkers > 0 {
+		s.signPool = issl.NewSignPool(cfg.SignWorkers, 4*cfg.SignWorkers, cfg.Metrics)
 	}
 	return s, nil
 }
 
-// Stats exposes the live counters.
-func (s *UnixServer) Stats() *Stats { return &s.stats }
-
-// Serve accepts and dispatches until Close. It blocks; run it on its
-// own goroutine (the original blocked its main process the same way).
+// Serve accepts and dispatches until the listener closes — by Shutdown
+// or by the stack going away. It blocks; run it on its own goroutine
+// (the original blocked its main process the same way).
 func (s *UnixServer) Serve() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.serving.Add(1)
+	s.mu.Unlock()
+	defer s.serving.Done()
 	seq := uint64(0)
 	for {
-		conn, err := s.lst.Accept(200 * time.Millisecond)
+		conn, err := s.lst.Accept(0)
 		if err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
-				continue // accept timeout; poll the stop channel
-			}
+			return
 		}
 		seq++
 		// Admission control: the fork model's unbounded handler growth is
@@ -321,73 +367,44 @@ func (s *UnixServer) Serve() {
 				s.mu.Unlock()
 				s.stats.Inflight.Add(-1)
 			}()
-			s.handle(id, tcb)
+			s.handle(tcb, issl.Config{
+				Profile:   issl.ProfileUnix,
+				ServerKey: s.cfg.ServerKey,
+				SignPool:  s.signPool,
+				Rand:      prng.NewXorshift(s.cfg.RandSeed ^ id),
+			}, s.stack, "conn", id)
 		}(seq, conn)
 	}
 }
 
-func (s *UnixServer) handle(id uint64, tcb *tcpip.TCB) {
-	var client io.ReadWriteCloser = tcb
-	if s.cfg.Secure {
-		cfg := issl.Config{
-			Profile:     issl.ProfileUnix,
-			ServerKey:   s.cfg.ServerKey,
-			Rand:        prng.NewXorshift(s.cfg.RandSeed ^ id),
-			Log:         s.cfg.Log,
-			Cache:       s.cfg.SessionCache,
-			TicketKeys:  s.cfg.TicketKeys,
-			SignPool:    s.signPool,
-			HelloPrefix: s.helloPrefix,
-			Metrics:     s.cfg.Metrics,
-			Trace:       s.cfg.Trace,
-		}
-		sc, err := issl.BindServer(tcb, cfg)
-		if err != nil {
-			s.cfg.logf("redirector: conn %d: handshake failed: %v", id, err)
-			s.stats.Refused.Inc()
-			s.cfg.Trace.Emit("redirector", "conn.refused", "conn", id, "reason", "handshake")
-			tcb.Close()
-			return
-		}
-		client = connAndTransport{sc, tcb}
-	}
-	backend, err := dialBackend(&s.cfg, &s.stats, func() (*tcpip.TCB, error) {
-		return s.stack.Connect(s.cfg.Target, s.cfg.TargetPort, 5*time.Second)
-	})
-	if err != nil {
-		s.cfg.logf("redirector: conn %d: backend unreachable, refusing client: %v", id, err)
-		s.stats.Refused.Inc()
-		s.cfg.Trace.Emit("redirector", "conn.refused", "conn", id, "reason", "backend")
-		client.Close()
-		return
-	}
-	s.stats.Accepted.Inc()
-	s.cfg.Trace.Emit("redirector", "conn.accept", "conn", id)
-	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
-	s.cfg.Trace.Emit("redirector", "conn.done", "conn", id, "bytes_fwd", fwd, "bytes_bwd", bwd)
-}
+// Close is the hard stop: Shutdown with no drain.
+func (s *UnixServer) Close() { s.Shutdown(0) }
 
-// Close shuts the server down with the configured DrainTimeout: see
-// Shutdown. With DrainTimeout zero this is the original hard stop.
-func (s *UnixServer) Close() { s.Shutdown(s.cfg.DrainTimeout) }
-
-// Shutdown stops the accept loop (no new connections), then drains:
-// inflight connections get up to drain to finish on their own —
-// each one that does increments the drained_conns counter — before
-// the stragglers are aborted. It returns once every handler goroutine
-// has finished, so the half-close relay can never race the teardown
-// (the pre-drain Close aborted mid-relay and the chaos harness caught
-// byte-short transfers on otherwise healthy shutdowns).
+// Shutdown closes the listener and waits for Serve to return, so no
+// handler starts after that; then it drains: inflight connections get
+// up to drain to finish on their own — each one that does increments
+// the drained_conns counter — before the stragglers are aborted. It
+// returns once every handler has finished, so the half-close relay can
+// never race the teardown (the pre-drain Close aborted mid-relay and
+// the chaos harness caught byte-short transfers on otherwise healthy
+// shutdowns).
 func (s *UnixServer) Shutdown(drain time.Duration) {
 	s.once.Do(func() {
-		close(s.stop)
+		s.mu.Lock()
+		s.closed = true
+		s.mu.Unlock()
 		s.lst.Close()
+		s.serving.Wait()
+		idle := make(chan struct{})
+		go func() { s.wg.Wait(); close(idle) }()
 		if drain > 0 {
 			start := s.stats.Inflight.Value()
-			deadline := time.Now().Add(drain)
-			for s.stats.Inflight.Value() > 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			timer := time.NewTimer(drain)
+			select {
+			case <-idle:
+			case <-timer.C:
 			}
+			timer.Stop()
 			if done := start - s.stats.Inflight.Value(); done > 0 {
 				s.stats.DrainedConns.Add(uint64(done))
 				s.cfg.Trace.Emit("redirector", "shutdown.drained", "conns", done)
@@ -401,43 +418,23 @@ func (s *UnixServer) Shutdown(drain time.Duration) {
 			tcb.Abort()
 		}
 		s.mu.Unlock()
+		<-idle
+		// After the last handler: release the sign-pool workers.
+		s.signPool.Close()
 	})
-	s.wg.Wait()
-	// After the last handler: release the sign-pool workers. Idempotent
-	// and nil-safe; a straggler submitting after this runs inline.
-	s.signPool.Close()
 }
-
-// connAndTransport closes both the secure layer and the TCP beneath it.
-type connAndTransport struct {
-	*issl.Conn
-	tcb *tcpip.TCB
-}
-
-func (c connAndTransport) Close() error {
-	c.Conn.Close()
-	return c.tcb.Close()
-}
-
-// CloseWrite propagates EOF through the secure layer only: the peer's
-// issl Read returns io.EOF after the close_notify, while our read side
-// (and the TCP beneath) stays open for the response.
-func (c connAndTransport) CloseWrite() error { return c.Conn.CloseWrite() }
 
 // --- Embedded flavor -----------------------------------------------------------
 
 // EmbeddedServer is the ported service with the Fig. 3 structure.
 type EmbeddedServer struct {
-	cfg     Config
+	service
 	env     *dcsock.Env
-	stats   Stats
 	stop    atomic.Bool
 	started atomic.Bool
 	runDone chan struct{}
-	wg      sync.WaitGroup // in-flight serveSlot helper goroutines
+	wg      sync.WaitGroup // in-flight slot helper goroutines
 	connSeq atomic.Uint64  // per-connection PRNG diversifier
-
-	helloPrefix *issl.ServerHelloPrefix // immutable ServerHello head, built once
 }
 
 // NewEmbeddedServer prepares the service over a Dynamic C environment.
@@ -448,16 +445,9 @@ func NewEmbeddedServer(env *dcsock.Env, cfg Config) (*EmbeddedServer, error) {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 3 // the paper's maximum: "at most three requests"
 	}
-	s := &EmbeddedServer{cfg: cfg, env: env, stats: newStats(cfg.Metrics),
-		runDone: make(chan struct{})}
-	if cfg.Secure {
-		s.helloPrefix = issl.NewServerHelloPrefix(&issl.Config{Profile: issl.ProfileEmbedded})
-	}
-	return s, nil
+	return &EmbeddedServer{service: service{cfg: cfg, stats: newStats(cfg.Metrics)},
+		env: env, runDone: make(chan struct{})}, nil
 }
-
-// Stats exposes the live counters.
-func (s *EmbeddedServer) Stats() *Stats { return &s.stats }
 
 // Run executes the Fig. 3 main loop: Slots connection-handler
 // costatements plus one TCP-driver costatement, scheduled
@@ -515,7 +505,14 @@ func (s *EmbeddedServer) slotBody(co *costate.Co, slot int) {
 		go func() {
 			defer s.wg.Done()
 			defer close(done)
-			s.serveSlot(slot, &sock)
+			s.handle(dcTransport{&sock}, issl.Config{
+				Profile: issl.ProfileEmbedded,
+				PSK:     s.cfg.PSK,
+				// Diversify per connection, not just per slot: with a
+				// session cache, a slot re-running the same PRNG would
+				// reissue the same session IDs.
+				Rand: prng.NewXorshift(s.cfg.RandSeed ^ uint64(slot+1)<<32 ^ s.connSeq.Add(1)),
+			}, s.env.Stack(), "slot", uint64(slot))
 		}()
 		co.WaitFor(func() bool {
 			select {
@@ -533,55 +530,11 @@ func (s *EmbeddedServer) slotBody(co *costate.Co, slot int) {
 	}
 }
 
-func (s *EmbeddedServer) serveSlot(slot int, sock *dcsock.TCPSocket) {
-	tr := dcTransport{sock}
-	var client io.ReadWriteCloser = tr
-	if s.cfg.Secure {
-		cfg := issl.Config{
-			Profile: issl.ProfileEmbedded,
-			PSK:     s.cfg.PSK,
-			// Diversify per connection, not just per slot: with a session
-			// cache, a slot re-running the same PRNG would reissue the
-			// same session IDs.
-			Rand:        prng.NewXorshift(s.cfg.RandSeed ^ uint64(slot+1)<<32 ^ s.connSeq.Add(1)),
-			Log:         s.cfg.Log,
-			Cache:       s.cfg.SessionCache,
-			TicketKeys:  s.cfg.TicketKeys,
-			HelloPrefix: s.helloPrefix,
-			Metrics:     s.cfg.Metrics,
-			Trace:       s.cfg.Trace,
-		}
-		sc, err := issl.BindServer(tr, cfg)
-		if err != nil {
-			s.cfg.logf("redirector: slot %d: handshake failed: %v", slot, err)
-			s.stats.Refused.Inc()
-			s.cfg.Trace.Emit("redirector", "conn.refused", "slot", slot, "reason", "handshake")
-			tr.Close()
-			return
-		}
-		client = connAndDC{sc, sock}
-	}
-	backend, err := dialBackend(&s.cfg, &s.stats, func() (*tcpip.TCB, error) {
-		return s.env.Stack().Connect(s.cfg.Target, s.cfg.TargetPort, 5*time.Second)
-	})
-	if err != nil {
-		s.cfg.logf("redirector: slot %d: backend unreachable, refusing client: %v", slot, err)
-		s.stats.Refused.Inc()
-		s.cfg.Trace.Emit("redirector", "conn.refused", "slot", slot, "reason", "backend")
-		client.Close()
-		return
-	}
-	s.stats.Accepted.Inc()
-	s.cfg.Trace.Emit("redirector", "conn.accept", "slot", slot)
-	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
-	s.cfg.Trace.Emit("redirector", "conn.done", "slot", slot, "bytes_fwd", fwd, "bytes_bwd", bwd)
-}
-
 // Close asks the scheduler loop to wind down and waits for it — and
-// for every in-flight serveSlot helper goroutine — to finish, so a
-// soak harness can assert the goroutine count returns to baseline
-// after Close returns. (The old Close only flipped the stop flag;
-// handlers mid-transfer outlived it.)
+// for every in-flight slot helper goroutine — to finish, so a soak
+// harness can assert the goroutine count returns to baseline after
+// Close returns. (The old Close only flipped the stop flag; handlers
+// mid-transfer outlived it.)
 func (s *EmbeddedServer) Close() {
 	s.stop.Store(true)
 	if s.started.Load() {
@@ -625,18 +578,3 @@ func (d dcTransport) CloseWrite() error {
 	d.s.SockClose()
 	return nil
 }
-
-// connAndDC closes both the secure layer and the DC socket under it.
-type connAndDC struct {
-	*issl.Conn
-	sock *dcsock.TCPSocket
-}
-
-func (c connAndDC) Close() error {
-	c.Conn.Close()
-	c.sock.SockClose()
-	return nil
-}
-
-// CloseWrite half-closes the secure layer (see connAndTransport).
-func (c connAndDC) CloseWrite() error { return c.Conn.CloseWrite() }

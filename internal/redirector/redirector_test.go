@@ -13,6 +13,7 @@ import (
 	"repro/internal/issl"
 	"repro/internal/netsim"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 var (
@@ -890,5 +891,142 @@ func TestEmbeddedCloseWithoutRun(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close hung without Run")
+	}
+}
+
+// TestUnixCloseWithoutServe: Shutdown waits for Serve only if Serve
+// ran; on a server that never served it must not hang, and a Serve
+// that starts after Close returns at once.
+func TestUnixCloseWithoutServe(t *testing.T) {
+	_, mid, _ := world(t)
+	srv, err := NewUnixServer(mid, Config{ListenPort: 8080})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { srv.Close(); srv.Serve(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close or a late Serve hung")
+	}
+}
+
+// TestUnixServeReturnsWhenStackCloses: the accept loop blocks on the
+// listener, so a stack that goes away under it ends Serve on its own —
+// no Shutdown needed, no loop spinning on a dead listener.
+func TestUnixServeReturnsWhenStackCloses(t *testing.T) {
+	_, mid, _ := world(t)
+	srv, err := NewUnixServer(mid, Config{ListenPort: 8080})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	returned := make(chan struct{})
+	go func() { srv.Serve(); close(returned) }()
+	mid.Close()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("Serve still running 1s after its stack closed")
+	}
+}
+
+// TestFlavorParity drives the shared connection handler through both
+// flavors. A client speaking the other profile is refused at the
+// handshake; a backend host with no listener answers the dial with a
+// RST, so the client is refused as backend-down. Counters and trace
+// reasons must be the same on either flavor.
+func TestFlavorParity(t *testing.T) {
+	psk := []byte("parity pre-shared key")
+	unixCli := issl.Config{Profile: issl.ProfileUnix}
+	embeddedCli := issl.Config{Profile: issl.ProfileEmbedded, PSK: psk}
+	flavors := []struct {
+		name         string
+		start        func(t *testing.T, mid *tcpip.Stack, cfg Config) *Stats
+		own, foreign issl.Config // client configs: the server's profile and the other one
+	}{
+		{"unix", func(t *testing.T, mid *tcpip.Stack, cfg Config) *Stats {
+			cfg.ServerKey = rsaKey(t)
+			srv, err := NewUnixServer(mid, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve()
+			t.Cleanup(srv.Close)
+			return srv.Stats()
+		}, unixCli, embeddedCli},
+		{"embedded", func(t *testing.T, mid *tcpip.Stack, cfg Config) *Stats {
+			cfg.PSK = psk
+			srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Run()
+			t.Cleanup(srv.Close)
+			return srv.Stats()
+		}, embeddedCli, unixCli},
+	}
+	for _, fl := range flavors {
+		for _, tc := range []struct {
+			reason      string
+			backendDown uint64
+		}{{"handshake", 0}, {"backend", 1}} {
+			t.Run(fl.name+"/"+tc.reason, func(t *testing.T) {
+				cli, mid, back := world(t) // no backend listener in either case
+				tr := telemetry.NewTrace(256)
+				st := fl.start(t, mid, Config{
+					ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
+					Secure: true, BackendAttempts: 1, RandSeed: 9, Trace: tr,
+				})
+				ccfg := fl.own
+				if tc.reason == "handshake" {
+					ccfg = fl.foreign
+				}
+				ccfg.Rand = prng.NewXorshift(31)
+				ccfg.HandshakeTimeout = 5 * time.Second
+				tcb := connectRetry(t, cli, mid.Addr(), 443)
+				defer tcb.Close()
+				sc, err := issl.BindClient(tcb, ccfg)
+				if tc.reason == "handshake" && err == nil {
+					t.Fatal("client of the other profile completed a handshake")
+				}
+				if tc.reason == "backend" {
+					if err != nil {
+						t.Fatalf("handshake: %v", err)
+					}
+					// The refusal arrives as a clean close_notify.
+					if _, err := sc.Read(make([]byte, 8)); err != io.EOF {
+						t.Errorf("read after backend refusal = %v, want io.EOF", err)
+					}
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for st.Refused.Value() == 0 && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if v := st.Refused.Value(); v != 1 {
+					t.Errorf("refused = %d, want 1", v)
+				}
+				if v := st.BackendDown.Value(); v != tc.backendDown {
+					t.Errorf("backend_down = %d, want %d", v, tc.backendDown)
+				}
+				if v := st.Accepted.Value(); v != 0 {
+					t.Errorf("accepted = %d, want 0", v)
+				}
+				var reasons []any
+				for _, ev := range tr.Events() {
+					if ev.Layer == "redirector" && ev.Name == "conn.refused" {
+						for _, a := range ev.Attrs {
+							if a.Key == "reason" {
+								reasons = append(reasons, a.Value)
+							}
+						}
+					}
+				}
+				if len(reasons) != 1 || reasons[0] != tc.reason {
+					t.Errorf("conn.refused reasons = %v, want [%s]", reasons, tc.reason)
+				}
+			})
+		}
 	}
 }

@@ -3,7 +3,10 @@ package tcpip
 // Struct decoders kept as the reference the frame views are checked
 // against: frame_test.go diffs ParseIPv4Frame/ParseTCPFrame against
 // them field-for-field, and FuzzFrameView keeps the two in agreement
-// over random input. Production ingress uses the views only.
+// over random input. Production ingress uses the views only. Likewise
+// marshalTCP is the independent encoder appendTCPIP is checked against
+// (TestAppendTCPIPMatchesMarshal, FuzzTCPSegment); production egress
+// uses appendTCPIP only.
 
 import "fmt"
 
@@ -49,4 +52,18 @@ func parseTCP(b []byte) (tcpSegment, bool) {
 		flags: b[13] & 0x1f, window: be16(b[14:]),
 		payload: b[off:],
 	}, true
+}
+
+func marshalTCP(src, dst Addr, seg tcpSegment) []byte {
+	b := make([]byte, tcpHeaderLen+len(seg.payload))
+	put16(b[0:], seg.srcPort)
+	put16(b[2:], seg.dstPort)
+	put32(b[4:], seg.seq)
+	put32(b[8:], seg.ack)
+	b[12] = 5 << 4 // data offset: 5 words
+	b[13] = seg.flags
+	put16(b[14:], seg.window)
+	copy(b[tcpHeaderLen:], seg.payload)
+	put16(b[16:], pseudoChecksum(ProtoTCP, src, dst, b))
+	return b
 }

@@ -97,20 +97,6 @@ type tcpSegment struct {
 	payload          []byte
 }
 
-func marshalTCP(src, dst Addr, seg tcpSegment) []byte {
-	b := make([]byte, tcpHeaderLen+len(seg.payload))
-	put16(b[0:], seg.srcPort)
-	put16(b[2:], seg.dstPort)
-	put32(b[4:], seg.seq)
-	put32(b[8:], seg.ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = seg.flags
-	put16(b[14:], seg.window)
-	copy(b[tcpHeaderLen:], seg.payload)
-	put16(b[16:], pseudoChecksum(ProtoTCP, src, dst, b))
-	return b
-}
-
 // appendTCPIP marshals the IP header and the TCP segment into buf's
 // backing array in a single pass — the per-segment fast path replacing
 // the marshalTCP-then-marshalIP pair, which allocated twice and copied
@@ -1177,9 +1163,9 @@ func (s *Stack) sendRST(dst Addr, seg tcpSegment) {
 		adv++
 	}
 	rst.ack = seg.seq + adv
-	raw := marshalTCP(s.ip, dst, rst)
+	raw := appendTCPIP(nil, s.ip, dst, rst)
 	s.metrics.segsSent.Inc()
 	s.mu.Lock()
-	s.sendIP(dst, ProtoTCP, raw)
+	s.sendIPRaw(dst, raw)
 	s.mu.Unlock()
 }

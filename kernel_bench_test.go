@@ -148,8 +148,8 @@ func BenchmarkKernelModExp1024(b *testing.B) {
 // BenchmarkKernelFullHandshake times one complete Unix-profile
 // handshake — ClientHello through Finished, RSA key exchange included
 // — over an in-process pipe. This is the per-connection setup cost the
-// stampede scenario multiplies by N; the sign pool and the cached
-// ServerHello prefix both move this number.
+// stampede scenario multiplies by N. The server marshals its public
+// key into every full ServerHello, as each redirector handshake does.
 func BenchmarkKernelFullHandshake(b *testing.B) {
 	key, err := rsa.GenerateKey(prng.NewXorshift(0xD00D), 512)
 	if err != nil {
@@ -159,13 +159,11 @@ func BenchmarkKernelFullHandshake(b *testing.B) {
 		b.Fatal(err)
 	}
 	srvCfg := issl.Config{Profile: issl.ProfileUnix, ServerKey: key}
-	hp := issl.NewServerHelloPrefix(&srvCfg)
 	handshake := func(i int) {
 		ct, st := net.Pipe()
 		done := make(chan error, 1)
 		go func() {
 			cfg := srvCfg
-			cfg.HelloPrefix = hp
 			cfg.Rand = prng.NewXorshift(uint64(2*i + 1))
 			_, err := issl.BindServer(st, cfg)
 			done <- err
