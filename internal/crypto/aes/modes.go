@@ -55,8 +55,8 @@ func (c *Cipher) EncryptCBC(iv, plaintext []byte) ([]byte, error) {
 
 // EncryptCBCInPlace encrypts buf (a whole number of blocks) in place
 // under the given IV, allocating nothing. This is the record-layer
-// fast path: the whole buffer is chained block to block without any
-// per-block scratch.
+// fast path: for 16-byte blocks the chaining value stays in registers
+// (encryptCBC4); the 24- and 32-byte Rijndael blocks chain byte by byte.
 func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 	bs := c.BlockSize()
 	if len(iv) != bs {
@@ -65,13 +65,17 @@ func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 	if len(buf)%bs != 0 {
 		return fmt.Errorf("aes: CBC plaintext length %d not a multiple of %d", len(buf), bs)
 	}
+	if c.nb == 4 {
+		c.encryptCBC4(iv, buf)
+		return nil
+	}
 	prev := iv
 	for off := 0; off < len(buf); off += bs {
 		blk := buf[off : off+bs]
 		for i := 0; i < bs; i++ {
 			blk[i] ^= prev[i]
 		}
-		c.Encrypt(blk, blk)
+		c.encryptGeneric(blk, blk)
 		prev = blk
 	}
 	return nil
@@ -88,7 +92,8 @@ func (c *Cipher) DecryptCBC(iv, ciphertext []byte) ([]byte, error) {
 }
 
 // DecryptCBCInPlace reverses EncryptCBCInPlace, decrypting buf in
-// place with only stack scratch for the ciphertext chain.
+// place. For 16-byte blocks the ciphertext chain is four words in
+// registers (decryptCBC4); the bigger blocks keep it in stack scratch.
 func (c *Cipher) DecryptCBCInPlace(iv, buf []byte) error {
 	bs := c.BlockSize()
 	if len(iv) != bs {
@@ -97,12 +102,16 @@ func (c *Cipher) DecryptCBCInPlace(iv, buf []byte) error {
 	if len(buf)%bs != 0 {
 		return fmt.Errorf("aes: CBC ciphertext length %d not a multiple of %d", len(buf), bs)
 	}
+	if c.nb == 4 {
+		c.decryptCBC4(iv, buf)
+		return nil
+	}
 	var prev, cur [32]byte // block is at most 32 bytes
 	copy(prev[:bs], iv)
 	for off := 0; off < len(buf); off += bs {
 		blk := buf[off : off+bs]
 		copy(cur[:bs], blk)
-		c.Decrypt(blk, blk)
+		c.decryptGeneric(blk, blk)
 		for i := 0; i < bs; i++ {
 			blk[i] ^= prev[i]
 		}

@@ -2,6 +2,8 @@ package aes
 
 import (
 	"bytes"
+	stdaes "crypto/aes"
+	"crypto/cipher"
 	"math/rand"
 	"testing"
 
@@ -85,6 +87,57 @@ func TestCBCInPlaceMatchesAllocating(t *testing.T) {
 		}
 		if !bytes.Equal(buf, pt) {
 			t.Fatalf("vector %d: CBC decrypt in place lost the plaintext", i)
+		}
+	}
+}
+
+// TestCBCMatchesStdlib diffs in-place CBC, both directions, against
+// crypto/cipher over crypto/aes for 128-, 192- and 256-bit keys at
+// record sizes: every length from 1 to 64 blocks, then seeded lengths
+// up to 16 KiB, each under a fresh key and IV.
+func TestCBCMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, keyLen := range []int{16, 24, 32} {
+		for i := 0; i < 64+64; i++ {
+			blocks := 1 + i
+			if i >= 64 {
+				blocks = 1 + rng.Intn(1024)
+			}
+			key := make([]byte, keyLen)
+			iv := make([]byte, 16)
+			pt := make([]byte, 16*blocks)
+			rng.Read(key)
+			rng.Read(iv)
+			rng.Read(pt)
+			c, err := NewAES(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := stdaes.NewCipher(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := make([]byte, len(pt))
+			cipher.NewCBCEncrypter(ref, iv).CryptBlocks(want, pt)
+			buf := append([]byte(nil), pt...)
+			if err := c.EncryptCBCInPlace(iv, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("AES-%d, %d B: EncryptCBCInPlace differs from crypto/cipher", keyLen*8, len(pt))
+			}
+
+			ct := make([]byte, len(pt))
+			rng.Read(ct) // decrypt arbitrary ciphertext, not only our own
+			cipher.NewCBCDecrypter(ref, iv).CryptBlocks(want, ct)
+			copy(buf, ct)
+			if err := c.DecryptCBCInPlace(iv, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("AES-%d, %d B: DecryptCBCInPlace differs from crypto/cipher", keyLen*8, len(pt))
+			}
 		}
 	}
 }

@@ -6,11 +6,21 @@
 // SHA-1 is obsolete for collision resistance today; it is used here
 // solely to reproduce a 2003-era protocol stack.
 //
-// The compression function is unrolled into the four 20-round stages
-// (constant f/k per stage) and the streaming paths allocate nothing,
-// so the issl record layer can MAC every record without garbage. The
-// package tests diff it against crypto/sha1.
+// The compression function takes a whole run of blocks per call: Write
+// hands it every complete block of a write at once, and the chaining
+// value stays in locals from one block to the next. Each block's 80
+// rounds are written out as four 20-round stages (constant f and k per
+// stage) in groups of five, with the working-variable names rotating
+// through the group instead of shuffling five registers every round.
+// The streaming paths allocate nothing, so the issl record layer can
+// MAC every record without garbage. The package tests diff it against
+// crypto/sha1.
 package sha1
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Size is the digest length in bytes.
 const Size = 20
@@ -54,9 +64,9 @@ func (d *Digest) Write(p []byte) (int, error) {
 			d.nBlock = 0
 		}
 	}
-	for len(p) >= BlockSize {
-		d.compress(p[:BlockSize])
-		p = p[BlockSize:]
+	if whole := len(p) &^ (BlockSize - 1); whole > 0 {
+		d.compress(p[:whole])
+		p = p[whole:]
 	}
 	if len(p) > 0 {
 		d.nBlock = copy(d.block[:], p)
@@ -86,59 +96,159 @@ func (d *Digest) SumInto(out *[Size]byte) {
 	}
 	cp.Write(pad[:padLen+8])
 	for i, w := range cp.h {
-		out[4*i] = byte(w >> 24)
-		out[4*i+1] = byte(w >> 16)
-		out[4*i+2] = byte(w >> 8)
-		out[4*i+3] = byte(w)
+		binary.BigEndian.PutUint32(out[4*i:], w)
 	}
 }
 
-func rotl32(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }
-
-// compress is the unrolled SHA-1 compression function: the message
-// schedule feeds a 16-word ring and the 80 rounds run as four straight
-// 20-round stages so f and k are loop constants.
-func (d *Digest) compress(block []byte) {
+// compress absorbs p, a whole number of blocks, keeping the chaining
+// value in locals across the run. The 80 rounds are written out in
+// groups of five: each line is one round with the roles of a..e
+// rotated one place from the line before, so after five rounds every
+// name is back in place and no round shuffles five registers. Written
+// out, every message-schedule index is a constant.
+func (d *Digest) compress(p []byte) {
 	var w [16]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = uint32(block[4*i])<<24 | uint32(block[4*i+1])<<16 |
-			uint32(block[4*i+2])<<8 | uint32(block[4*i+3])
+	h0, h1, h2, h3, h4 := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
+	for ; len(p) >= BlockSize; p = p[BlockSize:] {
+		for i := range w {
+			w[i] = binary.BigEndian.Uint32(p[4*i:])
+		}
+		a, b, c, dd, e := h0, h1, h2, h3, h4
+
+		// Rounds 0-19: f = Ch, k = 0x5a827999; 0-15 read the block's words.
+		e, b = round1(a, b, c, dd, e, w[0])
+		dd, a = round1(e, a, b, c, dd, w[1])
+		c, e = round1(dd, e, a, b, c, w[2])
+		b, dd = round1(c, dd, e, a, b, w[3])
+		a, c = round1(b, c, dd, e, a, w[4])
+
+		e, b = round1(a, b, c, dd, e, w[5])
+		dd, a = round1(e, a, b, c, dd, w[6])
+		c, e = round1(dd, e, a, b, c, w[7])
+		b, dd = round1(c, dd, e, a, b, w[8])
+		a, c = round1(b, c, dd, e, a, w[9])
+
+		e, b = round1(a, b, c, dd, e, w[10])
+		dd, a = round1(e, a, b, c, dd, w[11])
+		c, e = round1(dd, e, a, b, c, w[12])
+		b, dd = round1(c, dd, e, a, b, w[13])
+		a, c = round1(b, c, dd, e, a, w[14])
+
+		e, b = round1(a, b, c, dd, e, w[15])
+		dd, a = round1(e, a, b, c, dd, schedule(&w, 16))
+		c, e = round1(dd, e, a, b, c, schedule(&w, 17))
+		b, dd = round1(c, dd, e, a, b, schedule(&w, 18))
+		a, c = round1(b, c, dd, e, a, schedule(&w, 19))
+
+		// Rounds 20-39: f = Parity, k = 0x6ed9eba1.
+		e, b = round2(a, b, c, dd, e, schedule(&w, 20))
+		dd, a = round2(e, a, b, c, dd, schedule(&w, 21))
+		c, e = round2(dd, e, a, b, c, schedule(&w, 22))
+		b, dd = round2(c, dd, e, a, b, schedule(&w, 23))
+		a, c = round2(b, c, dd, e, a, schedule(&w, 24))
+
+		e, b = round2(a, b, c, dd, e, schedule(&w, 25))
+		dd, a = round2(e, a, b, c, dd, schedule(&w, 26))
+		c, e = round2(dd, e, a, b, c, schedule(&w, 27))
+		b, dd = round2(c, dd, e, a, b, schedule(&w, 28))
+		a, c = round2(b, c, dd, e, a, schedule(&w, 29))
+
+		e, b = round2(a, b, c, dd, e, schedule(&w, 30))
+		dd, a = round2(e, a, b, c, dd, schedule(&w, 31))
+		c, e = round2(dd, e, a, b, c, schedule(&w, 32))
+		b, dd = round2(c, dd, e, a, b, schedule(&w, 33))
+		a, c = round2(b, c, dd, e, a, schedule(&w, 34))
+
+		e, b = round2(a, b, c, dd, e, schedule(&w, 35))
+		dd, a = round2(e, a, b, c, dd, schedule(&w, 36))
+		c, e = round2(dd, e, a, b, c, schedule(&w, 37))
+		b, dd = round2(c, dd, e, a, b, schedule(&w, 38))
+		a, c = round2(b, c, dd, e, a, schedule(&w, 39))
+
+		// Rounds 40-59: f = Maj, k = 0x8f1bbcdc.
+		e, b = round3(a, b, c, dd, e, schedule(&w, 40))
+		dd, a = round3(e, a, b, c, dd, schedule(&w, 41))
+		c, e = round3(dd, e, a, b, c, schedule(&w, 42))
+		b, dd = round3(c, dd, e, a, b, schedule(&w, 43))
+		a, c = round3(b, c, dd, e, a, schedule(&w, 44))
+
+		e, b = round3(a, b, c, dd, e, schedule(&w, 45))
+		dd, a = round3(e, a, b, c, dd, schedule(&w, 46))
+		c, e = round3(dd, e, a, b, c, schedule(&w, 47))
+		b, dd = round3(c, dd, e, a, b, schedule(&w, 48))
+		a, c = round3(b, c, dd, e, a, schedule(&w, 49))
+
+		e, b = round3(a, b, c, dd, e, schedule(&w, 50))
+		dd, a = round3(e, a, b, c, dd, schedule(&w, 51))
+		c, e = round3(dd, e, a, b, c, schedule(&w, 52))
+		b, dd = round3(c, dd, e, a, b, schedule(&w, 53))
+		a, c = round3(b, c, dd, e, a, schedule(&w, 54))
+
+		e, b = round3(a, b, c, dd, e, schedule(&w, 55))
+		dd, a = round3(e, a, b, c, dd, schedule(&w, 56))
+		c, e = round3(dd, e, a, b, c, schedule(&w, 57))
+		b, dd = round3(c, dd, e, a, b, schedule(&w, 58))
+		a, c = round3(b, c, dd, e, a, schedule(&w, 59))
+
+		// Rounds 60-79: f = Parity, k = 0xca62c1d6.
+		e, b = round4(a, b, c, dd, e, schedule(&w, 60))
+		dd, a = round4(e, a, b, c, dd, schedule(&w, 61))
+		c, e = round4(dd, e, a, b, c, schedule(&w, 62))
+		b, dd = round4(c, dd, e, a, b, schedule(&w, 63))
+		a, c = round4(b, c, dd, e, a, schedule(&w, 64))
+
+		e, b = round4(a, b, c, dd, e, schedule(&w, 65))
+		dd, a = round4(e, a, b, c, dd, schedule(&w, 66))
+		c, e = round4(dd, e, a, b, c, schedule(&w, 67))
+		b, dd = round4(c, dd, e, a, b, schedule(&w, 68))
+		a, c = round4(b, c, dd, e, a, schedule(&w, 69))
+
+		e, b = round4(a, b, c, dd, e, schedule(&w, 70))
+		dd, a = round4(e, a, b, c, dd, schedule(&w, 71))
+		c, e = round4(dd, e, a, b, c, schedule(&w, 72))
+		b, dd = round4(c, dd, e, a, b, schedule(&w, 73))
+		a, c = round4(b, c, dd, e, a, schedule(&w, 74))
+
+		e, b = round4(a, b, c, dd, e, schedule(&w, 75))
+		dd, a = round4(e, a, b, c, dd, schedule(&w, 76))
+		c, e = round4(dd, e, a, b, c, schedule(&w, 77))
+		b, dd = round4(c, dd, e, a, b, schedule(&w, 78))
+		a, c = round4(b, c, dd, e, a, schedule(&w, 79))
+
+		h0 += a
+		h1 += b
+		h2 += c
+		h3 += dd
+		h4 += e
 	}
-	a, b, c, dd, e := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
-	i := 0
-	for ; i < 16; i++ {
-		tmp := rotl32(a, 5) + (b&c | ^b&dd) + e + 0x5a827999 + w[i&15]
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	for ; i < 20; i++ {
-		wi := rotl32(w[(i+13)&15]^w[(i+8)&15]^w[(i+2)&15]^w[i&15], 1)
-		w[i&15] = wi
-		tmp := rotl32(a, 5) + (b&c | ^b&dd) + e + 0x5a827999 + wi
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	for ; i < 40; i++ {
-		wi := rotl32(w[(i+13)&15]^w[(i+8)&15]^w[(i+2)&15]^w[i&15], 1)
-		w[i&15] = wi
-		tmp := rotl32(a, 5) + (b ^ c ^ dd) + e + 0x6ed9eba1 + wi
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	for ; i < 60; i++ {
-		wi := rotl32(w[(i+13)&15]^w[(i+8)&15]^w[(i+2)&15]^w[i&15], 1)
-		w[i&15] = wi
-		tmp := rotl32(a, 5) + (b&c | b&dd | c&dd) + e + 0x8f1bbcdc + wi
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	for ; i < 80; i++ {
-		wi := rotl32(w[(i+13)&15]^w[(i+8)&15]^w[(i+2)&15]^w[i&15], 1)
-		w[i&15] = wi
-		tmp := rotl32(a, 5) + (b ^ c ^ dd) + e + 0xca62c1d6 + wi
-		e, dd, c, b, a = dd, c, rotl32(b, 30), a, tmp
-	}
-	d.h[0] += a
-	d.h[1] += b
-	d.h[2] += c
-	d.h[3] += dd
-	d.h[4] += e
+	d.h = [5]uint32{h0, h1, h2, h3, h4}
+}
+
+// schedule computes message word i (16 <= i < 80) in the ring w.
+func schedule(w *[16]uint32, i int) uint32 {
+	x := bits.RotateLeft32(w[(i-3)&15]^w[(i-8)&15]^w[(i-14)&15]^w[i&15], 1)
+	w[i&15] = x
+	return x
+}
+
+// round1..round4 are one round of each 20-round stage: they return the
+// new a (the sum that lands in e's register) and b rotated left by 30.
+// rotl(a, 5) is added last, so the previous round's result is one add
+// away from this one's.
+func round1(a, b, c, d, e, x uint32) (uint32, uint32) {
+	return bits.RotateLeft32(a, 5) + (e + x + 0x5a827999 + (d ^ b&(c^d))), bits.RotateLeft32(b, 30)
+}
+
+func round2(a, b, c, d, e, x uint32) (uint32, uint32) {
+	return bits.RotateLeft32(a, 5) + (e + x + 0x6ed9eba1 + (b ^ c ^ d)), bits.RotateLeft32(b, 30)
+}
+
+func round3(a, b, c, d, e, x uint32) (uint32, uint32) {
+	return bits.RotateLeft32(a, 5) + (e + x + 0x8f1bbcdc + (b&c | d&(b|c))), bits.RotateLeft32(b, 30)
+}
+
+func round4(a, b, c, d, e, x uint32) (uint32, uint32) {
+	return bits.RotateLeft32(a, 5) + (e + x + 0xca62c1d6 + (b ^ c ^ d)), bits.RotateLeft32(b, 30)
 }
 
 // Sum1 is the one-shot convenience form.

@@ -2,6 +2,7 @@ package sha1
 
 import (
 	"bytes"
+	"crypto/hmac"
 	stdsha1 "crypto/sha1"
 	"math/rand"
 	"testing"
@@ -33,6 +34,81 @@ func TestCompressEquivalence(t *testing.T) {
 		d.SumInto(&got)
 		if got != want {
 			t.Fatalf("vector %d (%d bytes): Digest %x, crypto/sha1 %x", i, len(msg), got, want)
+		}
+	}
+}
+
+// TestMultiBlockRuns streams messages of up to 64 blocks in chunks
+// drawn to land on every Write shape — a partial buffer topped up, a
+// run of whole blocks handed to compress at once, a tail left over —
+// and diffs each digest against crypto/sha1.
+func TestMultiBlockRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var d Digest
+	for i := 0; i < 2_000; i++ {
+		msg := make([]byte, rng.Intn(64*BlockSize+1))
+		rng.Read(msg)
+		want := stdsha1.Sum(msg)
+		d.Reset()
+		for p := msg; len(p) > 0; {
+			var n int
+			switch rng.Intn(4) {
+			case 0: // short: starts or tops up the partial buffer
+				n = 1 + rng.Intn(BlockSize-1)
+			case 1: // whole blocks
+				n = BlockSize * (1 + rng.Intn(16))
+			case 2: // a run of blocks plus a tail
+				n = BlockSize*(1+rng.Intn(16)) + 1 + rng.Intn(BlockSize-1)
+			default:
+				n = 1 + rng.Intn(len(p))
+			}
+			n = min(n, len(p))
+			d.Write(p[:n])
+			p = p[n:]
+		}
+		var got [Size]byte
+		d.SumInto(&got)
+		if got != want {
+			t.Fatalf("vector %d (%d bytes): Digest %x, crypto/sha1 %x", i, len(msg), got, want)
+		}
+	}
+}
+
+// TestHMACRecordShape MACs records the way issl's macInto does — a
+// 9-byte sequence/type prefix, a 16-byte IV, then up to 16 KiB of
+// ciphertext, each a separate Write on a Reset state — and diffs the
+// tag against crypto/hmac over crypto/sha1. The 25-byte prefix leaves
+// every record's body starting mid-block.
+func TestHMACRecordShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var st *HMACState
+	var key []byte
+	for i := 0; i < 500; i++ {
+		if i%16 == 0 {
+			key = make([]byte, 1+rng.Intn(2*BlockSize))
+			rng.Read(key)
+			st = NewHMAC(key)
+		}
+		var pre [9]byte
+		iv := make([]byte, 16)
+		ct := make([]byte, rng.Intn(16<<10+1))
+		rng.Read(pre[:])
+		rng.Read(iv)
+		rng.Read(ct)
+
+		st.Reset()
+		st.Write(pre[:])
+		st.Write(iv)
+		st.Write(ct)
+		var got [Size]byte
+		st.SumInto(&got)
+
+		ref := hmac.New(stdsha1.New, key)
+		ref.Write(pre[:])
+		ref.Write(iv)
+		ref.Write(ct)
+		if want := ref.Sum(nil); !bytes.Equal(got[:], want) {
+			t.Fatalf("record %d (key %d B, body %d B): %x, crypto/hmac %x", i, len(key), len(ct), got, want)
 		}
 	}
 }

@@ -65,3 +65,27 @@ func FuzzTCPSegment(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChecksum: the 64-bit-word checksum and pseudo-header checksum
+// agree with the byte-pair oracle on arbitrary data, addresses,
+// protocol and sub-slice offset.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(ProtoTCP), uint32(0x0a000001), uint32(0x0a000002))
+	f.Add([]byte{0xab}, uint8(1), uint8(ProtoUDP), uint32(0), uint32(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 37), uint8(3), uint8(0xff), uint32(0xffffffff), uint32(0xffffffff))
+	f.Add(make([]byte, 64), uint8(7), uint8(ProtoTCP), uint32(0xc0a80001), uint32(0xc0a80002))
+
+	f.Fuzz(func(t *testing.T, data []byte, off uint8, proto uint8, src, dst uint32) {
+		data = data[min(int(off%8), len(data)):]
+		data = data[:min(len(data), 0xffff)] // an IPv4 datagram's limit
+		var s, d Addr
+		put32(s[:], src)
+		put32(d[:], dst)
+		if got, want := checksum(data), checksumRef(data); got != want {
+			t.Fatalf("checksum(len %d) = %#x, oracle %#x", len(data), got, want)
+		}
+		if got, want := pseudoChecksum(proto, s, d, data), pseudoChecksumRef(proto, s, d, data); got != want {
+			t.Fatalf("pseudoChecksum(len %d) = %#x, oracle %#x", len(data), got, want)
+		}
+	})
+}

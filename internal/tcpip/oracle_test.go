@@ -1,7 +1,12 @@
 package tcpip
 
-// Struct decoders kept as the reference the frame views are checked
-// against: frame_test.go diffs ParseIPv4Frame/ParseTCPFrame against
+// Oracles the production code is checked against. checksumRef is the
+// textbook RFC 1071 loop over byte pairs, and pseudoChecksumRef puts
+// the pseudo-header in front of the segment in one buffer and sums
+// that; TestChecksumMatchesOracle and FuzzChecksum diff the 64-bit-word
+// checksum against them, and the oracle encoder and decoder below use
+// them. Struct decoders are kept as the reference the frame views are
+// checked against: frame_test.go diffs ParseIPv4Frame/ParseTCPFrame against
 // them field-for-field, and FuzzFrameView keeps the two in agreement
 // over random input. Production ingress uses the views only. Likewise
 // marshalTCP is the independent encoder appendTCPIP is checked against
@@ -9,6 +14,35 @@ package tcpip
 // uses appendTCPIP only.
 
 import "fmt"
+
+// checksumRef computes the RFC 1071 ones'-complement sum over data one
+// big-endian byte pair at a time.
+func checksumRef(data []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(data); i += 2 {
+		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	}
+	if len(data)%2 == 1 {
+		sum += uint32(data[len(data)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// pseudoChecksumRef builds the IPv4 pseudo-header + segment in one
+// buffer and checksums it with checksumRef.
+func pseudoChecksumRef(proto byte, src, dst Addr, seg []byte) uint16 {
+	ph := make([]byte, 12+len(seg))
+	copy(ph[0:4], src[:])
+	copy(ph[4:8], dst[:])
+	ph[9] = proto
+	ph[10] = byte(len(seg) >> 8)
+	ph[11] = byte(len(seg))
+	copy(ph[12:], seg)
+	return checksumRef(ph)
+}
 
 // parseIP validates and splits an IPv4 packet.
 func parseIP(b []byte) (ipPacket, error) {
@@ -22,7 +56,7 @@ func parseIP(b []byte) (ipPacket, error) {
 	if ihl < ipHeaderLen || len(b) < ihl {
 		return ipPacket{}, fmt.Errorf("%w: IHL %d", errBadIPHeader, ihl)
 	}
-	if checksum(b[:ihl]) != 0 {
+	if checksumRef(b[:ihl]) != 0 {
 		return ipPacket{}, fmt.Errorf("%w: checksum", errBadIPHeader)
 	}
 	total := int(be16(b[2:]))
@@ -64,6 +98,6 @@ func marshalTCP(src, dst Addr, seg tcpSegment) []byte {
 	b[13] = seg.flags
 	put16(b[14:], seg.window)
 	copy(b[tcpHeaderLen:], seg.payload)
-	put16(b[16:], pseudoChecksum(ProtoTCP, src, dst, b))
+	put16(b[16:], pseudoChecksumRef(ProtoTCP, src, dst, b))
 	return b
 }

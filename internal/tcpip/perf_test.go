@@ -8,21 +8,9 @@ import (
 	"repro/internal/race"
 )
 
-// pseudoChecksumRef is the seed kernel's form: materialize the
-// pseudo-header + segment, then checksum the buffer.
-func pseudoChecksumRef(proto byte, src, dst Addr, seg []byte) uint16 {
-	ph := make([]byte, 12+len(seg))
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[9] = proto
-	ph[10] = byte(len(seg) >> 8)
-	ph[11] = byte(len(seg))
-	copy(ph[12:], seg)
-	return checksum(ph)
-}
-
-// TestPseudoChecksumEquivalence diffs the in-place pseudo-header sum
-// against the buffer-materializing reference, odd and even lengths.
+// TestPseudoChecksumEquivalence diffs the seeded-accumulator
+// pseudo-header sum against the buffer-materializing oracle, odd and
+// even lengths.
 func TestPseudoChecksumEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	src := Addr{192, 168, 1, 10}
@@ -35,6 +23,66 @@ func TestPseudoChecksumEquivalence(t *testing.T) {
 		if got != want {
 			t.Fatalf("vector %d (len %d): %#x != %#x", i, len(seg), got, want)
 		}
+	}
+}
+
+// TestChecksumMatchesOracle diffs checksum and pseudoChecksum against
+// the byte-pair oracle for every length 0-1500 at sub-slice offsets
+// 0-7, so each length meets every alignment and every tail shape of
+// the 64-bit-word loop.
+func TestChecksumMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	buf := make([]byte, 1500+8)
+	rng.Read(buf)
+	src := Addr{172, 16, 254, 1}
+	dst := Addr{10, 255, 0, 77}
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 1500; n++ {
+			data := buf[off : off+n]
+			if got, want := checksum(data), checksumRef(data); got != want {
+				t.Fatalf("checksum off %d len %d: %#x, oracle %#x", off, n, got, want)
+			}
+			proto := []byte{ProtoTCP, ProtoUDP}[n%2]
+			if got, want := pseudoChecksum(proto, src, dst, data), pseudoChecksumRef(proto, src, dst, data); got != want {
+				t.Fatalf("pseudoChecksum off %d len %d: %#x, oracle %#x", off, n, got, want)
+			}
+		}
+	}
+}
+
+// TestChecksumEdgeVectors covers the sums a wide accumulator can get
+// wrong: all-zero data (sum 0, checksum 0xffff), all-0xff data (a sum
+// of negative zeros, which must stay 0xffff and so checksum to 0, never
+// to 0xffff), carries out of every 64-bit add, and odd lengths.
+func TestChecksumEdgeVectors(t *testing.T) {
+	ones := Addr{0xff, 0xff, 0xff, 0xff}
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1499, 1500, 65535} {
+		for _, fill := range []byte{0x00, 0xff, 0x80, 0x01} {
+			data := bytes.Repeat([]byte{fill}, n)
+			if got, want := checksum(data), checksumRef(data); got != want {
+				t.Errorf("checksum(%d x %#x) = %#x, oracle %#x", n, fill, got, want)
+			}
+			if got, want := pseudoChecksum(0xff, ones, ones, data), pseudoChecksumRef(0xff, ones, ones, data); got != want {
+				t.Errorf("pseudoChecksum(%d x %#x, all-ones header) = %#x, oracle %#x", n, fill, got, want)
+			}
+		}
+	}
+	// Sums whose 64→16-bit fold carries at every step; the last one
+	// reaches it through the 4- and 1-byte tails.
+	for _, data := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0x00, 0x01, 0x00, 0x00},
+		{0xff, 0xff, 0x00, 0x00, 0x00, 0x01, 0xff, 0xff},
+		{0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00},
+	} {
+		if got, want := checksum(data), checksumRef(data); got != want {
+			t.Errorf("checksum(% x) = %#x, oracle %#x", data, got, want)
+		}
+	}
+	if got := checksum(make([]byte, 40)); got != 0xffff {
+		t.Errorf("all-zero checksum = %#x, want 0xffff", got)
+	}
+	if got := checksum(bytes.Repeat([]byte{0xff}, 40)); got != 0 {
+		t.Errorf("all-0xff checksum = %#x, want 0 (negative zero folds to 0xffff)", got)
 	}
 }
 
