@@ -252,13 +252,13 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 			fails = 0
 			if !n.up.Load() {
 				rises++
-				if rises >= h.RiseThreshold && time.Since(downSince) >= h.ReinstateBackoff {
+				if down := time.Since(downSince); rises >= h.RiseThreshold && down >= h.ReinstateBackoff {
 					n.up.Store(true)
 					b.stats.NodeUps.Inc()
 					b.stats.NodesUp.Add(1)
-					b.cfg.Trace.Emit("cluster", "node.up", "node", n.index)
+					b.cfg.Trace.Emit("cluster", "node.up", "node", n.index, "down_ns", int64(down))
 					if b.cfg.Log != nil {
-						b.cfg.Log.Printf("cluster: node %d reinstated after %v", n.index, time.Since(downSince))
+						b.cfg.Log.Printf("cluster: node %d reinstated after %v", n.index, down)
 					}
 				}
 			}

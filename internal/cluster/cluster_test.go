@@ -12,6 +12,7 @@ import (
 	"repro/internal/issl"
 	"repro/internal/netsim"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 var (
@@ -32,10 +33,14 @@ func rsaKey(t testing.TB) *rsa.PrivateKey {
 
 const backendPort = 9000
 
+// reinstateBackoff is testWorld's reinstatement backoff.
+const reinstateBackoff = 100 * time.Millisecond
+
 // testWorld builds the fabric: a client stack, a backend echo stack,
 // and a secure fleet behind the balancer with chaos-friendly health
-// timing (fast probes, short backoff).
-func testWorld(t *testing.T, nodes int, pol Policy) (*tcpip.Stack, *Cluster) {
+// timing (fast probes, short backoff). tr, when non-nil, receives the
+// fleet's trace events.
+func testWorld(t *testing.T, nodes int, pol Policy, tr *telemetry.Trace) (*tcpip.Stack, *Cluster) {
 	t.Helper()
 	hub := netsim.NewHub()
 	t.Cleanup(hub.Close)
@@ -65,9 +70,10 @@ func testWorld(t *testing.T, nodes int, pol Policy) (*tcpip.Stack, *Cluster) {
 			ProbeTimeout:     150 * time.Millisecond,
 			FailThreshold:    2,
 			RiseThreshold:    2,
-			ReinstateBackoff: 100 * time.Millisecond,
+			ReinstateBackoff: reinstateBackoff,
 		},
 		RandSeed: 0xC1A5,
+		Trace:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +162,7 @@ func ticketsOn(cl *Cluster, name string) uint64 {
 // TestSecureEchoThroughBalancer: the plain path — handshake through
 // the L4 splice, byte-exact echo, a ticket earned.
 func TestSecureEchoThroughBalancer(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil)
+	cli, cl := testWorld(t, 3, nil, nil)
 	d := dialer(cli, cl, 101)
 	conn, tr, err := d.DialWithRetry()
 	if err != nil {
@@ -181,7 +187,7 @@ func TestSecureEchoThroughBalancer(t *testing.T) {
 // and the reconnect lands an abbreviated resumption on a sibling that
 // has never seen the client — no shared cache, just the ticket.
 func TestKillNodeTicketResumesElsewhere(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil)
+	cli, cl := testWorld(t, 3, nil, nil)
 	d := dialer(cli, cl, 202)
 	conn, tr, err := d.DialWithRetry()
 	if err != nil {
@@ -229,7 +235,7 @@ func TestKillNodeTicketResumesElsewhere(t *testing.T) {
 // the kill but before the health checker notices must fail over via
 // the forward-connect path, not error out.
 func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil)
+	cli, cl := testWorld(t, 3, nil, nil)
 	cl.KillNode(1)
 	// No WaitNodeState: dial immediately, racing the probes.
 	var survived int
@@ -253,22 +259,23 @@ func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
 // but only after RiseThreshold probes AND the reinstatement backoff,
 // and it must then take traffic again.
 func TestRestartReinstatesAfterBackoff(t *testing.T) {
-	cli, cl := testWorld(t, 2, nil)
+	tr := telemetry.NewTrace(1 << 14)
+	cli, cl := testWorld(t, 2, nil, tr)
 	cl.KillNode(0)
 	if !cl.Balancer().WaitNodeState(0, false, 5*time.Second) {
 		t.Fatal("kill not detected")
 	}
-	downAt := time.Now()
 	if err := cl.RestartNode(0); err != nil {
 		t.Fatal(err)
 	}
 	if !cl.Balancer().WaitNodeState(0, true, 5*time.Second) {
 		t.Fatal("restarted node never reinstated")
 	}
-	// Backoff gate: reinstatement must not predate downAt+backoff (the
-	// probes were passing well before it).
-	if since := time.Since(downAt); since < 100*time.Millisecond {
-		t.Errorf("reinstated after only %v; backoff gate leaked", since)
+	// Backoff gate: the balancer's own down time, carried on its
+	// node.up event, must cover the backoff (the probes were passing
+	// well before it).
+	if down := nodeUpDownTime(t, tr, 0); down < reinstateBackoff {
+		t.Errorf("reinstated after only %v; backoff gate leaked", down)
 	}
 	if got := cl.Balancer().Stats().NodeUps.Value(); got != 1 {
 		t.Errorf("node_ups = %d, want 1", got)
@@ -294,10 +301,34 @@ func TestRestartReinstatesAfterBackoff(t *testing.T) {
 	}
 }
 
+// nodeUpDownTime waits for the balancer's node.up event for node and
+// returns the down time it carries.
+func nodeUpDownTime(t *testing.T, tr *telemetry.Trace, node int) time.Duration {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, ev := range tr.Events() {
+			if ev.Layer != "cluster" || ev.Name != "node.up" {
+				continue
+			}
+			attrs := map[string]any{}
+			for _, a := range ev.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if attrs["node"] == node {
+				return time.Duration(attrs["down_ns"].(int64))
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no node.up event for node %d", node)
+	return 0
+}
+
 // TestLeastInflightSpreadsLoad: with held-open connections, the least
 // policy must put successive connections on distinct instances.
 func TestLeastInflightSpreadsLoad(t *testing.T) {
-	cli, cl := testWorld(t, 3, LeastInflight{})
+	cli, cl := testWorld(t, 3, LeastInflight{}, nil)
 	var conns []*issl.Conn
 	var trs []io.ReadWriteCloser
 	defer func() {
@@ -327,7 +358,7 @@ func TestLeastInflightSpreadsLoad(t *testing.T) {
 // TestNoNodesRefusesCleanly: with the whole fleet dead, a client gets
 // a refusal (counted), not a hang.
 func TestNoNodesRefusesCleanly(t *testing.T) {
-	cli, cl := testWorld(t, 2, nil)
+	cli, cl := testWorld(t, 2, nil, nil)
 	cl.KillNode(0)
 	cl.KillNode(1)
 	cl.Balancer().WaitNodeState(0, false, 5*time.Second)

@@ -160,27 +160,14 @@ func (c *Conn) trySendAlert(code AlertCode) {
 		wd.SetWriteDeadline(time.Now().Add(alertWriteTimeout))
 		defer wd.SetWriteDeadline(time.Time{})
 	}
-	sealed, err := c.sealRecord(recClose, []byte{byte(code)})
-	if err != nil {
-		return
-	}
-	c.writeRecord(recClose, sealed)
+	c.writeRecord(recClose, []byte{byte(code)})
 }
 
-// recBufPool holds sealed-record staging buffers shared by all
-// connections' Write calls; steady-state writes neither allocate nor
-// copy records more than once.
-var recBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeFlushThreshold bounds how many sealed bytes Write stages before
-// handing them to the transport in one call.
-const writeFlushThreshold = 16 * 1024
-
 // Write encrypts and sends data, fragmenting into records no larger
-// than the profile's limit (the embedded port's static buffers).
-// Records are sealed back to back into a pooled staging buffer and
-// flushed to the transport in batches, so a large Write costs one
-// transport call per ~16 KiB of records instead of one per record.
+// than the profile's limit (the embedded port's static buffers). The
+// record writer seals them back to back into a pooled staging buffer
+// and flushes in batches, so a large Write costs one transport call
+// per ~16 KiB of records instead of one per record.
 func (c *Conn) Write(p []byte) (int, error) {
 	if err := c.terminalErr(); err != nil {
 		return 0, err
@@ -190,56 +177,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	c.wMu.Lock()
 	defer c.wMu.Unlock()
-	bufp := recBufPool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	defer func() { *bufp = buf[:0]; recBufPool.Put(bufp) }()
-
-	maxRec := c.cfg.maxRecord()
-	written := 0 // plaintext bytes flushed to the transport
-	pending := 0 // plaintext bytes sealed but not yet flushed
-	pendingRecs := uint64(0)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if _, err := c.tr.Write(buf); err != nil {
-			return err
-		}
-		buf = buf[:0]
-		written += pending
-		c.bytesOut += uint64(pending)
-		c.recordsOut += pendingRecs
-		c.metrics.bytesOut.Add(uint64(pending))
-		c.metrics.recordsOut.Add(pendingRecs)
-		pending, pendingRecs = 0, 0
-		return nil
-	}
-	for off := 0; off < len(p); {
-		n := len(p) - off
-		if n > maxRec {
-			n = maxRec
-		}
-		var err error
-		buf, err = c.appendSealed(buf, recData, p[off:off+n])
-		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return written, ferr
-			}
-			return written, err
-		}
-		off += n
-		pending += n
-		pendingRecs++
-		if len(buf) >= writeFlushThreshold {
-			if err := flush(); err != nil {
-				return written, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return written, err
-	}
-	return written, nil
+	n, recs, err := c.writeRecords(recData, p, c.cfg.maxRecord())
+	c.bytesOut += uint64(n)
+	c.recordsOut += recs
+	c.metrics.bytesOut.Add(uint64(n))
+	c.metrics.recordsOut.Add(recs)
+	return n, err
 }
 
 // Read returns decrypted plaintext, blocking for at least one byte.
@@ -318,11 +261,7 @@ func (c *Conn) Close() error {
 	}
 	c.wMu.Lock()
 	defer c.wMu.Unlock()
-	sealed, err := c.sealRecord(recClose, []byte{byte(AlertCloseNotify)})
-	if err != nil {
-		return err
-	}
-	return c.writeRecord(recClose, sealed)
+	return c.writeRecord(recClose, []byte{byte(AlertCloseNotify)})
 }
 
 // CloseWrite half-closes the connection: close_notify goes out and

@@ -229,11 +229,11 @@ func TestRemoteAlertSurfacesTyped(t *testing.T) {
 	cliCfg, srvCfg := embeddedConfigs()
 	cli, srv := handshakePair(t, cliCfg, srvCfg)
 	// Feed the server garbage that MACs wrong; it must alert the client.
-	sealed, err := cli.sealRecord(recData, []byte("x"))
+	rec, err := cli.appendSealed(nil, recData, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed[len(sealed)-1] ^= 0xff
+	rec[len(rec)-1] ^= 0xff
 	srvErr := make(chan error, 1)
 	go func() {
 		buf := make([]byte, 16)
@@ -248,7 +248,7 @@ func TestRemoteAlertSurfacesTyped(t *testing.T) {
 		_, err := cli.Read(buf)
 		cliErr <- err
 	}()
-	if err := cli.writeRecord(recData, sealed); err != nil {
+	if _, err := cli.tr.Write(rec); err != nil {
 		t.Fatal(err)
 	}
 	// Server side: a local AlertError wrapping ErrBadMAC.

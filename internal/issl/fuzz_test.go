@@ -1,15 +1,17 @@
 package issl
 
-// Native fuzz targets for the record layer. Under plain `go test`
-// these run seed-only (f.Add plus testdata/fuzz corpus) as a fast
-// regression; CI additionally runs a short -fuzz smoke. Invariants:
-// the record reader never panics and never trusts a length it has not
-// read, forged sealed bodies are rejected, and seal→open is identity.
+// Native fuzz targets for the record layer and the handshake. Under
+// plain `go test` these run seed-only (f.Add plus testdata/fuzz
+// corpus) as a fast regression; CI additionally runs a short -fuzz
+// smoke. Invariants: the record reader never panics and never trusts a
+// length it has not read, forged sealed bodies are rejected,
+// seal→open is identity, and a handshake over any flight returns.
 
 import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/prng"
@@ -75,10 +77,11 @@ func FuzzISSLRecord(f *testing.F) {
 		// Round-trip: treating the input as plaintext, seal then open
 		// must be the identity.
 		wc, rc2 := fuzzKeyedConn(t), fuzzKeyedConn(t)
-		sealed, err := wc.sealRecord(recData, data)
+		rec, err := wc.appendSealed(nil, recData, data)
 		if err != nil {
-			t.Fatalf("sealRecord(%d bytes): %v", len(data), err)
+			t.Fatalf("appendSealed(%d bytes): %v", len(data), err)
 		}
+		sealed := rec[recordHeaderLen:]
 		pt, err := rc2.openRecord(recData, sealed)
 		if err != nil {
 			t.Fatalf("openRecord rejected our own sealed record: %v", err)
@@ -91,6 +94,63 @@ func FuzzISSLRecord(f *testing.F) {
 			sealed[len(sealed)/2] ^= 0x01
 			if _, err := fuzzKeyedConn(t).openRecord(recData, sealed); err == nil {
 				t.Fatal("openRecord accepted a tampered sealed record")
+			}
+		}
+	})
+}
+
+// handshakeFuzzConfigs builds fresh configs for the fuzzed handshake
+// endpoints: a Unix server with a session cache and tickets, and an
+// Embedded server and client. The corpus is seeded with genuine
+// flights between peers built from these same configs, so a replayed
+// flight runs the handshake to completion.
+func handshakeFuzzConfigs(tb testing.TB) (unixCli, unixSrv, embCli, embSrv Config) {
+	psk := []byte("fuzz-handshake-psk-0123456789abc")
+	unixCli = Config{Profile: ProfileUnix, Rand: prng.NewXorshift(0xf1)}
+	unixSrv = Config{Profile: ProfileUnix, ServerKey: serverKey(tb), Rand: prng.NewXorshift(0xf2),
+		Cache: NewSessionCache(4), TicketKeys: goldenTickets(tb)}
+	embCli = Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(0xf3)}
+	embSrv = Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(0xf4)}
+	return
+}
+
+// FuzzHandshake feeds arbitrary bytes as the peer's whole flight to
+// BindServer (Unix with cache and tickets, and Embedded) and to an
+// Embedded BindClient. Invariants: no panic, and every bind returns
+// within the deadline once the flight runs out. A Unix client is not
+// fuzzed: a hostile ServerHello names the RSA key the client then
+// computes with, and a 64 KiB modulus makes that cost unbounded.
+func FuzzHandshake(f *testing.F) {
+	uc, us, ec, es := handshakeFuzzConfigs(f)
+	unixFlight, _, _ := goldenExchange(f, uc, us)
+	embFlight, embServerFlight, _ := goldenExchange(f, ec, es)
+	f.Add(unixFlight)
+	f.Add(embFlight)
+	f.Add(embServerFlight)
+	f.Add([]byte{recHandshake, protocolVersion, 0xff, 0xff}) // 64 KiB length, no body
+	f.Add(append([]byte{recHandshake, protocolVersion, 0xff, 0xff}, embFlight...))
+
+	f.Fuzz(func(t *testing.T, flight []byte) {
+		_, us, ec, es := handshakeFuzzConfigs(t)
+		endpoints := []struct {
+			name string
+			bind func(io.ReadWriter, Config) (*Conn, error)
+			cfg  Config
+		}{
+			{"unix server", BindServer, us},
+			{"embedded server", BindServer, es},
+			{"embedded client", BindClient, ec},
+		}
+		for _, ep := range endpoints {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				ep.bind(&fuzzTransport{r: bytes.NewReader(flight)}, ep.cfg)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: handshake over a %d-byte flight did not return", ep.name, len(flight))
 			}
 		}
 	})

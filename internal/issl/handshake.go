@@ -42,6 +42,10 @@ import (
 // secret plus fresh nonces, while the secret itself never changes:
 // the server's cache entry, every ticket it issues, and the client's
 // Session() all carry that one secret, however often it is resumed.
+//
+// Each role runs its own hello exchange (and, on a full handshake, the
+// KeyExchange); from there both roles and both handshake kinds share
+// one tail, finish: install keys, Finished each way, ticket.
 
 const (
 	msgClientHello = 0x01
@@ -63,24 +67,51 @@ type handshakeState struct {
 	premaster    []byte
 }
 
-func (c *Conn) sendHandshake(body []byte) error {
-	c.hs.transcript.Write(body)
-	return c.writeRecord(recHandshake, body)
+// msgNames label handshake messages in errors and logs.
+var msgNames = [...]string{msgClientHello: "ClientHello", msgServerHello: "ServerHello",
+	msgKeyExchange: "KeyExchange", msgFinished: "Finished", msgNewTicket: "NewSessionTicket"}
+
+// addToTranscript appends a handshake message to the transcript the
+// Finished values bind: every message except NewSessionTicket, which
+// follows them.
+func (hs *handshakeState) addToTranscript(msg []byte) {
+	if msg[0] != msgNewTicket {
+		hs.transcript.Write(msg)
+	}
 }
 
-func (c *Conn) readHandshake(wantType byte) ([]byte, error) {
-	recType, body, err := c.readRecord()
+// sendHandshake sends one handshake message as one record, in the
+// clear before keys are installed and sealed after.
+func (c *Conn) sendHandshake(msg []byte) error {
+	c.hs.addToTranscript(msg)
+	if err := c.writeRecord(recHandshake, msg); err != nil {
+		return fmt.Errorf("%w: sending %s: %v", ErrHandshake, msgNames[msg[0]], err)
+	}
+	return nil
+}
+
+// readHandshake reads the next record, which must carry the handshake
+// message want: in the clear before keys are installed, opened under
+// them after (Finished and NewSessionTicket). It is the one handshake
+// reader. The message is valid until the next record read.
+func (c *Conn) readHandshake(want byte) ([]byte, error) {
+	recType, msg, err := c.readRecord()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
+		return nil, fmt.Errorf("%w: reading %s: %v", ErrHandshake, msgNames[want], err)
 	}
-	if recType != recHandshake || len(body) == 0 {
-		return nil, fmt.Errorf("%w: unexpected record type %#x", ErrHandshake, recType)
+	if recType != recHandshake {
+		return nil, fmt.Errorf("%w: expected %s, got record type %#x", ErrHandshake, msgNames[want], recType)
 	}
-	if body[0] != wantType {
-		return nil, fmt.Errorf("%w: got message %#x, want %#x", ErrHandshake, body[0], wantType)
+	if c.rCipher != nil {
+		if msg, err = c.openRecord(recHandshake, msg); err != nil {
+			return nil, fmt.Errorf("%w: opening %s: %v", ErrHandshake, msgNames[want], err)
+		}
 	}
-	c.hs.transcript.Write(body)
-	return body, nil
+	if len(msg) == 0 || msg[0] != want {
+		return nil, fmt.Errorf("%w: expected %s, got message %x", ErrHandshake, msgNames[want], msg[:min(len(msg), 1)])
+	}
+	c.hs.addToTranscript(msg)
+	return msg, nil
 }
 
 func bitsByte(bits int) byte { return byte(bits / 8) }
@@ -113,7 +144,7 @@ func (c *Conn) clientHandshake() error {
 		hello = append(hello, 0, 0, 0) // no session ID, no ticket
 	}
 	if err := c.sendHandshake(hello); err != nil {
-		return fmt.Errorf("%w: sending ClientHello: %v", ErrHandshake, err)
+		return err
 	}
 
 	sh, err := c.readHandshake(msgServerHello)
@@ -161,93 +192,53 @@ func (c *Conn) clientHandshake() error {
 		c.resumed = true
 		c.secret = append([]byte(nil), cfg.Resume.master...)
 		c.hs.premaster = c.secret
-		if err := c.deriveKeys(true); err != nil {
-			return err
-		}
-		if err := c.sendFinished("client finished"); err != nil {
-			return err
-		}
-		if err := c.recvFinished("server finished"); err != nil {
-			return err
-		}
-		if ticketPromised {
-			if err := c.recvNewTicket(); err != nil {
-				return err
-			}
-		} else if cfg.Resume != nil {
+		if !ticketPromised {
 			// Keep resuming on the same ticket next time.
 			c.ticket = append([]byte(nil), cfg.Resume.Ticket...)
 		}
-		c.emitPhase("client", "finished", true, phaseStart)
-		return nil
-	}
-
-	var keyExchange []byte
-	switch cfg.Profile {
-	case ProfileUnix:
-		pub, err := parsePublicKey(rest)
-		if err != nil {
+	} else {
+		var keyExchange []byte
+		switch cfg.Profile {
+		case ProfileUnix:
+			pub, err := parsePublicKey(rest)
+			if err != nil {
+				return err
+			}
+			c.hs.premaster = c.rng.Bytes(premasterLen)
+			ct, err := pub.EncryptPKCS1(c.rng, c.hs.premaster)
+			if err != nil {
+				return fmt.Errorf("%w: RSA encrypt: %v", ErrHandshake, err)
+			}
+			keyExchange = []byte{msgKeyExchange, byte(len(ct) >> 8), byte(len(ct))}
+			keyExchange = append(keyExchange, ct...)
+		case ProfileEmbedded:
+			// RSA was dropped in the port; the premaster is the PSK.
+			c.hs.premaster = append([]byte(nil), cfg.PSK...)
+			keyExchange = []byte{msgKeyExchange}
+		}
+		if err := c.sendHandshake(keyExchange); err != nil {
 			return err
 		}
-		c.hs.premaster = c.rng.Bytes(premasterLen)
-		ct, err := pub.EncryptPKCS1(c.rng, c.hs.premaster)
-		if err != nil {
-			return fmt.Errorf("%w: RSA encrypt: %v", ErrHandshake, err)
-		}
-		keyExchange = []byte{msgKeyExchange, byte(len(ct) >> 8), byte(len(ct))}
-		keyExchange = append(keyExchange, ct...)
-	case ProfileEmbedded:
-		// RSA was dropped in the port; the premaster is the PSK.
-		c.hs.premaster = append([]byte(nil), cfg.PSK...)
-		keyExchange = []byte{msgKeyExchange}
+		phaseStart = c.emitPhase("client", "key_exchange", false, phaseStart)
 	}
-	if err := c.sendHandshake(keyExchange); err != nil {
-		return fmt.Errorf("%w: sending KeyExchange: %v", ErrHandshake, err)
-	}
-	phaseStart = c.emitPhase("client", "key_exchange", false, phaseStart)
-
-	if err := c.deriveKeys(true); err != nil {
-		return err
-	}
-	c.secret = c.master
-	// Client speaks first under the new keys.
-	if err := c.sendFinished("client finished"); err != nil {
-		return err
-	}
-	if err := c.recvFinished("server finished"); err != nil {
-		return err
-	}
-	if ticketPromised {
-		if err := c.recvNewTicket(); err != nil {
-			return err
-		}
-	}
-	c.emitPhase("client", "finished", false, phaseStart)
-	return nil
+	return c.finish(true, ticketPromised, phaseStart)
 }
 
 // recvNewTicket reads the sealed NewSessionTicket message the
 // ServerHello promised and stores the ticket for Session().
 func (c *Conn) recvNewTicket() error {
-	recType, body, err := c.readRecord()
+	msg, err := c.readHandshake(msgNewTicket)
 	if err != nil {
-		return fmt.Errorf("%w: reading NewSessionTicket: %v", ErrHandshake, err)
+		return err
 	}
-	if recType != recHandshake {
-		return fmt.Errorf("%w: expected NewSessionTicket, got record %#x", ErrHandshake, recType)
-	}
-	pt, err := c.openRecord(recHandshake, body)
-	if err != nil {
-		return fmt.Errorf("%w: opening NewSessionTicket: %v", ErrHandshake, err)
-	}
-	if len(pt) < 3 || pt[0] != msgNewTicket {
+	if len(msg) < 3 {
 		return fmt.Errorf("%w: malformed NewSessionTicket", ErrHandshake)
 	}
-	n := int(pt[1])<<8 | int(pt[2])
-	if n == 0 || n > MaxTicketLen || len(pt) != 3+n {
+	n := int(msg[1])<<8 | int(msg[2])
+	if n == 0 || n > MaxTicketLen || len(msg) != 3+n {
 		return fmt.Errorf("%w: NewSessionTicket length %d", ErrHandshake, n)
 	}
-	c.ticket = append([]byte(nil), pt[3:3+n]...)
+	c.ticket = append([]byte(nil), msg[3:3+n]...)
 	return nil
 }
 
@@ -258,14 +249,9 @@ func (c *Conn) sendNewTicket() error {
 	if err != nil {
 		return fmt.Errorf("%w: sealing ticket: %v", ErrHandshake, err)
 	}
-	body := []byte{msgNewTicket, byte(len(tkt) >> 8), byte(len(tkt))}
-	body = append(body, tkt...)
-	sealed, err := c.sealRecord(recHandshake, body)
-	if err != nil {
-		return fmt.Errorf("%w: sealing NewSessionTicket: %v", ErrHandshake, err)
-	}
-	if err := c.writeRecord(recHandshake, sealed); err != nil {
-		return fmt.Errorf("%w: sending NewSessionTicket: %v", ErrHandshake, err)
+	msg := []byte{msgNewTicket, byte(len(tkt) >> 8), byte(len(tkt))}
+	if err := c.sendHandshake(append(msg, tkt...)); err != nil {
+		return err
 	}
 	c.ticket = tkt
 	c.metrics.ticketsIssued.Inc()
@@ -348,116 +334,158 @@ func (c *Conn) serverHandshake() error {
 	}
 
 	c.rng.Fill(c.hs.serverRandom[:])
+	promiseTicket := cfg.TicketKeys != nil
+	withSID := true // the ServerHello carries a session ID
+	switch {
+	case cachedMaster != nil:
+		// Abbreviated handshake (Goldberg et al. session-key caching,
+		// or its stateless ticket form): echo the offered ID, if any.
+		c.resumed = true
+		c.secret, c.hs.premaster = cachedMaster, cachedMaster
+		if viaTicket && !offeredSession {
+			withSID = false
+		} else {
+			c.sessionID = offered
+		}
+	case cfg.Cache != nil:
+		c.rng.Fill(c.sessionID[:]) // issue a new session ID
+	default:
+		withSID = false
+	}
+	if err := c.sendHandshake(c.serverHello(withSID, promiseTicket)); err != nil {
+		return err
+	}
+	phaseStart := c.emitPhase("server", "hello", c.resumed, hsStart)
+
+	if !c.resumed {
+		kx, err := c.readHandshake(msgKeyExchange)
+		if err != nil {
+			return err
+		}
+		switch cfg.Profile {
+		case ProfileUnix:
+			if len(kx) < 3 {
+				return fmt.Errorf("%w: short KeyExchange", ErrHandshake)
+			}
+			n := int(kx[1])<<8 | int(kx[2])
+			if len(kx) != 3+n {
+				return fmt.Errorf("%w: KeyExchange length mismatch", ErrHandshake)
+			}
+			pm, err := cfg.SignPool.Decrypt(cfg.ServerKey, kx[3:])
+			if err != nil {
+				return fmt.Errorf("%w: RSA decrypt: %v", ErrHandshake, err)
+			}
+			if len(pm) != premasterLen {
+				return fmt.Errorf("%w: premaster length %d", ErrHandshake, len(pm))
+			}
+			c.hs.premaster = pm
+		case ProfileEmbedded:
+			c.hs.premaster = append([]byte(nil), cfg.PSK...)
+		}
+		phaseStart = c.emitPhase("server", "key_exchange", false, phaseStart)
+	}
+	return c.finish(false, promiseTicket, phaseStart)
+}
+
+// serverHello builds the ServerHello for either handshake kind:
+// the resumed flag, the session ID when withSID (c.sessionID, echoed or
+// newly issued), the ticket promise, and on a Unix full handshake the
+// server's public key.
+func (c *Conn) serverHello(withSID, promiseTicket bool) []byte {
+	cfg := &c.cfg
 	hello := make([]byte, 0, 4+randomLen+3+SessionIDLen)
 	hello = append(hello, msgServerHello, byte(cfg.Profile), bitsByte(cfg.KeyBits), bitsByte(cfg.BlockBits))
 	hello = append(hello, c.hs.serverRandom[:]...)
-	promiseTicket := cfg.TicketKeys != nil
-	if cachedMaster != nil {
-		// Abbreviated handshake (Goldberg et al. session-key caching,
-		// or its stateless ticket form).
-		c.resumed = true
-		hello = append(hello, 1)
-		if viaTicket && !offeredSession {
-			hello = append(hello, 0) // no session ID to echo
-		} else {
-			c.sessionID = offered
-			hello = append(hello, SessionIDLen)
-			hello = append(hello, offered[:]...)
-		}
-		if promiseTicket {
-			hello = append(hello, 1)
-		} else {
-			hello = append(hello, 0)
-		}
-		if err := c.sendHandshake(hello); err != nil {
-			return fmt.Errorf("%w: sending ServerHello: %v", ErrHandshake, err)
-		}
-		phaseStart := c.emitPhase("server", "hello", true, hsStart)
-		c.secret = cachedMaster
-		c.hs.premaster = cachedMaster
-		if err := c.deriveKeys(false); err != nil {
-			return err
-		}
-		if err := c.recvFinished("client finished"); err != nil {
-			return err
-		}
-		if err := c.sendFinished("server finished"); err != nil {
-			return err
-		}
-		if promiseTicket {
-			if err := c.sendNewTicket(); err != nil {
-				return err
-			}
-		}
-		c.emitPhase("server", "finished", true, phaseStart)
-		return nil
-	}
-	hello = append(hello, 0)
-	if cfg.Cache != nil {
-		c.rng.Fill(c.sessionID[:])
+	hello = append(hello, flagByte(c.resumed))
+	if withSID {
 		hello = append(hello, SessionIDLen)
 		hello = append(hello, c.sessionID[:]...)
 	} else {
 		hello = append(hello, 0)
 	}
-	if promiseTicket {
-		hello = append(hello, 1)
-	} else {
-		hello = append(hello, 0)
-	}
-	if cfg.Profile == ProfileUnix {
+	hello = append(hello, flagByte(promiseTicket))
+	if !c.resumed && cfg.Profile == ProfileUnix {
 		hello = append(hello, marshalPublicKey(&cfg.ServerKey.PublicKey)...)
 	}
-	if err := c.sendHandshake(hello); err != nil {
-		return fmt.Errorf("%w: sending ServerHello: %v", ErrHandshake, err)
-	}
-	phaseStart := c.emitPhase("server", "hello", false, hsStart)
+	return hello
+}
 
-	kx, err := c.readHandshake(msgKeyExchange)
-	if err != nil {
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// --- finish -------------------------------------------------------------------
+
+// finish is the handshake's tail, the same for both roles and both
+// handshake kinds: install the keys, exchange Finished in role order
+// (the client speaks first under the new keys), then issue (server) or
+// receive (client) the ticket the ServerHello promised. phaseStart
+// opens the trace's "finished" phase.
+func (c *Conn) finish(isClient, ticketPromised bool, phaseStart uint64) error {
+	if err := c.deriveKeys(isClient); err != nil {
 		return err
 	}
-	switch cfg.Profile {
-	case ProfileUnix:
-		if len(kx) < 3 {
-			return fmt.Errorf("%w: short KeyExchange", ErrHandshake)
+	if !c.resumed {
+		// A full handshake's master is the new session's secret.
+		c.secret = c.master
+		if !isClient && c.cfg.Cache != nil {
+			c.cfg.Cache.put(c.sessionID, c.secret)
 		}
-		n := int(kx[1])<<8 | int(kx[2])
-		if len(kx) != 3+n {
-			return fmt.Errorf("%w: KeyExchange length mismatch", ErrHandshake)
+	}
+	for _, label := range [2]string{"client finished", "server finished"} {
+		var err error
+		if (label == "client finished") == isClient {
+			err = c.sendFinished(label)
+		} else {
+			err = c.recvFinished(label)
 		}
-		pm, err := cfg.SignPool.Decrypt(cfg.ServerKey, kx[3:])
 		if err != nil {
-			return fmt.Errorf("%w: RSA decrypt: %v", ErrHandshake, err)
-		}
-		if len(pm) != premasterLen {
-			return fmt.Errorf("%w: premaster length %d", ErrHandshake, len(pm))
-		}
-		c.hs.premaster = pm
-	case ProfileEmbedded:
-		c.hs.premaster = append([]byte(nil), cfg.PSK...)
-	}
-	phaseStart = c.emitPhase("server", "key_exchange", false, phaseStart)
-
-	if err := c.deriveKeys(false); err != nil {
-		return err
-	}
-	c.secret = c.master
-	if cfg.Cache != nil {
-		cfg.Cache.put(c.sessionID, c.secret)
-	}
-	if err := c.recvFinished("client finished"); err != nil {
-		return err
-	}
-	if err := c.sendFinished("server finished"); err != nil {
-		return err
-	}
-	if promiseTicket {
-		if err := c.sendNewTicket(); err != nil {
 			return err
 		}
 	}
-	c.emitPhase("server", "finished", false, phaseStart)
+	if ticketPromised {
+		var err error
+		if isClient {
+			err = c.recvNewTicket()
+		} else {
+			err = c.sendNewTicket()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	role := "server"
+	if isClient {
+		role = "client"
+	}
+	c.emitPhase(role, "finished", c.resumed, phaseStart)
+	return nil
+}
+
+func (c *Conn) verifyData(label string) []byte {
+	digest := sha1.Sum1(c.hs.transcript.Bytes())
+	v := sha1.HMAC(c.master, append([]byte(label), digest[:]...))
+	return v[:]
+}
+
+func (c *Conn) sendFinished(label string) error {
+	return c.sendHandshake(append([]byte{msgFinished}, c.verifyData(label)...))
+}
+
+// recvFinished checks the peer's Finished against the verify value
+// over the transcript that precedes it.
+func (c *Conn) recvFinished(label string) error {
+	want := c.verifyData(label)
+	msg, err := c.readHandshake(msgFinished)
+	if err != nil {
+		return err
+	}
+	if len(msg) != 1+sha1.Size || !constEq(msg[1:], want) {
+		return fmt.Errorf("%w: Finished verify mismatch", ErrHandshake)
+	}
 	return nil
 }
 
@@ -511,50 +539,6 @@ func expand(master []byte, label string, n int) []byte {
 		counter++
 	}
 	return out[:n]
-}
-
-// --- finished -------------------------------------------------------------------
-
-func (c *Conn) verifyData(label string) []byte {
-	digest := sha1.Sum1(c.hs.transcript.Bytes())
-	v := sha1.HMAC(c.master, append([]byte(label), digest[:]...))
-	return v[:]
-}
-
-func (c *Conn) sendFinished(label string) error {
-	body := append([]byte{msgFinished}, c.verifyData(label)...)
-	sealed, err := c.sealRecord(recHandshake, body)
-	if err != nil {
-		return fmt.Errorf("%w: sealing Finished: %v", ErrHandshake, err)
-	}
-	if err := c.writeRecord(recHandshake, sealed); err != nil {
-		return fmt.Errorf("%w: sending Finished: %v", ErrHandshake, err)
-	}
-	c.hs.transcript.Write(body)
-	return nil
-}
-
-func (c *Conn) recvFinished(label string) error {
-	recType, body, err := c.readRecord()
-	if err != nil {
-		return fmt.Errorf("%w: reading Finished: %v", ErrHandshake, err)
-	}
-	if recType != recHandshake {
-		return fmt.Errorf("%w: expected Finished, got record %#x", ErrHandshake, recType)
-	}
-	pt, err := c.openRecord(recHandshake, body)
-	if err != nil {
-		return fmt.Errorf("%w: opening Finished: %v", ErrHandshake, err)
-	}
-	if len(pt) != 1+sha1.Size || pt[0] != msgFinished {
-		return fmt.Errorf("%w: malformed Finished", ErrHandshake)
-	}
-	want := c.verifyData(label)
-	if !constEq(pt[1:], want) {
-		return fmt.Errorf("%w: Finished verify mismatch", ErrHandshake)
-	}
-	c.hs.transcript.Write(pt)
-	return nil
 }
 
 // --- RSA key wire format ----------------------------------------------------------

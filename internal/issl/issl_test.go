@@ -250,12 +250,12 @@ func TestTamperedDataRecordRejected(t *testing.T) {
 	cliCfg, srvCfg := embeddedConfigs()
 	cli, srv := handshakePair(t, cliCfg, srvCfg)
 	// Manually corrupt a sealed record: build it, flip a byte, feed it.
-	sealed, err := cli.sealRecord(recData, []byte("payload"))
+	rec, err := cli.appendSealed(nil, recData, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed[len(sealed)/2] ^= 0x01
-	go cli.writeRecord(recData, sealed)
+	rec[len(rec)/2] ^= 0x01
+	go cli.tr.Write(rec)
 	buf := make([]byte, 64)
 	if _, err := srv.Read(buf); !errors.Is(err, ErrBadMAC) {
 		t.Errorf("tampered record error = %v, want ErrBadMAC", err)
@@ -265,13 +265,13 @@ func TestTamperedDataRecordRejected(t *testing.T) {
 func TestReplayedRecordRejected(t *testing.T) {
 	cliCfg, srvCfg := embeddedConfigs()
 	cli, srv := handshakePair(t, cliCfg, srvCfg)
-	sealed, err := cli.sealRecord(recData, []byte("pay me once"))
+	rec, err := cli.appendSealed(nil, recData, []byte("pay me once"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		cli.writeRecord(recData, sealed)
-		cli.writeRecord(recData, sealed) // replay
+		cli.tr.Write(rec)
+		cli.tr.Write(rec) // replay
 	}()
 	buf := make([]byte, 64)
 	if _, err := srv.Read(buf); err != nil {

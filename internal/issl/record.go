@@ -3,6 +3,7 @@ package issl
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/crypto/sha1"
@@ -13,8 +14,9 @@ import (
 //
 //	type(1) version(1) length(2) body(length)
 //
-// Handshake records travel in the clear (like SSL's initial null
-// cipher); once Finished messages are exchanged, data records carry
+// Records travel in the clear (like SSL's initial null cipher) until
+// the handshake installs keys; from each side's Finished on, every
+// record body is
 //
 //	iv(blockSize) ciphertext(...) mac(12)
 //
@@ -22,8 +24,9 @@ import (
 // encrypt-then-MAC, with an independent sequence counter and key pair
 // per direction.
 //
-// The steady-state data path is allocation-free: records are sealed
-// in place into a staging buffer (appendSealed), opened in place in
+// One writer (writeRecords) frames every record, clear or sealed, data
+// or control. The steady-state data path is allocation-free: records
+// are sealed in place into a pooled staging buffer, opened in place in
 // the transport's receive buffer (openRecord), and MACed through per-direction
 // streaming HMAC states that reuse the key pad blocks.
 
@@ -42,16 +45,89 @@ const macLen = 12
 // recordHeaderLen is the framing prefix: type, version, 2-byte length.
 const recordHeaderLen = 4
 
-// writeRecord frames and transmits one record body.
+// recBufPool holds record staging buffers shared by all connections;
+// steady-state writes neither allocate nor copy records more than once.
+var recBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFlushThreshold bounds how many framed bytes the writer stages
+// before handing them to the transport in one call.
+const writeFlushThreshold = 16 * 1024
+
+// writeRecords is the one record writer. It frames p as records of at
+// most maxRec bytes each — sealed once write keys are installed, in
+// the clear before that — staged back to back in a pooled buffer and
+// handed to the transport in one Write per ~16 KiB. It returns how many
+// bytes of p, and how many records, the transport accepted. Callers
+// hold wMu, or own the Conn outright during the handshake.
+func (c *Conn) writeRecords(recType byte, p []byte, maxRec int) (n int, recs uint64, err error) {
+	bufp := recBufPool.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() { *bufp = buf[:0]; recBufPool.Put(bufp) }()
+
+	pending, pendingRecs := 0, uint64(0) // staged but not yet flushed
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		if _, err := c.tr.Write(buf); err != nil {
+			return err
+		}
+		buf = buf[:0]
+		n += pending
+		recs += pendingRecs
+		pending, pendingRecs = 0, 0
+		return nil
+	}
+	for off := 0; off < len(p); {
+		m := min(len(p)-off, maxRec)
+		if c.wCipher != nil {
+			buf, err = c.appendSealed(buf, recType, p[off:off+m])
+		} else {
+			var body []byte
+			if buf, body, err = appendFrame(buf, recType, m); err == nil {
+				copy(body, p[off:off+m])
+			}
+		}
+		if err != nil {
+			break // send what was staged, then report err
+		}
+		off += m
+		pending += m
+		pendingRecs++
+		if len(buf) >= writeFlushThreshold {
+			if err := flush(); err != nil {
+				return n, recs, err
+			}
+		}
+	}
+	if ferr := flush(); ferr != nil {
+		return n, recs, ferr
+	}
+	return n, recs, err
+}
+
+// writeRecord sends body as exactly one record.
 func (c *Conn) writeRecord(recType byte, body []byte) error {
-	if len(body) > 0xffff {
-		return fmt.Errorf("%w: %d bytes", ErrRecordTooBig, len(body))
+	_, _, err := c.writeRecords(recType, body, len(body))
+	return err
+}
+
+// appendFrame appends the header of an n-byte record body to dst,
+// followed by n bytes of room for the body, and returns the extended
+// slice and the body view. It is the only place a record header is
+// built.
+func appendFrame(dst []byte, recType byte, n int) ([]byte, []byte, error) {
+	if n > 0xffff {
+		return dst, nil, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, n)
 	}
-	hdr := []byte{recType, protocolVersion, byte(len(body) >> 8), byte(len(body))}
-	if _, err := c.tr.Write(append(hdr, body...)); err != nil {
-		return err
-	}
-	return nil
+	off := len(dst)
+	dst = append(dst, make([]byte, recordHeaderLen+n)...)
+	rec := dst[off:]
+	rec[0] = recType
+	rec[1] = protocolVersion
+	rec[2] = byte(n >> 8)
+	rec[3] = byte(n)
+	return dst, rec[recordHeaderLen:], nil
 }
 
 // peekTransport is the zero-copy receive interface: Peek returns a
@@ -213,24 +289,18 @@ func macInto(st *sha1.HMACState, seq uint64, recType byte, iv, ct []byte, sum *[
 // appendSealed seals plaintext as one complete framed record (header
 // included) appended to dst and returns the extended slice. Everything
 // — IV generation, padding, CBC, MAC — happens in place inside dst, so
-// a dst with capacity to spare makes the call allocation-free. Callers
-// must hold wMu (it consumes the rng and the write sequence).
+// a dst with capacity to spare makes the call allocation-free. On
+// error dst comes back unextended. Callers must hold wMu (it consumes
+// the rng and the write sequence).
 func (c *Conn) appendSealed(dst []byte, recType byte, plaintext []byte) ([]byte, error) {
 	bs := c.wCipher.BlockSize()
 	padN := bs - len(plaintext)%bs // PKCS#7: always at least one byte
 	ctLen := len(plaintext) + padN
-	bodyLen := bs + ctLen + macLen
-	if bodyLen > 0xffff {
-		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, bodyLen)
-	}
 	off := len(dst)
-	dst = append(dst, make([]byte, recordHeaderLen+bodyLen)...)
-	rec := dst[off:]
-	rec[0] = recType
-	rec[1] = protocolVersion
-	rec[2] = byte(bodyLen >> 8)
-	rec[3] = byte(bodyLen)
-	body := rec[recordHeaderLen:]
+	dst, body, err := appendFrame(dst, recType, bs+ctLen+macLen)
+	if err != nil {
+		return dst, err
+	}
 	iv := body[:bs]
 	c.rng.Fill(iv)
 	ct := body[bs : bs+ctLen]
@@ -239,25 +309,13 @@ func (c *Conn) appendSealed(dst []byte, recType byte, plaintext []byte) ([]byte,
 		ct[i] = byte(padN)
 	}
 	if err := c.wCipher.EncryptCBCInPlace(iv, ct); err != nil {
-		return nil, err
+		return dst[:off], err
 	}
 	var sum [sha1.Size]byte
 	macInto(c.writeHMAC(), c.wSeq, recType, iv, ct, &sum)
 	copy(body[bs+ctLen:], sum[:macLen])
 	c.wSeq++
 	return dst, nil
-}
-
-// sealRecord encrypts and MACs a data record body (unframed). The hot
-// write path stages records with appendSealed directly; this
-// allocating form serves the rare paths (alerts, close, Finished) and
-// the tests.
-func (c *Conn) sealRecord(recType byte, plaintext []byte) ([]byte, error) {
-	rec, err := c.appendSealed(nil, recType, plaintext)
-	if err != nil {
-		return nil, err
-	}
-	return rec[recordHeaderLen:], nil
 }
 
 // openRecord verifies and decrypts a data record body. Decryption is

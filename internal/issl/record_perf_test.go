@@ -13,10 +13,10 @@ import (
 	"repro/internal/race"
 )
 
-// sealRecordRef rebuilds a sealed body the way the seed kernel did —
+// sealedBodyRef rebuilds a sealed body the way the seed kernel did —
 // allocating Pad + EncryptCBC + one-shot HMAC — against a snapshot of
 // the conn's write state, without advancing that state.
-func sealRecordRef(t *testing.T, c *Conn, rngSeed uint64, seq uint64, recType byte, pt []byte) []byte {
+func sealedBodyRef(t *testing.T, c *Conn, rngSeed uint64, seq uint64, recType byte, pt []byte) []byte {
 	t.Helper()
 	rng := prng.NewXorshift(rngSeed)
 	bs := c.wCipher.BlockSize()
@@ -51,12 +51,12 @@ func TestSealMatchesReference(t *testing.T) {
 		pt := make([]byte, rng.Intn(600))
 		rng.Read(pt)
 
-		want := sealRecordRef(t, c, seed, c.wSeq, recData, pt)
-		got, err := c.sealRecord(recData, pt)
+		want := sealedBodyRef(t, c, seed, c.wSeq, recData, pt)
+		rec, err := c.appendSealed(nil, recData, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if got := rec[recordHeaderLen:]; !bytes.Equal(got, want) {
 			t.Fatalf("vector %d: sealed record differs from seed kernel output", i)
 		}
 	}

@@ -28,24 +28,6 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
-func TestSetLossClampsAndReports(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
-	if err := h.SetLoss(150, 1); err == nil {
-		t.Error("loss 150%% accepted silently")
-	}
-	a, _ := h.Attach(mac(1))
-	h.Attach(mac(2))
-	// Clamped to 100: nothing gets through.
-	a.Send(Frame{Dst: mac(2)})
-	if sent, dropped := h.Stats(); sent != 0 || dropped != 1 {
-		t.Errorf("after clamped-to-100 loss: sent=%d dropped=%d", sent, dropped)
-	}
-	if err := h.SetLoss(50, 1); err != nil {
-		t.Errorf("in-range loss rejected: %v", err)
-	}
-}
-
 func TestClosedPortSendTypedError(t *testing.T) {
 	h := NewHub()
 	defer h.Close()

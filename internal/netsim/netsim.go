@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/crypto/prng"
 	"repro/internal/telemetry"
 )
 
@@ -82,15 +81,13 @@ func (f EthFrame) Payload() []byte { return f.b[EthHeaderLen:] }
 // Bytes returns the whole frame (header + payload) as a view.
 func (f EthFrame) Bytes() []byte { return f.b }
 
-// Hub is a shared-medium repeater with optional latency, loss, and a
-// scriptable FaultPlan (see fault.go). The zero value is not usable;
-// call NewHub.
+// Hub is a shared-medium repeater with optional latency and a
+// scriptable FaultPlan (loss, corruption, duplication, reordering; see
+// fault.go). The zero value is not usable; call NewHub.
 type Hub struct {
 	mu      sync.Mutex
 	ports   []*Port
 	latency time.Duration
-	lossPct int // 0..100 uniform loss, independent of any FaultPlan
-	rng     *prng.Xorshift
 	closed  bool
 
 	fault      *faultState       // nil: clean wire
@@ -117,7 +114,6 @@ type Hub struct {
 func NewHub() *Hub {
 	reg := telemetry.NewRegistry()
 	return &Hub{
-		rng:     prng.NewXorshift(1),
 		metrics: newHubMetrics(reg),
 		reg:     reg,
 		clock:   telemetry.NewWallClock(),
@@ -150,27 +146,6 @@ func (h *Hub) SetLatency(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.latency = d
-}
-
-// SetLoss sets percentage frame loss (0–100), deterministic per seed.
-// Out-of-range percentages are clamped and reported as an error so a
-// typo'd chaos script fails loudly instead of silently running clean.
-func (h *Hub) SetLoss(pct int, seed uint64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	clamped := pct
-	if clamped < 0 {
-		clamped = 0
-	}
-	if clamped > 100 {
-		clamped = 100
-	}
-	h.lossPct = clamped
-	h.rng = prng.NewXorshift(seed)
-	if clamped != pct {
-		return fmt.Errorf("%w: loss %d%% clamped to %d%%", ErrBadFaultPlan, pct, clamped)
-	}
-	return nil
 }
 
 // Stats returns total frames delivered and dropped so far.
@@ -341,7 +316,7 @@ func (p *Port) MAC() MAC { return p.mac }
 // Send transmits a frame onto the wire. The source address is forced
 // to the port's own MAC. Delivery is asynchronous. Frames may be lost,
 // corrupted, duplicated, reordered, or partitioned away per the hub's
-// loss setting and FaultPlan; none of that is visible to the sender,
+// FaultPlan and partitions; none of that is visible to the sender,
 // exactly as on a real wire.
 func (p *Port) Send(f Frame) error {
 	f.Src = p.mac
@@ -363,12 +338,6 @@ func (p *Port) Send(f Frame) error {
 		h.trace.Emit("netsim", "fault.partition", "src", p.mac.String(), "len", len(f.Payload))
 		h.mu.Unlock()
 		return nil // the unplugged cable: sender cannot tell
-	}
-	if h.lossPct > 0 && h.rng.Intn(100) < h.lossPct {
-		h.metrics.framesDropped.Inc()
-		h.trace.Emit("netsim", "fault.loss", "mode", "uniform", "src", p.mac.String(), "len", len(f.Payload))
-		h.mu.Unlock()
-		return nil // lost on the wire; sender cannot tell
 	}
 	if h.fault == nil && h.latency == 0 {
 		// Fast path: a clean zero-latency wire delivers inline, while

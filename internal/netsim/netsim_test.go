@@ -132,7 +132,9 @@ func TestLatency(t *testing.T) {
 func TestTotalLoss(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	h.SetLoss(100, 42)
+	if err := h.SetFaultPlan(&FaultPlan{Seed: 42, LossGoodPct: 100}); err != nil {
+		t.Fatal(err)
+	}
 	a, _ := h.Attach(mac(1))
 	b, _ := h.Attach(mac(2))
 	for i := 0; i < 10; i++ {
@@ -149,7 +151,9 @@ func TestTotalLoss(t *testing.T) {
 func TestPartialLossApproximatesRate(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	h.SetLoss(30, 7)
+	if err := h.SetFaultPlan(&FaultPlan{Seed: 7, LossGoodPct: 30}); err != nil {
+		t.Fatal(err)
+	}
 	a, _ := h.Attach(mac(1))
 	b, _ := h.Attach(mac(2))
 	const n = 2000

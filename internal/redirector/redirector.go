@@ -203,6 +203,13 @@ type service struct {
 // Stats exposes the live counters.
 func (s *service) Stats() *Stats { return &s.stats }
 
+// handshakeTimeout bounds every server handshake, so a client that
+// connects and then says nothing cannot hold a connection (on the
+// embedded flavor, one of its few slots) forever. It is no shorter
+// than the longest client-side handshake timeout in the tree
+// (loadgen's 60 s), so an honest client always gives up first.
+var handshakeTimeout = 60 * time.Second
+
 // handle serves one accepted client connection to the end: bind issl
 // over client (when Secure), dial the backend from stack, relay until
 // both directions end. The flavor supplies only what differs: its
@@ -213,6 +220,7 @@ func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip
 	if s.cfg.Secure {
 		hs.Log, hs.Cache, hs.TicketKeys = s.cfg.Log, s.cfg.SessionCache, s.cfg.TicketKeys
 		hs.Metrics, hs.Trace = s.cfg.Metrics, s.cfg.Trace
+		hs.HandshakeTimeout = handshakeTimeout
 		sc, err := issl.BindServer(client, hs)
 		if err != nil {
 			s.cfg.logf("redirector: %s %d: handshake failed: %v", key, id, err)
@@ -547,8 +555,17 @@ func (s *EmbeddedServer) Close() {
 // issl layer and the relay.
 type dcTransport struct{ s *dcsock.TCPSocket }
 
-func (d dcTransport) Read(p []byte) (int, error) {
-	n, status := d.s.SockRead(p, time.Hour)
+func (d dcTransport) Read(p []byte) (int, error) { return d.read(p, time.Hour) }
+
+// ReadDeadline bounds one read by sock_read's timeout, the time left
+// until deadline; issl reads through it while a handshake deadline is
+// set.
+func (d dcTransport) ReadDeadline(p []byte, deadline time.Time) (int, error) {
+	return d.read(p, time.Until(deadline))
+}
+
+func (d dcTransport) read(p []byte, timeout time.Duration) (int, error) {
+	n, status := d.s.SockRead(p, timeout)
 	switch status {
 	case dcsock.StatusOK:
 		return n, nil

@@ -1030,3 +1030,84 @@ func TestFlavorParity(t *testing.T) {
 		}
 	}
 }
+
+// TestServerHandshakeDeadline: clients that connect and never speak
+// must not hold the server forever. On the Fig. 3 flavor three of them
+// fill every slot, and the handshake deadline frees the slots, so a
+// fourth, honest client is served soon after it; on the Unix flavor
+// the inflight count returns to 0.
+func TestServerHandshakeDeadline(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 300 * time.Millisecond
+	psk := []byte("silent clients")
+
+	t.Run("embedded", func(t *testing.T) {
+		cli, mid, back := world(t)
+		startEchoBackend(t, back)
+		srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{
+			ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
+			Secure: true, PSK: psk, Slots: 3, RandSeed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Run()
+		defer srv.Close()
+		for i := 0; i < 3; i++ {
+			defer connectRetry(t, cli, mid.Addr(), 443).Abort()
+		}
+		start := time.Now()
+		var sc *issl.Conn
+		for sc == nil {
+			if time.Since(start) > handshakeTimeout+5*time.Second {
+				t.Fatal("fourth client never got a slot")
+			}
+			tcb, err := cli.Connect(mid.Addr(), 443, time.Second)
+			if err != nil {
+				time.Sleep(5 * time.Millisecond)
+				continue
+			}
+			defer tcb.Abort()
+			if sc, err = issl.BindClient(tcb, issl.Config{Profile: issl.ProfileEmbedded, PSK: psk,
+				Rand: prng.NewXorshift(4)}); err != nil {
+				t.Fatalf("fourth client handshake: %v", err)
+			}
+		}
+		if waited := time.Since(start); waited > handshakeTimeout+2*time.Second {
+			t.Errorf("fourth client waited %v for a slot, deadline %v", waited, handshakeTimeout)
+		}
+		sc.Write([]byte("served"))
+		buf := make([]byte, 16)
+		if n, err := sc.Read(buf); err != nil || string(buf[:n]) != "served" {
+			t.Fatalf("fourth client echo: %q, %v", buf[:n], err)
+		}
+		if got := srv.Stats().Refused.Value(); got != 3 {
+			t.Errorf("refused = %d, want 3 silent clients", got)
+		}
+	})
+
+	t.Run("unix", func(t *testing.T) {
+		cli, mid, back := world(t)
+		startEchoBackend(t, back)
+		srv, err := NewUnixServer(mid, Config{
+			ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
+			Secure: true, ServerKey: rsaKey(t), RandSeed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve()
+		defer srv.Close()
+		for i := 0; i < 3; i++ {
+			defer connectRetry(t, cli, mid.Addr(), 443).Abort()
+		}
+		start := time.Now()
+		for srv.Stats().Inflight.Value() != 0 || srv.Stats().Refused.Value() != 3 {
+			if time.Since(start) > handshakeTimeout+5*time.Second {
+				t.Fatalf("inflight = %d, refused = %d after %v; want 0 and 3",
+					srv.Stats().Inflight.Value(), srv.Stats().Refused.Value(), time.Since(start))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}

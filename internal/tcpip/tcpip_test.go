@@ -338,8 +338,10 @@ func TestTCPBulkTransferWithLoss(t *testing.T) {
 	}
 	// Drop 15% of frames only once data is flowing, so the handshake
 	// and the final FIN exchange stay deterministic.
-	hub.SetLoss(15, 99)
-	defer hub.SetLoss(0, 0)
+	if err := hub.SetFaultPlan(&netsim.FaultPlan{Seed: 99, LossGoodPct: 15}); err != nil {
+		t.Fatal(err)
+	}
+	defer hub.SetFaultPlan(nil)
 	var got bytes.Buffer
 	buf := make([]byte, 8192)
 	deadline := time.Now().Add(30 * time.Second)
