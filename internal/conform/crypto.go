@@ -8,6 +8,7 @@ package conform
 // oracle is a document rather than a package.
 
 import (
+	"bytes"
 	stdaes "crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -382,7 +383,8 @@ func (r rngReader) Read(p []byte) (int, error) {
 // checkBignumDifferential fuzzes every bignum operation against
 // math/big over random and boundary-shaped operands. The shapes
 // straddle both limb seams (2^32 and 2^64), where a limb-width bug
-// would hide.
+// would hide, and include the all-ones 4- and 8-limb values that the
+// unrolled Montgomery kernels see as m = 2^(64n) − 1.
 func checkBignumDifferential(c *checkCtx) {
 	shapes := [][]byte{
 		nil, {0}, {1}, {2}, {0xff},
@@ -391,6 +393,8 @@ func checkBignumDifferential(c *checkCtx) {
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // 2^64 - 1
 		{1, 0, 0, 0, 0, 0, 0, 0, 0},                      // 2^64
 		{1, 0, 0, 0, 1, 0, 0, 0, 1},                      // sparse across limbs
+		bytes.Repeat([]byte{0xff}, 32),                   // 2^256 - 1
+		bytes.Repeat([]byte{0xff}, 64),                   // 2^512 - 1
 	}
 	operand := func(maxLen int) ([]byte, bignum.Int, *big.Int) {
 		var b []byte
@@ -450,13 +454,19 @@ func checkBignumDifferential(c *checkCtx) {
 
 		// Force the modulus odd half the time so both ModExp paths run
 		// (Montgomery for odd moduli, square-and-multiply for even).
-		mb, m, bm := operand(24)
+		// Up to 64 bytes reaches every Montgomery kernel width: 1–8
+		// limbs, the unrolled 4 and 8 among them.
+		mb, m, bm := operand(64)
 		if c.rng.Intn(2) == 0 && len(mb) > 0 {
 			mb = append([]byte(nil), mb...)
 			mb[len(mb)-1] |= 1
 			m, bm = bignum.FromBytes(mb), new(big.Int).SetBytes(mb)
 		}
 		if !m.IsZero() {
+			if c.rng.Intn(8) == 0 && m.Cmp(bignum.One()) > 0 {
+				gx = m.Sub(bignum.One()) // x = m − 1
+				bgx = new(big.Int).Sub(bm, big.NewInt(1))
+			}
 			eb := randBytes(c.rng, c.rng.Intn(13))
 			got := gx.ModExp(bignum.FromBytes(eb), m)
 			want := new(big.Int).Exp(bgx, new(big.Int).SetBytes(eb), bm)

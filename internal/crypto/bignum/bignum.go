@@ -277,13 +277,23 @@ func (x Int) DivMod(y Int) (q, r Int, err error) {
 	shift := bits.LeadingZeros64(y.limbs[len(y.limbs)-1])
 	v := y.Shl(shift).limbs
 	un := x.Shl(shift).limbs
-	n := len(v)
 	// u needs m+n+1 limbs.
 	u := make([]uint64, len(un)+1)
 	copy(u, un)
-	m := len(u) - n - 1
-	qLimbs := make([]uint64, m+1)
-	for j := m; j >= 0; j-- {
+	qLimbs := make([]uint64, len(u)-len(v))
+	divLoop(u, v, qLimbs)
+	r = Int{limbs: norm(u[:len(v)])}.Shr(shift)
+	return Int{limbs: norm(qLimbs)}, r, nil
+}
+
+// divLoop is the core of Knuth's Algorithm D. v is the divisor, at
+// least two limbs, shifted so its top bit is set; u is the dividend
+// under the same shift plus one zero top limb. On return u[:len(v)]
+// holds the (still shifted) remainder and q, when non-nil, the
+// len(u)-len(v) quotient limbs. It allocates nothing.
+func divLoop(u, v, q []uint64) {
+	n := len(v)
+	for j := len(u) - n - 1; j >= 0; j-- {
 		// Estimate qhat from the top two limbs of the current remainder.
 		// bits.Div64 panics when the high word >= divisor, which here
 		// means qhat would be >= 2^64: clamp to the all-ones limb and
@@ -327,10 +337,10 @@ func (x Int) DivMod(y Int) (q, r Int, err error) {
 			}
 			u[j+n] += c
 		}
-		qLimbs[j] = qhat
+		if q != nil {
+			q[j] = qhat
+		}
 	}
-	r = Int{limbs: norm(u[:n])}.Shr(shift)
-	return Int{limbs: norm(qLimbs)}, r, nil
 }
 
 // Div returns x / y, panicking on zero divisor.
@@ -365,7 +375,11 @@ func (x Int) ModExp(e, m Int) Int {
 		return Int{}
 	}
 	if m.IsOdd() {
-		return newMontCtx(m).exp(x.Mod(m), e)
+		if x.Cmp(m) >= 0 {
+			x = x.Mod(m)
+		}
+		ctx := newMontCtx(m)
+		return ctx.exp(x, e)
 	}
 	return x.modExpBasic(e, m)
 }

@@ -23,6 +23,12 @@ func FuzzBignum(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01}, []byte{0x00, 0x05}, []byte{0x00, 0x00, 0x07})
 	// RSA-ish sizes.
 	f.Add(bytes.Repeat([]byte{0x5a}, 32), bytes.Repeat([]byte{0xa5}, 24), append([]byte{0x80}, bytes.Repeat([]byte{0x11}, 15)...))
+	// Montgomery kernel widths: all-ones 4- and 8-limb moduli (the
+	// unrolled kernels), a 9-limb one (generic), and x = m − 1.
+	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x3c}, 10), bytes.Repeat([]byte{0xff}, 32))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 10), bytes.Repeat([]byte{0xff}, 64))
+	f.Add(append(bytes.Repeat([]byte{0xc3}, 63), 0xfe), bytes.Repeat([]byte{0x77}, 9), append(bytes.Repeat([]byte{0xc3}, 63), 0xff))
+	f.Add(bytes.Repeat([]byte{0x42}, 64), []byte{0x01, 0x00, 0x01}, append([]byte{0x80}, bytes.Repeat([]byte{0x0f}, 71)...))
 
 	f.Fuzz(func(t *testing.T, ab, bb, mb []byte) {
 		// Bound the work per input so the fuzzer explores instead of
@@ -33,8 +39,8 @@ func FuzzBignum(f *testing.F) {
 		if len(bb) > 64 {
 			bb = bb[:64]
 		}
-		if len(mb) > 24 {
-			mb = mb[:24]
+		if len(mb) > 72 {
+			mb = mb[:72] // 9 limbs: past both unrolled kernel widths
 		}
 		x, y := FromBytes(ab), FromBytes(bb)
 		xb, yb := new(big.Int).SetBytes(ab), new(big.Int).SetBytes(bb)
@@ -70,10 +76,13 @@ func FuzzBignum(f *testing.F) {
 		diff("div", q, qb)
 		diff("mod", r, rb)
 
-		// Keep the exponent small (16 bits) so modexp stays cheap per
-		// exec; width coverage comes from x and m, not e.
-		e := y.Mod(FromUint64(1 << 16))
-		ebig := new(big.Int).Mod(yb, big.NewInt(1<<16))
+		// Keep the exponent under 80 bits so modexp stays cheap per
+		// exec while both schedules run: square-and-multiply below 64
+		// bits, the 4-bit window from 64 up. Width coverage comes from
+		// x and m.
+		eMod := new(big.Int).Lsh(big.NewInt(1), 80)
+		ebig := new(big.Int).Mod(yb, eMod)
+		e := FromBytes(ebig.Bytes())
 		diff("modexp", x.ModExp(e, m), new(big.Int).Exp(xb, ebig, mbig))
 	})
 }

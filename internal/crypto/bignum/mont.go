@@ -2,27 +2,63 @@ package bignum
 
 import "math/bits"
 
+//go:generate go run mont_gen.go
+
 // Montgomery-form modular exponentiation over 64-bit limbs. The
 // schoolbook ModExp in bignum.go squares with a full Mul followed by a
 // Knuth long division per step — the exact shape of the
 // "difficult-to-port bignum package" the paper's RMC2000 port gave up
 // on. The host profile keeps RSA, so the hot path gets the standard
-// fix: CIOS Montgomery multiplication (one fused multiply-reduce pass
-// over 64×64→128 products, no division) under a 4-bit window. The
-// schoolbook path survives as modExpBasic, the oracle the perf tests
-// diff against, and still serves even moduli.
+// fix, Montgomery multiplication, in three pieces:
+//
+//   - Fused CIOS (Coarsely Integrated Operand Scanning). One inner loop
+//     per limb of b both adds a[j]·b[i] and folds in u·m[j], on two
+//     carry chains, so the n+1-limb accumulator is walked once per limb
+//     instead of twice. Operands are resliced to fixed lengths up front
+//     so the loop runs without bounds checks. The final subtraction
+//     always computes t − m and keeps t only if that borrowed.
+//   - Unrolled widths. 4 and 8 limbs, the CRT halves of 512- and
+//     1024-bit RSA keys, get the same kernel with the inner loop fully
+//     unrolled and the accumulator in locals, plus a squaring kernel
+//     that forms each cross product a[i]·a[j] once: n(n+1)/2 + n²
+//     multiplies instead of 2n². Both are written into
+//     mont_unrolled.go by mont_gen.go. newMontCtx picks the kernels
+//     from len(m) once; other widths square with the generic
+//     multiply.
+//   - An exponent schedule that fits the exponent. Exponents under 64
+//     bits (the public exponent 65537) use left-to-right square-and-
+//     multiply; longer ones use a fixed 4-bit window whose 16-entry
+//     table pays for itself only over many nibbles.
+//
+// Each exponentiation draws R² mod m (by divLoop, the long division
+// DivMod runs), the window table and all temporaries from one slice.
+// The schoolbook path survives as modExpBasic, an oracle the tests
+// diff against beside math/big, and still serves even moduli.
 
-// montCtx caches the per-modulus constants: n0 = -m^-1 mod 2^64 and
-// rr = R^2 mod m for R = 2^(64·len(m)).
+// montKernel computes dst = a·b·R^-1 mod m for R = 2^(64·len(m)),
+// given a, b < m and n0 = -m^-1 mod 2^64. t is len(m) limbs of
+// scratch. dst may alias a and/or b: the result is written only at the
+// end.
+type montKernel func(dst, a, b, m []uint64, n0 uint64, t []uint64)
+
+// montCtx holds a modulus, its Montgomery constant and the kernels for
+// its width.
 type montCtx struct {
-	m  []uint64
-	n0 uint64
-	rr []uint64
+	m      []uint64
+	n0     uint64
+	kernel montKernel // multiply
+	square montKernel // multiply with b = a
+	t      []uint64   // kernel scratch, set by exp
 }
 
-func newMontCtx(m Int) *montCtx {
-	n := len(m.limbs)
-	ctx := &montCtx{m: m.limbs}
+func newMontCtx(m Int) montCtx {
+	ctx := montCtx{m: m.limbs, kernel: montMulGeneric, square: montMulGeneric}
+	switch len(m.limbs) {
+	case 4:
+		ctx.kernel, ctx.square = montMul4, montSqr4
+	case 8:
+		ctx.kernel, ctx.square = montMul8, montSqr8
+	}
 	// Newton iteration for m[0]^-1 mod 2^64: an odd m0 is its own
 	// inverse mod 8, and each step doubles the valid bit count
 	// (3 → 6 → 12 → 24 → 48 → 96 ≥ 64).
@@ -32,117 +68,145 @@ func newMontCtx(m Int) *montCtx {
 		inv *= 2 - m0*inv
 	}
 	ctx.n0 = -inv
-	ctx.rr = padTo(One().Shl(128*n).Mod(m).limbs, n) // 2^(2·64n) mod m
 	return ctx
 }
 
-func padTo(l []uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	copy(out, l)
-	return out
+func (ctx *montCtx) mul(dst, a, b []uint64) {
+	ctx.kernel(dst, a, b, ctx.m, ctx.n0, ctx.t)
 }
 
-// mul computes dst = a·b·R^-1 mod m (CIOS — Coarsely Integrated
-// Operand Scanning). a, b and dst are n limbs; t is n+2 limbs of
-// scratch. dst may alias a and/or b: the result is accumulated in t
-// and written back only at the end.
-func (ctx *montCtx) mul(dst, a, b, t []uint64) {
-	m, n0 := ctx.m, ctx.n0
-	n := len(m)
-	for i := range t {
-		t[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		bi := b[i]
-		var carry uint64
-		for j := 0; j < n; j++ {
-			hi, lo := bits.Mul64(a[j], bi)
-			lo, c := bits.Add64(lo, t[j], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			t[j] = lo
-			carry = hi
-		}
-		s, c := bits.Add64(t[n], carry, 0)
-		t[n] = s
-		t[n+1] = c
+func (ctx *montCtx) sqr(dst, a []uint64) {
+	ctx.square(dst, a, a, ctx.m, ctx.n0, ctx.t)
+}
 
-		// Fold in u·m so the low limb cancels, then shift down a limb.
-		u := t[0] * n0
-		hi, lo := bits.Mul64(u, m[0])
-		_, c = bits.Add64(lo, t[0], 0) // low limb cancels to zero by construction
-		carry = hi + c
+// montMulGeneric is the fused CIOS kernel for any width. The
+// accumulator is t[:n] plus its top limb in a local.
+func montMulGeneric(dst, a, b, m []uint64, n0 uint64, t []uint64) {
+	n := len(m)
+	a, b, dst, t = a[:n], b[:n], dst[:n], t[:n]
+	clear(t)
+	var top uint64
+	for _, bi := range b {
+		// Limb 0 fixes u so the reduction's low limb cancels to zero.
+		hi, lo := bits.Mul64(a[0], bi)
+		lo, c := bits.Add64(lo, t[0], 0)
+		c1 := hi + c
+		u := lo * n0
+		hi, lo2 := bits.Mul64(u, m[0])
+		_, c = bits.Add64(lo2, lo, 0)
+		c2 := hi + c
 		for j := 1; j < n; j++ {
-			hi, lo := bits.Mul64(u, m[j])
-			lo, c := bits.Add64(lo, t[j], 0)
+			hi, lo = bits.Mul64(a[j], bi)
+			lo, c = bits.Add64(lo, t[j], 0)
 			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
+			lo, c = bits.Add64(lo, c1, 0)
+			c1 = hi + c
+			hi, lo2 = bits.Mul64(u, m[j])
+			lo2, c = bits.Add64(lo2, lo, 0)
 			hi += c
-			t[j-1] = lo
-			carry = hi
+			t[j-1], c = bits.Add64(lo2, c2, 0)
+			c2 = hi + c
 		}
-		s, c = bits.Add64(t[n], carry, 0)
-		t[n-1] = s
-		t[n] = t[n+1] + c
+		s, c := bits.Add64(top, c1, 0)
+		s, c3 := bits.Add64(s, c2, 0)
+		t[n-1], top = s, c+c3
 	}
-	// Conditional final subtraction: t may be in [0, 2m).
-	ge := t[n] != 0
-	if !ge {
-		ge = true
-		for i := n - 1; i >= 0; i-- {
-			if t[i] != m[i] {
-				ge = t[i] > m[i]
-				break
+	// t < 2m: keep t − m unless it borrowed.
+	var br uint64
+	for i := range dst {
+		dst[i], br = bits.Sub64(t[i], m[i], br)
+	}
+	if _, br = bits.Sub64(top, 0, br); br != 0 {
+		copy(dst, t)
+	}
+}
+
+// setRR writes R² mod m, the factor that takes a value into
+// Montgomery form, into rr. It divides 2^(128n) by m with divLoop in
+// s, 3n+2 limbs of scratch, so it allocates nothing.
+func (ctx *montCtx) setRR(rr, s []uint64) {
+	m := ctx.m
+	n := len(m)
+	if n == 1 {
+		rr[0] = bits.Rem64(bits.Rem64(1, 0, m[0]), 0, m[0])
+		return
+	}
+	// Normalize as DivMod does: shift m so its top bit is set, and
+	// 2^(128n) by the same amount.
+	shift := uint(bits.LeadingZeros64(m[n-1]))
+	v, u := s[:n], s[n:3*n+2]
+	for i := n - 1; i > 0; i-- {
+		v[i] = m[i]<<shift | m[i-1]>>(64-shift)
+	}
+	v[0] = m[0] << shift
+	clear(u)
+	u[2*n] = 1 << shift
+	divLoop(u, v, nil)
+	for i := range rr {
+		rr[i] = u[i]>>shift | u[i+1]<<(64-shift)
+	}
+}
+
+// exp returns x^e mod m for x < m, m odd and greater than one.
+func (ctx *montCtx) exp(x, e Int) Int {
+	if e.IsZero() {
+		return One()
+	}
+	n := len(ctx.m)
+	ebits := e.BitLen()
+	windowed := ebits >= 64
+	size := 4*n + (3*n + 2) // kernel scratch, rr, xm, acc; setRR's division
+	if windowed {
+		size += 14 * n // x^2 … x^15; x^1 is xm
+	}
+	buf := make([]uint64, size)
+	carve := func(k int) []uint64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	ctx.t = carve(n)
+	rr, xm, acc := carve(n), carve(n), carve(n)
+
+	ctx.setRR(rr, carve(3*n+2))
+	copy(acc, x.limbs)
+	ctx.mul(xm, acc, rr)
+
+	if !windowed {
+		// Left-to-right square-and-multiply from the top set bit.
+		copy(acc, xm)
+		for i := ebits - 2; i >= 0; i-- {
+			ctx.sqr(acc, acc)
+			if e.Bit(i) == 1 {
+				ctx.mul(acc, acc, xm)
 			}
-		}
-	}
-	if ge {
-		var borrow uint64
-		for i := 0; i < n; i++ {
-			dst[i], borrow = bits.Sub64(t[i], m[i], borrow)
 		}
 	} else {
-		copy(dst, t[:n])
-	}
-}
-
-// exp returns x^e mod m via 4-bit windowed Montgomery exponentiation.
-// x must already be reduced mod m; m must be odd.
-func (ctx *montCtx) exp(x, e Int) Int {
-	n := len(ctx.m)
-	t := make([]uint64, n+2)
-	one := make([]uint64, n)
-	one[0] = 1
-	rmod := make([]uint64, n) // R mod m = montgomery form of 1
-	ctx.mul(rmod, one, ctx.rr, t)
-
-	xm := make([]uint64, n)
-	ctx.mul(xm, padTo(x.limbs, n), ctx.rr, t)
-
-	// win[w] = x^w in Montgomery form.
-	var win [16][]uint64
-	win[0] = rmod
-	win[1] = xm
-	for i := 2; i < 16; i++ {
-		win[i] = make([]uint64, n)
-		ctx.mul(win[i], win[i-1], xm, t)
-	}
-
-	acc := padTo(rmod, n)
-	nibbles := (e.BitLen() + 3) / 4
-	for i := nibbles - 1; i >= 0; i-- {
-		if i != nibbles-1 {
+		// win[w] = x^w in Montgomery form; win[0] is never read.
+		var win [16][]uint64
+		win[1] = xm
+		for w := 2; w < 16; w++ {
+			win[w] = carve(n)
+			ctx.mul(win[w], win[w-1], xm)
+		}
+		nibbles := (ebits + 3) / 4
+		nibble := func(i int) uint {
+			return e.Bit(4*i+3)<<3 | e.Bit(4*i+2)<<2 | e.Bit(4*i+1)<<1 | e.Bit(4*i)
+		}
+		copy(acc, win[nibble(nibbles-1)]) // the top nibble is nonzero
+		for i := nibbles - 2; i >= 0; i-- {
 			for s := 0; s < 4; s++ {
-				ctx.mul(acc, acc, acc, t)
+				ctx.sqr(acc, acc)
+			}
+			if w := nibble(i); w != 0 {
+				ctx.mul(acc, acc, win[w])
 			}
 		}
-		w := e.Bit(4*i+3)<<3 | e.Bit(4*i+2)<<2 | e.Bit(4*i+1)<<1 | e.Bit(4*i)
-		if w != 0 {
-			ctx.mul(acc, acc, win[w], t)
-		}
 	}
+	// Leave Montgomery form: multiply by plain 1.
+	clear(rr)
+	rr[0] = 1
 	out := make([]uint64, n)
-	ctx.mul(out, acc, one, t) // leave Montgomery form
+	ctx.mul(out, acc, rr)
 	return Int{limbs: norm(out)}
 }

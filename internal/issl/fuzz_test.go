@@ -9,12 +9,15 @@ package issl
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"time"
 
 	"repro/internal/crypto/aes"
+	"repro/internal/crypto/bignum"
 	"repro/internal/crypto/prng"
+	"repro/internal/crypto/rsa"
 )
 
 // fuzzTransport feeds a fixed byte string to the record reader and
@@ -115,29 +118,31 @@ func handshakeFuzzConfigs(tb testing.TB) (unixCli, unixSrv, embCli, embSrv Confi
 }
 
 // FuzzHandshake feeds arbitrary bytes as the peer's whole flight to
-// BindServer (Unix with cache and tickets, and Embedded) and to an
-// Embedded BindClient. Invariants: no panic, and every bind returns
-// within the deadline once the flight runs out. A Unix client is not
-// fuzzed: a hostile ServerHello names the RSA key the client then
-// computes with, and a 64 KiB modulus makes that cost unbounded.
+// BindServer (Unix with cache and tickets, and Embedded) and to
+// BindClient (Unix and Embedded). Invariants: no panic, and every bind
+// returns within the deadline once the flight runs out. The Unix
+// client computes with whatever RSA key the ServerHello names, so it
+// relies on parsePublicKey's bound on that key.
 func FuzzHandshake(f *testing.F) {
 	uc, us, ec, es := handshakeFuzzConfigs(f)
-	unixFlight, _, _ := goldenExchange(f, uc, us)
+	unixFlight, unixServerFlight, _ := goldenExchange(f, uc, us)
 	embFlight, embServerFlight, _ := goldenExchange(f, ec, es)
 	f.Add(unixFlight)
+	f.Add(unixServerFlight)
 	f.Add(embFlight)
 	f.Add(embServerFlight)
 	f.Add([]byte{recHandshake, protocolVersion, 0xff, 0xff}) // 64 KiB length, no body
 	f.Add(append([]byte{recHandshake, protocolVersion, 0xff, 0xff}, embFlight...))
 
 	f.Fuzz(func(t *testing.T, flight []byte) {
-		_, us, ec, es := handshakeFuzzConfigs(t)
+		uc, us, ec, es := handshakeFuzzConfigs(t)
 		endpoints := []struct {
 			name string
 			bind func(io.ReadWriter, Config) (*Conn, error)
 			cfg  Config
 		}{
 			{"unix server", BindServer, us},
+			{"unix client", BindClient, uc},
 			{"embedded server", BindServer, es},
 			{"embedded client", BindClient, ec},
 		}
@@ -154,4 +159,53 @@ func FuzzHandshake(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestClientRejectsHostileServerKey replays a genuine Unix ServerHello
+// with its public key swapped for one outside crypto/rsa's public-key
+// rule. The client must fail with ErrHandshake before any RSA work: an
+// 8 KiB modulus under an 8 KiB exponent would otherwise cost it
+// minutes of EncryptPKCS1.
+func TestClientRejectsHostileServerKey(t *testing.T) {
+	uc, us, _, _ := handshakeFuzzConfigs(t)
+	_, s2c, _ := goldenExchange(t, uc, us)
+	n := int(s2c[2])<<8 | int(s2c[3])
+	hello := s2c[recordHeaderLen : recordHeaderLen+n]
+	prefix := hello[:len(hello)-len(marshalPublicKey(&us.ServerKey.PublicKey))]
+
+	ones := func(n int) bignum.Int { return bignum.FromBytes(bytes.Repeat([]byte{0xff}, n)) }
+	e65537 := bignum.FromUint64(65537)
+	for _, tc := range []struct {
+		name string
+		key  rsa.PublicKey
+	}{
+		{"8 KiB modulus", rsa.PublicKey{N: ones(8192), E: e65537}},
+		{"8 KiB modulus and exponent", rsa.PublicKey{N: ones(8192), E: ones(8192)}},
+		{"4097-bit modulus", rsa.PublicKey{N: bignum.One().Shl(4096).Add(bignum.One()), E: e65537}},
+		{"even modulus", rsa.PublicKey{N: ones(128).Sub(bignum.One()), E: e65537}},
+		{"exponent 1", rsa.PublicKey{N: ones(128), E: bignum.One()}},
+		{"even exponent", rsa.PublicKey{N: ones(128), E: bignum.FromUint64(65536)}},
+		{"exponent 2^31+1", rsa.PublicKey{N: ones(128), E: bignum.FromUint64(1<<31 + 1)}},
+	} {
+		body := append(append([]byte(nil), prefix...), marshalPublicKey(&tc.key)...)
+		flight := append([]byte{recHandshake, protocolVersion, byte(len(body) >> 8), byte(len(body))}, body...)
+		cfg, _, _, _ := handshakeFuzzConfigs(t)
+		start := time.Now()
+		_, err := BindClient(&fuzzTransport{r: bytes.NewReader(flight)}, cfg)
+		if !errors.Is(err, ErrHandshake) {
+			t.Errorf("%s: err = %v, want ErrHandshake", tc.name, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: rejection took %v", tc.name, d)
+		}
+	}
+
+	// The bounds themselves are legal: a 4096-bit odd modulus with the
+	// largest exponent, and the smallest exponent.
+	for _, e := range []bignum.Int{bignum.FromUint64(1<<31 - 1), bignum.FromUint64(3)} {
+		key := rsa.PublicKey{N: bignum.One().Shl(4095).Add(bignum.One()), E: e}
+		if _, err := parsePublicKey(marshalPublicKey(&key)); err != nil {
+			t.Errorf("4096-bit modulus, e=%s: %v", e, err)
+		}
+	}
 }

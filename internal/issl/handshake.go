@@ -554,6 +554,10 @@ func marshalPublicKey(pub *rsa.PublicKey) []byte {
 	return out
 }
 
+// maxServerKeyBits is the largest RSA modulus a client accepts in a
+// ServerHello.
+const maxServerKeyBits = 4096
+
 func parsePublicKey(b []byte) (*rsa.PublicKey, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("%w: missing server key", ErrHandshake)
@@ -568,9 +572,18 @@ func parsePublicKey(b []byte) (*rsa.PublicKey, error) {
 	if len(rest) < 2+nLen {
 		return nil, fmt.Errorf("%w: truncated server modulus", ErrHandshake)
 	}
-	n := rest[2 : 2+nLen]
-	return &rsa.PublicKey{
-		N: bignum.FromBytes(n),
+	pub := &rsa.PublicKey{
+		N: bignum.FromBytes(rest[2 : 2+nLen]),
 		E: bignum.FromBytes(e),
-	}, nil
+	}
+	// The key sets what the client computes with, so bound it as
+	// crypto/rsa's public-key check does: an odd modulus of at most
+	// maxServerKeyBits, and an odd exponent with 3 ≤ e < 2^31.
+	if !pub.N.IsOdd() || pub.N.BitLen() > maxServerKeyBits {
+		return nil, fmt.Errorf("%w: server modulus of %d bits", ErrHandshake, pub.N.BitLen())
+	}
+	if !pub.E.IsOdd() || pub.E.Cmp(bignum.FromUint64(3)) < 0 || pub.E.BitLen() > 31 {
+		return nil, fmt.Errorf("%w: server exponent of %d bits, even or below 3", ErrHandshake, pub.E.BitLen())
+	}
+	return pub, nil
 }

@@ -485,7 +485,12 @@ func startBackend(s *tcpip.Stack) error {
 	}
 	go func() {
 		for {
-			conn, err := l.Accept(30 * time.Second)
+			// Block until the stack closes the listener. A timed
+			// Accept ends the backend after any quiet spell (say,
+			// every client slot waiting out a request timeout on a
+			// half-open connection), and every later request is then
+			// refused.
+			conn, err := l.Accept(0)
 			if err != nil {
 				return
 			}

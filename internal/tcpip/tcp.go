@@ -203,8 +203,11 @@ type TCB struct {
 	rttSeq   uint32 // sample completes when sndUna passes this
 	rttAt    time.Time
 
-	// onEstablished fires when SYN_RCVD completes (listener delivery).
-	onEstablished func(*TCB)
+	// listener is the BSD listener whose backlog slot this passive
+	// connection holds while in SYN_RCVD: the slot passes to the
+	// accept queue when the handshake completes, and is returned if
+	// the connection dies first.
+	listener *Listener
 
 	// txScratch is the reusable segment marshal buffer (guarded by
 	// t.mu, like every send call); Port.Send copies at the wire
@@ -464,6 +467,11 @@ func (t *TCB) abortLocked(err error, sendRST bool) {
 	t.state = stateClosed
 	t.rtoArmed = false
 	t.removeLocked()
+	if l := t.listener; l != nil {
+		// Reset or timed out in SYN_RCVD: never queued for Accept.
+		t.listener = nil
+		l.release()
+	}
 	t.cond.Broadcast()
 }
 
@@ -518,10 +526,10 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 			t.rtoArmed = false
 			t.retries = 0
 			t.rto = initialRTO
-			if cb := t.onEstablished; cb != nil {
-				t.onEstablished = nil
+			if l := t.listener; l != nil {
+				t.listener = nil
 				t.mu.Unlock()
-				cb(t)
+				l.deliver(t)
 				t.mu.Lock()
 			}
 			t.cond.Broadcast()
@@ -970,6 +978,17 @@ func (l *Listener) Accept(timeout time.Duration) (*TCB, error) {
 	}
 }
 
+// release returns the backlog slot of a connection that died before
+// its handshake completed. Lock order: it takes l.mu under the dying
+// TCB's t.mu, which is safe because deliver, the one path that holds
+// l.mu while taking a t.mu, only handles a TCB whose listener field
+// it has already cleared.
+func (l *Listener) release() {
+	l.mu.Lock()
+	l.pending--
+	l.mu.Unlock()
+}
+
 // deliver hands an established connection to Accept. Called by the
 // TCB state machine with no TCB lock held; the pending counter
 // guarantees channel capacity.
@@ -1110,7 +1129,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		}
 		t := newTCB(s)
 		t.localPort = port
-		t.onEstablished = l.deliver
+		t.listener = l
 		s.addTCBLocked(key, t)
 		return t, true
 	}

@@ -435,6 +435,43 @@ func TestTCPBacklogRefusesExcess(t *testing.T) {
 	}
 }
 
+// A SYN whose handshake dies in SYN_RCVD must give its backlog slot
+// back. Here the SYN claims stacks[0] as its source, so stacks[0]
+// answers the SYN-ACK with a RST, as a client whose connect timed out
+// does. Before the slot was returned, each such death shrank the
+// backlog for good, and a health port probed over a lossy wire ended
+// up refusing every probe.
+func TestBacklogSlotReturnedWhenHandshakeDies(t *testing.T) {
+	_, stacks := testNet(t, 2)
+	l, err := stacks[1].Listen(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		stacks[1].demuxTCP(stacks[0].Addr(), tcpSegment{
+			srcPort: uint16(40000 + i), dstPort: 7, seq: 1000, flags: flagSYN, window: 4096})
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			l.mu.Lock()
+			pending := l.pending
+			l.mu.Unlock()
+			if pending == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("SYN %d: backlog slot still held after the RST", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	go l.Accept(2 * time.Second)
+	conn, err := stacks[0].Connect(stacks[1].Addr(), 7, 2*time.Second)
+	if err != nil {
+		t.Fatalf("connect after reset handshakes: %v", err)
+	}
+	conn.Close()
+}
+
 func TestListenOneBecomesConnection(t *testing.T) {
 	_, stacks := testNet(t, 2)
 	sock, err := stacks[1].ListenOne(2000)

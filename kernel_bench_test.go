@@ -107,28 +107,65 @@ func BenchmarkKernelHMACSHA1(b *testing.B) {
 	record(b, nil)
 }
 
+// kernelAllocs measures op's heap allocations, once the timed loop is
+// over, as the allocs/op metric the handshake-plane rungs carry in
+// BENCH_baseline.json.
+func kernelAllocs(b *testing.B, op func()) map[string]float64 {
+	b.StopTimer()
+	b.ReportAllocs()
+	return map[string]float64{"allocs/op": testing.AllocsPerRun(3, op)}
+}
+
 // BenchmarkKernelRSASign times a 512-bit private-key operation — the
-// per-full-handshake cost — through the CRT + Montgomery path.
+// per-full-handshake cost — through the CRT + Montgomery path (4-limb
+// CRT halves).
 func BenchmarkKernelRSASign(b *testing.B) {
 	key, err := rsa.GenerateKey(prng.NewXorshift(0xCAFE), 512)
 	if err != nil {
 		b.Fatal(err)
 	}
 	digest := kernelBuf()[:20]
-	if _, err := key.SignRaw(digest); err != nil { // prime the lazy CRT precompute
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sign := func() {
 		if _, err := key.SignRaw(digest); err != nil {
 			b.Fatal(err)
 		}
 	}
-	record(b, nil)
+	sign() // prime the lazy CRT precompute
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sign()
+	}
+	record(b, kernelAllocs(b, sign))
+}
+
+// BenchmarkKernelRSADecrypt1024 times the full-handshake server's
+// private op: DecryptPKCS1 of a premaster under a 1024-bit key, whose
+// CRT halves are 8-limb exponentiations.
+func BenchmarkKernelRSADecrypt1024(b *testing.B) {
+	key, err := rsa.GenerateKey(prng.NewXorshift(0xF00D), 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := key.PublicKey.EncryptPKCS1(prng.NewXorshift(1), kernelBuf()[:48])
+	if err != nil {
+		b.Fatal(err)
+	}
+	decrypt := func() {
+		if _, err := key.DecryptPKCS1(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+	decrypt() // prime the lazy CRT precompute
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decrypt()
+	}
+	record(b, kernelAllocs(b, decrypt))
 }
 
 // BenchmarkKernelModExp1024 times one 1024-bit modular exponentiation
-// (odd modulus, so the Montgomery path) in isolation.
+// (odd modulus, so the Montgomery path; 16 limbs, no CRT) in
+// isolation.
 func BenchmarkKernelModExp1024(b *testing.B) {
 	buf := kernelBuf()
 	x := bignum.FromBytes(buf[:128])
@@ -137,12 +174,13 @@ func BenchmarkKernelModExp1024(b *testing.B) {
 	mb[0] |= 0x80      // full width
 	mb[len(mb)-1] |= 1 // odd
 	m := bignum.FromBytes(mb)
-	_ = x.ModExp(e, m) // warm caches
+	exp := func() { _ = x.ModExp(e, m) }
+	exp() // warm caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = x.ModExp(e, m)
+		exp()
 	}
-	record(b, nil)
+	record(b, kernelAllocs(b, exp))
 }
 
 // BenchmarkKernelFullHandshake times one complete Unix-profile
@@ -184,7 +222,7 @@ func BenchmarkKernelFullHandshake(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		handshake(i + 1)
 	}
-	record(b, nil)
+	record(b, kernelAllocs(b, func() { handshake(0) }))
 }
 
 // BenchmarkKernelRecordPath pumps 16 KiB per op through an
