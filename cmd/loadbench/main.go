@@ -7,14 +7,16 @@
 //
 //	go run ./cmd/loadbench -seed 1 -clients 1000 -resume 0.95
 //
-// The Virtual section of the output is bit-identical across runs with
-// one seed (see internal/loadgen); -smoke runs a small fixed workload
-// as a CI gate.
+// The plan section of the output (planned requests and handshakes) is
+// identical across runs with one seed (see internal/loadgen); the
+// measured section is the live run. -smoke runs a small fixed workload
+// as a CI gate and exits 1 if any request failed or echoed wrong bytes.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,47 +25,58 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, loadgen.Run))
+}
+
+// run is the command body; load executes the workload (loadgen.Run in
+// production). It returns the process exit status.
+func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*loadgen.Report, error)) int {
+	fs := flag.NewFlagSet("loadbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed        = flag.Uint64("seed", 1, "workload seed (drives every random decision)")
-		clients     = flag.Int("clients", 100, "virtual client population")
-		requests    = flag.Int("requests", 2, "requests per client")
-		resume      = flag.Float64("resume", 0.5, "session-resumption probability on reconnect (0..1)")
-		churn       = flag.Int("churn", 1, "reconnect every N requests (0 = one connection per client)")
-		rate        = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-		concurrency = flag.Int("concurrency", 32, "closed-loop width / open-loop in-flight cap")
-		payloads    = flag.String("payloads", "64:60,512:30,4096:10", "payload distribution size:weight,...")
-		inflight    = flag.Int("inflight", 0, "redirector admission bound (0 = unbounded)")
-		cache       = flag.Int("cache", 0, "session cache bound (0 = 2x clients)")
-		shards      = flag.Int("shards", 0, "session cache shards (0 = default)")
-		latency     = flag.Duration("latency", 0, "one-way hub latency")
-		faults      = flag.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
-		plain       = flag.Bool("plain", false, "plaintext baseline (no issl layer)")
-		jsonPath    = flag.String("json", "BENCH_load.json", "report output path (empty = skip)")
-		baseline    = flag.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
-		smoke       = flag.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags)")
-		virtual     = flag.Bool("virtual", false, "virtual-SLO section only: skip the live run (scales to very large -clients)")
+		seed        = fs.Uint64("seed", 1, "workload seed (drives every random decision)")
+		clients     = fs.Int("clients", 100, "virtual client population")
+		requests    = fs.Int("requests", 2, "requests per client")
+		resume      = fs.Float64("resume", 0.5, "session-resumption probability on reconnect (0..1)")
+		churn       = fs.Int("churn", 1, "reconnect every N requests (0 = one connection per client)")
+		rate        = fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
+		concurrency = fs.Int("concurrency", 32, "closed-loop width / open-loop in-flight cap")
+		payloads    = fs.String("payloads", "64:60,512:30,4096:10", "payload distribution size:weight,...")
+		inflight    = fs.Int("inflight", 0, "redirector admission bound (0 = unbounded)")
+		cache       = fs.Int("cache", 0, "session cache bound (0 = 2x clients)")
+		shards      = fs.Int("shards", 0, "session cache shards (0 = default)")
+		latency     = fs.Duration("latency", 0, "one-way hub latency")
+		faults      = fs.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
+		plain       = fs.Bool("plain", false, "plaintext baseline (no issl layer)")
+		jsonPath    = fs.String("json", "BENCH_load.json", "report output path (empty = skip)")
+		baseline    = fs.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
+		smoke       = fs.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags); exits 1 on any request error or echo mismatch")
 
-		instances    = flag.Int("instances", 1, "redirector instances behind the L4 balancer (1 = no cluster)")
-		policy       = flag.String("policy", "hash", "balancer policy: hash | least")
-		killNode     = flag.Int("kill-node", 0, "cluster node to kill mid-load (with -kill-at)")
-		killAt       = flag.Duration("kill-at", 0, "kill -kill-node this long into the run (0 = no kill)")
-		restartAfter = flag.Duration("restart-after", 0, "restart the killed node this long after the kill (0 = stays down)")
-		retries      = flag.Int("request-retries", 0, "per-request transport-failure retries (fresh connection each)")
+		instances    = fs.Int("instances", 1, "redirector instances behind the L4 balancer (1 = no cluster)")
+		policy       = fs.String("policy", "hash", "balancer policy: hash | least")
+		killNode     = fs.Int("kill-node", 0, "cluster node to kill mid-load (with -kill-at)")
+		killAt       = fs.Duration("kill-at", 0, "kill -kill-node this long into the run (0 = no kill)")
+		restartAfter = fs.Duration("restart-after", 0, "restart the killed node this long after the kill (0 = stays down)")
+		retries      = fs.Int("request-retries", 0, "per-request transport-failure retries (fresh connection each)")
 
-		stampede = flag.Bool("stampede", false, "reconnect-stampede scenario: all clients dial at once, 0% resumption (forces -resume 0 -churn 1)")
-		signpool = flag.Int("signpool", 0, "RSA sign/decrypt worker-pool size (0 = key ops inline)")
-		keyBits  = flag.Int("keybits", 0, "server RSA key size (0 = 512; stampede runs want 1024)")
+		stampede = fs.Bool("stampede", false, "reconnect-stampede scenario: all clients dial at once, 0% resumption (forces -resume 0 -churn 1)")
+		signpool = fs.Int("signpool", 0, "RSA sign/decrypt worker-pool size (0 = key ops inline)")
+		keyBits  = fs.Int("keybits", 0, "server RSA key size (0 = 512; stampede runs want 1024)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	dist, err := loadgen.ParsePayloads(*payloads)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *clients <= 0 || *clients > loadgen.MaxClients {
-		fmt.Fprintf(os.Stderr, "loadbench: -clients %d out of range (1..%d)\n", *clients, loadgen.MaxClients)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "loadbench: -clients %d out of range (1..%d)\n", *clients, loadgen.MaxClients)
+		return 2
 	}
 	cfg := loadgen.Config{
 		Seed:          *seed,
@@ -105,7 +118,6 @@ func main() {
 	if *smoke {
 		cfg.Clients, cfg.Requests, cfg.Resume, cfg.Concurrency = 32, 2, 0.5, 16
 	}
-	cfg.VirtualOnly = *virtual
 
 	// Capture the baseline before the run (and before -json truncates
 	// it — by default they are the same file): the committed
@@ -120,44 +132,50 @@ func main() {
 			base, err = loadgen.ReadReport(f)
 			f.Close()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		} else if *baseline != "" {
 			// An explicit -baseline that does not exist is an error; a
 			// missing default (first run) just skips the delta.
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 
 	start := time.Now()
-	rep, err := loadgen.Run(cfg)
+	rep, err := load(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if base != nil {
 		rep.AttachBaseline(base)
 	}
-	if err := rep.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := rep.WriteText(stdout); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("\ntotal run time %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "\ntotal run time %.1fs\n", time.Since(start).Seconds())
 
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := rep.WriteJSON(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		f.Close()
-		fmt.Printf("report written to %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "report written to %s\n", *jsonPath)
 	}
+	if m := &rep.Measured; *smoke && (m.Errors > 0 || m.EchoMismatches > 0) {
+		fmt.Fprintf(stderr, "loadbench: smoke failed: %d request errors, %d echo mismatches\n",
+			m.Errors, m.EchoMismatches)
+		return 1
+	}
+	return 0
 }

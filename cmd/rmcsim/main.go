@@ -10,8 +10,10 @@
 // A .asm argument is assembled with rasm first, which gives the
 // profiler a symbol table; a raw .bin profiles as one "(orphan)" span.
 //
-// -e1 runs the paper's §6 experiment — AES-128 in hand assembly vs.
-// compiled C — and, with -profile, attributes the cycles per routine,
+// -e1 prints the paper's §6 experiment — AES-128 in hand assembly vs.
+// compiled C — exactly as core.RunE1 measures it (the E1 number) and,
+// with -profile, runs the same two builds over -blocks chained blocks
+// and attributes the cycles per routine,
 // answering "where did the cycles go" for the C-vs-asm gap. With
 // -folded PREFIX it writes PREFIX-asm.folded and PREFIX-c.folded,
 // both renderable by standard flamegraph tools.
@@ -20,12 +22,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/aesasm"
 	"repro/internal/aesc"
-	"repro/internal/dcc"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rabbit"
 	"repro/internal/rasm"
@@ -44,7 +47,7 @@ func main() {
 	flag.Parse()
 
 	if *e1 {
-		if err := runE1(*blocks, *profile, *folded, *top); err != nil {
+		if err := runE1(os.Stdout, *blocks, *profile, *folded, *top); err != nil {
 			fatal(err)
 		}
 		return
@@ -100,7 +103,7 @@ func main() {
 		fmt.Printf("serial A output: %q\n", out)
 	}
 	if prof != nil {
-		if err := report(prof, "", *profile, *folded, *top); err != nil {
+		if err := report(os.Stdout, prof, *profile, *folded, *top); err != nil {
 			fatal(err)
 		}
 	}
@@ -109,44 +112,42 @@ func main() {
 	}
 }
 
-// runE1 profiles the §6 C-vs-assembly AES comparison.
-func runE1(blocks int, profile bool, foldedPrefix string, top int) error {
+// runE1 prints E1 as core.RunE1 measures it and, with profile or
+// foldedPrefix, profiles the same two builds over a chain of blocks.
+func runE1(w io.Writer, blocks int, profile bool, foldedPrefix string, top int) error {
+	res, err := core.RunE1()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "E1: AES-128, cycles per block over %d chained blocks (key schedule and first block subtracted)\n", res.Blocks)
+	fmt.Fprintf(w, "  assembly: %.0f cycles/block (%.2f KB/s at 30 MHz)\n", res.AsmCyclesPerBlock, res.AsmKBps)
+	fmt.Fprintf(w, "  C:        %.0f cycles/block (%.2f KB/s), dcc %+v\n", res.CCyclesPerBlock, res.CKBps, res.COptions)
+	fmt.Fprintf(w, "  ratio:    %.2fx\n", res.Factor)
+	if !profile && foldedPrefix == "" {
+		return nil
+	}
+
 	var key, block [16]byte
 	for i := range key {
 		key[i] = byte(i)
 		block[i] = byte(i * 17)
 	}
-
 	asm, err := aesasm.Load()
 	if err != nil {
 		return err
 	}
-	var asmProf *rabbit.Profiler
-	if profile || foldedPrefix != "" {
-		asmProf = asm.EnableProfiler()
+	asmProf := asm.EnableProfiler()
+	if _, _, err := asm.EncryptChain(key, block, blocks); err != nil {
+		return err
 	}
-	_, asmCycles, err := asm.EncryptChain(key, block, blocks)
+	cc, err := aesc.Build(res.COptions)
 	if err != nil {
 		return err
 	}
-
-	cc, err := aesc.Build(dcc.Options{})
-	if err != nil {
+	cProf := cc.EnableProfiler()
+	if _, _, err := cc.EncryptChain(key, block, blocks); err != nil {
 		return err
 	}
-	var cProf *rabbit.Profiler
-	if profile || foldedPrefix != "" {
-		cProf = cc.EnableProfiler()
-	}
-	_, cCycles, err := cc.EncryptChain(key, block, blocks)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("E1: AES-128, %d chained blocks\n", blocks)
-	fmt.Printf("  assembly: %d cycles (%.0f cycles/block)\n", asmCycles, float64(asmCycles)/float64(blocks))
-	fmt.Printf("  C:        %d cycles (%.0f cycles/block)\n", cCycles, float64(cCycles)/float64(blocks))
-	fmt.Printf("  ratio:    %.2fx\n", float64(cCycles)/float64(asmCycles))
 
 	foldedFor := func(suffix string) string {
 		if foldedPrefix == "" {
@@ -154,21 +155,21 @@ func runE1(blocks int, profile bool, foldedPrefix string, top int) error {
 		}
 		return foldedPrefix + "-" + suffix + ".folded"
 	}
-	fmt.Printf("\n--- assembly profile ---\n")
-	if err := report(asmProf, "", profile, foldedFor("asm"), top); err != nil {
+	fmt.Fprintf(w, "\n--- assembly profile (%d blocks, key schedule included) ---\n", blocks)
+	if err := report(w, asmProf, profile, foldedFor("asm"), top); err != nil {
 		return err
 	}
-	fmt.Printf("\n--- C profile ---\n")
-	return report(cProf, "", profile, foldedFor("c"), top)
+	fmt.Fprintf(w, "\n--- C profile (%d blocks, key schedule included) ---\n", blocks)
+	return report(w, cProf, profile, foldedFor("c"), top)
 }
 
 // report prints the flat table and/or writes the folded-stack file.
-func report(p *rabbit.Profiler, indent string, flat bool, foldedPath string, top int) error {
+func report(w io.Writer, p *rabbit.Profiler, flat bool, foldedPath string, top int) error {
 	if p == nil {
 		return nil
 	}
 	if flat {
-		if err := writeFlat(p, os.Stdout, top); err != nil {
+		if err := writeFlat(p, w, top); err != nil {
 			return err
 		}
 	}
@@ -184,13 +185,13 @@ func report(p *rabbit.Profiler, indent string, flat bool, foldedPath string, top
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("%sfolded stacks written to %s\n", indent, foldedPath)
+		fmt.Fprintf(w, "folded stacks written to %s\n", foldedPath)
 	}
 	return nil
 }
 
 // writeFlat renders the flat report, optionally truncated to top rows.
-func writeFlat(p *rabbit.Profiler, w *os.File, top int) error {
+func writeFlat(p *rabbit.Profiler, w io.Writer, top int) error {
 	if top <= 0 {
 		return p.WriteFlat(w)
 	}

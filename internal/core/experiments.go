@@ -37,6 +37,12 @@ func KBPerSecond(cyclesPerBlock float64) float64 {
 
 // E1Result is the paper's headline comparison.
 type E1Result struct {
+	// COptions builds the C body; Blocks is the chain length whose
+	// marginal cost per block is measured (the key schedule and the
+	// first block are subtracted, see aesc.Machine.CyclesPerBlock).
+	COptions dcc.Options
+	Blocks   int
+
 	CCyclesPerBlock   float64
 	AsmCyclesPerBlock float64
 	Factor            float64
@@ -48,11 +54,13 @@ type E1Result struct {
 // (out-of-the-box: debugging on, no optimization) against the
 // hand-written assembly, both on the CPU simulator.
 func RunE1() (*E1Result, error) {
-	cm, err := aesc.Build(dcc.Options{Debug: true})
+	const blocks = 8
+	opt := dcc.Options{Debug: true}
+	cm, err := aesc.Build(opt)
 	if err != nil {
 		return nil, err
 	}
-	cCyc, err := cm.CyclesPerBlock(8)
+	cCyc, err := cm.CyclesPerBlock(blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +68,13 @@ func RunE1() (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	aCyc, err := am.CyclesPerBlock(8)
+	aCyc, err := am.CyclesPerBlock(blocks)
 	if err != nil {
 		return nil, err
 	}
 	return &E1Result{
+		COptions:          opt,
+		Blocks:            blocks,
 		CCyclesPerBlock:   cCyc,
 		AsmCyclesPerBlock: aCyc,
 		Factor:            cCyc / aCyc,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/race"
 	"repro/internal/telemetry"
 )
 
@@ -128,5 +129,21 @@ func TestHandshakeCounters(t *testing.T) {
 	}
 	if got := reg.Counter("issl.records_out").Value(); got != 1 {
 		t.Errorf("records_out = %d, want 1", got)
+	}
+}
+
+// TestEmitPhaseNilTraceZeroAlloc pins the untraced handshake: with no
+// Config.Trace, recording a phase allocates nothing.
+func TestEmitPhaseNilTraceZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	c := &Conn{}
+	role, phase := "server", "key_exchange"
+	start := uint64(12345)
+	if n := testing.AllocsPerRun(100, func() {
+		start = c.emitPhase(role, phase, true, start) + 777
+	}); n != 0 {
+		t.Errorf("emitPhase with a nil trace: %v allocs/op, want 0", n)
 	}
 }

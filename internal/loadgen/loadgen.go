@@ -1,20 +1,19 @@
-// Package loadgen is the capacity-testing subsystem: a deterministic
+// Package loadgen is the capacity-testing subsystem: a seeded
 // virtual-client fleet that drives the full vertical this repo
 // reproduces — netsim wire, tcpip stacks, issl handshake, the
 // redirector service, a plaintext backend — under configurable
-// workloads, and reports achieved throughput and latency percentiles
-// against the modeled expectation.
+// workloads, and reports the throughput and latency percentiles it
+// measured.
 //
 // The paper's service went from a workstation prototype to a 30 MHz
 // board by being measured at every step; loadgen is that measurement
-// harness for this reproduction. One run produces two kinds of truth:
+// harness for this reproduction. One run reports two things:
 //
-//   - Virtual: the seeded workload plan replayed through a
-//     discrete-event queueing model in virtual time (model.go). Fully
-//     deterministic — two runs with one seed emit identical request
-//     counts, percentile tables and histogram buckets — so it can gate
-//     regressions in CI.
-//   - Measured: the same plan executed against the live stack, with
+//   - Plan: the seeded workload plan's request and handshake counts.
+//     Every per-request decision is drawn from the seed before anything
+//     touches a socket, so two runs with one seed offer the same
+//     workload, and the live handshake mix can be checked against it.
+//   - Measured: the plan executed against the live stack, with
 //     byte-exact echo verification, a private telemetry registry
 //     counting what the server actually did (handshakes granted full
 //     vs resumed, admission refusals, bytes redirected), and every
@@ -149,19 +148,13 @@ type Config struct {
 	HubLatency time.Duration
 	// Plain disables the issl layer: the paper's plaintext baseline.
 	Plain bool
-	// VirtualOnly skips the live run entirely: only the deterministic
-	// workload plan and queueing model execute, so fleet sizes far past
-	// what CI hardware can drive live (tens of thousands of clients)
-	// still produce a replayable virtual-SLO section. The measured
-	// section of the report is zeroed.
-	VirtualOnly bool
 
 	// churnSet marks ChurnEvery=0 as intentional (see KeepConnections).
 	churnSet bool
 }
 
-// MaxClients bounds the fleet size: the plan and model are O(Clients)
-// in memory, so anything past this is a typo'd flag, not a workload.
+// MaxClients bounds the fleet size: the plan is O(Clients) in memory,
+// so anything past this is a typo'd flag, not a workload.
 const MaxClients = 1 << 20
 
 func (cfg *Config) withDefaults() (*Config, error) {
@@ -249,7 +242,6 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	p := buildPlan(c)
-	model := runModel(c, p)
 
 	rep := &Report{
 		Seed:        c.Seed,
@@ -278,21 +270,10 @@ func Run(cfg Config) (*Report, error) {
 	if c.Mode == ModeOpen {
 		rep.RatePerSec = c.RatePerSec
 	}
-	rep.Virtual = VirtualReport{
-		DurationNs:        model.durationNs,
-		Requests:          model.requests,
+	rep.Plan = PlanReport{
+		Requests:          p.requests,
 		HandshakesFull:    p.full,
 		HandshakesResumed: p.resumed,
-		Latency:           percentilesFrom(model.latency),
-		Buckets:           model.latency.Buckets(),
-	}
-	if model.durationNs > 0 {
-		rep.Virtual.RPS = float64(model.requests) / (float64(model.durationNs) / 1e9)
-	}
-
-	if c.VirtualOnly {
-		rep.VirtualOnly = true
-		return rep, nil
 	}
 	measured, err := runReal(c, p)
 	if err != nil {
@@ -560,7 +541,7 @@ func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 		rp := &cp.reqs[ri]
 
 		// Open loop: hold the planned arrival schedule against the wall
-		// clock (scaled 1:1; virtual ns ≈ wall ns for pacing purposes).
+		// clock.
 		if cfg.Mode == ModeOpen {
 			if wait := time.Duration(rp.arrivalNs) - time.Since(start); wait > 0 {
 				time.Sleep(wait)

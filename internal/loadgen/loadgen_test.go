@@ -18,8 +18,8 @@ func TestSmokeClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = 8 * 2
-	if rep.Virtual.Requests != want {
-		t.Errorf("virtual requests = %d, want %d", rep.Virtual.Requests, want)
+	if rep.Plan.Requests != want {
+		t.Errorf("planned requests = %d, want %d", rep.Plan.Requests, want)
 	}
 	if rep.Measured.Requests != want || rep.Measured.Errors != 0 {
 		t.Errorf("measured = %d ok / %d errors, want %d / 0",
@@ -29,19 +29,16 @@ func TestSmokeClosed(t *testing.T) {
 		t.Error("no bytes echoed")
 	}
 	// Every connection handshakes: 16 fresh connections planned.
-	if got := rep.Virtual.HandshakesFull + rep.Virtual.HandshakesResumed; got != want {
-		t.Errorf("virtual handshakes = %d, want %d", got, want)
+	if got := rep.Plan.HandshakesFull + rep.Plan.HandshakesResumed; got != want {
+		t.Errorf("planned handshakes = %d, want %d", got, want)
 	}
 	// The live server granted what the plan offered (cache is big
 	// enough that no offer should miss).
-	if rep.Measured.HandshakesFull != rep.Virtual.HandshakesFull ||
-		rep.Measured.HandshakesResumed != rep.Virtual.HandshakesResumed {
+	if rep.Measured.HandshakesFull != rep.Plan.HandshakesFull ||
+		rep.Measured.HandshakesResumed != rep.Plan.HandshakesResumed {
 		t.Errorf("measured handshakes full=%d resumed=%d, plan full=%d resumed=%d",
 			rep.Measured.HandshakesFull, rep.Measured.HandshakesResumed,
-			rep.Virtual.HandshakesFull, rep.Virtual.HandshakesResumed)
-	}
-	if rep.Virtual.Latency.P50 == 0 || rep.Virtual.Latency.Max < rep.Virtual.Latency.P50 {
-		t.Errorf("degenerate latency table: %+v", rep.Virtual.Latency)
+			rep.Plan.HandshakesFull, rep.Plan.HandshakesResumed)
 	}
 	// A live run always measures wall latency.
 	if wl := rep.Measured.WallLatency; wl == nil {
@@ -56,8 +53,7 @@ func TestSmokeClosed(t *testing.T) {
 }
 
 // TestDeterminism is the acceptance contract: two runs with one seed
-// produce an identical Virtual section — request counts, handshake
-// counts, every percentile, every histogram bucket — and identical
+// plan the same request and handshake counts and produce identical
 // measured request/error counts.
 func TestDeterminism(t *testing.T) {
 	run := func() *Report {
@@ -68,8 +64,11 @@ func TestDeterminism(t *testing.T) {
 		return rep
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a.Virtual, b.Virtual) {
-		t.Errorf("virtual sections differ:\n%+v\n%+v", a.Virtual, b.Virtual)
+	if a.Plan != b.Plan {
+		t.Errorf("plan sections differ:\n%+v\n%+v", a.Plan, b.Plan)
+	}
+	if a.Plan.Requests != 12*3 {
+		t.Errorf("planned requests = %d, want %d", a.Plan.Requests, 12*3)
 	}
 	if a.Measured.Requests != b.Measured.Requests || a.Measured.Errors != b.Measured.Errors {
 		t.Errorf("measured counts differ: %d/%d vs %d/%d",
@@ -125,26 +124,18 @@ func TestOpenLoopRun(t *testing.T) {
 	}
 }
 
-// TestModelQueueing pins the model's queueing behavior: with one
-// server, latencies stack; with as many servers as clients, the p50
-// collapses to a single service time.
-func TestModelQueueing(t *testing.T) {
-	mk := func(conc int) *VirtualReport {
-		cfg, err := (&Config{Seed: 5, Clients: 8, Requests: 1, Concurrency: conc}).withDefaults()
-		if err != nil {
-			t.Fatal(err)
+// TestClientsBounds pins the population guard: zero, negative and
+// over-MaxClients configs must be rejected before any planning work,
+// and MaxClients itself must be accepted by validation.
+func TestClientsBounds(t *testing.T) {
+	for _, n := range []int{0, -1, MaxClients + 1} {
+		if _, err := (&Config{Seed: 1, Clients: n}).withDefaults(); err == nil {
+			t.Errorf("Clients=%d accepted", n)
 		}
-		p := buildPlan(cfg)
-		m := runModel(cfg, p)
-		v := &VirtualReport{DurationNs: m.durationNs, Requests: m.requests, Latency: percentilesFrom(m.latency)}
-		return v
 	}
-	serial, parallel := mk(1), mk(8)
-	if serial.DurationNs <= parallel.DurationNs {
-		t.Errorf("serial duration %d not above parallel %d", serial.DurationNs, parallel.DurationNs)
-	}
-	if serial.Latency.Max <= parallel.Latency.Max {
-		t.Errorf("serial max latency %d not above parallel %d", serial.Latency.Max, parallel.Latency.Max)
+	cfg := Config{Seed: 1, Clients: MaxClients, Requests: 1}
+	if _, err := cfg.withDefaults(); err != nil {
+		t.Errorf("Clients=MaxClients rejected: %v", err)
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 // decision — when it arrives, how many bytes it carries, whether it
 // rides the existing connection or churns to a fresh one, whether a
 // fresh connection offers the cached session or goes in cold — is
-// drawn up front from the seed, before anything touches a socket.
-// The virtual-time model replays the plan exactly; the real vertical
-// executes the same plan against live stacks. Two runs with the same
-// seed therefore share every scheduling decision, and the Virtual
-// section of the report is bit-identical across runs.
+// drawn up front from the seed, before anything touches a socket, and
+// the live vertical executes the plan against real stacks. Two runs
+// with the same seed therefore share every scheduling decision, and
+// the Plan section of the report is identical across runs.
 
 // PayloadClass is one entry of a payload size distribution.
 type PayloadClass struct {
@@ -85,8 +84,9 @@ func ParsePayloads(s string) (PayloadDist, error) {
 
 // requestPlan is one request's precomputed decisions.
 type requestPlan struct {
-	// arrivalNs is the planned virtual arrival (open loop; 0 in closed
-	// loop, where arrival is the previous request's completion).
+	// arrivalNs is the planned arrival after the run starts (open
+	// loop; 0 in closed loop, where arrival is the previous request's
+	// completion).
 	arrivalNs uint64
 	// payload is the echo payload length in bytes.
 	payload int
@@ -95,9 +95,6 @@ type requestPlan struct {
 	// forget drops the cached session first, forcing a full handshake
 	// (only meaningful with fresh).
 	forget bool
-	// jitterNs perturbs the modeled service time so virtual latencies
-	// spread like a real run's instead of collapsing to three spikes.
-	jitterNs uint64
 }
 
 // clientPlan is one virtual client's request sequence.
@@ -114,9 +111,8 @@ type plan struct {
 	// requests is the total planned request count.
 	requests uint64
 	// full/resumed count planned handshakes, assuming the server-side
-	// session cache holds every offered session (the virtual model's
-	// assumption; the measured section reports what the live cache
-	// actually granted).
+	// session cache holds every offered session (the measured section
+	// reports what the live cache actually granted).
 	full, resumed uint64
 }
 
@@ -145,7 +141,7 @@ func buildPlan(cfg *Config) *plan {
 		cp.seed = master.Next64() | 1
 		rng := prng.NewXorshift(master.Next64() | 1)
 		cp.reqs = make([]requestPlan, cfg.Requests)
-		var clock uint64 // virtual arrival clock, open loop only
+		var clock uint64 // planned arrival clock, open loop only
 		for r := range cp.reqs {
 			rp := &cp.reqs[r]
 			rp.fresh = r == 0 || (cfg.ChurnEvery > 0 && r%cfg.ChurnEvery == 0)
@@ -160,7 +156,7 @@ func buildPlan(cfg *Config) *plan {
 				}
 			}
 			rp.payload = cfg.Payloads.pick(rng)
-			rp.jitterNs = uint64(rng.Intn(modelJitterSpanNs))
+			rng.Intn(120_000) // retired model jitter; drawn so each seed keeps its workload
 			if cfg.Mode == ModeOpen {
 				// Exponential inter-arrival, rounded to whole nanoseconds
 				// immediately so the plan replays bit-exactly.

@@ -33,17 +33,14 @@ func percentilesFrom(h *telemetry.Histogram) Percentiles {
 	}
 }
 
-// VirtualReport is the deterministic section: identical across runs
-// with the same configuration and seed. It is the regression-gate
-// axis — diff it field by field, bucket by bucket.
-type VirtualReport struct {
-	DurationNs        uint64             `json:"duration_ns"`
-	RPS               float64            `json:"rps"`
-	Requests          uint64             `json:"requests"`
-	HandshakesFull    uint64             `json:"handshakes_full"`
-	HandshakesResumed uint64             `json:"handshakes_resumed"`
-	Latency           Percentiles        `json:"latency"`
-	Buckets           []telemetry.Bucket `json:"buckets"`
+// PlanReport is what the seeded workload plan offered: identical
+// across runs with the same configuration and seed. The handshake
+// counts assume a session cache that grants every offered session, so
+// the measured counts can be checked against them.
+type PlanReport struct {
+	Requests          uint64 `json:"requests"`
+	HandshakesFull    uint64 `json:"handshakes_full"`
+	HandshakesResumed uint64 `json:"handshakes_resumed"`
 }
 
 // MeasuredReport is the live section: what the real vertical did,
@@ -163,19 +160,15 @@ func deltaOf(old, new float64) Delta {
 // workloads (seed, sizing, mode, or security differ), in which case
 // the deltas are still filled in but mean nothing as a regression
 // signal. MeasuredRPS is the wall-clock throughput axis — the one a
-// host-side kernel optimization moves; VirtualRPS is deterministic per
-// seed and should not move at all between runs of the same workload.
+// host-side kernel optimization moves.
 type BaselineDelta struct {
 	Comparable    bool  `json:"comparable"`
 	MeasuredRPS   Delta `json:"measured_rps"`
-	VirtualRPS    Delta `json:"virtual_rps"`
-	VirtualP50Ns  Delta `json:"virtual_p50_ns"`
-	VirtualP99Ns  Delta `json:"virtual_p99_ns"`
 	MeasuredReqNs Delta `json:"measured_ns_per_request"`
 }
 
-// Report is the SLO report: configuration echo, the deterministic
-// virtual section, and the measured section.
+// Report is the SLO report: configuration echo, the seeded plan's
+// counts, and the measured section.
 type Report struct {
 	Seed        uint64  `json:"seed"`
 	Clients     int     `json:"clients"`
@@ -193,12 +186,8 @@ type Report struct {
 	KeyBits     int     `json:"key_bits,omitempty"`
 	Instances   int     `json:"instances,omitempty"`
 	Policy      string  `json:"policy,omitempty"`
-	// VirtualOnly marks a run whose live half was skipped
-	// (Config.VirtualOnly): the measured section is all zeros by
-	// construction, not a report of a zero-work run.
-	VirtualOnly bool `json:"virtual_only,omitempty"`
 
-	Virtual  VirtualReport  `json:"virtual"`
+	Plan     PlanReport     `json:"plan"`
 	Measured MeasuredReport `json:"measured"`
 
 	// Baseline is filled in by AttachBaseline when a previously
@@ -224,9 +213,6 @@ func (r *Report) AttachBaseline(old *Report) {
 			old.Faulty == r.Faulty && old.Stampede == r.Stampede &&
 			keyBitsOf(old) == keyBitsOf(r),
 		MeasuredRPS:   deltaOf(old.Measured.RPS, r.Measured.RPS),
-		VirtualRPS:    deltaOf(old.Virtual.RPS, r.Virtual.RPS),
-		VirtualP50Ns:  deltaOf(float64(old.Virtual.Latency.P50), float64(r.Virtual.Latency.P50)),
-		VirtualP99Ns:  deltaOf(float64(old.Virtual.Latency.P99), float64(r.Virtual.Latency.P99)),
 		MeasuredReqNs: deltaOf(nsPerReq(old), nsPerReq(r)),
 	}
 }
@@ -267,25 +253,10 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "           resume=%.0f%%  churn-every=%d  concurrency=%d  max-inflight=%d  faults=%v\n\n",
 		r.Resume*100, r.ChurnEvery, r.Concurrency, r.MaxInflight, r.Faulty)
 
-	v := &r.Virtual
-	fmt.Fprintf(w, "virtual (deterministic, replayable):\n")
-	fmt.Fprintf(w, "  duration       %12.3f s\n", float64(v.DurationNs)/1e9)
-	fmt.Fprintf(w, "  throughput     %12.1f req/s\n", v.RPS)
-	fmt.Fprintf(w, "  requests       %12d\n", v.Requests)
-	hsRate := func(n uint64) float64 {
-		if v.DurationNs == 0 {
-			return 0
-		}
-		return float64(n) / (float64(v.DurationNs) / 1e9)
-	}
-	fmt.Fprintf(w, "  handshakes     %12d full (%.1f/s), %d resumed (%.1f/s)\n",
-		v.HandshakesFull, hsRate(v.HandshakesFull), v.HandshakesResumed, hsRate(v.HandshakesResumed))
-	writePct(w, "  latency", v.Latency)
+	fmt.Fprintf(w, "plan (seeded, replayable):\n")
+	fmt.Fprintf(w, "  requests       %12d\n", r.Plan.Requests)
+	fmt.Fprintf(w, "  handshakes     %12d full, %d resumed\n", r.Plan.HandshakesFull, r.Plan.HandshakesResumed)
 
-	if r.VirtualOnly {
-		fmt.Fprintf(w, "\nmeasured: skipped (virtual-only run)\n")
-		return nil
-	}
 	m := &r.Measured
 	fmt.Fprintf(w, "\nmeasured (live vertical, wall clock):\n")
 	fmt.Fprintf(w, "  duration       %12.3f s\n", float64(m.DurationNs)/1e9)
@@ -363,8 +334,6 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 		row("measured rps", "req/s", d.MeasuredRPS, 1)
 		row("measured cost", "ms/req", d.MeasuredReqNs, 1e6)
-		row("virtual rps", "req/s", d.VirtualRPS, 1)
-		row("virtual p99", "ms", d.VirtualP99Ns, 1e6)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ func sampleReport(measuredRPS float64, durNs, reqs uint64) *Report {
 	return &Report{
 		Seed: 1, Clients: 1000, Requests: 2, Mode: "closed",
 		Concurrency: 32, Resume: 0.95, ChurnEvery: 1, Secure: true,
-		Virtual: VirtualReport{RPS: 16520, Latency: Percentiles{P50: 54_000_000, P99: 95_000_000}},
 		Measured: MeasuredReport{
 			RPS: measuredRPS, DurationNs: durNs, Requests: reqs,
 		},
@@ -34,10 +33,6 @@ func TestAttachBaselineDelta(t *testing.T) {
 	}
 	if math.Abs(d.MeasuredRPS.Pct-200) > 0.01 {
 		t.Errorf("measured rps pct = %v, want 200", d.MeasuredRPS.Pct)
-	}
-	// Virtual section is deterministic per seed: same workload, zero delta.
-	if d.VirtualRPS.Pct != 0 || d.VirtualP99Ns.Pct != 0 {
-		t.Errorf("virtual deltas should be zero: %+v %+v", d.VirtualRPS, d.VirtualP99Ns)
 	}
 	// Per-request wall cost should shrink by the same 3x.
 	if math.Abs(d.MeasuredReqNs.Pct - -66.66) > 0.1 {

@@ -50,9 +50,9 @@ func TestSoak1kConnections(t *testing.T) {
 	// bounded sharded cache has to grant a solid majority of the ~475
 	// planned resumptions even with faults forcing occasional full
 	// re-handshakes.
-	if rep.Measured.HandshakesResumed < rep.Virtual.HandshakesResumed/2 {
+	if rep.Measured.HandshakesResumed < rep.Plan.HandshakesResumed/2 {
 		t.Errorf("resumptions collapsed: measured %d, planned %d",
-			rep.Measured.HandshakesResumed, rep.Virtual.HandshakesResumed)
+			rep.Measured.HandshakesResumed, rep.Plan.HandshakesResumed)
 	}
 
 	// Goroutine population must return to baseline: Run tears down the

@@ -240,9 +240,16 @@ func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip
 		return
 	}
 	s.stats.Accepted.Inc()
-	s.cfg.Trace.Emit("redirector", "conn.accept", key, id)
+	// Guarded: Emit boxes its arguments before its nil-receiver check,
+	// and these two fire on every connection.
+	tr := s.cfg.Trace
+	if tr != nil {
+		tr.Emit("redirector", "conn.accept", key, id)
+	}
 	fwd, bwd := Relay(client, backend, s.stats.BytesForward, s.stats.BytesBackward, s.stats.HalfCloses)
-	s.cfg.Trace.Emit("redirector", "conn.done", key, id, "bytes_fwd", fwd, "bytes_bwd", bwd)
+	if tr != nil {
+		tr.Emit("redirector", "conn.done", key, id, "bytes_fwd", fwd, "bytes_bwd", bwd)
+	}
 }
 
 // dialBackend connects to the backend from stack with capped-doubling

@@ -1,16 +1,17 @@
 // Package tcpip is a from-scratch TCP/IP stack running over the
-// netsim wire. It provides what the RMC2000 development kit's software
-// provided — "software implementing TCP/IP, UDP and ICMP" (§4) — and
-// what the Unix workstation on the other end of the case study's
-// connection had natively. Both the BSD-style socket API
+// netsim wire. Of what the RMC2000 development kit provided —
+// "software implementing TCP/IP, UDP and ICMP" (§4) — it keeps the
+// parts the paper's TCP-only service uses, IP, TCP and ICMP echo, which
+// the Unix workstation on the other end of the case study's connection
+// had natively. Both the BSD-style socket API
 // (internal/bsdsock) and the Dynamic-C-style API (internal/dcsock) sit
 // on top of this one stack, which is the point of Fig. 2: the same
 // transport, two very different programming interfaces.
 //
-// Every IP header and TCP/UDP segment is checksummed on the way out and
+// Every IP header and TCP segment is checksummed on the way out and
 // verified on the way in, so the RFC 1071 checksum is the stack's one
 // per-byte kernel. It sums the data as big-endian 64-bit words with
-// end-around carry and folds to 16 bits once at the end; the TCP/UDP
+// end-around carry and folds to 16 bits once at the end; the TCP
 // pseudo-header is seeded into the same accumulator.
 package tcpip
 

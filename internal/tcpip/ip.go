@@ -10,7 +10,7 @@ const (
 )
 
 // MTU is the Ethernet payload limit; packets are never fragmented
-// because the TCP MSS and UDP senders stay under it.
+// because the TCP MSS stays under it.
 const MTU = 1500
 
 const ipHeaderLen = 20

@@ -248,31 +248,6 @@ func TestEphemeralPortNeverReturnsLivePort(t *testing.T) {
 	}
 }
 
-func TestUDPEphemeralAvoidsTCPPorts(t *testing.T) {
-	_, stacks := testNet(t, 2)
-	cli, srv := stacks[0], stacks[1]
-	l, err := srv.Listen(7, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acceptAll(l, func(*TCB) {})
-	setNextPort(cli, 50000)
-	c, err := cli.Connect(srv.Addr(), 7, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Abort()
-	setNextPort(cli, c.LocalPort())
-	u, err := cli.ListenUDP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	if u.Port() == c.LocalPort() {
-		t.Errorf("UDP ephemeral bind took TCP-held port %d", u.Port())
-	}
-}
-
 // fillTimeWait registers n connections in TIME_WAIT on s, each on its
 // own ephemeral port, with an expiry far enough out to outlive the
 // caller: the table a busy reconnecting client carries.

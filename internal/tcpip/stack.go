@@ -12,7 +12,7 @@ import (
 )
 
 // Stack is one host's TCP/IP instance, bound to a netsim port. It runs
-// a receive goroutine demultiplexing ARP/ICMP/UDP/TCP and a timer
+// a receive goroutine demultiplexing ARP/ICMP/TCP and a timer
 // goroutine driving TCP retransmission. All exported methods are safe
 // for concurrent use.
 type Stack struct {
@@ -24,7 +24,6 @@ type Stack struct {
 	arpCache   map[Addr]netsim.MAC
 	arpPending map[Addr][][]byte
 
-	udpConns  map[uint16]*UDPConn
 	tcbs      map[tcpKey]*TCB
 	tcbPorts  map[uint16]int // live tcbs entries per local port; see addTCBLocked
 	listeners map[uint16]*Listener
@@ -67,6 +66,9 @@ func newStackMetrics(reg *telemetry.Registry) stackMetrics {
 // ErrStackClosed is returned by operations on a closed stack.
 var ErrStackClosed = errors.New("tcpip: stack closed")
 
+// ErrPortInUse is returned when binding an already-bound port.
+var ErrPortInUse = errors.New("tcpip: port in use")
+
 // NewStack attaches a new host to the hub with the given IP. The MAC
 // is derived from the IP (locally administered). The stack's telemetry
 // is inert; use NewStackWithTelemetry to observe it.
@@ -90,7 +92,6 @@ func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, tr
 		mac:        mac,
 		arpCache:   map[Addr]netsim.MAC{},
 		arpPending: map[Addr][][]byte{},
-		udpConns:   map[uint16]*UDPConn{},
 		tcbs:       map[tcpKey]*TCB{},
 		tcbPorts:   map[uint16]int{},
 		listeners:  map[uint16]*Listener{},
@@ -130,19 +131,12 @@ func (s *Stack) Close() {
 		for _, l := range s.listeners {
 			listeners = append(listeners, l)
 		}
-		udps := make([]*UDPConn, 0, len(s.udpConns))
-		for _, u := range s.udpConns {
-			udps = append(udps, u)
-		}
 		s.mu.Unlock()
 		for _, t := range tcbs {
 			t.abort(ErrStackClosed)
 		}
 		for _, l := range listeners {
 			l.Close()
-		}
-		for _, u := range udps {
-			u.Close()
 		}
 		// Leave the fabric: detach the netsim port so the MAC (and with
 		// it the IP) is free for a replacement host — a restarted node
@@ -155,7 +149,7 @@ func (s *Stack) Close() {
 // acquisition and demuxes each frame in place. Every frame handed to
 // handleFrameView is a view into the drain slab, valid until the next
 // DrainFrames call — the handlers copy only what they keep (TCP
-// receive-buffer bytes, UDP datagrams, ARP cache entries).
+// receive-buffer bytes, ARP cache entries).
 func (s *Stack) recvLoop() {
 	for {
 		frames, err := s.port.DrainFrames(s.closed)
@@ -187,8 +181,6 @@ func (s *Stack) handleFrameView(f netsim.EthFrame) {
 		switch ip.Proto() {
 		case ProtoICMP:
 			s.handleICMP(ip.Src(), ip.Payload())
-		case ProtoUDP:
-			s.handleUDP(ip.Src(), ip.Payload())
 		case ProtoTCP:
 			s.handleTCPView(ip.Src(), ip.Payload())
 		}
@@ -243,9 +235,9 @@ func (s *Stack) removeTCBLocked(key tcpKey, t *TCB) {
 }
 
 // ephemeralPort allocates a port for outgoing connections: the next
-// port in 49152..65535, cycling, that no TCB, listener or UDP conn
-// holds. Each candidate costs three map lookups, whatever the number
-// of live (or TIME_WAIT) connections. Called with s.mu held.
+// port in 49152..65535, cycling, that no TCB or listener holds. Each
+// candidate costs two map lookups, whatever the number of live (or
+// TIME_WAIT) connections. Called with s.mu held.
 func (s *Stack) ephemeralPort() uint16 {
 	for i := 0; i < 16384; i++ {
 		p := s.nextPort
@@ -254,9 +246,6 @@ func (s *Stack) ephemeralPort() uint16 {
 			s.nextPort = 49152
 		}
 		if _, taken := s.listeners[p]; taken {
-			continue
-		}
-		if _, taken := s.udpConns[p]; taken {
 			continue
 		}
 		if s.tcbPorts[p] == 0 {
@@ -329,109 +318,5 @@ func (s *Stack) Ping(dst Addr, timeout time.Duration) error {
 			return fmt.Errorf("tcpip: ping %s: timeout after %v", dst, timeout)
 		case <-time.After(50 * time.Millisecond):
 		}
-	}
-}
-
-// --- UDP -----------------------------------------------------------------
-
-// UDPDatagram is one received datagram with its source.
-type UDPDatagram struct {
-	Src     Addr
-	SrcPort uint16
-	Data    []byte
-}
-
-// UDPConn is a bound UDP endpoint.
-type UDPConn struct {
-	stack *Stack
-	port  uint16
-	rx    chan UDPDatagram
-	once  sync.Once
-}
-
-// ErrPortInUse is returned when binding an already-bound port.
-var ErrPortInUse = errors.New("tcpip: port in use")
-
-// ListenUDP binds a UDP port. Port 0 picks an ephemeral port.
-func (s *Stack) ListenUDP(port uint16) (*UDPConn, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if port == 0 {
-		port = s.ephemeralPort()
-	}
-	if _, ok := s.udpConns[port]; ok {
-		return nil, fmt.Errorf("%w: udp/%d", ErrPortInUse, port)
-	}
-	u := &UDPConn{stack: s, port: port, rx: make(chan UDPDatagram, 64)}
-	s.udpConns[port] = u
-	return u, nil
-}
-
-// Port returns the bound local port.
-func (u *UDPConn) Port() uint16 { return u.port }
-
-// SendTo transmits a datagram.
-func (u *UDPConn) SendTo(dst Addr, dstPort uint16, data []byte) error {
-	if len(data)+8 > MTU-ipHeaderLen {
-		return fmt.Errorf("tcpip: UDP payload %d exceeds MTU", len(data))
-	}
-	seg := make([]byte, 8+len(data))
-	put16(seg[0:], u.port)
-	put16(seg[2:], dstPort)
-	put16(seg[4:], uint16(len(seg)))
-	copy(seg[8:], data)
-	put16(seg[6:], pseudoChecksum(ProtoUDP, u.stack.ip, dst, seg))
-	u.stack.mu.Lock()
-	defer u.stack.mu.Unlock()
-	u.stack.sendIP(dst, ProtoUDP, seg)
-	return nil
-}
-
-// Recv returns the receive channel; closed when the conn closes.
-func (u *UDPConn) Recv() <-chan UDPDatagram { return u.rx }
-
-// RecvTimeout waits up to d for one datagram.
-func (u *UDPConn) RecvTimeout(d time.Duration) (UDPDatagram, error) {
-	select {
-	case dg, ok := <-u.rx:
-		if !ok {
-			return UDPDatagram{}, ErrStackClosed
-		}
-		return dg, nil
-	case <-time.After(d):
-		return UDPDatagram{}, errors.New("tcpip: udp receive timeout")
-	}
-}
-
-// Close unbinds the port.
-func (u *UDPConn) Close() {
-	u.once.Do(func() {
-		u.stack.mu.Lock()
-		delete(u.stack.udpConns, u.port)
-		u.stack.mu.Unlock()
-		close(u.rx)
-	})
-}
-
-func (s *Stack) handleUDP(src Addr, b []byte) {
-	if len(b) < 8 {
-		return
-	}
-	// The caller verified the packet was addressed to us, so the
-	// pseudo-header destination is our own address.
-	if pseudoChecksum(ProtoUDP, src, s.ip, b) != 0 {
-		return
-	}
-	dstPort := be16(b[2:])
-	s.mu.Lock()
-	u, ok := s.udpConns[dstPort]
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	dg := UDPDatagram{Src: src, SrcPort: be16(b[0:]), Data: append([]byte(nil), b[8:]...)}
-	select {
-	case u.rx <- dg:
-	default: // receiver not draining; drop like a kernel would
 	}
 }

@@ -105,49 +105,6 @@ func TestPingUnknownHostTimesOut(t *testing.T) {
 	}
 }
 
-func TestUDPExchange(t *testing.T) {
-	_, stacks := testNet(t, 2)
-	srv, err := stacks[1].ListenUDP(9999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := stacks[0].ListenUDP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.SendTo(stacks[1].Addr(), 9999, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	dg, err := srv.RecvTimeout(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dg.Data) != "ping" || dg.Src != stacks[0].Addr() {
-		t.Errorf("got %+v", dg)
-	}
-	// Reply path.
-	if err := srv.SendTo(dg.Src, dg.SrcPort, []byte("pong")); err != nil {
-		t.Fatal(err)
-	}
-	back, err := cli.RecvTimeout(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(back.Data) != "pong" {
-		t.Errorf("reply = %q", back.Data)
-	}
-}
-
-func TestUDPPortConflict(t *testing.T) {
-	_, stacks := testNet(t, 1)
-	if _, err := stacks[0].ListenUDP(53); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stacks[0].ListenUDP(53); err == nil {
-		t.Error("duplicate UDP bind accepted")
-	}
-}
-
 func TestTCPConnectAcceptEcho(t *testing.T) {
 	_, stacks := testNet(t, 2)
 	l, err := stacks[1].Listen(7, 5)

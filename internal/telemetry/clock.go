@@ -9,7 +9,7 @@ import (
 // nanoseconds since the clock's epoch. Two implementations cover the
 // repo's needs — NewWallClock for real time (netsim latencies are real
 // sleeps, so wall time doubles as simulated time) and ManualClock for
-// fully deterministic axes (the loadgen virtual-time model, replayed
+// fully deterministic axes (test-driven netsim partitions, replayed
 // Rabbit cycle counts). Trace.SetClock installs one on a trace.
 type Clock interface {
 	Now() uint64

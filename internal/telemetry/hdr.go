@@ -17,9 +17,7 @@ import (
 //
 // Determinism: the bucket an observation lands in, and therefore every
 // quantile, depends only on the observed values — two runs that
-// observe the same multiset of values report identical buckets and
-// percentiles, which is what lets a seeded virtual-time load run
-// assert replayability on its latency table.
+// observe the same multiset of values report identical percentiles.
 type Histogram struct {
 	counts [hdrBucketCount]atomic.Uint64
 	count  atomic.Uint64
@@ -171,27 +169,4 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return h.Max()
-}
-
-// Bucket is one non-empty bucket in a snapshot: Count observations
-// whose quantized upper bound is High.
-type Bucket struct {
-	High  uint64 `json:"high"`
-	Count uint64 `json:"count"`
-}
-
-// Buckets returns the non-empty buckets in ascending value order —
-// the replayable shape determinism tests compare, and the compact form
-// reports embed.
-func (h *Histogram) Buckets() []Bucket {
-	if h == nil {
-		return nil
-	}
-	var out []Bucket
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
-			out = append(out, Bucket{High: hdrHigh(i), Count: c})
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -10,7 +9,7 @@ import (
 func TestHDRNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(42)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Buckets() != nil {
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Error("nil Histogram not inert")
 	}
 }
@@ -104,10 +103,13 @@ func TestHDRDeterministicBuckets(t *testing.T) {
 		return h
 	}
 	a, b := mk(), mk()
-	if !reflect.DeepEqual(a.Buckets(), b.Buckets()) {
-		t.Error("same observation multiset produced different buckets")
+	if a.Count() != b.Count() || a.Max() != b.Max() || a.Mean() != b.Mean() {
+		t.Error("same observation multiset produced different summaries")
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99, 0.999} {
+	// A quantile at every rank compares the two bucket layouts
+	// observation by observation.
+	for i := 1; i <= 10000; i++ {
+		q := float64(i) / 10000
 		if a.Quantile(q) != b.Quantile(q) {
 			t.Errorf("q=%v: %d vs %d", q, a.Quantile(q), b.Quantile(q))
 		}
