@@ -10,7 +10,9 @@
 // The plan section of the output (planned requests and handshakes) is
 // identical across runs with one seed (see internal/loadgen); the
 // measured section is the live run. -smoke runs a small fixed workload
-// as a CI gate and exits 1 if any request failed or echoed wrong bytes.
+// as a CI gate and exits 1 if any request failed or echoed wrong bytes;
+// it writes a report only to an explicit -json path, so a smoke run
+// never replaces the committed acceptance report.
 package main
 
 import (
@@ -48,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		latency     = fs.Duration("latency", 0, "one-way hub latency")
 		faults      = fs.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
 		plain       = fs.Bool("plain", false, "plaintext baseline (no issl layer)")
-		jsonPath    = fs.String("json", "BENCH_load.json", "report output path (empty = skip)")
+		jsonPath    = fs.String("json", "BENCH_load.json", "report output path (empty = skip; -smoke writes only an explicit -json)")
 		baseline    = fs.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
 		smoke       = fs.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags); exits 1 on any request error or echo mismatch")
 
@@ -117,6 +119,11 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 	}
 	if *smoke {
 		cfg.Clients, cfg.Requests, cfg.Resume, cfg.Concurrency = 32, 2, 0.5, 16
+		jsonSet := false
+		fs.Visit(func(f *flag.Flag) { jsonSet = jsonSet || f.Name == "json" })
+		if !jsonSet {
+			*jsonPath = ""
+		}
 	}
 
 	// Capture the baseline before the run (and before -json truncates

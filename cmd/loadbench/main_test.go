@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -39,5 +40,34 @@ func TestSmokeGate(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "1 echo mismatches") {
 		t.Errorf("smoke failure not explained on stderr: %q", errOut.String())
+	}
+}
+
+// TestSmokeKeepsCommittedReport: a -smoke run in a directory holding no
+// report writes none unless -json names a path, so running the smoke
+// at the repo root cannot replace the committed BENCH_load.json.
+func TestSmokeKeepsCommittedReport(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	stub := func(loadgen.Config) (*loadgen.Report, error) { return &loadgen.Report{}, nil }
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-smoke"}, &out, &errOut, stub); code != 0 {
+		t.Fatalf("smoke exited %d\n%s", code, errOut.String())
+	}
+	if _, err := os.Stat("BENCH_load.json"); !os.IsNotExist(err) {
+		t.Fatalf("-smoke wrote the default report (stat: %v)", err)
+	}
+	if code := run([]string{"-smoke", "-json", "BENCH_smoke.json"}, &out, &errOut, stub); code != 0 {
+		t.Fatalf("smoke with -json exited %d\n%s", code, errOut.String())
+	}
+	if _, err := os.Stat("BENCH_smoke.json"); err != nil {
+		t.Fatalf("-smoke -json did not write its report: %v", err)
 	}
 }

@@ -4,8 +4,9 @@
 //
 //   - internal/crypto/{aes,bignum,rsa,sha1,prng}: the cryptographic
 //     primitives the issl library is built from, all from scratch;
-//   - internal/{netsim,tcpip,bsdsock,dcsock}: the wire, a TCP/IP
-//     stack, and the two socket APIs of the paper's Fig. 2;
+//   - internal/{netsim,tcpip,dcsock}: the wire, a TCP/IP stack whose
+//     blocking calls are the BSD side of the paper's Fig. 2, and the
+//     Dynamic C socket API that is its other side;
 //   - internal/{costate,embedded}: Dynamic C's cooperative
 //     multitasking model and the §5 porting workarounds;
 //   - internal/issl and internal/redirector: the cryptographic

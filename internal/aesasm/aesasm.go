@@ -16,9 +16,6 @@ import (
 //go:embed aes128.asm
 var source string
 
-// Source returns the assembly source text (for the listing tools).
-func Source() string { return source }
-
 // Machine is a Rabbit with the assembly AES loaded.
 type Machine struct {
 	cpu  *rabbit.CPU
@@ -90,11 +87,6 @@ func (m *Machine) EncryptChain(key, block [16]byte, blocks int) ([16]byte, uint6
 		out[i] = c.Mem.Read(addrState + uint16(i))
 	}
 	return out, c.Cycles, nil
-}
-
-// Encrypt runs a single block (key schedule included in the cycle count).
-func (m *Machine) Encrypt(key, block [16]byte) ([16]byte, uint64, error) {
-	return m.EncryptChain(key, block, 1)
 }
 
 // CyclesPerBlock measures the marginal per-block cost by running 1 and

@@ -18,7 +18,7 @@ func TestMatchesFIPSVector(t *testing.T) {
 		0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
 	want := []byte{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
 		0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a}
-	got, cycles, err := m.Encrypt(key, block)
+	got, cycles, err := m.EncryptChain(key, block, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

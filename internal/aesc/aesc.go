@@ -15,9 +15,6 @@ import (
 //go:embed aes128.dc
 var source string
 
-// Source returns the C source text.
-func Source() string { return source }
-
 // Build compiles the AES C source under the given options.
 func Build(opt dcc.Options) (*Machine, error) {
 	comp, err := dcc.Compile(source, opt)
@@ -43,9 +40,6 @@ func (a *Machine) EnableProfiler() *rabbit.Profiler { return a.m.EnableProfiler(
 // CPU returns the simulator the machine runs on; its counters
 // describe the last run.
 func (a *Machine) CPU() *rabbit.CPU { return a.m.CPU }
-
-// Asm returns the generated assembly listing.
-func (a *Machine) Asm() string { return a.comp.Asm }
 
 // EncryptChain runs `blocks` chained encryptions and returns the final
 // state and total cycles (including key schedule), like the asm driver.

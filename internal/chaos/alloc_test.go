@@ -7,7 +7,7 @@ package chaos
 // process-wide, so every goroutine on the path (both stacks' receive
 // and timer loops, the server's echo loop) is inside the measurement.
 //
-// chaos.EchoServer is not used here: its per-read idle deadline arms a
+// echoServer is not used here: its per-read idle deadline arms a
 // timer (an allocation) per echo, which is fine for soaks and fatal
 // for this pin. This harness is the same layering with zero deadlines.
 

@@ -98,7 +98,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Skip("chaos soak skipped in -short mode")
 	}
 	hub, cli, srvStack := world(t)
-	srv, err := NewEchoServer(srvStack, echoPort, []byte(soakPSK), 1000)
+	srv, err := newEchoServer(srvStack, echoPort, []byte(soakPSK), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 	partitioned := false
 	for off := 0; off < total; {
 		if time.Now().After(budget) {
-			t.Fatalf("%v: %d/%d bytes after %d reconnects", ErrSoakStalled, off, total, reconnects)
+			t.Fatalf("transfer stalled beyond recovery budget: %d/%d bytes after %d reconnects", off, total, reconnects)
 		}
 		if !partitioned && off >= total/2 {
 			// Unplug the server mid-transfer; the wire heals itself
@@ -179,7 +179,7 @@ func TestChaosSoak(t *testing.T) {
 // The client's reconnect must come back as an abbreviated resumption.
 func TestWatchdogRebootSessionResumption(t *testing.T) {
 	_, cli, srvStack := world(t)
-	srv, err := NewEchoServer(srvStack, echoPort, []byte(soakPSK), 2000)
+	srv, err := newEchoServer(srvStack, echoPort, []byte(soakPSK), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,20 +148,6 @@ func (b *Balancer) UpCount() int {
 	return n
 }
 
-// WaitNodeState polls until node i's health verdict equals up, or the
-// timeout passes; it reports whether the state was reached. Chaos
-// harnesses use it to bound "time to detection" assertions.
-func (b *Balancer) WaitNodeState(i int, up bool, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for b.nodes[i].up.Load() != up {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
-}
-
 // Close stops accepting and probing and waits for the forwarders.
 func (b *Balancer) Close() {
 	b.once.Do(func() {

@@ -209,7 +209,7 @@ func TestKillNodeTicketResumesElsewhere(t *testing.T) {
 		t.Fatal("no instance issued the ticket")
 	}
 	cl.KillNode(victim)
-	if !cl.Balancer().WaitNodeState(victim, false, 5*time.Second) {
+	if !waitNodeState(cl.Balancer(), victim, false, 5*time.Second) {
 		t.Fatal("balancer never marked the killed node down")
 	}
 
@@ -237,7 +237,7 @@ func TestKillNodeTicketResumesElsewhere(t *testing.T) {
 func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
 	cli, cl := testWorld(t, 3, nil, nil)
 	cl.KillNode(1)
-	// No WaitNodeState: dial immediately, racing the probes.
+	// No waitNodeState: dial immediately, racing the probes.
 	var survived int
 	for i := 0; i < 4; i++ {
 		d := dialer(cli, cl, 300+uint64(i))
@@ -262,13 +262,13 @@ func TestRestartReinstatesAfterBackoff(t *testing.T) {
 	tr := telemetry.NewTrace(1 << 14)
 	cli, cl := testWorld(t, 2, nil, tr)
 	cl.KillNode(0)
-	if !cl.Balancer().WaitNodeState(0, false, 5*time.Second) {
+	if !waitNodeState(cl.Balancer(), 0, false, 5*time.Second) {
 		t.Fatal("kill not detected")
 	}
 	if err := cl.RestartNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Balancer().WaitNodeState(0, true, 5*time.Second) {
+	if !waitNodeState(cl.Balancer(), 0, true, 5*time.Second) {
 		t.Fatal("restarted node never reinstated")
 	}
 	// Backoff gate: the balancer's own down time, carried on its
@@ -361,8 +361,8 @@ func TestNoNodesRefusesCleanly(t *testing.T) {
 	cli, cl := testWorld(t, 2, nil, nil)
 	cl.KillNode(0)
 	cl.KillNode(1)
-	cl.Balancer().WaitNodeState(0, false, 5*time.Second)
-	cl.Balancer().WaitNodeState(1, false, 5*time.Second)
+	waitNodeState(cl.Balancer(), 0, false, 5*time.Second)
+	waitNodeState(cl.Balancer(), 1, false, 5*time.Second)
 	addr, port := cl.Addr()
 	tcb, err := cli.Connect(addr, port, 5*time.Second)
 	if err != nil {
@@ -463,4 +463,17 @@ func TestBalancerHalfClosePassThrough(t *testing.T) {
 	if in, out := b.Stats().BytesIn.Value(), b.Stats().BytesOut.Value(); in != 7 || out != 13 {
 		t.Errorf("relayed %d bytes in, %d out; want 7 and 13", in, out)
 	}
+}
+
+// waitNodeState polls until node i's health verdict equals up, or the
+// timeout passes; it reports whether the state was reached.
+func waitNodeState(b *Balancer, i int, up bool, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for b.nodes[i].up.Load() != up {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
 }

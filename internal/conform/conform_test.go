@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/crypto/aes"
 )
 
 // smokeOptions keeps the in-tree regression run to a couple of seconds;
@@ -136,5 +138,31 @@ func TestGoldenVectorsAlwaysRun(t *testing.T) {
 				t.Errorf("%s failed: %v %s", res.Name, res.Detail, res.Err)
 			}
 		}
+	}
+}
+
+// NIST SP 800-38A F.5.1 CTR-AES128 vector (first block).
+func TestCTRVector(t *testing.T) {
+	c, _ := aes.NewAES(mustHex("2b7e151628aed2a6abf7158809cf4f3c"))
+	nonce := mustHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+	plain := mustHex("6bc1bee22e409f96e93d7e117393172a")
+	want := mustHex("874d6191b620e3261bef6864990db6ce")
+	got, err := ctr(c, nonce, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("CTR = %x, want %x", got, want)
+	}
+}
+
+func TestCTRIsInvolution(t *testing.T) {
+	c, _ := aes.NewAES(make([]byte, 16))
+	nonce := make([]byte, 16)
+	data := []byte("short")
+	ct, _ := ctr(c, nonce, data)
+	pt, _ := ctr(c, nonce, ct)
+	if !bytes.Equal(pt, data) {
+		t.Errorf("CTR twice = %q, want %q", pt, data)
 	}
 }

@@ -53,19 +53,6 @@ func (c *Co) WaitFor(pred func() bool) {
 	}
 }
 
-// WaitForTimeout is WaitFor bounded by a deadline; it reports whether
-// the predicate became true.
-func (c *Co) WaitForTimeout(pred func() bool, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for !pred() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		c.Yield()
-	}
-	return true
-}
-
 // DelayMs returns a predicate that becomes true n milliseconds from
 // now — the idiom `waitfor(DelayMs(n))` used for pacing loops.
 func DelayMs(n int) func() bool {
@@ -154,18 +141,6 @@ func (s *Scheduler) Tick() bool {
 func (s *Scheduler) Run() {
 	for s.Tick() {
 	}
-}
-
-// RunFor ticks until every costatement finishes or the duration
-// elapses; it reports whether all finished.
-func (s *Scheduler) RunFor(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for s.Tick() {
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
-	return true
 }
 
 // Kill unwinds a costatement at its next scheduling slot.

@@ -74,19 +74,25 @@ func TestWaitFor(t *testing.T) {
 	}
 }
 
+// TestWaitForTimeout: Dynamic C bounds a wait by or-ing its condition
+// with a delay, `waitfor(cond || DelayMs(50))`; when the condition
+// never holds, the delay ends the wait.
 func TestWaitForTimeout(t *testing.T) {
 	s := New()
-	var ok bool
+	start := time.Now()
+	var ended bool
 	s.Spawn("w", func(co *Co) {
-		ok = co.WaitForTimeout(func() bool { return false }, 50*time.Millisecond)
-	})
-	// A second task keeps the scheduler ticking.
-	s.Spawn("ticker", func(co *Co) {
-		co.WaitFor(DelayMs(100))
+		never := func() bool { return false }
+		timeout := DelayMs(50)
+		co.WaitFor(func() bool { return never() || timeout() })
+		ended = true
 	})
 	s.Run()
-	if ok {
-		t.Error("WaitForTimeout reported success on never-true predicate")
+	if !ended {
+		t.Fatal("bounded wait never ended")
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Errorf("bounded wait ended after %v, before its 50 ms delay", d)
 	}
 }
 
@@ -237,4 +243,16 @@ func TestFig3Shape(t *testing.T) {
 	if served != 3 {
 		t.Errorf("served = %d, want 3", served)
 	}
+}
+
+// RunFor ticks until every costatement finishes or the duration
+// elapses; it reports whether all finished.
+func (s *Scheduler) RunFor(d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	for s.Tick() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }

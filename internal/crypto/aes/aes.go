@@ -2,8 +2,8 @@
 // configuration space the issl library exposed: key lengths of 128, 192
 // or 256 bits AND block lengths of 128, 192 or 256 bits. (FIPS-197 AES
 // is the Nb=4 subset.) The RMC2000 port described in the paper dropped
-// everything but 128-bit keys and blocks; NewPorted constructs exactly
-// that reduced profile.
+// everything but 128-bit keys and blocks; issl's embedded profile
+// enforces that reduced configuration.
 //
 // Two implementations coexist: a straightforward byte-oriented
 // transliteration of the Rijndael specification — the same style as the
@@ -132,17 +132,6 @@ func New(key []byte, blockSize int) (*Cipher, error) {
 // or 32-byte key.
 func NewAES(key []byte) (*Cipher, error) { return New(key, Size128) }
 
-// NewPorted creates the cipher in the only configuration the RMC2000
-// port retained: 128-bit key, 128-bit block. It panics on a wrong key
-// length, mirroring the port's statically-sized buffers.
-func NewPorted(key []byte) *Cipher {
-	if len(key) != Size128 {
-		panic("aes: ported profile requires a 16-byte key")
-	}
-	c, _ := New(key, Size128)
-	return c
-}
-
 func words(n int) (int, bool) {
 	switch n {
 	case Size128:
@@ -157,9 +146,6 @@ func words(n int) (int, bool) {
 
 // BlockSize returns the cipher's block size in bytes.
 func (c *Cipher) BlockSize() int { return c.nb * 4 }
-
-// Rounds returns the number of rounds (10–14 depending on sizes).
-func (c *Cipher) Rounds() int { return c.nr }
 
 func (c *Cipher) expandKey(key []byte) {
 	total := (c.nr + 1) * c.nb

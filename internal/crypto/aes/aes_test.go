@@ -83,9 +83,9 @@ func TestRoundCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%d,%d): %v", tc.keyLen, tc.blockLen, err)
 		}
-		if c.Rounds() != tc.rounds {
+		if c.nr != tc.rounds {
 			t.Errorf("key %d block %d: rounds = %d, want %d",
-				tc.keyLen, tc.blockLen, c.Rounds(), tc.rounds)
+				tc.keyLen, tc.blockLen, c.nr, tc.rounds)
 		}
 	}
 }
@@ -100,15 +100,6 @@ func TestInvalidSizes(t *testing.T) {
 	if _, err := New(nil, 16); err == nil {
 		t.Error("nil key accepted")
 	}
-}
-
-func TestNewPortedPanicsOnWrongKey(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPorted with 24-byte key did not panic")
-		}
-	}()
-	NewPorted(make([]byte, 24))
 }
 
 // TestRoundTripAllConfigs checks decrypt(encrypt(p)) == p across the
@@ -212,16 +203,14 @@ func TestCBCRoundTrip(t *testing.T) {
 	c, _ := NewAES(unhex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
 	iv := unhex(t, "000102030405060708090a0b0c0d0e0f")
 	msg := []byte("the secure redirector forwards this message verbatim")
-	padded := c.Pad(msg)
-	ct, err := c.EncryptCBC(iv, padded)
-	if err != nil {
+	buf := c.Pad(msg)
+	if err := c.EncryptCBCInPlace(iv, buf); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.DecryptCBC(iv, ct)
-	if err != nil {
+	if err := c.DecryptCBCInPlace(iv, buf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Unpad(pt)
+	out, err := c.Unpad(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,38 +225,11 @@ func TestCBCVector(t *testing.T) {
 	iv := unhex(t, "000102030405060708090a0b0c0d0e0f")
 	plain := unhex(t, "6bc1bee22e409f96e93d7e117393172a")
 	want := unhex(t, "7649abac8119b246cee98e9b12e9197d")
-	got, err := c.EncryptCBC(iv, plain)
-	if err != nil {
+	if err := c.EncryptCBCInPlace(iv, plain); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("CBC = %x, want %x", got, want)
-	}
-}
-
-// NIST SP 800-38A F.5.1 CTR-AES128 vector (first block).
-func TestCTRVector(t *testing.T) {
-	c, _ := NewAES(unhex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
-	nonce := unhex(t, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
-	plain := unhex(t, "6bc1bee22e409f96e93d7e117393172a")
-	want := unhex(t, "874d6191b620e3261bef6864990db6ce")
-	got, err := c.CTR(nonce, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("CTR = %x, want %x", got, want)
-	}
-}
-
-func TestCTRIsInvolution(t *testing.T) {
-	c, _ := NewAES(make([]byte, 16))
-	nonce := make([]byte, 16)
-	data := []byte("short")
-	ct, _ := c.CTR(nonce, data)
-	pt, _ := c.CTR(nonce, ct)
-	if !bytes.Equal(pt, data) {
-		t.Errorf("CTR twice = %q, want %q", pt, data)
+	if !bytes.Equal(plain, want) {
+		t.Errorf("CBC = %x, want %x", plain, want)
 	}
 }
 
@@ -304,13 +266,13 @@ func TestUnpadRejectsCorrupt(t *testing.T) {
 
 func TestCBCRejectsBadLengths(t *testing.T) {
 	c, _ := NewAES(make([]byte, 16))
-	if _, err := c.EncryptCBC(make([]byte, 8), make([]byte, 16)); err == nil {
+	if err := c.EncryptCBCInPlace(make([]byte, 8), make([]byte, 16)); err == nil {
 		t.Error("short IV accepted")
 	}
-	if _, err := c.EncryptCBC(make([]byte, 16), make([]byte, 17)); err == nil {
+	if err := c.EncryptCBCInPlace(make([]byte, 16), make([]byte, 17)); err == nil {
 		t.Error("ragged plaintext accepted")
 	}
-	if _, err := c.DecryptCBC(make([]byte, 16), make([]byte, 15)); err == nil {
+	if err := c.DecryptCBCInPlace(make([]byte, 16), make([]byte, 15)); err == nil {
 		t.Error("ragged ciphertext accepted")
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// This file provides the block-cipher modes the issl record layer uses:
-// CBC for records, CTR for key-stream needs, and PKCS#7-style padding.
+// This file provides the block-cipher mode the issl record layer uses:
+// in-place CBC, and PKCS#7-style padding.
 
 // ErrPadding is returned when CBC padding fails to verify on decryption.
 var ErrPadding = errors.New("aes: bad padding")
@@ -42,17 +42,6 @@ func (c *Cipher) Unpad(data []byte) ([]byte, error) {
 	return data[:len(data)-n], nil
 }
 
-// EncryptCBC encrypts plaintext (already padded to a whole number of
-// blocks) under the given IV. The IV must be one block long.
-func (c *Cipher) EncryptCBC(iv, plaintext []byte) ([]byte, error) {
-	out := make([]byte, len(plaintext))
-	copy(out, plaintext)
-	if err := c.EncryptCBCInPlace(iv, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // EncryptCBCInPlace encrypts buf (a whole number of blocks) in place
 // under the given IV, allocating nothing. This is the record-layer
 // fast path: for 16-byte blocks the chaining value stays in registers
@@ -79,16 +68,6 @@ func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 		prev = blk
 	}
 	return nil
-}
-
-// DecryptCBC reverses EncryptCBC.
-func (c *Cipher) DecryptCBC(iv, ciphertext []byte) ([]byte, error) {
-	out := make([]byte, len(ciphertext))
-	copy(out, ciphertext)
-	if err := c.DecryptCBCInPlace(iv, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DecryptCBCInPlace reverses EncryptCBCInPlace, decrypting buf in
@@ -118,32 +97,4 @@ func (c *Cipher) DecryptCBCInPlace(iv, buf []byte) error {
 		prev = cur
 	}
 	return nil
-}
-
-// CTR returns a keystream XOR of data under a counter starting at the
-// given nonce block. Encryption and decryption are the same operation.
-func (c *Cipher) CTR(nonce, data []byte) ([]byte, error) {
-	bs := c.BlockSize()
-	if len(nonce) != bs {
-		return nil, fmt.Errorf("aes: nonce must be %d bytes, got %d", bs, len(nonce))
-	}
-	ctr := make([]byte, bs)
-	copy(ctr, nonce)
-	ks := make([]byte, bs)
-	out := make([]byte, len(data))
-	for off := 0; off < len(data); off += bs {
-		c.Encrypt(ks, ctr)
-		n := min(bs, len(data)-off)
-		for i := 0; i < n; i++ {
-			out[off+i] = data[off+i] ^ ks[i]
-		}
-		// big-endian increment
-		for i := bs - 1; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] != 0 {
-				break
-			}
-		}
-	}
-	return out, nil
 }

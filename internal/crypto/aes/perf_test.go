@@ -62,7 +62,7 @@ func TestTTableMatchesGeneric(t *testing.T) {
 }
 
 // TestCBCInPlaceMatchesAllocating checks the in-place whole-buffer CBC
-// against both the allocating API and the seed kernel's per-block path.
+// against the seed kernel's allocating per-block path.
 func TestCBCInPlaceMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 2_000; i++ {

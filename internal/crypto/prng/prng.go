@@ -18,9 +18,6 @@ type LCG struct {
 // NewLCG returns an LCG seeded like srand(seed).
 func NewLCG(seed uint32) *LCG { return &LCG{state: seed, started: true} }
 
-// Seed re-seeds the generator.
-func (l *LCG) Seed(seed uint32) { l.state, l.started = seed, true }
-
 // Next returns the next value in [0, 32768), matching ANSI C's
 // RAND_MAX = 32767 reference implementation.
 func (l *LCG) Next() int {

@@ -141,12 +141,3 @@ func (m *Machine) PokeInt(name string, v uint16) error {
 	m.CPU.Mem.Write16(addr, v)
 	return nil
 }
-
-// PeekInt reads a 16-bit global.
-func (m *Machine) PeekInt(name string) (uint16, error) {
-	addr, ok := m.comp.Symbol(name)
-	if !ok {
-		return 0, fmt.Errorf("dcc: no global %q", name)
-	}
-	return m.CPU.Mem.Read16(addr), nil
-}

@@ -25,10 +25,11 @@ func compileRun(t *testing.T, src string, opt Options) *Machine {
 func expectInt(t *testing.T, src string, want int, opt Options) {
 	t.Helper()
 	m := compileRun(t, src, opt)
-	got, err := m.PeekInt("out")
-	if err != nil {
-		t.Fatal(err)
+	addr, ok := m.comp.Symbol("out")
+	if !ok {
+		t.Fatal("no global out")
 	}
+	got := m.CPU.Mem.Read16(addr)
 	if int16(got) != int16(want) {
 		t.Errorf("out = %d, want %d\nsource:\n%s", int16(got), want, src)
 	}

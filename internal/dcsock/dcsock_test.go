@@ -1,6 +1,7 @@
 package dcsock
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -240,20 +241,56 @@ func TestSockGetsRequiresASCIIMode(t *testing.T) {
 	}
 }
 
-// TestE6EchoEquivalence drives the same workload through the Fig. 2a
-// BSD server (bsdsock package, tested there) and the Fig. 2b DC server
-// and checks both produce identical echoes. The DC side runs here; the
-// equivalence of results is the assertion.
-func TestE6EchoLineProtocolMatchesBSDBehavior(t *testing.T) {
-	cli, env := twoHosts(t)
-	// Bind before the client can connect (see TestFig2bEchoServer).
-	env.SockInit()
-	var sock TCPSocket
-	if err := env.TcpListen(&sock, 7); err != nil {
+// fig2aServer is the paper's Fig. 2a BSD echo server, written with
+// tcpip's blocking calls in the figure's order: socket, bind and listen
+// (Listen), accept, then recv and send until the client closes, then
+// close. It listens before returning, so no client can race the bind.
+// The returned channel closes when the server has finished.
+func fig2aServer(t *testing.T, stack *tcpip.Stack, port uint16) <-chan struct{} {
+	lst, err := stack.Listen(port, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
 	go func() {
-		if sock.SockWaitEstablished(5*time.Second) != StatusOK {
+		defer close(done)
+		defer lst.Close()
+		conn, err := lst.Accept(5 * time.Second)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 512)
+		for {
+			n, err := conn.Read(buf)
+			if n > 0 {
+				if _, werr := conn.Write(buf[:n]); werr != nil {
+					t.Errorf("send: %v", werr)
+					return
+				}
+			}
+			if err != nil {
+				return // EOF: the client closed
+			}
+		}
+	}()
+	return done
+}
+
+// fig2bServer is the paper's Fig. 2b Dynamic C echo server (see
+// TestFig2bEchoServer), bound before it returns.
+func fig2bServer(t *testing.T, env *Env, port uint16) <-chan struct{} {
+	env.SockInit()
+	var sock TCPSocket
+	if err := env.TcpListen(&sock, port); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if st := sock.SockWaitEstablished(5 * time.Second); st != StatusOK {
+			t.Errorf("wait_established status %d", st)
 			return
 		}
 		sock.SockMode(ModeASCII)
@@ -265,28 +302,54 @@ func TestE6EchoLineProtocolMatchesBSDBehavior(t *testing.T) {
 			sock.SockPuts(line)
 		}
 	}()
-	conn, err := cli.Connect(env.Stack().Addr(), 7, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	return done
+}
+
+// TestE6EchoLineProtocolMatchesBSDBehavior is E6: the Fig. 2a BSD
+// echo server and the Fig. 2b Dynamic C one serve one multi-line
+// workload, and the client transcripts must be byte-identical (and
+// equal to what was sent, since both echo).
+func TestE6EchoLineProtocolMatchesBSDBehavior(t *testing.T) {
+	// One write per element; the last carries two lines in one segment.
+	workload := []string{"alpha\r\n", "beta with spaces\r\n", "gamma-123\r\ndelta\r\n"}
+	servers := []struct {
+		name  string
+		start func(t *testing.T, env *Env) <-chan struct{}
+	}{
+		{"fig2a", func(t *testing.T, env *Env) <-chan struct{} { return fig2aServer(t, env.Stack(), 7) }},
+		{"fig2b", func(t *testing.T, env *Env) <-chan struct{} { return fig2bServer(t, env, 7) }},
 	}
-	defer conn.Close()
-	msgs := []string{"alpha", "beta with spaces", "gamma-123"}
-	for _, m := range msgs {
-		if _, err := conn.Write([]byte(m + "\r\n")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 256)
-		var got []byte
-		for len(got) < len(m)+2 {
-			n, err := conn.ReadDeadline(buf, time.Now().Add(5*time.Second))
+	transcripts := make([]string, len(servers))
+	for i, srv := range servers {
+		t.Run(srv.name, func(t *testing.T) {
+			cli, env := twoHosts(t)
+			done := srv.start(t, env)
+			conn, err := cli.Connect(env.Stack().Addr(), 7, 5*time.Second)
 			if err != nil {
-				t.Fatalf("read echo of %q: %v", m, err)
+				t.Fatal(err)
 			}
-			got = append(got, buf[:n]...)
-		}
-		if string(got) != m+"\r\n" {
-			t.Errorf("echo of %q = %q", m, got)
-		}
+			var got []byte
+			buf := make([]byte, 256)
+			for _, w := range workload {
+				if _, err := conn.Write([]byte(w)); err != nil {
+					t.Fatal(err)
+				}
+				want := len(got) + len(w)
+				for len(got) < want {
+					n, err := conn.ReadDeadline(buf, time.Now().Add(5*time.Second))
+					if err != nil {
+						t.Fatalf("read echo of %q: %v", w, err)
+					}
+					got = append(got, buf[:n]...)
+				}
+			}
+			conn.Close()
+			<-done
+			transcripts[i] = string(got)
+		})
+	}
+	if sent := strings.Join(workload, ""); transcripts[0] != sent || transcripts[1] != sent {
+		t.Errorf("transcripts differ:\n fig2a %q\n fig2b %q\n sent  %q", transcripts[0], transcripts[1], sent)
 	}
 }
 

@@ -183,11 +183,6 @@ func Get(conn io.ReadWriter, path string) (Response, error) {
 	return roundTrip(conn, "GET", path)
 }
 
-// Head issues a HEAD request.
-func Head(conn io.ReadWriter, path string) (Response, error) {
-	return roundTrip(conn, "HEAD", path)
-}
-
 func roundTrip(conn io.ReadWriter, method, path string) (Response, error) {
 	if _, err := fmt.Fprintf(conn, "%s %s HTTP/1.0\r\n\r\n", method, path); err != nil {
 		return Response{}, err

@@ -16,13 +16,7 @@ func serveOne(t *testing.T, h Handler, method, path string) Response {
 	a, b := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- Serve(b, h) }()
-	var resp Response
-	var err error
-	if method == "HEAD" {
-		resp, err = Head(a, path)
-	} else {
-		resp, err = Get(a, path)
-	}
+	resp, err := roundTrip(a, method, path)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, path, err)
 	}

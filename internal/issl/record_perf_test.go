@@ -14,16 +14,15 @@ import (
 )
 
 // sealedBodyRef rebuilds a sealed body the way the seed kernel did —
-// allocating Pad + EncryptCBC + one-shot HMAC — against a snapshot of
-// the conn's write state, without advancing that state.
+// allocating Pad, CBC over the padded copy, one-shot HMAC — against a
+// snapshot of the conn's write state, without advancing that state.
 func sealedBodyRef(t *testing.T, c *Conn, rngSeed uint64, seq uint64, recType byte, pt []byte) []byte {
 	t.Helper()
 	rng := prng.NewXorshift(rngSeed)
 	bs := c.wCipher.BlockSize()
 	iv := rng.Bytes(bs)
-	padded := c.wCipher.Pad(pt)
-	ct, err := c.wCipher.EncryptCBC(iv, padded)
-	if err != nil {
+	ct := c.wCipher.Pad(pt)
+	if err := c.wCipher.EncryptCBCInPlace(iv, ct); err != nil {
 		t.Fatal(err)
 	}
 	msg := make([]byte, 0, 9+len(iv)+len(ct))

@@ -120,21 +120,6 @@ func (c *SessionCache) shard(id [SessionIDLen]byte) *sessionShard {
 	return &c.shards[uint64(id[0])&c.mask]
 }
 
-// Shards returns the shard count (for reports and tests).
-func (c *SessionCache) Shards() int { return len(c.shards) }
-
-// Len returns the number of cached sessions across all shards.
-func (c *SessionCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 func (c *SessionCache) put(id [SessionIDLen]byte, master []byte) {
 	s := c.shard(id)
 	s.mu.Lock()
@@ -165,17 +150,6 @@ func (c *SessionCache) get(id [SessionIDLen]byte) ([]byte, bool) {
 	}
 	s.lru.MoveToFront(el) // touch-on-get: resuming keeps a session hot
 	return append([]byte(nil), el.Value.(*sessionEntry).master...), true
-}
-
-// Remove evicts one session (e.g. after a suspected compromise).
-func (c *SessionCache) Remove(id [SessionIDLen]byte) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[id]; ok {
-		s.lru.Remove(el)
-		delete(s.items, id)
-	}
 }
 
 // Session returns resumable state after a successful client handshake,

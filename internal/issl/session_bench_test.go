@@ -55,8 +55,8 @@ func TestSessionCacheShardBounds(t *testing.T) {
 	// 64 total over 8 shards: 8 per shard; stuffing one shard (fixed
 	// leading byte) must bound it at 8 without touching the others.
 	c := NewSessionCacheSharded(64, 8)
-	if c.Shards() != 8 {
-		t.Fatalf("shards = %d", c.Shards())
+	if len(c.shards) != 8 {
+		t.Fatalf("shards = %d", len(c.shards))
 	}
 	for i := 0; i < 100; i++ {
 		var id [SessionIDLen]byte
@@ -84,9 +84,9 @@ func TestSessionCacheShardRounding(t *testing.T) {
 		{0, -1, 1},
 	} {
 		c := NewSessionCacheSharded(tc.max, tc.shards)
-		if c.Shards() != tc.want {
+		if len(c.shards) != tc.want {
 			t.Errorf("max=%d shards=%d: got %d shards, want %d",
-				tc.max, tc.shards, c.Shards(), tc.want)
+				tc.max, tc.shards, len(c.shards), tc.want)
 		}
 	}
 }

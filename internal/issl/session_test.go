@@ -165,8 +165,8 @@ func shardID(lead, tail byte) [SessionIDLen]byte {
 // global count is far below max, and neighboring shards are untouched.
 func TestSessionCacheShardBoundaryEviction(t *testing.T) {
 	c := NewSessionCacheSharded(8, 4) // 4 shards × 2 sessions each
-	if c.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", c.Shards())
+	if len(c.shards) != 4 {
+		t.Fatalf("shards = %d, want 4", len(c.shards))
 	}
 
 	// Park one resident in a neighboring shard (lead byte 1 -> shard 1).
@@ -237,8 +237,8 @@ func TestSessionCacheShardedConstruction(t *testing.T) {
 		{10, 4, 4}, // non-divisible max still shards
 	}
 	for _, tc := range cases {
-		if got := NewSessionCacheSharded(tc.max, tc.shards).Shards(); got != tc.want {
-			t.Errorf("NewSessionCacheSharded(%d,%d).Shards() = %d, want %d",
+		if got := len(NewSessionCacheSharded(tc.max, tc.shards).shards); got != tc.want {
+			t.Errorf("NewSessionCacheSharded(%d,%d) has %d shards, want %d",
 				tc.max, tc.shards, got, tc.want)
 		}
 	}
@@ -383,5 +383,29 @@ func TestChainedResumptionStaysResumable(t *testing.T) {
 				t.Errorf("server issl.handshakes_failed = %d, want 0", v)
 			}
 		})
+	}
+}
+
+// Len counts the cached sessions across all shards.
+func (c *SessionCache) Len() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.items)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Remove evicts one session, as a server reboot or eviction pressure
+// would.
+func (c *SessionCache) Remove(id [SessionIDLen]byte) {
+	s := c.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[id]; ok {
+		s.lru.Remove(el)
+		delete(s.items, id)
 	}
 }

@@ -135,8 +135,3 @@ func (p *SignPool) run(op func() ([]byte, error)) ([]byte, error) {
 func (p *SignPool) Decrypt(key *rsa.PrivateKey, ct []byte) ([]byte, error) {
 	return p.run(func() ([]byte, error) { return key.DecryptPKCS1(ct) })
 }
-
-// Sign runs key.SignRaw(digest) on the pool.
-func (p *SignPool) Sign(key *rsa.PrivateKey, digest []byte) ([]byte, error) {
-	return p.run(func() ([]byte, error) { return key.SignRaw(digest) })
-}

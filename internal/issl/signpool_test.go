@@ -47,17 +47,6 @@ func TestSignPoolDecrypt(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("nil pool decrypt: %q %v", got, err)
 	}
-
-	// Sign agrees with the inline signature too.
-	digest := bytes.Repeat([]byte{0x5a}, 20)
-	wantSig, err := key.SignRaw(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSig, err := pool.Sign(key, digest)
-	if err != nil || !bytes.Equal(gotSig, wantSig) {
-		t.Fatalf("pool sign mismatch: %v", err)
-	}
 }
 
 // TestSignPoolSaturationQueues pins the ISSUE's queue discipline: a

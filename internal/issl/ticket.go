@@ -35,11 +35,10 @@ import (
 //	macKey = HMAC-SHA1(material, "ticket mac")
 //	keyID  = HMAC-SHA1(material, "ticket id")[:4]
 //
-// keyID names the sealing key on the wire so rotation is cheap: Rotate
-// installs fresh material while old keys stay openable for a bounded
-// acceptance window, after which their tickets are rejected and the
-// client degrades to a full handshake (never to an error — see
-// Dialer.DialWithRetry).
+// keyID names the sealing key on the wire. A ticket under any other key
+// (another cluster's, or a store built from other material) is
+// rejected, and the client degrades to a full handshake (never to an
+// error — see Dialer.DialWithRetry).
 
 // TicketVersion is the sealed-ticket wire format version this code
 // mints and the only one it accepts.
@@ -66,18 +65,16 @@ var (
 	ErrTicket        = errors.New("issl: ticket rejected")
 	ErrTicketFormat  = fmt.Errorf("%w: malformed", ErrTicket)
 	ErrTicketVersion = fmt.Errorf("%w: unknown version", ErrTicket)
-	ErrTicketKey     = fmt.Errorf("%w: unknown or retired key", ErrTicket)
+	ErrTicketKey     = fmt.Errorf("%w: unknown key", ErrTicket)
 	ErrTicketMAC     = fmt.Errorf("%w: authentication failed", ErrTicket)
 	ErrTicketExpired = fmt.Errorf("%w: expired", ErrTicket)
 )
 
-// ticketKey is one derived sealing key. retireAt is the end of its
-// acceptance window: zero for the current key, set when rotated out.
+// ticketKey is one derived sealing key.
 type ticketKey struct {
-	id       [ticketKeyIDLen]byte
-	enc      *aes.Cipher
-	mac      []byte
-	retireAt time.Time
+	id  [ticketKeyIDLen]byte
+	enc *aes.Cipher
+	mac []byte
 }
 
 func deriveTicketKey(material []byte) (ticketKey, error) {
@@ -94,13 +91,12 @@ func deriveTicketKey(material []byte) (ticketKey, error) {
 }
 
 // TicketKeyStore mints and opens sealed session tickets under a
-// cluster-shared key, with rotation and a bounded old-key acceptance
-// window. Every redirector instance in a cluster holds the same store
+// cluster-shared key. Every redirector instance in a cluster holds the same store
 // (or one built from the same material), which is exactly what makes
 // any-instance resumption work. Safe for concurrent use.
 type TicketKeyStore struct {
 	mu       sync.Mutex
-	keys     []ticketKey // keys[0] is the minting key
+	key      ticketKey
 	lifetime time.Duration
 	now      func() time.Time
 	rng      *prng.Xorshift // IV source
@@ -122,7 +118,7 @@ func NewTicketKeyStore(material []byte, lifetime time.Duration) (*TicketKeyStore
 	}
 	seed := binary.BigEndian.Uint64(k.mac[:8])
 	return &TicketKeyStore{
-		keys:     []ticketKey{k},
+		key:      k,
 		lifetime: lifetime,
 		now:      time.Now,
 		rng:      prng.NewXorshift(seed | 1),
@@ -146,38 +142,6 @@ func (s *TicketKeyStore) SetRand(rng *prng.Xorshift) {
 	s.rng = rng
 }
 
-// Rotate installs fresh key material for minting. Tickets sealed under
-// the previous keys stay acceptable for acceptOld (0 = rejected
-// immediately); past the window they are rejected like any unknown
-// key and the client falls back to a full handshake.
-func (s *TicketKeyStore) Rotate(material []byte, acceptOld time.Duration) error {
-	k, err := deriveTicketKey(material)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	retire := s.now().Add(acceptOld)
-	for i := range s.keys {
-		if s.keys[i].retireAt.IsZero() || s.keys[i].retireAt.After(retire) {
-			s.keys[i].retireAt = retire
-		}
-	}
-	s.keys = append([]ticketKey{k}, s.keys...)
-	// Drop keys that can no longer open anything a live client holds:
-	// retired longer ago than any unexpired ticket could have been
-	// minted before.
-	cut := s.now().Add(-s.lifetime)
-	kept := s.keys[:0]
-	for _, old := range s.keys {
-		if old.retireAt.IsZero() || old.retireAt.After(cut) {
-			kept = append(kept, old)
-		}
-	}
-	s.keys = kept
-	return nil
-}
-
 // Seal mints a ticket over the master secret, expiring Lifetime from
 // now under the current key.
 func (s *TicketKeyStore) Seal(master []byte) ([]byte, error) {
@@ -186,7 +150,7 @@ func (s *TicketKeyStore) Seal(master []byte) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := &s.keys[0]
+	k := &s.key
 	expiry := s.now().Add(s.lifetime)
 
 	var state [ticketStateLen]byte
@@ -224,18 +188,9 @@ func (s *TicketKeyStore) Open(t []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	var k *ticketKey
-	for i := range s.keys {
-		if constEq(s.keys[i].id[:], t[1:1+ticketKeyIDLen]) {
-			k = &s.keys[i]
-			break
-		}
-	}
-	if k == nil {
+	k := &s.key
+	if !constEq(k.id[:], t[1:1+ticketKeyIDLen]) {
 		return nil, ErrTicketKey
-	}
-	if !k.retireAt.IsZero() && now.After(k.retireAt) {
-		return nil, fmt.Errorf("%w: acceptance window closed", ErrTicketKey)
 	}
 	body, mac := t[:len(t)-ticketMACLen], t[len(t)-ticketMACLen:]
 	want := sha1.HMAC(k.mac, body)

@@ -97,39 +97,6 @@ func TestTicketExpiryBoundary(t *testing.T) {
 	}
 }
 
-func TestTicketKeyRotationWindow(t *testing.T) {
-	s, fn := testStore(t, time.Hour)
-	old, err := s.Seal(testMaster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rotate([]byte("second generation"), 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Within the acceptance window the retired key still opens.
-	fn.t = fn.t.Add(5 * time.Minute)
-	if got, err := s.Open(old); err != nil || !bytes.Equal(got, testMaster()) {
-		t.Errorf("old-key Open inside window = %x, %v", got, err)
-	}
-	// New tickets mint under the new key and are distinct on the wire.
-	fresh, err := s.Seal(testMaster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(fresh[1:1+ticketKeyIDLen], old[1:1+ticketKeyIDLen]) {
-		t.Error("rotation did not change the minting key ID")
-	}
-	// Past the window the old ticket is rejected — with the key error,
-	// not a panic or a MAC error.
-	fn.t = fn.t.Add(6 * time.Minute)
-	if _, err := s.Open(old); !errors.Is(err, ErrTicketKey) {
-		t.Errorf("old-key Open past window = %v, want ErrTicketKey", err)
-	}
-	if got, err := s.Open(fresh); err != nil || !bytes.Equal(got, testMaster()) {
-		t.Errorf("fresh Open after window = %x, %v", got, err)
-	}
-}
-
 func TestTicketTamperRejected(t *testing.T) {
 	s, _ := testStore(t, time.Hour)
 	tkt, err := s.Seal(testMaster())

@@ -460,7 +460,7 @@ func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCoun
 
 // startBackend serves plaintext echo until its stack closes.
 func startBackend(s *tcpip.Stack) error {
-	l, err := s.Listen(backendPort, 16)
+	l, err := s.Listen(backendPort, tcpip.ListenBacklog)
 	if err != nil {
 		return err
 	}

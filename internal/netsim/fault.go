@@ -189,13 +189,6 @@ func (h *Hub) HealPort(mac MAC) {
 	delete(h.partitions, mac)
 }
 
-// Partitioned reports whether the MAC is currently cut off.
-func (h *Hub) Partitioned(mac MAC) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.partitionedLocked(mac, h.nowLocked())
-}
-
 // partitionedLocked checks (and lazily heals) a partition. h.mu held.
 func (h *Hub) partitionedLocked(mac MAC, now time.Time) bool {
 	until, ok := h.partitions[mac]

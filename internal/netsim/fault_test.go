@@ -196,8 +196,8 @@ func TestPartitionDropsBothDirectionsThenHeals(t *testing.T) {
 	if err := h.PartitionPort(mac(2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Partitioned(mac(2)) {
-		t.Error("Partitioned() = false after PartitionPort")
+	if !partitioned(h, mac(2)) {
+		t.Error("not partitioned after PartitionPort")
 	}
 	a.Send(Frame{Dst: mac(2), Payload: []byte("in")})
 	b.Send(Frame{Dst: mac(1), Payload: []byte("out")})
@@ -231,7 +231,7 @@ func TestPartitionHealsOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Send(Frame{Dst: mac(2), Payload: []byte("lost")})
-	if !h.Partitioned(mac(2)) {
+	if !partitioned(h, mac(2)) {
 		t.Fatal("partition not active before its heal time")
 	}
 	clk.Advance(uint64(80 * time.Millisecond))
@@ -240,7 +240,7 @@ func TestPartitionHealsOnSchedule(t *testing.T) {
 	if len(got) != 1 || string(got[0].Payload) != "after" {
 		t.Errorf("scheduled heal delivered %d frames", len(got))
 	}
-	if h.Partitioned(mac(2)) {
+	if partitioned(h, mac(2)) {
 		t.Error("partition persists past its heal time")
 	}
 }
@@ -288,4 +288,11 @@ func TestFaultScheduleReproducible(t *testing.T) {
 			t.Fatalf("frame %d differs across runs", i)
 		}
 	}
+}
+
+// partitioned reports whether the MAC is currently cut off.
+func partitioned(h *Hub, m MAC) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.partitionedLocked(m, h.nowLocked())
 }

@@ -54,20 +54,6 @@ type EthFrame struct {
 	b []byte
 }
 
-// Dst returns the destination MAC.
-func (f EthFrame) Dst() MAC {
-	var m MAC
-	copy(m[:], f.b[0:6])
-	return m
-}
-
-// Src returns the source MAC.
-func (f EthFrame) Src() MAC {
-	var m MAC
-	copy(m[:], f.b[6:12])
-	return m
-}
-
 // EtherType returns the 16-bit ethertype.
 func (f EthFrame) EtherType() uint16 {
 	return uint16(f.b[12])<<8 | uint16(f.b[13])
@@ -77,9 +63,6 @@ func (f EthFrame) EtherType() uint16 {
 // Receivers may parse it in place but must treat it as dead after the
 // next DrainFrames.
 func (f EthFrame) Payload() []byte { return f.b[EthHeaderLen:] }
-
-// Bytes returns the whole frame (header + payload) as a view.
-func (f EthFrame) Bytes() []byte { return f.b }
 
 // Hub is a shared-medium repeater with optional latency and a
 // scriptable FaultPlan (loss, corruption, duplication, reordering; see

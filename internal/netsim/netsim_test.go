@@ -10,8 +10,10 @@ func mac(b byte) MAC { return MAC{0, 0, 0, 0, 0, b} }
 // copyFrame copies a drained view out of the slab, so it outlives the
 // next DrainFrames.
 func copyFrame(f EthFrame) Frame {
-	return Frame{Dst: f.Dst(), Src: f.Src(), EtherType: f.EtherType(),
-		Payload: append([]byte(nil), f.Payload()...)}
+	fr := Frame{EtherType: f.EtherType(), Payload: append([]byte(nil), f.Payload()...)}
+	copy(fr.Dst[:], f.b[0:6])
+	copy(fr.Src[:], f.b[6:12])
+	return fr
 }
 
 // drain collects every frame deliverable on p until none has arrived

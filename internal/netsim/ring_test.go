@@ -50,14 +50,14 @@ func TestRingDelivery(t *testing.T) {
 		t.Fatalf("got %d frames, want 1", len(frames))
 	}
 	f := frames[0]
-	if f.Dst() != mac(2) || f.Src() != mac(1) || f.EtherType() != EtherTypeIPv4 {
-		t.Errorf("header mismatch: dst %s src %s type %#x", f.Dst(), f.Src(), f.EtherType())
+	if fr := copyFrame(f); fr.Dst != mac(2) || fr.Src != mac(1) || fr.EtherType != EtherTypeIPv4 {
+		t.Errorf("header mismatch: dst %s src %s type %#x", fr.Dst, fr.Src, fr.EtherType)
 	}
 	if !bytes.Equal(f.Payload(), []byte("hi")) {
 		t.Errorf("payload = %q", f.Payload())
 	}
-	if len(f.Bytes()) != EthHeaderLen+2 {
-		t.Errorf("Bytes() length = %d", len(f.Bytes()))
+	if len(f.b) != EthHeaderLen+2 {
+		t.Errorf("frame length = %d", len(f.b))
 	}
 }
 

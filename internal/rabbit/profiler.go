@@ -285,16 +285,6 @@ func (p *Profiler) WriteFlat(w io.Writer) error {
 	return err
 }
 
-// Folded returns the folded-stack totals: map from "a;b;c" stack keys
-// to cycles spent with exactly that stack.
-func (p *Profiler) Folded() map[string]uint64 {
-	out := make(map[string]uint64, len(p.folded))
-	for k, v := range p.folded {
-		out[k] = v
-	}
-	return out
-}
-
 // WriteFolded renders the folded stacks in the flamegraph collapsed
 // format — one "stack count" line per unique stack, sorted lexically
 // so output is deterministic.

@@ -145,8 +145,9 @@ func TestProfilerReset(t *testing.T) {
 	if len(p.Flat()) != 0 {
 		t.Fatalf("Flat after Reset = %+v, want empty", p.Flat())
 	}
-	if len(p.Folded()) != 0 {
-		t.Fatalf("Folded after Reset = %v, want empty", p.Folded())
+	var folded bytes.Buffer
+	if err := p.WriteFolded(&folded); err != nil || folded.Len() != 0 {
+		t.Fatalf("WriteFolded after Reset = %q, %v; want empty", folded.String(), err)
 	}
 
 	c.PC = 0x4000
@@ -199,14 +200,12 @@ isr:    nop
 	if !isrSeen {
 		t.Fatalf("isr missing from flat profile: %+v", p.Flat())
 	}
-	var isrStack bool
-	for k := range p.Folded() {
-		if strings.Contains(k, ";isr") {
-			isrStack = true
-		}
+	var folded bytes.Buffer
+	if err := p.WriteFolded(&folded); err != nil {
+		t.Fatal(err)
 	}
-	if !isrStack {
-		t.Fatalf("no folded stack contains ;isr: %v", p.Folded())
+	if !strings.Contains(folded.String(), ";isr") {
+		t.Fatalf("no folded stack contains ;isr:\n%s", folded.String())
 	}
 }
 

@@ -1,10 +1,9 @@
 package rabbit_test
 
 import (
+	"os"
 	"testing"
 
-	"repro/internal/aesasm"
-	"repro/internal/aesc"
 	"repro/internal/dcc"
 	"repro/internal/rabbit"
 	"repro/internal/rasm"
@@ -13,6 +12,16 @@ import (
 // The §6 workloads as bare CPUs: the same images and set-up as
 // aesasm.Machine.EncryptChain and aesc.Machine.EncryptChain, but with
 // the CPU in hand, so tests can read Instructions or step it.
+
+// readSource reads one of the §6 AES sources from its package.
+func readSource(tb testing.TB, path string) string {
+	tb.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(b)
+}
 
 // pinInputs returns the fixed key and block the drivers'
 // CyclesPerBlock uses.
@@ -28,7 +37,7 @@ func pinInputs() (key, block [16]byte) {
 // blocks-long chain from key and block.
 func asmCPU(tb testing.TB, key, block [16]byte, blocks int) *rabbit.CPU {
 	tb.Helper()
-	prog, err := rasm.Assemble(aesasm.Source())
+	prog, err := rasm.Assemble(readSource(tb, "../aesasm/aes128.asm"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func asmCPU(tb testing.TB, key, block [16]byte, blocks int) *rabbit.CPU {
 // opt, ready to run a blocks-long chain from key and block.
 func cMachine(tb testing.TB, opt dcc.Options, key, block [16]byte, blocks int) *dcc.Machine {
 	tb.Helper()
-	comp, err := dcc.Compile(aesc.Source(), opt)
+	comp, err := dcc.Compile(readSource(tb, "../aesc/aes128.dc"), opt)
 	if err != nil {
 		tb.Fatal(err)
 	}

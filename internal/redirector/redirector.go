@@ -324,7 +324,7 @@ func NewUnixServer(stack *tcpip.Stack, cfg Config) (*UnixServer, error) {
 	if cfg.Secure && cfg.ServerKey == nil {
 		return nil, fmt.Errorf("%w: secure Unix redirector needs ServerKey", ErrBadConfig)
 	}
-	lst, err := stack.Listen(cfg.ListenPort, 16)
+	lst, err := stack.Listen(cfg.ListenPort, tcpip.ListenBacklog)
 	if err != nil {
 		return nil, err
 	}

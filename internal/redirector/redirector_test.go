@@ -73,7 +73,7 @@ func connectRetry(t *testing.T, cli *tcpip.Stack, addr tcpip.Addr, port uint16) 
 // startEchoBackend serves echo connections until the stack closes.
 func startEchoBackend(t *testing.T, s *tcpip.Stack) {
 	t.Helper()
-	l, err := s.Listen(backendPort, 16)
+	l, err := s.Listen(backendPort, tcpip.ListenBacklog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +223,66 @@ func TestUnixManyConcurrentConnections(t *testing.T) {
 	}
 	if acc := srv.Stats().Accepted.Value(); acc != n {
 		t.Errorf("accepted = %d, want %d (fork model has no slot limit)", acc, n)
+	}
+}
+
+// TestUnixBacklogHoldsConcurrentConnects: 32 clients, loadgen's
+// default fleet, connect at once before the server accepts any. The
+// listen backlog must hold them all; a full backlog refuses the SYN,
+// and the client pays a redial backoff for it.
+func TestUnixBacklogHoldsConcurrentConnects(t *testing.T) {
+	cli, mid, back := world(t)
+	startEchoBackend(t, back)
+	srv, err := NewUnixServer(mid, Config{ListenPort: 8080, Target: back.Addr(), TargetPort: backendPort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const n = 32
+	conns := make([]*tcpip.TCB, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conns[i], errs[i] = cli.Connect(mid.Addr(), 8080, 5*time.Second)
+		}(i)
+	}
+	wg.Wait()
+	refused := 0
+	for _, err := range errs {
+		if err != nil {
+			refused++
+		}
+	}
+	if refused > 0 {
+		t.Fatalf("%d of %d connects refused before Serve: the listen backlog is smaller than the burst", refused, n)
+	}
+
+	go srv.Serve()
+	buf := make([]byte, 16)
+	for i, c := range conns {
+		msg := []byte{byte(i), 'e', 'c', 'h', 'o'}
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		for len(got) < len(msg) {
+			r, err := c.ReadDeadline(buf, time.Now().Add(5*time.Second))
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+			got = append(got, buf[:r]...)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Errorf("client %d: echo = %q", i, got)
+		}
+		c.Close()
+	}
+	if r := srv.Stats().Refused.Value(); r != 0 {
+		t.Errorf("redirector.refused = %d, want 0", r)
 	}
 }
 
@@ -618,9 +678,6 @@ func TestUnixSessionResumption(t *testing.T) {
 	sess := first.Session()
 	if sess == nil {
 		t.Fatal("server cache wired but no session issued")
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache len = %d", cache.Len())
 	}
 	second := dial(sess)
 	if !second.Resumed() {

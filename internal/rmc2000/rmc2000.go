@@ -92,15 +92,6 @@ func (b *Board) LoadProgram(origin uint16, image []byte) {
 	b.CPU.SP = 0xDFF0
 }
 
-// ProtectFlash enables flash write protection over the low 512 KB.
-func (b *Board) ProtectFlash(on bool) {
-	if on {
-		b.CPU.Mem.FlashEnd = FlashSize
-	} else {
-		b.CPU.Mem.FlashEnd = 0
-	}
-}
-
 // Step runs one CPU instruction and services board devices.
 func (b *Board) Step() error {
 	b.timer.tick(b.CPU.Cycles)
@@ -311,9 +302,6 @@ func newNIC(port *netsim.Port) *NIC {
 	n := &NIC{port: port}
 	return n
 }
-
-// Port exposes the underlying netsim attachment.
-func (n *NIC) Port() *netsim.Port { return n.port }
 
 func (n *NIC) writeData(v uint8) {
 	n.mu.Lock()

@@ -184,7 +184,7 @@ func TestFlashProtection(t *testing.T) {
         ld (0x2000), a     ; inside flash region
         halt
 `)
-	b.ProtectFlash(true)
+	b.CPU.Mem.FlashEnd = FlashSize // protect the low 512 KB
 	if err := b.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,10 @@ loop:   ld a, 0x5A
 	if b.WatchdogResets() != 0 {
 		t.Errorf("watchdog fired %d times despite kicks", b.WatchdogResets())
 	}
-	if !b.WatchdogArmed() {
+	b.mu.Lock()
+	armed := b.wdt.enabled
+	b.mu.Unlock()
+	if !armed {
 		t.Error("watchdog not armed")
 	}
 }

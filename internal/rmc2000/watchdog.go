@@ -39,13 +39,6 @@ func (b *Board) WatchdogResets() uint64 {
 	return b.wdt.resets
 }
 
-// WatchdogArmed reports whether the watchdog is counting.
-func (b *Board) WatchdogArmed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.wdt.enabled
-}
-
 // wdtWrite handles a WDTCR store.
 func (b *Board) wdtWrite(v uint8) {
 	b.mu.Lock()

@@ -3,10 +3,11 @@
 // "software implementing TCP/IP, UDP and ICMP" (§4) — it keeps the
 // parts the paper's TCP-only service uses, IP, TCP and ICMP echo, which
 // the Unix workstation on the other end of the case study's connection
-// had natively. Both the BSD-style socket API
-// (internal/bsdsock) and the Dynamic-C-style API (internal/dcsock) sit
-// on top of this one stack, which is the point of Fig. 2: the same
-// transport, two very different programming interfaces.
+// had natively. Its blocking Listen/Accept/Connect/Read/Write/Close
+// follow the BSD call sequence, and the Dynamic-C-style API
+// (internal/dcsock) sits on top of the same stack, which is the point
+// of Fig. 2: the same transport, two very different programming
+// interfaces.
 //
 // Every IP header and TCP segment is checksummed on the way out and
 // verified on the way in, so the RFC 1071 checksum is the stack's one

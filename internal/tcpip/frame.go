@@ -64,9 +64,6 @@ func (f IPv4Frame) Dst() Addr {
 // Proto returns the IP protocol number.
 func (f IPv4Frame) Proto() byte { return f.b[9] }
 
-// TTL returns the time-to-live field.
-func (f IPv4Frame) TTL() byte { return f.b[8] }
-
 // Payload returns the packet body (after the header, bounded by the
 // header's total length) as a view into the input buffer.
 func (f IPv4Frame) Payload() []byte { return f.b[f.ihl:f.end] }

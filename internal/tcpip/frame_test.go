@@ -73,9 +73,9 @@ func diffIPv4Views(t *testing.T, b []byte) {
 	if verr != nil {
 		return
 	}
-	if f.Src() != p.src || f.Dst() != p.dst || f.Proto() != p.proto || f.TTL() != p.ttl {
+	if f.Src() != p.src || f.Dst() != p.dst || f.Proto() != p.proto || f.b[8] != p.ttl {
 		t.Fatalf("IPv4 field disagreement on %x: view (%v %v %d %d), oracle (%v %v %d %d)",
-			b, f.Src(), f.Dst(), f.Proto(), f.TTL(), p.src, p.dst, p.proto, p.ttl)
+			b, f.Src(), f.Dst(), f.Proto(), f.b[8], p.src, p.dst, p.proto, p.ttl)
 	}
 	if !bytes.Equal(f.Payload(), p.payload) {
 		t.Fatalf("IPv4 payload disagreement on %x: view %x, oracle %x", b, f.Payload(), p.payload)

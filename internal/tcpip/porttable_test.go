@@ -91,8 +91,8 @@ func TestPortTableTracksTCBs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := portRefs(cli, a.LocalPort()); n != 1 {
-		t.Errorf("connector: port %d refs = %d, want 1", a.LocalPort(), n)
+	if n := portRefs(cli, a.localPort); n != 1 {
+		t.Errorf("connector: port %d refs = %d, want 1", a.localPort, n)
 	}
 	waitUntil(t, "accepted TCB on port 7", func() bool { return portRefs(srv, 7) == 1 })
 	checkPortTable(t, cli, "after connect")
@@ -124,8 +124,8 @@ func TestPortTableTracksTCBs(t *testing.T) {
 
 	// Abort: the connector's entry goes at once, the peer's on the RST.
 	b.Abort()
-	if n := portRefs(cli, b.LocalPort()); n != 0 {
-		t.Errorf("aborted: port %d refs = %d, want 0", b.LocalPort(), n)
+	if n := portRefs(cli, b.localPort); n != 0 {
+		t.Errorf("aborted: port %d refs = %d, want 0", b.localPort, n)
 	}
 	waitUntil(t, "peer reset", func() bool { return portRefs(srv, 9) == 0 })
 	checkPortTable(t, cli, "after abort")
@@ -134,12 +134,12 @@ func TestPortTableTracksTCBs(t *testing.T) {
 	// Graceful close: the active closer holds its port through
 	// TIME_WAIT, then releases it on expiry.
 	a.Close()
-	waitUntil(t, "TIME_WAIT", func() bool { return a.State() == "TIME_WAIT" })
-	if n := portRefs(cli, a.LocalPort()); n != 1 {
-		t.Errorf("TIME_WAIT: port %d refs = %d, want 1", a.LocalPort(), n)
+	waitUntil(t, "TIME_WAIT", func() bool { return stateOf(a) == stateTimeWait })
+	if n := portRefs(cli, a.localPort); n != 1 {
+		t.Errorf("TIME_WAIT: port %d refs = %d, want 1", a.localPort, n)
 	}
 	checkPortTable(t, cli, "in TIME_WAIT")
-	waitUntil(t, "TIME_WAIT expiry", func() bool { return portRefs(cli, a.LocalPort()) == 0 })
+	waitUntil(t, "TIME_WAIT expiry", func() bool { return portRefs(cli, a.localPort) == 0 })
 	checkPortTable(t, cli, "after TIME_WAIT expiry")
 	waitUntil(t, "passive close", func() bool { return portRefs(srv, 7) == 0 })
 	checkPortTable(t, srv, "after passive close")
@@ -181,11 +181,11 @@ func TestEphemeralPortSkipsTimeWaitAcrossWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tw.LocalPort() != 49152 {
-		t.Fatalf("first port = %d, want 49152", tw.LocalPort())
+	if tw.localPort != 49152 {
+		t.Fatalf("first port = %d, want 49152", tw.localPort)
 	}
 	tw.Close()
-	waitUntil(t, "TIME_WAIT", func() bool { return tw.State() == "TIME_WAIT" })
+	waitUntil(t, "TIME_WAIT", func() bool { return stateOf(tw) == stateTimeWait })
 	tw.mu.Lock()
 	tw.timeWaitAt = time.Now().Add(time.Hour)
 	tw.mu.Unlock()
@@ -197,7 +197,7 @@ func TestEphemeralPortSkipsTimeWaitAcrossWrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, c.LocalPort())
+		got = append(got, c.localPort)
 		defer c.Abort()
 	}
 	if got[0] != 65535 || got[1] != 49153 {
@@ -237,7 +237,7 @@ func TestEphemeralPortNeverReturnsLivePort(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Abort()
-		live[c.LocalPort()] = true
+		live[c.localPort] = true
 	}
 	cli.mu.Lock()
 	defer cli.mu.Unlock()
@@ -310,4 +310,11 @@ func BenchmarkConnectUnderTimeWait(b *testing.B) {
 			b.StopTimer() // keep the deferred teardown out of the measurement
 		})
 	}
+}
+
+// stateOf reads a connection's state under its lock.
+func stateOf(t *TCB) tcpState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state
 }

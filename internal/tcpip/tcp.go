@@ -221,16 +221,6 @@ func newTCB(s *Stack) *TCB {
 	return t
 }
 
-// State returns the connection state name (for diagnostics and tests).
-func (t *TCB) State() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state.String()
-}
-
-// LocalPort returns the local port number.
-func (t *TCB) LocalPort() uint16 { return t.localPort }
-
 // RemoteAddr returns the peer address and port (zero until bound).
 func (t *TCB) RemoteAddr() (Addr, uint16) {
 	t.mu.Lock()
@@ -844,13 +834,6 @@ func (t *TCB) Alive() bool {
 	return true
 }
 
-// Err returns the terminal error, if any.
-func (t *TCB) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // WaitEstablished blocks until the handshake completes or fails.
 func (t *TCB) WaitEstablished(timeout time.Duration) error {
 	t.mu.Lock()
@@ -862,23 +845,6 @@ func (t *TCB) WaitEstablished(timeout time.Duration) error {
 	return t.waitCond(deadline, func() bool {
 		return t.state == stateEstablished || t.state == stateCloseWait
 	})
-}
-
-// WaitClosed blocks until the connection fully drains and closes.
-func (t *TCB) WaitClosed(timeout time.Duration) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	err := t.waitCond(deadline, func() bool {
-		return t.state == stateClosed || t.state == stateTimeWait
-	})
-	if err == ErrTimeout {
-		return err
-	}
-	return nil
 }
 
 // --- Connect (active open) -------------------------------------------------
@@ -935,6 +901,12 @@ type Listener struct {
 	closed   bool
 }
 
+// ListenBacklog is the backlog the services listen with: 128, Linux's
+// SOMAXCONN. It must exceed the connects a load run offers at once
+// (loadgen runs 32 clients), because a SYN that finds the backlog full
+// is refused and the client redials only after a backoff.
+const ListenBacklog = 128
+
 // Listen binds a BSD-style listener. backlog bounds connections that
 // completed the handshake but have not been accepted (LISTENQ).
 func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
@@ -954,9 +926,6 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 	s.listeners[port] = l
 	return l, nil
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Accept blocks for the next established connection.
 func (l *Listener) Accept(timeout time.Duration) (*TCB, error) {

@@ -2,6 +2,7 @@ package tcpip
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -111,6 +112,9 @@ func TestTCPConnectAcceptEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := stacks[1].Listen(7, 5); !errors.Is(err, ErrPortInUse) {
+		t.Errorf("second listener on tcp/7: %v, want ErrPortInUse", err)
+	}
 	go func() {
 		conn, err := l.Accept(2 * time.Second)
 		if err != nil {
@@ -128,6 +132,9 @@ func TestTCPConnectAcceptEcho(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connect: %v", err)
 	}
+	if ip, port := conn.RemoteAddr(); ip != stacks[1].Addr() || port != 7 {
+		t.Errorf("RemoteAddr = %v:%d, want %v:7", ip, port, stacks[1].Addr())
+	}
 	if _, err := conn.Write([]byte("echo me")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +146,11 @@ func TestTCPConnectAcceptEcho(t *testing.T) {
 	if string(buf[:n]) != "echo me" {
 		t.Errorf("echo = %q", buf[:n])
 	}
-	conn.Close()
+	for i := 0; i < 2; i++ { // a second Close is harmless
+		if err := conn.Close(); err != nil {
+			t.Errorf("close %d: %v", i+1, err)
+		}
+	}
 }
 
 // TestRTTHistogramQuantiles checks the tcp.rtt_us instrument end to
@@ -353,11 +364,8 @@ func TestTCPGracefulCloseBothDirections(t *testing.T) {
 	if srvConn == nil {
 		t.Fatal("server accept failed")
 	}
-	if err := conn.WaitClosed(3 * time.Second); err != nil {
-		t.Errorf("client close: %v (state %s)", err, conn.State())
-	}
-	if err := srvConn.WaitClosed(3 * time.Second); err != nil {
-		t.Errorf("server close: %v (state %s)", err, srvConn.State())
+	for _, c := range []*TCB{conn, srvConn} {
+		waitUntil(t, "closed", func() bool { s := stateOf(c); return s == stateClosed || s == stateTimeWait })
 	}
 }
 
@@ -597,10 +605,10 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[c.LocalPort()] {
-			t.Errorf("ephemeral port %d reused while alive", c.LocalPort())
+		if seen[c.localPort] {
+			t.Errorf("ephemeral port %d reused while alive", c.localPort)
 		}
-		seen[c.LocalPort()] = true
+		seen[c.localPort] = true
 		defer c.Close()
 	}
 }

@@ -13,9 +13,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -135,81 +132,4 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Snapshot is one metric's point-in-time reading.
-type Snapshot struct {
-	Name string
-	Kind string // "counter", "gauge", "histogram"
-	// Value carries the counter value or gauge value; for histograms
-	// it is the observation count (Sum/Mean carry the rest).
-	Value int64
-	Sum   uint64
-	Mean  float64
-}
-
-// Snapshot returns every metric's reading, sorted by (kind, name), so
-// dumps are deterministic.
-func (r *Registry) Snapshot() []Snapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]Snapshot, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, Snapshot{Name: name, Kind: "counter", Value: int64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Snapshot{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, Snapshot{Name: name, Kind: "histogram",
-			Value: int64(h.Count()), Sum: h.Sum(), Mean: h.Mean()})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// WriteText renders a human-readable metrics dump.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, s := range r.Snapshot() {
-		var err error
-		switch s.Kind {
-		case "histogram":
-			_, err = fmt.Fprintf(w, "%-12s %-40s count=%d sum=%d mean=%.1f\n",
-				s.Kind, s.Name, s.Value, s.Sum, s.Mean)
-		default:
-			_, err = fmt.Fprintf(w, "%-12s %-40s %d\n", s.Kind, s.Name, s.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders the snapshot as one JSON object per line (JSONL),
-// matching the trace sink format so both can share a consumer.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	for _, s := range r.Snapshot() {
-		var err error
-		switch s.Kind {
-		case "histogram":
-			_, err = fmt.Fprintf(w, `{"kind":%s,"name":%s,"count":%d,"sum":%d,"mean":%g}`+"\n",
-				jsonString(s.Kind), jsonString(s.Name), s.Value, s.Sum, s.Mean)
-		default:
-			_, err = fmt.Fprintf(w, `{"kind":%s,"name":%s,"value":%d}`+"\n",
-				jsonString(s.Kind), jsonString(s.Name), s.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -40,12 +40,11 @@ type Event struct {
 // by the Rabbit CPU cycle counter scaled to ns — so hardware-level and
 // network-level events share one axis.
 type Trace struct {
-	mu      sync.Mutex
-	clock   Clock
-	buf     []Event
-	start   int // index of oldest event
-	n       int // number of valid events
-	evicted uint64
+	mu    sync.Mutex
+	clock Clock
+	buf   []Event
+	start int // index of oldest event
+	n     int // number of valid events
 }
 
 // NewTrace creates a trace holding at most capacity events (minimum 1).
@@ -110,32 +109,11 @@ func (t *Trace) Emit(layer, name string, kv ...any) {
 	} else {
 		t.buf[t.start] = ev
 		t.start = (t.start + 1) % len(t.buf)
-		t.evicted++
 	}
 	if t.n < cap(t.buf) {
 		t.n++
 	}
 	t.mu.Unlock()
-}
-
-// Len returns the number of buffered events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Evicted returns how many events were dropped to make room.
-func (t *Trace) Evicted() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
 }
 
 // Events returns the buffered events oldest-first.
@@ -150,25 +128,6 @@ func (t *Trace) Events() []Event {
 		out = append(out, t.buf[(t.start+i)%len(t.buf)])
 	}
 	return out
-}
-
-// WriteText renders events oldest-first, one per line, with the
-// sim-time stamp in microseconds.
-func (t *Trace) WriteText(w io.Writer) error {
-	for _, ev := range t.Events() {
-		if _, err := fmt.Fprintf(w, "%12.3fus %-10s %-20s", float64(ev.T)/1e3, ev.Layer, ev.Name); err != nil {
-			return err
-		}
-		for _, a := range ev.Attrs {
-			if _, err := fmt.Fprintf(w, " %s=%v", a.Key, a.Value); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSONL renders events oldest-first as one JSON object per line:
