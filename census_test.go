@@ -16,8 +16,18 @@ package repro
 // interface declared in the module, and a method that implements
 // error, fmt.Stringer, Unwrap, io.Reader, io.Writer or io.Closer.
 //
-// An allowlist entry that no longer names an uncalled declaration is
-// stale and fails the census too, so the list only shrinks by hand.
+// The option census, in the same pass, checks the fields of input
+// structs: exported struct types under internal/ that non-test code
+// outside their package builds with a composite literal (the config
+// structs callers fill in). Each exported field of an input struct must
+// be written by non-test code outside its package, as a composite-
+// literal key, an assignment or increment target, or an operand of &.
+// A field only tests or its own package set is a knob no deployment
+// turns; it becomes a constant, or an allowlist line says why it stays.
+//
+// An allowlist entry that no longer names an uncalled declaration or an
+// unset field is stale and fails the census too, so the list only
+// shrinks by hand.
 
 import (
 	"bufio"
@@ -33,6 +43,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -153,23 +164,42 @@ func censusPackages() ([]string, error) {
 	return paths, err
 }
 
-// censusDecl is one exported function or method under internal/.
-type censusDecl struct {
-	pkg, ident string // pkg relative to internal/; ident is F or T.M
+// censusItem is one exported function or method, or one exported field
+// of an input struct, under internal/.
+type censusItem struct {
+	field      bool   // a field of an input struct, not a function or method
+	pkg, ident string // pkg relative to internal/; ident is F, T.M or T.F
 	pos        token.Position
-	callers    int
+	uses       int // non-test callers, or non-test writers outside pkg
 }
 
-// runCensus returns every exported function and method under internal/
-// (skipped interface methods left out) with its count of non-test
-// references.
-func runCensus() ([]censusDecl, error) {
+var census struct {
+	once  sync.Once
+	items []censusItem
+	err   error
+}
+
+// loadCensus runs the census once per test binary; both tests share
+// the result.
+func loadCensus() ([]censusItem, error) {
+	census.once.Do(func() { census.items, census.err = runCensus() })
+	return census.items, census.err
+}
+
+// runCensus type-checks the module and towerbench and runs both
+// censuses over them.
+func runCensus() ([]censusItem, error) {
 	fset := token.NewFileSet()
 	l := &censusLoader{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		ctxt:  build.Default,
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		ctxt: build.Default,
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 	}
@@ -182,7 +212,24 @@ func runCensus() ([]censusDecl, error) {
 			return nil, err
 		}
 	}
+	items, err := callerCensus(l)
+	if err != nil {
+		return nil, err
+	}
+	items = append(items, optionCensus(l)...)
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].pkg != items[j].pkg {
+			return items[i].pkg < items[j].pkg
+		}
+		return items[i].ident < items[j].ident
+	})
+	return items, nil
+}
 
+// callerCensus returns every exported function and method under
+// internal/ (skipped interface methods left out) with its count of
+// non-test references.
+func callerCensus(l *censusLoader) ([]censusItem, error) {
 	skip, err := skippedMethods(l)
 	if err != nil {
 		return nil, err
@@ -195,7 +242,7 @@ func runCensus() ([]censusDecl, error) {
 		uses[obj] = append(uses[obj], id.Pos())
 	}
 
-	var decls []censusDecl
+	var decls []censusItem
 	for path, files := range l.files {
 		rel, ok := strings.CutPrefix(path, censusModule+"/internal/")
 		if !ok {
@@ -221,17 +268,97 @@ func runCensus() ([]censusDecl, error) {
 						n++
 					}
 				}
-				decls = append(decls, censusDecl{pkg: rel, ident: ident, pos: fset.Position(fd.Pos()), callers: n})
+				decls = append(decls, censusItem{pkg: rel, ident: ident, pos: l.fset.Position(fd.Pos()), uses: n})
 			}
 		}
 	}
-	sort.Slice(decls, func(i, j int) bool {
-		if decls[i].pkg != decls[j].pkg {
-			return decls[i].pkg < decls[j].pkg
-		}
-		return decls[i].ident < decls[j].ident
-	})
 	return decls, nil
+}
+
+// optionCensus returns every exported field of every input struct with
+// its count of non-test writes from outside the struct's package.
+func optionCensus(l *censusLoader) []censusItem {
+	inputs := map[*types.TypeName]bool{}
+	writes := map[*types.Var]int{}
+	write := func(from *types.Package, v *types.Var) {
+		if v = v.Origin(); v.Pkg() != from {
+			writes[v]++
+		}
+	}
+	writeExpr := func(from *types.Package, e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := l.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				write(from, s.Obj().(*types.Var))
+			}
+		}
+	}
+	for path, files := range l.files {
+		from := l.pkgs[path]
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					st, tn := censusStruct(l.info.Types[x].Type)
+					if st == nil {
+						return true
+					}
+					if tn.Pkg() != from && tn.Exported() && strings.HasPrefix(tn.Pkg().Path(), censusModule+"/internal/") {
+						inputs[tn] = true
+					}
+					for i, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v, ok := l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								write(from, v)
+							}
+						} else if i < st.NumFields() {
+							write(from, st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					if x.Tok != token.DEFINE {
+						for _, e := range x.Lhs {
+							writeExpr(from, e)
+						}
+					}
+				case *ast.IncDecStmt:
+					writeExpr(from, x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						writeExpr(from, x.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var fields []censusItem
+	for tn := range inputs {
+		st := tn.Type().Underlying().(*types.Struct)
+		rel := strings.TrimPrefix(tn.Pkg().Path(), censusModule+"/internal/")
+		for i := 0; i < st.NumFields(); i++ {
+			if v := st.Field(i); v.Exported() {
+				fields = append(fields, censusItem{field: true, pkg: rel, ident: tn.Name() + "." + v.Name(), pos: l.fset.Position(v.Pos()), uses: writes[v]})
+			}
+		}
+	}
+	return fields
+}
+
+// censusStruct returns the struct a composite literal of type t builds
+// and the named type it is declared as (both nil for other literals).
+func censusStruct(t types.Type) (*types.Struct, *types.TypeName) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return nil, nil
+	}
+	st, ok := n.Underlying().(*types.Struct)
+	if !ok {
+		return nil, nil
+	}
+	return st, n.Origin().Obj()
 }
 
 // skippedMethods returns the test for methods called through an
@@ -298,8 +425,9 @@ func recvName(e ast.Expr) string {
 }
 
 // censusAllow is one allowlist line, "pkg ident reason...", where pkg
-// is relative to internal/ and ident is F, T.M, or * for the package.
-// The reason is for the reader; the census only requires one.
+// is relative to internal/ and ident is F, T.M, T.F, or * for every
+// function and method of the package (fields are always listed one by
+// one). The reason is for the reader; the census only requires one.
 type censusAllow struct {
 	pkg, ident string
 	line       int
@@ -327,54 +455,74 @@ func readCensusAllow(path string) ([]censusAllow, error) {
 	return out, sc.Err()
 }
 
-// censusProblems checks the census against the allowlist. It reports
-// each uncalled declaration that no entry covers, each entry that
-// covers nothing uncalled, and each duplicate entry.
-func censusProblems(decls []censusDecl, allow []censusAllow) []string {
+// censusProblem is one census failure. An allowlist problem that names
+// no census item belongs to neither census, so both report it.
+type censusProblem struct {
+	field, either bool
+	msg           string
+}
+
+// censusProblems checks both censuses against the allowlist. It reports
+// each uncalled declaration and each unset field that no entry covers,
+// each entry that covers nothing uncalled or unset, and each duplicate
+// entry.
+func censusProblems(items []censusItem, allow []censusAllow) []censusProblem {
 	type key struct{ pkg, ident string }
 	listed := map[key]censusAllow{}
-	var probs []string
+	var probs []censusProblem
 	for _, a := range allow {
 		k := key{a.pkg, a.ident}
 		if prev, dup := listed[k]; dup {
-			probs = append(probs, fmt.Sprintf("%s:%d: %s %s already listed at line %d", censusAllowFile, a.line, a.pkg, a.ident, prev.line))
+			probs = append(probs, censusProblem{either: true, msg: fmt.Sprintf("%s:%d: %s %s already listed at line %d", censusAllowFile, a.line, a.pkg, a.ident, prev.line)})
 		}
 		listed[k] = a
 	}
-	declared := map[key]censusDecl{}
+	declared := map[key]censusItem{}
 	pkgUncalled := map[string]bool{}
-	for _, d := range decls {
+	for _, d := range items {
 		declared[key{d.pkg, d.ident}] = d
-		if d.callers > 0 {
+		if d.uses > 0 {
+			continue
+		}
+		_, one := listed[key{d.pkg, d.ident}]
+		if d.field {
+			if !one {
+				probs = append(probs, censusProblem{field: true, msg: fmt.Sprintf("%s: internal/%s.%s is never set outside its package and tests: make it a constant holding its default, or list it in %s with the reason it stays", d.pos, d.pkg, d.ident, censusAllowFile)})
+			}
 			continue
 		}
 		pkgUncalled[d.pkg] = true
-		_, one := listed[key{d.pkg, d.ident}]
-		_, all := listed[key{d.pkg, "*"}]
-		if !one && !all {
-			probs = append(probs, fmt.Sprintf("%s: internal/%s.%s has no caller outside tests: delete it, or list it in %s with the reason it stays", d.pos, d.pkg, d.ident, censusAllowFile))
+		if _, all := listed[key{d.pkg, "*"}]; !one && !all {
+			probs = append(probs, censusProblem{msg: fmt.Sprintf("%s: internal/%s.%s has no caller outside tests: delete it, or list it in %s with the reason it stays", d.pos, d.pkg, d.ident, censusAllowFile)})
 		}
 	}
 	for _, a := range allow {
-		var stale string
-		if a.ident == "*" {
+		var p censusProblem
+		d, ok := declared[key{a.pkg, a.ident}]
+		switch {
+		case a.ident == "*":
 			if !pkgUncalled[a.pkg] {
-				stale = "the package has no uncalled exported function or method"
+				p.msg = "the package has no uncalled exported function or method"
 			}
-		} else if d, ok := declared[key{a.pkg, a.ident}]; !ok {
-			stale = "it is no longer declared (or is now skipped as an interface method)"
-		} else if d.callers > 0 {
-			stale = fmt.Sprintf("it now has %d caller(s)", d.callers)
+		case !ok:
+			p = censusProblem{either: true, msg: "it is no longer declared (or is now skipped as an interface method, or no longer a field of an input struct)"}
+		case d.uses > 0 && d.field:
+			p = censusProblem{field: true, msg: fmt.Sprintf("it is now set outside its package (%d write(s))", d.uses)}
+		case d.uses > 0:
+			p.msg = fmt.Sprintf("it now has %d caller(s)", d.uses)
 		}
-		if stale != "" {
-			probs = append(probs, fmt.Sprintf("%s:%d: stale entry %s %s: %s; remove the line", censusAllowFile, a.line, a.pkg, a.ident, stale))
+		if p.msg != "" {
+			p.msg = fmt.Sprintf("%s:%d: stale entry %s %s: %s; remove the line", censusAllowFile, a.line, a.pkg, a.ident, p.msg)
+			probs = append(probs, p)
 		}
 	}
 	return probs
 }
 
-func TestCallerCensus(t *testing.T) {
-	decls, err := runCensus()
+// checkCensus runs the shared census and reports the problems of one
+// kind: the caller census (field false) or the option census.
+func checkCensus(t *testing.T, field bool) {
+	items, err := loadCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +530,24 @@ func TestCallerCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range censusProblems(decls, allow) {
-		t.Error(p)
+	for _, p := range censusProblems(items, allow) {
+		if p.field == field || p.either {
+			t.Error(p.msg)
+		}
 	}
-	t.Logf("%d exported functions and methods under internal/, %d allowlist entries", len(decls), len(allow))
+	n := 0
+	for _, d := range items {
+		if d.field == field {
+			n++
+		}
+	}
+	if field {
+		t.Logf("%d exported fields of input structs under internal/, %d allowlist entries", n, len(allow))
+	} else {
+		t.Logf("%d exported functions and methods under internal/, %d allowlist entries", n, len(allow))
+	}
 }
+
+func TestCallerCensus(t *testing.T) { checkCensus(t, false) }
+
+func TestOptionCensus(t *testing.T) { checkCensus(t, true) }

@@ -64,13 +64,14 @@ func main() {
 	}()
 
 	psk := []byte("board-psk-no-rsa-on-8-bits")
+	// The server runs three connection slots (Fig. 3: "at most three
+	// requests").
 	srv, err := redirector.NewEmbeddedServer(dcsock.NewEnv(board), redirector.Config{
 		ListenPort: 443,
 		Target:     backend.Addr(),
 		TargetPort: 8000,
 		Secure:     true,
 		PSK:        psk,
-		Slots:      3, // Fig. 3: "at most three requests"
 		RandSeed:   7,
 	})
 	if err != nil {

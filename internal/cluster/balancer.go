@@ -11,43 +11,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// HealthConfig shapes the balancer's active probing. Zero values get
-// the noted defaults.
-type HealthConfig struct {
-	// ProbeInterval is the per-node probe period (default 100ms).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one TCP probe (default ProbeInterval).
-	ProbeTimeout time.Duration
-	// FailThreshold is consecutive probe failures before a node is
-	// marked down and drained out of the rotation (default 2).
-	FailThreshold int
-	// RiseThreshold is consecutive probe successes before a down node
-	// is eligible again (default 2).
-	RiseThreshold int
-	// ReinstateBackoff is the minimum time a node stays out after
-	// going down, however quickly its probes recover — a flapping node
-	// must not churn the rotation (default 5*ProbeInterval).
-	ReinstateBackoff time.Duration
-}
+// The balancer's active probing. Each node is probed every
+// probeInterval, each probe bounded by probeTimeout. failThreshold
+// consecutive failures mark a node down and drain it from the
+// rotation; riseThreshold consecutive successes make a down node
+// eligible again, but only once reinstateBackoff has passed since it
+// went down, however quickly its probes recover — a flapping node must
+// not churn the rotation. The durations are variables only so tests
+// can shorten them in place.
+var (
+	probeInterval    = 100 * time.Millisecond
+	probeTimeout     = probeInterval
+	reinstateBackoff = 5 * probeInterval
+)
 
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.ProbeInterval <= 0 {
-		h.ProbeInterval = 100 * time.Millisecond
-	}
-	if h.ProbeTimeout <= 0 {
-		h.ProbeTimeout = h.ProbeInterval
-	}
-	if h.FailThreshold <= 0 {
-		h.FailThreshold = 2
-	}
-	if h.RiseThreshold <= 0 {
-		h.RiseThreshold = 2
-	}
-	if h.ReinstateBackoff <= 0 {
-		h.ReinstateBackoff = 5 * h.ProbeInterval
-	}
-	return h
-}
+const (
+	failThreshold = 2
+	riseThreshold = 2
+)
 
 // BalancerStats are the balancer's live counters (nil-safe handles
 // into the registry; read with Value()).
@@ -71,7 +52,7 @@ type nodeEntry struct {
 	forwarded *telemetry.Counter
 }
 
-// Balancer is the L4 node: it accepts on ListenPort and relays each
+// Balancer is the L4 node: it accepts on listenPort and relays each
 // connection byte-for-byte to a fleet node chosen by the policy over
 // the currently-up set. It terminates nothing — the issl handshake
 // passes through to the node, whose ticket store makes any choice
@@ -95,8 +76,8 @@ func newBalancer(stack *tcpip.Stack, nodeAddrs []tcpip.Addr, cfg Config) (*Balan
 	if len(nodeAddrs) == 0 {
 		return nil, fmt.Errorf("cluster: balancer needs at least one node")
 	}
-	reg := cfg.Metrics
-	lst, err := stack.Listen(cfg.ListenPort, 32)
+	reg := telemetry.NewRegistry()
+	lst, err := stack.Listen(listenPort, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +164,7 @@ func clientKey(tcb *tcpip.TCB) uint64 {
 func (b *Balancer) forward(client *tcpip.TCB) {
 	states := make([]NodeState, len(b.nodes))
 	for i, n := range b.nodes {
-		states[i] = NodeState{Up: n.up.Load(), Inflight: n.inflight.Load()}
+		states[i] = NodeState{Inflight: n.inflight.Load()}
 	}
 	key := clientKey(client)
 	tried := 0
@@ -192,7 +173,7 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 		if !n.up.Load() {
 			continue
 		}
-		backend, err := b.stack.Connect(n.addr, b.cfg.NodePort, b.cfg.ForwardTimeout)
+		backend, err := b.stack.Connect(n.addr, nodePort, forwardTimeout)
 		if err != nil {
 			// The health checker will catch a dead node on its own clock;
 			// this connection cannot wait for it.
@@ -200,9 +181,6 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 			b.stats.Failovers.Inc()
 			b.cfg.Trace.Emit("cluster", "forward.failover", "node", idx, "err", err.Error())
 			continue
-		}
-		if tried > 0 && b.cfg.Log != nil {
-			b.cfg.Log.Printf("cluster: client %016x failed over to node %d", key, idx)
 		}
 		n.inflight.Add(1)
 		n.forwarded.Inc()
@@ -218,49 +196,42 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 }
 
 // probeLoop is one node's health checker: a TCP connect to the node's
-// health port per interval. FailThreshold consecutive failures drain
-// the node from rotation; reinstatement needs RiseThreshold successes
-// AND ReinstateBackoff elapsed since the node went down.
+// health port per interval. failThreshold consecutive failures drain
+// the node from rotation; reinstatement needs riseThreshold successes
+// AND reinstateBackoff elapsed since the node went down.
 func (b *Balancer) probeLoop(n *nodeEntry) {
 	defer b.wg.Done()
-	h := b.cfg.Health
 	fails, rises := 0, 0
 	var downSince time.Time
 	for {
 		select {
 		case <-b.stop:
 			return
-		case <-time.After(h.ProbeInterval):
+		case <-time.After(probeInterval):
 		}
-		tcb, err := b.stack.Connect(n.addr, b.cfg.HealthPort, h.ProbeTimeout)
+		tcb, err := b.stack.Connect(n.addr, healthPort, probeTimeout)
 		if err == nil {
 			tcb.Close()
 			fails = 0
 			if !n.up.Load() {
 				rises++
-				if down := time.Since(downSince); rises >= h.RiseThreshold && down >= h.ReinstateBackoff {
+				if down := time.Since(downSince); rises >= riseThreshold && down >= reinstateBackoff {
 					n.up.Store(true)
 					b.stats.NodeUps.Inc()
 					b.stats.NodesUp.Add(1)
 					b.cfg.Trace.Emit("cluster", "node.up", "node", n.index, "down_ns", int64(down))
-					if b.cfg.Log != nil {
-						b.cfg.Log.Printf("cluster: node %d reinstated after %v", n.index, down)
-					}
 				}
 			}
 			continue
 		}
 		rises = 0
 		fails++
-		if n.up.Load() && fails >= h.FailThreshold {
+		if n.up.Load() && fails >= failThreshold {
 			n.up.Store(false)
 			downSince = time.Now()
 			b.stats.NodeDowns.Inc()
 			b.stats.NodesUp.Add(-1)
 			b.cfg.Trace.Emit("cluster", "node.down", "node", n.index, "fails", fails)
-			if b.cfg.Log != nil {
-				b.cfg.Log.Printf("cluster: node %d marked down after %d failed probes", n.index, fails)
-			}
 		}
 	}
 }

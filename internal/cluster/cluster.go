@@ -13,25 +13,31 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The fleet's layout on the fabric. The balancer listens on listenPort
+// at balancerIP, the address the single-redirector world used, so
+// clients need not care which they are talking to. Node i is at
+// 10.0.0.(nodeIPBase+i) and serves on nodePort, with its health
+// endpoint on healthPort; every node has its own stack, so the ports
+// may coincide across nodes.
+const (
+	listenPort = 4443
+	nodePort   = 4443
+	healthPort = nodePort + 10
+	nodeIPBase = 20
+)
+
+var balancerIP = tcpip.IP4(10, 0, 0, 2)
+
+// forwardTimeout bounds one balancer-to-node connect before the
+// balancer fails over to the next candidate. A variable only so tests
+// can shorten it in place.
+var forwardTimeout = time.Second
+
 // Config parameterizes a fleet. Zero values get the noted defaults.
 type Config struct {
 	// Nodes is the instance count (default 3, the smallest fleet where
 	// a kill leaves a majority).
 	Nodes int
-	// ListenPort is the balancer's public port (default 4443); NodePort
-	// and HealthPort are each instance's service and probe ports
-	// (defaults 4443 and 4453 — every node has its own stack, so they
-	// may coincide across nodes).
-	ListenPort uint16
-	NodePort   uint16
-	HealthPort uint16
-	// BalancerIP and NodeIPBase lay the fleet out on the fabric: the
-	// balancer at BalancerIP (default 10.0.0.2, the address the
-	// single-redirector world used, so clients need not care which they
-	// are talking to) and node i at 10.0.0.(NodeIPBase+i) (default
-	// base 20).
-	BalancerIP tcpip.Addr
-	NodeIPBase byte
 	// Target and TargetPort locate the plaintext backend every
 	// instance forwards to.
 	Target     tcpip.Addr
@@ -56,40 +62,15 @@ type Config struct {
 	// Policy orders the balancer's candidates per connection (default
 	// consistent hash).
 	Policy Policy
-	// ForwardTimeout bounds one balancer-to-node connect before failing
-	// over to the next candidate (default 1s).
-	ForwardTimeout time.Duration
-	// Health shapes the balancer's active probing.
-	Health HealthConfig
 	// RandSeed diversifies per-instance session crypto.
 	RandSeed uint64
-	// Metrics receives the balancer counters (default private); each
-	// instance gets its own private registry (see Cluster.NodeRegistry)
-	// so reports can break SLOs down per instance.
-	Metrics *telemetry.Registry
-	// Trace and Log are shared across the fleet. Optional.
+	// Trace is shared across the fleet. Optional.
 	Trace *telemetry.Trace
-	Log   issl.Logger
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Nodes <= 0 {
 		c.Nodes = 3
-	}
-	if c.ListenPort == 0 {
-		c.ListenPort = 4443
-	}
-	if c.NodePort == 0 {
-		c.NodePort = 4443
-	}
-	if c.HealthPort == 0 {
-		c.HealthPort = c.NodePort + 10
-	}
-	if c.BalancerIP == (tcpip.Addr{}) {
-		c.BalancerIP = tcpip.IP4(10, 0, 0, 2)
-	}
-	if c.NodeIPBase == 0 {
-		c.NodeIPBase = 20
 	}
 	if c.Secure && c.ServerKey == nil {
 		return c, fmt.Errorf("cluster: secure fleet needs ServerKey")
@@ -102,13 +83,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Policy == nil {
 		c.Policy = NewConsistentHash(0)
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = time.Second
-	}
-	c.Health = c.Health.withDefaults()
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
 	}
 	return c, nil
 }
@@ -160,7 +134,7 @@ func New(hub *netsim.Hub, cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		node := &Node{
 			Index:    i,
-			Addr:     tcpip.IP4(10, 0, 0, cfg.NodeIPBase+byte(i)),
+			Addr:     tcpip.IP4(10, 0, 0, nodeIPBase+byte(i)),
 			Registry: telemetry.NewRegistry(),
 		}
 		c.nodes = append(c.nodes, node)
@@ -169,7 +143,7 @@ func New(hub *netsim.Hub, cfg Config) (*Cluster, error) {
 			return fail(err)
 		}
 	}
-	c.balStack, err = tcpip.NewStack(c.hub, cfg.BalancerIP)
+	c.balStack, err = tcpip.NewStack(c.hub, balancerIP)
 	if err != nil {
 		return fail(err)
 	}
@@ -189,7 +163,7 @@ func (c *Cluster) startNode(node *Node) error {
 		return err
 	}
 	rcfg := redirector.Config{
-		ListenPort:  c.cfg.NodePort,
+		ListenPort:  nodePort,
 		Target:      c.cfg.Target,
 		TargetPort:  c.cfg.TargetPort,
 		Secure:      c.cfg.Secure,
@@ -199,7 +173,6 @@ func (c *Cluster) startNode(node *Node) error {
 		RandSeed:    c.cfg.RandSeed ^ (uint64(node.Index+1) * 0x9E3779B97F4A7C15),
 		Metrics:     node.Registry,
 		Trace:       c.cfg.Trace,
-		Log:         c.cfg.Log,
 	}
 	if c.cfg.Secure {
 		// Fresh cache (a restarted node lost its RAM); same ticket keys
@@ -217,7 +190,7 @@ func (c *Cluster) startNode(node *Node) error {
 		stack.Close()
 		return err
 	}
-	health, err := stack.Listen(c.cfg.HealthPort, 8)
+	health, err := stack.Listen(healthPort, 8)
 	if err != nil {
 		srv.Close()
 		stack.Close()
@@ -249,7 +222,7 @@ func (c *Cluster) startNode(node *Node) error {
 func (c *Cluster) Balancer() *Balancer { return c.balancer }
 
 // Addr returns the public address clients dial.
-func (c *Cluster) Addr() (tcpip.Addr, uint16) { return c.cfg.BalancerIP, c.cfg.ListenPort }
+func (c *Cluster) Addr() (tcpip.Addr, uint16) { return balancerIP, listenPort }
 
 // Nodes returns the fleet size.
 func (c *Cluster) Nodes() int { return len(c.nodes) }

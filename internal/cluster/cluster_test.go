@@ -33,8 +33,14 @@ func rsaKey(t testing.TB) *rsa.PrivateKey {
 
 const backendPort = 9000
 
-// reinstateBackoff is testWorld's reinstatement backoff.
-const reinstateBackoff = 100 * time.Millisecond
+// setTiming sets one of the package's timing variables for the rest
+// of the test. Call it before starting anything that reads the
+// variable, so the restore runs after that is torn down.
+func setTiming(t *testing.T, v *time.Duration, d time.Duration) {
+	old := *v
+	*v = d
+	t.Cleanup(func() { *v = old })
+}
 
 // testWorld builds the fabric: a client stack, a backend echo stack,
 // and a secure fleet behind the balancer with chaos-friendly health
@@ -56,6 +62,10 @@ func testWorld(t *testing.T, nodes int, pol Policy, tr *telemetry.Trace) (*tcpip
 	t.Cleanup(back.Close)
 	startEchoBackend(t, back)
 
+	setTiming(t, &probeInterval, 20*time.Millisecond)
+	setTiming(t, &probeTimeout, 150*time.Millisecond)
+	setTiming(t, &reinstateBackoff, 100*time.Millisecond)
+	setTiming(t, &forwardTimeout, 500*time.Millisecond)
 	cl, err := New(hub, Config{
 		Nodes:          nodes,
 		Target:         back.Addr(),
@@ -64,16 +74,8 @@ func testWorld(t *testing.T, nodes int, pol Policy, tr *telemetry.Trace) (*tcpip
 		ServerKey:      rsaKey(t),
 		TicketMaterial: []byte("fleet ticket material"),
 		Policy:         pol,
-		ForwardTimeout: 500 * time.Millisecond,
-		Health: HealthConfig{
-			ProbeInterval:    20 * time.Millisecond,
-			ProbeTimeout:     150 * time.Millisecond,
-			FailThreshold:    2,
-			RiseThreshold:    2,
-			ReinstateBackoff: reinstateBackoff,
-		},
-		RandSeed: 0xC1A5,
-		Trace:    tr,
+		RandSeed:       0xC1A5,
+		Trace:          tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +258,7 @@ func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
 }
 
 // TestRestartReinstatesAfterBackoff: a restarted node must rejoin —
-// but only after RiseThreshold probes AND the reinstatement backoff,
+// but only after riseThreshold probes AND the reinstatement backoff,
 // and it must then take traffic again.
 func TestRestartReinstatesAfterBackoff(t *testing.T) {
 	tr := telemetry.NewTrace(1 << 14)
@@ -396,8 +398,7 @@ func TestBalancerHalfClosePassThrough(t *testing.T) {
 	cli, lb, node := stack(1), stack(2), stack(4)
 
 	// A request/response node: read to EOF, then reply.
-	const port = 4443
-	l, err := node.Listen(port, 4)
+	l, err := node.Listen(nodePort, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +422,8 @@ func TestBalancerHalfClosePassThrough(t *testing.T) {
 
 	// No health endpoint: probing is pushed past the test's lifetime so
 	// the node stays in rotation.
-	cfg, err := Config{
-		ListenPort: port,
-		NodePort:   port,
-		Health:     HealthConfig{ProbeInterval: time.Hour},
-	}.withDefaults()
+	setTiming(t, &probeInterval, time.Hour)
+	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +433,7 @@ func TestBalancerHalfClosePassThrough(t *testing.T) {
 	}
 	defer b.Close()
 
-	tcb, err := cli.Connect(lb.Addr(), port, 5*time.Second)
+	tcb, err := cli.Connect(lb.Addr(), listenPort, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

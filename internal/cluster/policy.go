@@ -21,20 +21,21 @@ import (
 
 // NodeState is the balancer's per-node view handed to a Policy.
 type NodeState struct {
-	// Up is the health checker's current verdict.
-	Up bool
 	// Inflight counts connections the balancer is currently pumping
 	// through the node.
 	Inflight int64
 }
 
 // Policy orders the fleet for one arriving connection. The balancer
-// forwards to the first candidate that is up and accepts, failing over
-// down the list — so a policy expresses preference, not a hard pick.
+// walks the order, skips the nodes its health checker holds down, and
+// forwards to the first that accepts, failing over down the list — so
+// a policy expresses preference, not a hard pick, and never sees node
+// health.
 type Policy interface {
 	Name() string
-	// Order returns node indexes, most preferred first. key identifies
-	// the client (address and port), so a policy can be sticky.
+	// Order returns every node index, most preferred first. key
+	// identifies the client (address and port), so a policy can be
+	// sticky.
 	Order(key uint64, nodes []NodeState) []int
 }
 
@@ -112,8 +113,8 @@ func (c *ConsistentHash) ringFor(n int) []ringPoint {
 }
 
 // Order walks the ring from the key's position, collecting each node
-// the first time it appears. The ring ignores up/down — that is what
-// keeps the mapping stable — so the balancer filters health itself.
+// the first time it appears. The ring ignores health — that is what
+// keeps the mapping stable; the balancer skips down nodes itself.
 func (c *ConsistentHash) Order(key uint64, nodes []NodeState) []int {
 	n := len(nodes)
 	if n == 0 {

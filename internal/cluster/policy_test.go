@@ -48,9 +48,6 @@ func TestConsistentHashStableUnderRemoval(t *testing.T) {
 	p := NewConsistentHash(64)
 	const n, keys = 5, 1000
 	nodes := make([]NodeState, n)
-	for i := range nodes {
-		nodes[i].Up = true
-	}
 	const dead = 2
 	moved := 0
 	for key := uint64(0); key < keys; key++ {
@@ -98,10 +95,10 @@ func TestConsistentHashDeterministic(t *testing.T) {
 func TestLeastInflightOrdering(t *testing.T) {
 	p := LeastInflight{}
 	nodes := []NodeState{
-		{Up: true, Inflight: 3},
-		{Up: true, Inflight: 1},
-		{Up: true, Inflight: 1},
-		{Up: true, Inflight: 0},
+		{Inflight: 3},
+		{Inflight: 1},
+		{Inflight: 1},
+		{Inflight: 0},
 	}
 	got := p.Order(12345, nodes)
 	want := []int{3, 1, 2, 0}

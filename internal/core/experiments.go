@@ -392,10 +392,10 @@ func RunE5() (*E5Result, error) {
 	}()
 
 	psk := []byte("e5-psk")
-	const slots = 3
+	const slots = 3 // the embedded redirector's fixed slot count (Fig. 3)
 	srv, err := redirector.NewEmbeddedServer(dcsock.NewEnv(dev), redirector.Config{
 		ListenPort: 443, Target: back.Addr(), TargetPort: 9000,
-		Secure: true, PSK: psk, Slots: slots, RandSeed: 5,
+		Secure: true, PSK: psk, RandSeed: 5,
 	})
 	if err != nil {
 		return nil, err

@@ -138,7 +138,6 @@ func (c *Conn) failAndAlert(cause error) error {
 		c.trySendAlert(ae.Code)
 		c.metrics.alertsSent.Inc()
 		c.cfg.Trace.Emit("issl", "alert.sent", "code", ae.Code.String())
-		c.cfg.logf("issl: fatal: sent alert %s (%v)", ae.Code, cause)
 	}
 	return err
 }
@@ -232,7 +231,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 				ae := &AlertError{Code: AlertCode(pt[0]), Remote: true}
 				c.metrics.alertsRecv.Inc()
 				c.cfg.Trace.Emit("issl", "alert.recv", "code", ae.Code.String())
-				c.cfg.logf("issl: peer sent fatal alert %s", ae.Code)
 				return 0, c.fail(ae)
 			}
 			c.peerClose = true

@@ -29,11 +29,11 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the doubling (default 2s).
 	MaxDelay time.Duration
-	// JitterPct spreads each delay uniformly in ±JitterPct% (default
-	// 20, drawn from the Config's deterministic PRNG; 0 keeps the
-	// default — use -1 for none).
-	JitterPct int
 }
+
+// jitterPct spreads each backoff delay uniformly in ±20%, drawn from
+// the Config's deterministic PRNG.
+const jitterPct = 20
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -44,15 +44,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.JitterPct == 0 {
-		p.JitterPct = 20
-	}
-	if p.JitterPct < 0 {
-		p.JitterPct = 0
-	}
-	if p.JitterPct > 100 {
-		p.JitterPct = 100
 	}
 	return p
 }
@@ -174,7 +165,7 @@ func (d *Dialer) DialWithRetry() (*Conn, io.ReadWriteCloser, error) {
 		if attempt >= pol.MaxAttempts {
 			return nil, nil, fmt.Errorf("issl: dial failed after %d attempts: %w", attempt, lastErr)
 		}
-		sleep(jitter(delay, pol.JitterPct, d.Config.Rand))
+		sleep(jitter(delay, d.Config.Rand))
 		delay *= 2
 		if delay > pol.MaxDelay {
 			delay = pol.MaxDelay
@@ -182,13 +173,11 @@ func (d *Dialer) DialWithRetry() (*Conn, io.ReadWriteCloser, error) {
 	}
 }
 
-// jitter spreads d uniformly across ±pct%, deterministically via rng.
-func jitter(d time.Duration, pct int, rng *prng.Xorshift) time.Duration {
-	if pct <= 0 || rng == nil || d <= 0 {
-		return d
-	}
-	span := int(d) * pct / 100
-	if span <= 0 {
+// jitter spreads d uniformly across ±jitterPct%, deterministically via
+// rng.
+func jitter(d time.Duration, rng *prng.Xorshift) time.Duration {
+	span := int(d) * jitterPct / 100
+	if rng == nil || span <= 0 {
 		return d
 	}
 	return d - time.Duration(span) + time.Duration(rng.Intn(2*span+1))

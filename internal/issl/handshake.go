@@ -326,7 +326,6 @@ func (c *Conn) serverHandshake() error {
 		} else {
 			c.metrics.ticketsRejected.Inc()
 			c.cfg.Trace.Emit("issl", "ticket.rejected", "err", err.Error())
-			cfg.logf("issl: ticket rejected, degrading: %v", err)
 		}
 	}
 	if cachedMaster == nil && offeredSession && cfg.Cache != nil {

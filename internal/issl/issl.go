@@ -8,13 +8,15 @@
 //
 //   - ProfileUnix — the original library: RSA session-key exchange
 //     (over the from-scratch bignum package), every Rijndael key and
-//     block size (128/192/256 on both axes), dynamic buffers, logging
-//     to any destination.
+//     block size (128/192/256 on both axes), dynamic buffers.
 //   - ProfileEmbedded — the RMC2000 port: RSA dropped ("a
 //     difficult-to-port bignum package"), key exchange replaced by a
 //     pre-shared key, AES fixed at 128-bit key and block (the static
 //     allocation consequence of xalloc having no free), bounded record
-//     size, circular-buffer logging.
+//     size.
+//
+// Neither profile logs: handshake, alert and ticket events go to the
+// Config's counters (Metrics) and trace (Trace) instead.
 //
 // The wire protocol is a compact SSL-like layered design: a record
 // layer (CBC encryption + truncated HMAC-SHA1, per-direction sequence
@@ -62,12 +64,6 @@ const (
 	MaxRecordEmbedded = 1024
 )
 
-// Logger is the minimal logging interface; the Unix profile points it
-// at anything, the embedded profile at an embedded.CircularLog.
-type Logger interface {
-	Printf(format string, args ...any)
-}
-
 // Config parameterizes a handshake endpoint.
 type Config struct {
 	// Profile selects Unix or Embedded behavior.
@@ -83,8 +79,6 @@ type Config struct {
 	PSK []byte
 	// Rand supplies all nonces, IVs and the premaster secret. Required.
 	Rand *prng.Xorshift
-	// Log receives handshake and record-layer events. Optional.
-	Log Logger
 	// Resume offers a cached session for an abbreviated handshake
 	// (client side). The server may decline, falling back to full.
 	Resume *Session
@@ -176,12 +170,6 @@ func (c *Config) maxRecord() int {
 	return MaxRecordUnix
 }
 
-func (c *Config) logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log.Printf(format, args...)
-	}
-}
-
 // BindServer performs the server side of the handshake over transport
 // and returns the secure connection. The name mirrors the issl usage
 // the paper describes: create a plain socket, then bind the library to
@@ -205,16 +193,15 @@ func bind(transport io.ReadWriter, cfg Config, server bool) (*Conn, error) {
 		deadline = time.Now().Add(cfg.HandshakeTimeout)
 		conn.readDeadline = deadline
 	}
-	role, hs := "client", conn.clientHandshake
+	hs := conn.clientHandshake
 	if server {
-		role, hs = "server", conn.serverHandshake
+		hs = conn.serverHandshake
 	}
 	if err := hs(); err != nil {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			err = fmt.Errorf("%w (%v): %w", ErrHandshakeTimeout, cfg.HandshakeTimeout, err)
 		}
 		conn.metrics.handshakesFailed.Inc()
-		cfg.logf("issl: %s handshake failed: %v", role, err)
 		return nil, err
 	}
 	if conn.resumed {
@@ -223,8 +210,6 @@ func bind(transport io.ReadWriter, cfg Config, server bool) (*Conn, error) {
 		conn.metrics.handshakesFull.Inc()
 	}
 	conn.readDeadline = time.Time{}
-	cfg.logf("issl: %s handshake complete (profile=%s key=%d block=%d resumed=%v)",
-		role, cfg.Profile, cfg.KeyBits, cfg.BlockBits, conn.resumed)
 	return conn, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/race"
 	"repro/internal/telemetry"
 )
 
@@ -36,6 +37,50 @@ func resumablePair(t *testing.T) (*Session, *SessionCache) {
 		t.Fatalf("cache has %d sessions", cache.Len())
 	}
 	return sess, cache
+}
+
+// resumedHandshakeAllocs is the allocation ceiling of one resumed
+// handshake pair in TestResumedHandshakeAllocs, counted process-wide:
+// both ends, their PRNGs, the pipe and the server goroutine. Lower it
+// when a change removes allocations; never raise it to admit a new one.
+const resumedHandshakeAllocs = 78
+
+// TestResumedHandshakeAllocs pins the allocations of one resumed
+// handshake pair over an in-memory pipe, the BenchmarkE9_ResumedHandshake
+// shape. A per-bind call that boxes its arguments (a log line, an
+// unguarded trace emit) fails it.
+func TestResumedHandshakeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	sess, cache := resumablePair(t)
+	key := serverKey(t)
+	seed := uint64(1000)
+	n := testing.AllocsPerRun(50, func() {
+		seed += 2
+		ct, st := net.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			_, err := BindServer(st, Config{Profile: ProfileUnix, ServerKey: key,
+				Rand: prng.NewXorshift(seed + 1), Cache: cache})
+			done <- err
+		}()
+		cli, err := BindClient(ct, Config{Profile: ProfileUnix,
+			Rand: prng.NewXorshift(seed), Resume: sess})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !cli.Resumed() {
+			t.Fatal("handshake not resumed")
+		}
+	})
+	if n > resumedHandshakeAllocs {
+		t.Errorf("resumed handshake pair: %v allocs/op, ceiling %d", n, resumedHandshakeAllocs)
+	}
+	t.Logf("resumed handshake pair: %v allocs/op", n)
 }
 
 func TestSessionResumptionSkipsRSA(t *testing.T) {

@@ -21,12 +21,12 @@ import (
 
 // runRealCluster is runReal's fleet-mode tail: hub, cli and back are
 // already up (owned and closed by the caller); the backend echo
-// service is listening.
+// service is listening. The balancer holds the single redirector's
+// address and port (10.0.0.2:redirectorPort), so the fleet dials it
+// unchanged.
 func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stack) (*MeasuredReport, error) {
 	ccfg := cluster.Config{
 		Nodes:            cfg.Instances,
-		ListenPort:       redirectorPort,
-		NodePort:         redirectorPort,
 		Target:           back.Addr(),
 		TargetPort:       backendPort,
 		Secure:           !cfg.Plain,
@@ -35,7 +35,6 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		MaxInflight:      cfg.MaxInflight,
 		SignWorkers:      cfg.SignWorkers,
 		Policy:           cluster.PolicyByName(cfg.Policy),
-		ForwardTimeout:   time.Second,
 		RandSeed:         cfg.Seed ^ 0xC105FEED,
 	}
 	if !cfg.Plain {

@@ -14,9 +14,9 @@
 //   - EmbeddedServer: the ported structure of Fig. 3 — a fixed set of
 //     costatement-driven connection slots plus a driver costatement
 //     ticking the TCP stack, each slot doing tcp_listen on the shared
-//     port and *becoming* the connection. The slot count is the hard
-//     concurrency limit; a fourth client is refused while three are
-//     being served.
+//     port and *becoming* the connection. The slot count, three, is
+//     the hard concurrency limit; a fourth client is refused while
+//     three are being served.
 //
 // Setting Config.Secure to false turns either server into a plaintext
 // redirector, the baseline for the paper's §2 observation (after
@@ -54,9 +54,6 @@ type Config struct {
 	ServerKey *rsa.PrivateKey
 	// PSK is the pre-shared key (Embedded flavor with Secure).
 	PSK []byte
-	// Slots caps simultaneous connections (Embedded flavor; default 3,
-	// the paper's number).
-	Slots int
 	// MaxInflight caps simultaneous connections on the Unix flavor
 	// (admission control): past the bound, new connections are refused
 	// immediately — counted in Refused and AdmissionRefused — instead of
@@ -82,15 +79,6 @@ type Config struct {
 	// cores instead of serializing wherever the scheduler lands. 0
 	// keeps the inline per-connection behavior.
 	SignWorkers int
-	// BackendAttempts caps backend connect attempts per client
-	// connection (default 3). A backend that restarts — or sits behind
-	// a flaky hub — gets a second chance before the client is refused.
-	BackendAttempts int
-	// BackendRetryDelay is the wait after the first failed backend
-	// attempt (default 100ms); it doubles per failure.
-	BackendRetryDelay time.Duration
-	// Log receives service events. Optional.
-	Log issl.Logger
 	// RandSeed seeds the deterministic PRNG used for session crypto.
 	RandSeed uint64
 	// Metrics hosts the service counters (see Stats). When nil the
@@ -100,12 +88,6 @@ type Config struct {
 	// Trace receives per-connection events ("redirector" layer) and is
 	// handed to the issl layer for handshake phases. Optional.
 	Trace *telemetry.Trace
-}
-
-func (c *Config) logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log.Printf(format, args...)
-	}
 }
 
 // Stats exposes the service counters. The fields are handles into the
@@ -210,20 +192,32 @@ func (s *service) Stats() *Stats { return &s.stats }
 // (loadgen's 60 s), so an honest client always gives up first.
 var handshakeTimeout = 60 * time.Second
 
+// Backend dialing: a backend that restarts, or sits behind a flaky
+// hub, gets backendAttempts connect attempts per client connection
+// before the client is refused. The wait after the first failed
+// attempt is backendRetryDelay; it doubles per failure.
+const (
+	backendAttempts   = 3
+	backendRetryDelay = 100 * time.Millisecond
+)
+
+// slots is the Embedded flavor's connection-slot count: the paper's
+// "at most three requests" (Fig. 3).
+const slots = 3
+
 // handle serves one accepted client connection to the end: bind issl
 // over client (when Secure), dial the backend from stack, relay until
 // both directions end. The flavor supplies only what differs: its
 // transport, the profile fields of hs (ServerKey and SignPool, or PSK,
 // plus its Rand), the stack it dials from, and the trace key ("conn"
-// or "slot") that labels id in events and log lines.
+// or "slot") that labels id in events.
 func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip.Stack, key string, id uint64) {
 	if s.cfg.Secure {
-		hs.Log, hs.Cache, hs.TicketKeys = s.cfg.Log, s.cfg.SessionCache, s.cfg.TicketKeys
+		hs.Cache, hs.TicketKeys = s.cfg.SessionCache, s.cfg.TicketKeys
 		hs.Metrics, hs.Trace = s.cfg.Metrics, s.cfg.Trace
 		hs.HandshakeTimeout = handshakeTimeout
 		sc, err := issl.BindServer(client, hs)
 		if err != nil {
-			s.cfg.logf("redirector: %s %d: handshake failed: %v", key, id, err)
 			s.stats.Refused.Inc()
 			s.cfg.Trace.Emit("redirector", "conn.refused", key, id, "reason", "handshake")
 			client.Close()
@@ -233,7 +227,6 @@ func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip
 	}
 	backend, err := s.dialBackend(stack)
 	if err != nil {
-		s.cfg.logf("redirector: %s %d: backend unreachable, refusing client: %v", key, id, err)
 		s.stats.Refused.Inc()
 		s.cfg.Trace.Emit("redirector", "conn.refused", key, id, "reason", "backend")
 		client.Close()
@@ -258,16 +251,9 @@ func (s *service) handle(client io.ReadWriteCloser, hs issl.Config, stack *tcpip
 // refuses the client gracefully — a secure client gets a clean
 // close_notify, not a RST).
 func (s *service) dialBackend(stack *tcpip.Stack) (*tcpip.TCB, error) {
-	attempts := s.cfg.BackendAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	delay := s.cfg.BackendRetryDelay
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
+	delay := backendRetryDelay
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < backendAttempts; i++ {
 		if i > 0 {
 			s.stats.BackendRetries.Inc()
 			s.cfg.Trace.Emit("redirector", "backend.retry", "try", i+1, "delay_ms", delay.Milliseconds())
@@ -280,7 +266,7 @@ func (s *service) dialBackend(stack *tcpip.Stack) (*tcpip.TCB, error) {
 		}
 	}
 	s.stats.BackendDown.Inc()
-	s.cfg.Trace.Emit("redirector", "backend.down", "attempts", attempts)
+	s.cfg.Trace.Emit("redirector", "backend.down", "attempts", backendAttempts)
 	return nil, err
 }
 
@@ -457,14 +443,11 @@ func NewEmbeddedServer(env *dcsock.Env, cfg Config) (*EmbeddedServer, error) {
 	if cfg.Secure && len(cfg.PSK) == 0 {
 		return nil, fmt.Errorf("%w: secure embedded redirector needs PSK (the port dropped RSA)", ErrBadConfig)
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = 3 // the paper's maximum: "at most three requests"
-	}
 	return &EmbeddedServer{service: service{cfg: cfg, stats: newStats(cfg.Metrics)},
 		env: env, runDone: make(chan struct{})}, nil
 }
 
-// Run executes the Fig. 3 main loop: Slots connection-handler
+// Run executes the Fig. 3 main loop: slots connection-handler
 // costatements plus one TCP-driver costatement, scheduled
 // cooperatively, until Close is called. It blocks.
 //
@@ -472,15 +455,15 @@ func NewEmbeddedServer(env *dcsock.Env, cfg Config) (*EmbeddedServer, error) {
 // so a slot that is mid-transfer does not stall its siblings — the
 // Dynamic C original achieved the same interleaving with non-blocking
 // socket calls inside each costatement. The structural property the
-// paper cares about is preserved exactly: Slots listening sockets
-// bound by tcp_listen, so connection Slots+1 is refused while all
+// paper cares about is preserved exactly: slots listening sockets
+// bound by tcp_listen, so connection slots+1 is refused while all
 // slots are busy.
 func (s *EmbeddedServer) Run() {
 	s.started.Store(true)
 	defer close(s.runDone)
 	s.env.SockInit()
 	sched := costate.New()
-	for i := 0; i < s.cfg.Slots; i++ {
+	for i := 0; i < slots; i++ {
 		slot := i
 		sched.Spawn(fmt.Sprintf("conn-slot-%d", slot), func(co *costate.Co) {
 			s.slotBody(co, slot)
@@ -504,7 +487,6 @@ func (s *EmbeddedServer) slotBody(co *costate.Co, slot int) {
 	for !s.stop.Load() {
 		var sock dcsock.TCPSocket
 		if err := s.env.TcpListen(&sock, s.cfg.ListenPort); err != nil {
-			s.cfg.logf("redirector: slot %d: tcp_listen: %v", slot, err)
 			return
 		}
 		// waitfor(sock_established(&socket))

@@ -330,7 +330,7 @@ func TestE5ConnectionLimit(t *testing.T) {
 	psk := []byte("slots")
 	srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{
 		ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
-		Secure: true, PSK: psk, Slots: 3, RandSeed: 5,
+		Secure: true, PSK: psk, RandSeed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,12 +395,8 @@ func TestEmbeddedConfigValidation(t *testing.T) {
 	if _, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{Secure: true}); err == nil {
 		t.Error("secure embedded server without PSK accepted")
 	}
-	srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{Secure: false})
-	if err != nil {
+	if _, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{Secure: false}); err != nil {
 		t.Fatal(err)
-	}
-	if srv.cfg.Slots != 3 {
-		t.Errorf("default slots = %d, want 3", srv.cfg.Slots)
 	}
 }
 
@@ -413,11 +409,12 @@ func TestUnixConfigValidation(t *testing.T) {
 
 func TestBackendUnreachableCountsRefused(t *testing.T) {
 	cli, mid, _ := world(t)
-	// No backend started. One attempt: retry behavior has its own test,
-	// and each attempt against a silent address costs a full SYN timeout.
+	// No backend listener: the backend host answers each of the
+	// backendAttempts dials with a RST, so the client is refused once
+	// the retries (100 ms, then 200 ms) run out.
 	srv, err := NewUnixServer(mid, Config{
 		ListenPort: 8080, Target: tcpip.IP4(10, 0, 0, 3), TargetPort: backendPort,
-		Secure: false, BackendAttempts: 1,
+		Secure: false,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,6 +437,9 @@ func TestBackendUnreachableCountsRefused(t *testing.T) {
 	if srv.Stats().BackendDown.Value() != 1 {
 		t.Errorf("backend down = %d, want 1", srv.Stats().BackendDown.Value())
 	}
+	if got := srv.Stats().BackendRetries.Value(); got != backendAttempts-1 {
+		t.Errorf("backend retries = %d, want %d", got, backendAttempts-1)
+	}
 }
 
 // TestBackendReconnectWithBackoff brings the backend up only after the
@@ -461,7 +461,7 @@ func TestBackendReconnectWithBackoff(t *testing.T) {
 
 	srv, err := NewUnixServer(mid, Config{
 		ListenPort: 8080, Target: backAddr, TargetPort: backendPort,
-		Secure: false, BackendAttempts: 4, BackendRetryDelay: 200 * time.Millisecond,
+		Secure: false,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1034,7 +1034,7 @@ func TestFlavorParity(t *testing.T) {
 				tr := telemetry.NewTrace(256)
 				st := fl.start(t, mid, Config{
 					ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
-					Secure: true, BackendAttempts: 1, RandSeed: 9, Trace: tr,
+					Secure: true, RandSeed: 9, Trace: tr,
 				})
 				ccfg := fl.own
 				if tc.reason == "handshake" {
@@ -1103,7 +1103,7 @@ func TestServerHandshakeDeadline(t *testing.T) {
 		startEchoBackend(t, back)
 		srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{
 			ListenPort: 443, Target: back.Addr(), TargetPort: backendPort,
-			Secure: true, PSK: psk, Slots: 3, RandSeed: 9,
+			Secure: true, PSK: psk, RandSeed: 9,
 		})
 		if err != nil {
 			t.Fatal(err)
