@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		payloads    = fs.String("payloads", "64:60,512:30,4096:10", "payload distribution size:weight,...")
 		inflight    = fs.Int("inflight", 0, "redirector admission bound (0 = unbounded)")
 		cache       = fs.Int("cache", 0, "session cache bound (0 = 2x clients)")
-		shards      = fs.Int("shards", 0, "session cache shards (0 = default)")
 		latency     = fs.Duration("latency", 0, "one-way hub latency")
 		faults      = fs.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
 		plain       = fs.Bool("plain", false, "plaintext baseline (no issl layer)")
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		Payloads:      dist,
 		MaxInflight:   *inflight,
 		CacheSessions: *cache,
-		CacheShards:   *shards,
 		HubLatency:    *latency,
 		Plain:         *plain,
 		Stampede:      *stampede,

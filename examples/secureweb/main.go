@@ -44,11 +44,8 @@ func main() {
 	sniffed := make(chan struct{})
 	go func() {
 		defer close(sniffed)
-		for {
-			frames, err := sniffer.DrainFrames(nil)
-			if err != nil { // ErrPortClosed, once every captured frame is drained
-				return
-			}
+		for range sniffer.Ready() { // closes with the port, after its last frames
+			frames, _ := sniffer.Drain()
 			for _, f := range frames {
 				captured.Write(f.Payload()) // copies out of the drain slab
 			}

@@ -246,7 +246,7 @@ func (c *Cluster) KillNode(i int) {
 	stack, srv, health := node.stack, node.srv, node.health
 	node.mu.Unlock()
 	health.Close()
-	srv.Shutdown(0) // abort in-flight: a power cut drains nothing
+	srv.Close() // abort in-flight: a power cut drains nothing
 	stack.Close()
 	node.hwg.Wait()
 }

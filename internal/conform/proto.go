@@ -321,10 +321,8 @@ func checkTCPIPIngressSweep(c *checkCtx) {
 
 func drainPort(p *netsim.Port) {
 	go func() {
-		for {
-			if _, err := p.DrainFrames(nil); err != nil { // ErrPortClosed: the rogue port is gone
-				return
-			}
+		for range p.Ready() { // closes with the rogue port
+			p.Drain()
 		}
 	}()
 }

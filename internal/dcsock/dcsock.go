@@ -10,9 +10,10 @@
 //
 // One fidelity note: on the real board, tcp_tick() *is* the stack —
 // nothing moves unless the application keeps calling it. Our simulated
-// stack runs its own receive and timer goroutines, so TcpTick here is
-// a cooperative poll point: it yields the processor and reports
-// liveness. The call sites keep the exact shape of Dynamic C code.
+// stack runs that same loop (drain the NIC, demux, tick the timers) on
+// one goroutine of its own, so TcpTick here is a cooperative poll
+// point: it yields the processor and reports liveness. The call sites
+// keep the exact shape of Dynamic C code.
 package dcsock
 
 import (

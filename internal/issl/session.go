@@ -75,24 +75,23 @@ type sessionEntry struct {
 	master []byte
 }
 
-// DefaultSessionShards is the shard count NewSessionCache uses. Eight
-// shards flatten the resumption-path contention of a ~16-core host;
-// NewSessionCacheSharded tunes it.
-const DefaultSessionShards = 8
+// defaultSessionShards is the shard count NewSessionCache uses. Eight
+// shards flatten the resumption-path contention of a ~16-core host.
+const defaultSessionShards = 8
 
 // NewSessionCache creates a cache bounded to max sessions (min 1),
-// sharded DefaultSessionShards ways (fewer when max is small, so the
+// sharded defaultSessionShards ways (fewer when max is small, so the
 // global bound is never exceeded).
 func NewSessionCache(max int) *SessionCache {
-	return NewSessionCacheSharded(max, DefaultSessionShards)
+	return newSessionCacheSharded(max, defaultSessionShards)
 }
 
-// NewSessionCacheSharded creates a cache bounded to max sessions (min
+// newSessionCacheSharded creates a cache bounded to max sessions (min
 // 1) split over the given number of shards. The shard count is rounded
 // down to a power of two, clamped to [1, max] — a shard never holds
 // fewer than one session, and shards=1 is the single-mutex layout
-// (the pre-sharding baseline, kept for benchmark comparison).
-func NewSessionCacheSharded(max, shards int) *SessionCache {
+// (the pre-sharding baseline the package's benchmarks compare with).
+func newSessionCacheSharded(max, shards int) *SessionCache {
 	if max < 1 {
 		max = 1
 	}

@@ -16,7 +16,7 @@ func TestSessionCacheLRUHotSurvivesChurn(t *testing.T) {
 	const bound = 8
 	// One shard so every session below competes for the same LRU list —
 	// the sharpest version of the test.
-	c := NewSessionCacheSharded(bound, 1)
+	c := newSessionCacheSharded(bound, 1)
 	hot := sid(0xA0)
 	c.put(hot, []byte("hot-master"))
 	for i := 0; i < 10*bound; i++ {
@@ -34,7 +34,7 @@ func TestSessionCacheLRUHotSurvivesChurn(t *testing.T) {
 }
 
 func TestSessionCacheLRUEvictsColdest(t *testing.T) {
-	c := NewSessionCacheSharded(3, 1)
+	c := newSessionCacheSharded(3, 1)
 	a, b, d, e := sid(1), sid(2), sid(3), sid(4)
 	c.put(a, []byte("a"))
 	c.put(b, []byte("b"))
@@ -54,7 +54,7 @@ func TestSessionCacheLRUEvictsColdest(t *testing.T) {
 func TestSessionCacheShardBounds(t *testing.T) {
 	// 64 total over 8 shards: 8 per shard; stuffing one shard (fixed
 	// leading byte) must bound it at 8 without touching the others.
-	c := NewSessionCacheSharded(64, 8)
+	c := newSessionCacheSharded(64, 8)
 	if len(c.shards) != 8 {
 		t.Fatalf("shards = %d", len(c.shards))
 	}
@@ -83,7 +83,7 @@ func TestSessionCacheShardRounding(t *testing.T) {
 		{1, 8, 1},
 		{0, -1, 1},
 	} {
-		c := NewSessionCacheSharded(tc.max, tc.shards)
+		c := newSessionCacheSharded(tc.max, tc.shards)
 		if len(c.shards) != tc.want {
 			t.Errorf("max=%d shards=%d: got %d shards, want %d",
 				tc.max, tc.shards, len(c.shards), tc.want)
@@ -110,7 +110,7 @@ func BenchmarkSessionCacheResume(b *testing.B) {
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const sessions = 1024
-			c := NewSessionCacheSharded(4*sessions, shards)
+			c := newSessionCacheSharded(4*sessions, shards)
 			ids := make([][SessionIDLen]byte, sessions)
 			rng := prng.NewXorshift(0xCAFE)
 			for i := range ids {

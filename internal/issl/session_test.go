@@ -209,7 +209,7 @@ func shardID(lead, tail byte) [SessionIDLen]byte {
 // overflowing one shard evicts that shard's LRU entry even while the
 // global count is far below max, and neighboring shards are untouched.
 func TestSessionCacheShardBoundaryEviction(t *testing.T) {
-	c := NewSessionCacheSharded(8, 4) // 4 shards × 2 sessions each
+	c := newSessionCacheSharded(8, 4) // 4 shards × 2 sessions each
 	if len(c.shards) != 4 {
 		t.Fatalf("shards = %d, want 4", len(c.shards))
 	}
@@ -241,7 +241,7 @@ func TestSessionCacheShardBoundaryEviction(t *testing.T) {
 // TestSessionCacheTouchOnGetAcrossShardBoundary: a get refreshes LRU
 // position within its shard, so the untouched entry is the one evicted.
 func TestSessionCacheTouchOnGetAcrossShardBoundary(t *testing.T) {
-	c := NewSessionCacheSharded(8, 4)
+	c := newSessionCacheSharded(8, 4)
 	c.put(shardID(4, 1), []byte("old-but-hot")) // shard 0 (4&3)
 	c.put(shardID(4, 2), []byte("cold"))
 	if _, ok := c.get(shardID(4, 1)); !ok { // touch: now MRU
@@ -259,7 +259,7 @@ func TestSessionCacheTouchOnGetAcrossShardBoundary(t *testing.T) {
 // TestSessionCacheGlobalBoundUnderUniformLoad: with max divisible by
 // the shard count, uniform inserts settle at exactly max sessions.
 func TestSessionCacheGlobalBoundUnderUniformLoad(t *testing.T) {
-	c := NewSessionCacheSharded(8, 4)
+	c := newSessionCacheSharded(8, 4)
 	for i := 0; i < 40; i++ {
 		c.put(shardID(byte(i), byte(i>>2)), []byte{byte(i)})
 	}
@@ -282,8 +282,8 @@ func TestSessionCacheShardedConstruction(t *testing.T) {
 		{10, 4, 4}, // non-divisible max still shards
 	}
 	for _, tc := range cases {
-		if got := len(NewSessionCacheSharded(tc.max, tc.shards).shards); got != tc.want {
-			t.Errorf("NewSessionCacheSharded(%d,%d) has %d shards, want %d",
+		if got := len(newSessionCacheSharded(tc.max, tc.shards).shards); got != tc.want {
+			t.Errorf("newSessionCacheSharded(%d,%d) has %d shards, want %d",
 				tc.max, tc.shards, got, tc.want)
 		}
 	}

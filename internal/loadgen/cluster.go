@@ -100,7 +100,6 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 			Accepted:          c("redirector.accepted"),
 			Refused:           c("redirector.refused"),
 			AdmissionRefused:  c("redirector.refused_admission"),
-			DrainedConns:      c("redirector.drained_conns"),
 			HandshakesFull:    c("issl.handshakes_full"),
 			HandshakesResumed: c("issl.handshakes_resumed"),
 			HandshakesFailed:  c("issl.handshakes_failed"),

@@ -138,10 +138,8 @@ type Config struct {
 	// counted separately and are never retried away silently.
 	RequestRetries int
 	// CacheSessions bounds the server session cache (default
-	// 2*Clients); CacheShards its shard count (default
-	// issl.DefaultSessionShards).
+	// 2*Clients).
 	CacheSessions int
-	CacheShards   int
 	// Faults degrades the wire (e.g. chaos.SoakPlan); nil runs clean.
 	Faults *netsim.FaultPlan
 	// HubLatency adds one-way frame delay.
@@ -209,9 +207,6 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	}
 	if c.CacheSessions <= 0 {
 		c.CacheSessions = 2 * c.Clients
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = issl.DefaultSessionShards
 	}
 	if c.Instances < 0 {
 		return nil, fmt.Errorf("loadgen: Instances must be >= 0")
@@ -371,7 +366,7 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		TargetPort:   backendPort,
 		Secure:       !cfg.Plain,
 		MaxInflight:  cfg.MaxInflight,
-		SessionCache: issl.NewSessionCacheSharded(cfg.CacheSessions, cfg.CacheShards),
+		SessionCache: issl.NewSessionCache(cfg.CacheSessions),
 		SignWorkers:  cfg.SignWorkers,
 		RandSeed:     cfg.Seed ^ 0x5EC0DE5EC0DE,
 		Metrics:      reg,

@@ -10,10 +10,11 @@ import (
 // the report's internal consistency: every planned request completed,
 // byte-exact, with the handshake mix the plan called for.
 func TestSmokeClosed(t *testing.T) {
-	// One big cache shard: no session can be evicted, so the live
-	// handshake mix must equal the planned mix exactly.
+	// No session can be evicted, so the live handshake mix must equal
+	// the planned mix exactly: 128 sessions over the cache's 8 shards
+	// leave each shard room for all 16 sessions the plan can issue.
 	rep, err := Run(Config{Seed: 7, Clients: 8, Requests: 2, Resume: 0.5, Concurrency: 4,
-		CacheSessions: 64, CacheShards: 1})
+		CacheSessions: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

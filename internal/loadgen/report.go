@@ -94,7 +94,6 @@ type InstanceReport struct {
 	Accepted          uint64 `json:"accepted"`
 	Refused           uint64 `json:"refused"`
 	AdmissionRefused  uint64 `json:"admission_refused,omitempty"`
-	DrainedConns      uint64 `json:"drained_conns,omitempty"`
 	HandshakesFull    uint64 `json:"handshakes_full"`
 	HandshakesResumed uint64 `json:"handshakes_resumed"`
 	HandshakesFailed  uint64 `json:"handshakes_failed,omitempty"`

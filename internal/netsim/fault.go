@@ -117,16 +117,11 @@ func (h *Hub) SetFaultPlan(p *FaultPlan) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.fault != nil && len(h.fault.held) > 0 {
+	if h.fault != nil {
 		now := h.nowLocked()
-		var deliveries []delivery
 		for _, hf := range h.fault.held {
-			if targets := h.targetsLocked(hf.frame, now); len(targets) > 0 {
-				deliveries = append(deliveries, delivery{hf.frame, targets})
-			}
-			h.metrics.framesSent.Inc()
+			h.wireLocked(hf.frame, now)
 		}
-		h.deliverLocked(deliveries)
 	}
 	if p == nil {
 		h.fault = nil
@@ -209,7 +204,8 @@ func (h *Hub) partitionedLocked(mac MAC, now time.Time) bool {
 // Called with h.mu held; every rng draw happens here, in send order,
 // which is what makes a single-sender fault schedule reproducible.
 // Each applied fault bumps its counter and emits a trace event (tr may
-// be nil).
+// be nil). fr.Payload is the sender's live buffer: a frame that is
+// corrupted or held gets a private copy, and the rest share it.
 func (f *faultState) applyFaults(fr Frame, st *hubMetrics, tr *telemetry.Trace) (now, released []Frame, lost bool) {
 	p := &f.plan
 
@@ -261,6 +257,7 @@ func (f *faultState) applyFaults(fr Frame, st *hubMetrics, tr *telemetry.Trace) 
 	}
 
 	if p.ReorderPct > 0 && f.rng.Intn(100) < p.ReorderPct {
+		fr.Payload = append([]byte(nil), fr.Payload...) // held past Send
 		f.held = append(f.held, heldFrame{frame: fr, release: 1 + f.rng.Intn(p.ReorderDepth)})
 		st.reordered.Inc()
 		tr.Emit("netsim", "fault.reorder", "src", fr.Src.String(), "len", len(fr.Payload))

@@ -41,8 +41,8 @@ func TestClosedPortSendTypedError(t *testing.T) {
 	if err := a.Send(Frame{Dst: mac(2), Payload: []byte("gone")}); err != nil {
 		t.Errorf("send to closed port = %v", err)
 	}
-	if _, err := b.DrainFrames(nil); err != ErrPortClosed {
-		t.Errorf("DrainFrames on closed port = %v, want ErrPortClosed", err)
+	if _, err := b.Drain(); err != ErrPortClosed {
+		t.Errorf("Drain on closed port = %v, want ErrPortClosed", err)
 	}
 	// The hub itself is still alive for other traffic.
 	c, err := h.Attach(mac(3))

@@ -49,7 +49,7 @@ const EthHeaderLen = 14
 // back-to-back with its neighbors. Accessors read the header in place;
 // nothing is decoded into a struct and the payload is never copied.
 // The view (and any slice derived from it) is valid only until the
-// receiver's next DrainFrames call.
+// receiver's next Drain call.
 type EthFrame struct {
 	b []byte
 }
@@ -61,7 +61,7 @@ func (f EthFrame) EtherType() uint16 {
 
 // Payload returns the frame payload as a view into the drain buffer.
 // Receivers may parse it in place but must treat it as dead after the
-// next DrainFrames.
+// next Drain.
 func (f EthFrame) Payload() []byte { return f.b[EthHeaderLen:] }
 
 // Hub is a shared-medium repeater with optional latency and a
@@ -72,6 +72,12 @@ type Hub struct {
 	ports   []*Port
 	latency time.Duration
 	closed  bool
+
+	// line is a latency wire's delay line: frames in send order, each
+	// with a private payload copy and its due time. lineBusy is set
+	// while the one goroutine that drains it runs (see runLine).
+	line     []delayed
+	lineBusy bool
 
 	fault      *faultState       // nil: clean wire
 	partitions map[MAC]time.Time // MAC -> heal deadline (zero: manual)
@@ -90,6 +96,12 @@ type Hub struct {
 	metrics hubMetrics
 	reg     *telemetry.Registry
 	trace   *telemetry.Trace
+}
+
+// delayed is one frame on the delay line.
+type delayed struct {
+	frame Frame
+	due   time.Time // wall time
 }
 
 // NewHub creates a hub with no latency or loss. Its counters live on a
@@ -145,6 +157,7 @@ func (h *Hub) Close() {
 		p.closeLocked()
 	}
 	h.ports = nil
+	h.line = nil // frames in flight go nowhere; runLine finds the line empty
 }
 
 // ErrHubClosed is returned when transmitting through a closed hub.
@@ -156,25 +169,24 @@ var ErrPortClosed = errors.New("netsim: port closed")
 // Port is one attachment point on the hub — a NIC as seen by a host.
 //
 // Received frames are written back-to-back into a slab the receiver
-// drains wholesale with DrainFrames, so the wire boundary costs one
-// slab copy and zero steady-state allocations.
+// drains wholesale with Drain, so the wire boundary costs one slab copy
+// and zero steady-state allocations.
 type Port struct {
 	hub     *Hub
 	mac     MAC
 	promi   bool // promiscuous: receives every frame on the wire
-	closed  bool // guarded by hub.mu; closedCh is closed exactly once with it
+	closed  bool // guarded by hub.mu; ready is closed exactly once with it
 	metrics portMetrics
 
 	// rxBuf/rxEnds are the filling slab: frames are appended as
 	// [14-byte header | payload] and rxEnds records the end offset of
-	// each frame. DrainFrames swaps the filling slab with the drained
-	// one (drBuf/drEnds) under hub.mu, then builds views outside the
-	// lock, so senders never block on a slow receiver and the receiver
+	// each frame. Drain swaps the filling slab with the drained one
+	// (drBuf/drEnds) under hub.mu, then builds views outside the lock,
+	// so senders never block on a slow receiver and the receiver
 	// touches the lock once per batch. All receive state is guarded by
 	// hub.mu except drBuf/drEnds/drFrames, which are owned by the
 	// (single) draining goroutine between swaps.
-	notify   chan struct{} // cap 1: "the filling slab is non-empty"
-	closedCh chan struct{}
+	ready    chan struct{} // cap 1: holds a token while rxEnds is non-empty; closed with the port
 	rxBuf    []byte
 	rxEnds   []int
 	drBuf    []byte
@@ -199,9 +211,8 @@ func (h *Hub) Attach(mac MAC) (*Port, error) {
 		}
 	}
 	p := &Port{hub: h, mac: mac,
-		notify:   make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
-		metrics:  newPortMetrics(h.reg, mac)}
+		ready:   make(chan struct{}, 1),
+		metrics: newPortMetrics(h.reg, mac)}
 	h.ports = append(h.ports, p)
 	return p, nil
 }
@@ -229,54 +240,56 @@ func (p *Port) enqueueLocked(f Frame) {
 	p.rxEnds = append(p.rxEnds, len(b))
 	p.metrics.rxBytes.Add(uint64(len(f.Payload)))
 	select {
-	case p.notify <- struct{}{}:
+	case p.ready <- struct{}{}:
 	default:
 	}
 }
 
-// DrainFrames blocks until at least one frame is pending, then returns
-// views over the whole pending batch. The returned slice and every
-// view in it are valid only until the next DrainFrames call. stop, if
-// non-nil, aborts the wait (returning ErrPortClosed) — receivers pass
-// their shutdown channel, and an already-closed stop makes the call
-// non-blocking. After the port closes, any frames already queued are
-// still drained; the error surfaces once the slab is empty.
-func (p *Port) DrainFrames(stop <-chan struct{}) ([]EthFrame, error) {
+// Ready is signalled whenever frames are pending on the port and is
+// closed when the port closes. A receiver waits on it and then calls
+// Drain:
+//
+//	for range p.Ready() {
+//		frames, _ := p.Drain()
+//		...
+//	}
+//
+// which ends once the port has closed and its last frames are drained.
+func (p *Port) Ready() <-chan struct{} { return p.ready }
+
+// Drain returns views over every frame pending on the port without
+// waiting: none when nothing is pending, and ErrPortClosed once the
+// port has closed and its queued frames have been drained. The returned
+// slice and every view in it are valid only until the next Drain call.
+func (p *Port) Drain() ([]EthFrame, error) {
 	h := p.hub
-	for {
-		h.mu.Lock()
-		if len(p.rxEnds) > 0 {
-			// Swap the filling slab with the drained one. The old drain
-			// slab's memory becomes the next filling slab, so steady state
-			// ping-pongs between two allocations.
-			p.rxBuf, p.drBuf = p.drBuf[:0], p.rxBuf
-			p.rxEnds, p.drEnds = p.drEnds[:0], p.rxEnds
-			select {
-			case <-p.notify: // clear stale wakeup for the now-empty slab
-			default:
-			}
-			h.mu.Unlock()
-			frames := p.drFrames[:0]
-			start := 0
-			for _, end := range p.drEnds {
-				frames = append(frames, EthFrame{b: p.drBuf[start:end]})
-				start = end
-			}
-			p.drFrames = frames
-			return frames, nil
-		}
+	h.mu.Lock()
+	if len(p.rxEnds) == 0 {
 		closed := p.closed
 		h.mu.Unlock()
 		if closed {
 			return nil, ErrPortClosed
 		}
-		select {
-		case <-p.notify:
-		case <-p.closedCh:
-		case <-stop: // a nil stop blocks forever, leaving the other cases
-			return nil, ErrPortClosed
-		}
+		return nil, nil
 	}
+	// Swap the filling slab with the drained one. The old drain slab's
+	// memory becomes the next filling slab, so steady state ping-pongs
+	// between two allocations.
+	p.rxBuf, p.drBuf = p.drBuf[:0], p.rxBuf
+	p.rxEnds, p.drEnds = p.drEnds[:0], p.rxEnds
+	select {
+	case <-p.ready: // clear the token for the now-empty slab
+	default:
+	}
+	h.mu.Unlock()
+	frames := p.drFrames[:0]
+	start := 0
+	for _, end := range p.drEnds {
+		frames = append(frames, EthFrame{b: p.drBuf[start:end]})
+		start = end
+	}
+	p.drFrames = frames
+	return frames, nil
 }
 
 // AttachPromiscuous adds a port that receives every frame on the wire
@@ -297,10 +310,11 @@ func (h *Hub) AttachPromiscuous(mac MAC) (*Port, error) {
 func (p *Port) MAC() MAC { return p.mac }
 
 // Send transmits a frame onto the wire. The source address is forced
-// to the port's own MAC. Delivery is asynchronous. Frames may be lost,
-// corrupted, duplicated, reordered, or partitioned away per the hub's
-// FaultPlan and partitions; none of that is visible to the sender,
-// exactly as on a real wire.
+// to the port's own MAC. Frames may be lost, corrupted, duplicated,
+// reordered, delayed, or partitioned away per the hub's FaultPlan,
+// latency and partitions; none of that is visible to the sender,
+// exactly as on a real wire. The sender may reuse the payload as soon
+// as Send returns.
 func (p *Port) Send(f Frame) error {
 	f.Src = p.mac
 	h := p.hub
@@ -322,95 +336,77 @@ func (p *Port) Send(f Frame) error {
 		h.mu.Unlock()
 		return nil // the unplugged cable: sender cannot tell
 	}
-	if h.fault == nil && h.latency == 0 {
-		// Fast path: a clean zero-latency wire delivers inline, while
-		// the sender's payload is still live — every target copies it
-		// straight into its slab, so the send makes no allocation.
-		h.deliverNowLocked(f, now)
+	if h.fault == nil {
+		h.wireLocked(f, now)
 		h.mu.Unlock()
 		return nil
 	}
-	// Slow path: delivery is deferred (latency) or may be held back
-	// (fault reordering), so copy the payload once at the wire
-	// boundary — the sender may reuse its marshal scratch as soon as
-	// Send returns. Receivers never mutate delivered payloads, so every
-	// target shares this copy.
-	if f.Payload != nil {
-		f.Payload = append([]byte(nil), f.Payload...)
+	onWire, released, lost := h.fault.applyFaults(f, &h.metrics, h.trace)
+	if lost {
+		h.metrics.framesDropped.Inc()
 	}
-	outgoing := []Frame{f}
-	if h.fault != nil {
-		onWire, released, lost := h.fault.applyFaults(f, &h.metrics, h.trace)
-		if lost {
-			h.metrics.framesDropped.Inc()
-		}
-		outgoing = append(onWire, released...)
+	for _, fr := range onWire {
+		h.wireLocked(fr, now)
 	}
-	var deliveries []delivery
-	for _, fr := range outgoing {
-		targets := h.targetsLocked(fr, now)
-		h.metrics.framesSent.Inc()
-		if len(targets) > 0 {
-			deliveries = append(deliveries, delivery{fr, targets})
-		}
+	for _, fr := range released {
+		h.wireLocked(fr, now)
 	}
-	latency := h.latency
 	h.mu.Unlock()
-
-	deliver := func() {
-		// Re-take the hub lock: a port may have detached between
-		// scheduling and delivery.
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		h.deliverLocked(deliveries)
-	}
-	if latency > 0 {
-		time.AfterFunc(latency, deliver)
-	} else {
-		deliver()
-	}
 	return nil
 }
 
-// delivery is one frame bound for a set of ports.
-type delivery struct {
-	frame   Frame
-	targets []*Port
-}
-
-// targetsLocked computes the ports a frame reaches: everything but its
-// own sender (matched by source MAC — hubs do not loop frames back)
-// and partitioned ports. h.mu held.
-func (h *Hub) targetsLocked(fr Frame, now time.Time) []*Port {
-	var targets []*Port
-	for _, q := range h.ports {
-		if q.mac == fr.Src {
-			continue
-		}
-		if h.partitionedLocked(q.mac, now) {
-			h.metrics.partitionDrops.Inc()
-			h.trace.Emit("netsim", "fault.partition", "dst", q.mac.String(), "len", len(fr.Payload))
-			continue
-		}
-		if fr.Dst == Broadcast || fr.Dst == q.mac || q.promi {
-			targets = append(targets, q)
-		}
-	}
-	return targets
-}
-
-// deliverNowLocked fans one frame out to its targets immediately,
-// while the caller's payload is still live; each target copies it into
-// its slab. h.mu held.
-func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
+// wireLocked puts one frame on the wire: a clean send, a fault plan's
+// pass or duplicate, or a held frame that is released or flushed. It
+// is the one place a frame is counted as sent. With no latency the
+// frame fans out at once, while the sender's payload is still live, so
+// a clean send makes no allocation. Otherwise the payload is copied
+// onto the delay line, which runLine fans out in send order. h.mu held.
+func (h *Hub) wireLocked(f Frame, now time.Time) {
 	h.metrics.framesSent.Inc()
+	if h.latency == 0 && len(h.line) == 0 {
+		h.fanOutLocked(f, now)
+		return
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	h.line = append(h.line, delayed{frame: f, due: time.Now().Add(h.latency)})
+	if !h.lineBusy {
+		h.lineBusy = true
+		go h.runLine()
+	}
+}
+
+// runLine drains the delay line oldest first, fanning each frame out
+// at its due time, and exits once the line is empty. wireLocked starts
+// it; lineBusy keeps it to one per hub, so a latency wire delivers in
+// send order with one sleeper instead of a timer per frame. Partitions
+// are checked at delivery.
+func (h *Hub) runLine() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(h.line) > 0 {
+		if wait := time.Until(h.line[0].due); wait > 0 {
+			h.mu.Unlock()
+			time.Sleep(wait)
+			h.mu.Lock()
+			continue
+		}
+		d := h.line[0]
+		h.line[0] = delayed{}
+		h.line = h.line[1:]
+		h.fanOutLocked(d.frame, h.nowLocked())
+	}
+	h.lineBusy = false
+}
+
+// fanOutLocked copies one frame into the slab of every port it
+// reaches: everyone but its sender (hubs do not loop frames back) that
+// is not partitioned and is its destination, the broadcast address's
+// audience, or promiscuous. h.mu held.
+func (h *Hub) fanOutLocked(f Frame, now time.Time) {
 	for _, q := range h.ports {
 		if q.mac == f.Src {
 			continue
 		}
-		// Partition is checked before destination matching, exactly as
-		// targetsLocked does, so partitionDrops counts identically on
-		// both paths.
 		if h.partitionedLocked(q.mac, now) {
 			h.metrics.partitionDrops.Inc()
 			h.trace.Emit("netsim", "fault.partition", "dst", q.mac.String(), "len", len(f.Payload))
@@ -422,18 +418,7 @@ func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
 	}
 }
 
-// deliverLocked pushes deferred deliveries into receive slabs. h.mu
-// held; a port that detached since the frame was scheduled is skipped
-// under the same lock.
-func (h *Hub) deliverLocked(deliveries []delivery) {
-	for _, d := range deliveries {
-		for _, q := range d.targets {
-			q.enqueueLocked(d.frame)
-		}
-	}
-}
-
-// Close detaches the port from the hub: DrainFrames returns
+// Close detaches the port from the hub: Ready closes, Drain returns
 // ErrPortClosed once the frames already queued are drained, and
 // further Sends return ErrPortClosed. Frames addressed to it are
 // dropped on the floor, as they would be for an unplugged NIC.
@@ -450,11 +435,11 @@ func (p *Port) Close() {
 	p.hub.ports = kept
 }
 
-// closeLocked marks the port closed and wakes its drainer, exactly
-// once. hub.mu held.
+// closeLocked marks the port closed and closes Ready, exactly once.
+// hub.mu held.
 func (p *Port) closeLocked() {
 	if !p.closed {
 		p.closed = true
-		close(p.closedCh)
+		close(p.ready)
 	}
 }

@@ -8,7 +8,7 @@ import (
 func mac(b byte) MAC { return MAC{0, 0, 0, 0, 0, b} }
 
 // copyFrame copies a drained view out of the slab, so it outlives the
-// next DrainFrames.
+// next Drain.
 func copyFrame(f EthFrame) Frame {
 	fr := Frame{EtherType: f.EtherType(), Payload: append([]byte(nil), f.Payload()...)}
 	copy(fr.Dst[:], f.b[0:6])
@@ -21,15 +21,17 @@ func copyFrame(f EthFrame) Frame {
 func drain(p *Port, grace time.Duration) []Frame {
 	var got []Frame
 	for {
-		stop := make(chan struct{})
-		timer := time.AfterFunc(grace, func() { close(stop) })
-		frames, err := p.DrainFrames(stop)
-		timer.Stop()
-		if err != nil {
+		select {
+		case <-p.Ready():
+			frames, err := p.Drain()
+			if err != nil {
+				return got
+			}
+			for _, f := range frames {
+				got = append(got, copyFrame(f))
+			}
+		case <-time.After(grace):
 			return got
-		}
-		for _, f := range frames {
-			got = append(got, copyFrame(f))
 		}
 	}
 }
@@ -103,17 +105,33 @@ func TestDuplicateMACRejected(t *testing.T) {
 	}
 }
 
+// TestPayloadIsolation: the sender may reuse its buffer once Send
+// returns, whether the frame fanned out inline, waits on the delay
+// line, or is held back for reordering.
 func TestPayloadIsolation(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
-	a, _ := h.Attach(mac(1))
-	b, _ := h.Attach(mac(2))
-	buf := []byte("original")
-	a.Send(Frame{Dst: mac(2), Payload: buf})
-	buf[0] = 'X' // mutate after send
-	f := recvWithTimeout(t, b)
-	if string(f.Payload) != "original" {
-		t.Errorf("receiver saw sender's mutation: %q", f.Payload)
+	for _, tc := range []struct {
+		name  string
+		setup func(h *Hub)
+	}{
+		{"inline", func(h *Hub) {}},
+		{"delay line", func(h *Hub) { h.SetLatency(20 * time.Millisecond) }},
+		{"held", func(h *Hub) { h.SetFaultPlan(&FaultPlan{Seed: 1, ReorderPct: 100}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHub()
+			defer h.Close()
+			tc.setup(h)
+			a, _ := h.Attach(mac(1))
+			b, _ := h.Attach(mac(2))
+			buf := []byte("original")
+			a.Send(Frame{Dst: mac(2), Payload: buf})
+			buf[0] = 'X'        // mutate after send
+			h.SetFaultPlan(nil) // puts a held frame on the wire
+			f := recvWithTimeout(t, b)
+			if string(f.Payload) != "original" {
+				t.Errorf("receiver saw sender's mutation: %q", f.Payload)
+			}
+		})
 	}
 }
 
@@ -128,6 +146,37 @@ func TestLatency(t *testing.T) {
 	recvWithTimeout(t, b)
 	if d := time.Since(start); d < 50*time.Millisecond {
 		t.Errorf("frame arrived after %v, expected >=50ms", d)
+	}
+}
+
+// TestLatencyWireKeepsSendOrder: a latency wire delays frames, it does
+// not reorder them. Back-to-back sends leave the delay line in send
+// order.
+func TestLatencyWireKeepsSendOrder(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	h.SetLatency(time.Millisecond)
+	a, _ := h.Attach(mac(1))
+	b, _ := h.Attach(mac(2))
+	const n = 200 // under rxQueueDepth: nothing overflows before the drain
+	for i := 0; i < n; i++ {
+		a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
+	}
+	got := drain(b, 200*time.Millisecond)
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d frames", len(got), n)
+	}
+	// An inversion is a frame arriving after one sent later than it.
+	inversions, last := 0, -1
+	for _, f := range got {
+		if v := int(f.Payload[0]); v < last {
+			inversions++
+		} else {
+			last = v
+		}
+	}
+	if inversions > 0 {
+		t.Errorf("%d of %d frames arrived after a later-sent frame", inversions, n)
 	}
 }
 
@@ -184,8 +233,8 @@ func TestClosedHubRejectsTraffic(t *testing.T) {
 		t.Errorf("Attach after close = %v, want ErrHubClosed", err)
 	}
 	// The port must report closed so its drainer unblocks.
-	if _, err := a.DrainFrames(nil); err != ErrPortClosed {
-		t.Errorf("DrainFrames after hub close = %v, want ErrPortClosed", err)
+	if _, err := a.Drain(); err != ErrPortClosed {
+		t.Errorf("Drain after hub close = %v, want ErrPortClosed", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package netsim
 
-// Port receive coverage: DrainFrames batching, overflow policy, close
-// semantics, and fault/latency (slow-path) delivery into the slab.
+// Port receive coverage: Drain batching, overflow policy, close
+// semantics, and delivery through the fault plan and the delay line.
 // Plus the delivery benchmark.
 
 import (
@@ -10,27 +10,23 @@ import (
 	"time"
 )
 
-// drainOne blocks until the ring port yields at least one frame.
+// drainOne waits until the port yields at least one frame.
 func drainOne(t *testing.T, p *Port) []EthFrame {
 	t.Helper()
-	done := make(chan []EthFrame, 1)
-	go func() {
-		frames, err := p.DrainFrames(nil)
-		if err != nil {
-			done <- nil
-			return
+	timeout := time.After(2 * time.Second)
+	for {
+		select {
+		case <-p.Ready():
+			frames, err := p.Drain()
+			if err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if len(frames) > 0 {
+				return frames
+			}
+		case <-timeout:
+			t.Fatal("timed out draining port")
 		}
-		done <- frames
-	}()
-	select {
-	case frames := <-done:
-		if frames == nil {
-			t.Fatal("DrainFrames failed")
-		}
-		return frames
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out draining ring port")
-		return nil
 	}
 }
 
@@ -117,7 +113,7 @@ func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 	a.Send(Frame{Dst: mac(2), Payload: []byte("last")})
 	h.Close()
 	// Frames enqueued before close must still come out...
-	frames, err := b.DrainFrames(nil)
+	frames, err := b.Drain()
 	if err != nil {
 		t.Fatalf("drain after close lost buffered frame: %v", err)
 	}
@@ -125,29 +121,39 @@ func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 		t.Fatalf("got %d frames", len(frames))
 	}
 	// ...and only then does the port report closed.
-	if _, err := b.DrainFrames(nil); err != ErrPortClosed {
+	if _, err := b.Drain(); err != ErrPortClosed {
 		t.Fatalf("drain on closed empty ring: err = %v, want ErrPortClosed", err)
 	}
 }
 
-func TestRingStopChannelUnblocksDrain(t *testing.T) {
+// TestRingReadyClosesWithPort: a receiver ranging over Ready gets the
+// frames queued before the port closed and then leaves its loop.
+func TestRingReadyClosesWithPort(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
+	a, _ := h.Attach(mac(1))
 	b, _ := h.Attach(mac(2))
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
+	if frames, err := b.Drain(); len(frames) != 0 || err != nil {
+		t.Fatalf("Drain on an idle port = %d frames, %v; want none, nil", len(frames), err)
+	}
+	a.Send(Frame{Dst: mac(2), Payload: []byte("last")})
+	b.Close()
+	got := make(chan int, 1)
 	go func() {
-		_, err := b.DrainFrames(stop)
-		errc <- err
+		n := 0
+		for range b.Ready() {
+			frames, _ := b.Drain()
+			n += len(frames)
+		}
+		got <- n
 	}()
-	close(stop)
 	select {
-	case err := <-errc:
-		if err != ErrPortClosed {
-			t.Fatalf("err = %v, want ErrPortClosed", err)
+	case n := <-got:
+		if n != 1 {
+			t.Fatalf("receiver drained %d frames, want the 1 queued before close", n)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("DrainFrames ignored stop channel")
+		t.Fatal("Ready stayed open after the port closed")
 	}
 }
 
@@ -247,7 +253,7 @@ func BenchmarkRingDelivery(b *testing.B) {
 		}
 		if i%64 == 63 || i == b.N-1 {
 			for got <= i {
-				frames, err := r.DrainFrames(nil)
+				frames, err := r.Drain()
 				if err != nil {
 					b.Fatal(err)
 				}

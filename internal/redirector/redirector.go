@@ -103,7 +103,7 @@ type Stats struct {
 	BackendRetries   *telemetry.Counter // backend connect attempts beyond the first
 	BackendDown      *telemetry.Counter // clients refused because the backend stayed down
 	HalfCloses       *telemetry.Counter // one-directional EOFs propagated via half-close
-	DrainedConns     *telemetry.Counter // inflight connections that completed during a graceful drain
+	ListenFailures   *telemetry.Counter // embedded slots' tcp_listen calls that failed and will retry
 }
 
 // newStats resolves the counters. A nil registry gets a private one so
@@ -122,7 +122,7 @@ func newStats(reg *telemetry.Registry) Stats {
 		BackendRetries:   reg.Counter("redirector.backend_retries"),
 		BackendDown:      reg.Counter("redirector.backend_down"),
 		HalfCloses:       reg.Counter("redirector.half_closes"),
-		DrainedConns:     reg.Counter("redirector.drained_conns"),
+		ListenFailures:   reg.Counter("redirector.listen_failures"),
 	}
 }
 
@@ -202,8 +202,12 @@ const (
 )
 
 // slots is the Embedded flavor's connection-slot count: the paper's
-// "at most three requests" (Fig. 3).
-const slots = 3
+// "at most three requests" (Fig. 3). A slot whose tcp_listen fails
+// retries every listenRetryMs.
+const (
+	slots         = 3
+	listenRetryMs = 100
+)
 
 // handle serves one accepted client connection to the end: bind issl
 // over client (when Secure), dial the backend from stack, relay until
@@ -296,7 +300,7 @@ type UnixServer struct {
 	once     sync.Once
 
 	mu      sync.Mutex
-	closed  bool                    // Shutdown has begun; a late Serve returns at once
+	closed  bool                    // Close has begun; a late Serve returns at once
 	active  map[*tcpip.TCB]struct{} // connections a handler owns
 	serving sync.WaitGroup          // Serve, while it runs
 	wg      sync.WaitGroup          // handler goroutines
@@ -322,7 +326,7 @@ func NewUnixServer(stack *tcpip.Stack, cfg Config) (*UnixServer, error) {
 	return s, nil
 }
 
-// Serve accepts and dispatches until the listener closes — by Shutdown
+// Serve accepts and dispatches until the listener closes — by Close
 // or by the stack going away. It blocks; run it on its own goroutine
 // (the original blocked its main process the same way).
 func (s *UnixServer) Serve() {
@@ -378,48 +382,23 @@ func (s *UnixServer) Serve() {
 	}
 }
 
-// Close is the hard stop: Shutdown with no drain.
-func (s *UnixServer) Close() { s.Shutdown(0) }
-
-// Shutdown closes the listener and waits for Serve to return, so no
-// handler starts after that; then it drains: inflight connections get
-// up to drain to finish on their own — each one that does increments
-// the drained_conns counter — before the stragglers are aborted. It
-// returns once every handler has finished, so the half-close relay can
-// never race the teardown (the pre-drain Close aborted mid-relay and
-// the chaos harness caught byte-short transfers on otherwise healthy
-// shutdowns).
-func (s *UnixServer) Shutdown(drain time.Duration) {
+// Close stops the server: it closes the listener and waits for Serve
+// to return, so no handler starts after that, then aborts every
+// inflight connection. It returns once every handler has finished, so
+// the half-close relay can never race the teardown.
+func (s *UnixServer) Close() {
 	s.once.Do(func() {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
 		s.lst.Close()
 		s.serving.Wait()
-		idle := make(chan struct{})
-		go func() { s.wg.Wait(); close(idle) }()
-		if drain > 0 {
-			start := s.stats.Inflight.Value()
-			timer := time.NewTimer(drain)
-			select {
-			case <-idle:
-			case <-timer.C:
-			}
-			timer.Stop()
-			if done := start - s.stats.Inflight.Value(); done > 0 {
-				s.stats.DrainedConns.Add(uint64(done))
-				s.cfg.Trace.Emit("redirector", "shutdown.drained", "conns", done)
-			}
-			if rem := s.stats.Inflight.Value(); rem > 0 {
-				s.cfg.Trace.Emit("redirector", "shutdown.aborted", "conns", rem)
-			}
-		}
 		s.mu.Lock()
 		for tcb := range s.active {
 			tcb.Abort()
 		}
 		s.mu.Unlock()
-		<-idle
+		s.wg.Wait()
 		// After the last handler: release the sign-pool workers.
 		s.signPool.Close()
 	})
@@ -487,7 +466,14 @@ func (s *EmbeddedServer) slotBody(co *costate.Co, slot int) {
 	for !s.stop.Load() {
 		var sock dcsock.TCPSocket
 		if err := s.env.TcpListen(&sock, s.cfg.ListenPort); err != nil {
-			return
+			// The port is taken (a BSD listener holds it): keep the
+			// slot, count the failure and retry, so the server serves
+			// with every slot once the port frees.
+			s.stats.ListenFailures.Inc()
+			s.cfg.Trace.Emit("redirector", "listen.failed", "slot", slot, "err", err.Error())
+			retry := costate.DelayMs(listenRetryMs)
+			co.WaitFor(func() bool { return s.stop.Load() || retry() })
+			continue
 		}
 		// waitfor(sock_established(&socket))
 		co.WaitFor(func() bool {

@@ -390,6 +390,50 @@ func TestE5ConnectionLimit(t *testing.T) {
 	}
 }
 
+// TestEmbeddedSlotSurvivesListenFailure: a slot whose tcp_listen fails
+// (a BSD listener holds the port) counts the failure and retries, so
+// once the port frees the server serves again instead of having lost
+// its slots for good.
+func TestEmbeddedSlotSurvivesListenFailure(t *testing.T) {
+	cli, mid, back := world(t)
+	startEchoBackend(t, back)
+	squatter, err := mid.Listen(8080, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{
+		ListenPort: 8080, Target: back.Addr(), TargetPort: backendPort,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Run()
+	defer srv.Close()
+	deadline := time.Now().Add(3 * time.Second)
+	for srv.Stats().ListenFailures.Value() < slots {
+		if time.Now().After(deadline) {
+			t.Fatalf("listen_failures = %d, want every slot to fail while the port is held",
+				srv.Stats().ListenFailures.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	squatter.Close()
+
+	deadline = time.Now().Add(3 * time.Second)
+	var tcb *tcpip.TCB
+	for tcb == nil {
+		if tcb, err = cli.Connect(mid.Addr(), 8080, time.Second); err != nil && time.Now().After(deadline) {
+			t.Fatalf("no slot served after the port freed: %v", err)
+		}
+	}
+	defer tcb.Close()
+	tcb.Write([]byte("back"))
+	buf := make([]byte, 8)
+	if n, err := tcb.ReadDeadline(buf, time.Now().Add(3*time.Second)); err != nil || string(buf[:n]) != "back" {
+		t.Fatalf("echo = %q, %v", buf[:n], err)
+	}
+}
+
 func TestEmbeddedConfigValidation(t *testing.T) {
 	_, mid, _ := world(t)
 	if _, err := NewEmbeddedServer(dcsock.NewEnv(mid), Config{Secure: true}); err == nil {
@@ -838,60 +882,6 @@ func TestUnixAdmissionReopensAfterDrain(t *testing.T) {
 	}
 }
 
-// TestUnixGracefulDrain: Shutdown with a drain budget must let an
-// inflight connection finish on its own terms — and count it in
-// drained_conns — instead of aborting it the way Close(0) does.
-func TestUnixGracefulDrain(t *testing.T) {
-	cli, mid, back := world(t)
-	startEchoBackend(t, back)
-	srv, err := NewUnixServer(mid, Config{
-		ListenPort: 8080, Target: back.Addr(), TargetPort: backendPort,
-		Secure: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-
-	// A live connection that stays open into the shutdown.
-	tcb, err := cli.Connect(mid.Addr(), 8080, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcb.Write([]byte("hold"))
-	buf := make([]byte, 8)
-	if _, err := tcb.ReadDeadline(buf, time.Now().Add(5*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	go func() { srv.Shutdown(10 * time.Second); close(done) }()
-	// The listener closes first: new arrivals are refused while the
-	// existing connection keeps working.
-	time.Sleep(20 * time.Millisecond)
-	tcb.Write([]byte("mid-drain"))
-	echo := make([]byte, 16)
-	got := 0
-	for got < 9 {
-		n, err := tcb.ReadDeadline(echo[got:], time.Now().Add(5*time.Second))
-		if err != nil {
-			t.Fatalf("echo during drain: %v", err)
-		}
-		got += n
-	}
-	// Client finishes voluntarily; Shutdown must notice and return well
-	// before its budget.
-	tcb.Close()
-	select {
-	case <-done:
-	case <-time.After(8 * time.Second):
-		t.Fatal("Shutdown did not return after the last connection drained")
-	}
-	if v := srv.Stats().DrainedConns.Value(); v != 1 {
-		t.Errorf("drained_conns = %d, want 1", v)
-	}
-}
-
 // TestEmbeddedCloseWaitsForHandlers is the goroutine-accounting fix:
 // Close must not return while serveSlot helper goroutines are still
 // running, so soaks can assert a zero-leak baseline.
@@ -951,7 +941,7 @@ func TestEmbeddedCloseWithoutRun(t *testing.T) {
 	}
 }
 
-// TestUnixCloseWithoutServe: Shutdown waits for Serve only if Serve
+// TestUnixCloseWithoutServe: Close waits for Serve only if Serve
 // ran; on a server that never served it must not hang, and a Serve
 // that starts after Close returns at once.
 func TestUnixCloseWithoutServe(t *testing.T) {
@@ -971,7 +961,7 @@ func TestUnixCloseWithoutServe(t *testing.T) {
 
 // TestUnixServeReturnsWhenStackCloses: the accept loop blocks on the
 // listener, so a stack that goes away under it ends Serve on its own —
-// no Shutdown needed, no loop spinning on a dead listener.
+// no Close needed, no loop spinning on a dead listener.
 func TestUnixServeReturnsWhenStackCloses(t *testing.T) {
 	_, mid, _ := world(t)
 	srv, err := NewUnixServer(mid, Config{ListenPort: 8080})

@@ -279,17 +279,9 @@ type NIC struct {
 	txBuf []byte
 	rxBuf []byte
 	// batch holds drained frames not yet polled; the views stay valid
-	// until the next DrainFrames, which runs only once batch is empty.
+	// until the next Drain, which runs only once batch is empty.
 	batch []netsim.EthFrame
 }
-
-// noWait is a pre-closed stop channel: DrainFrames with it returns at
-// once when nothing is pending, as a poll must.
-var noWait = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
 
 // NIC commands written to PortNICCmd.
 const (
@@ -345,9 +337,9 @@ func (n *NIC) command(v uint8) {
 	case NICCmdPoll:
 		n.mu.Lock()
 		if len(n.batch) == 0 {
-			// An error means nothing is pending (or the port closed):
-			// either way the poll finds no frame.
-			n.batch, _ = n.port.DrainFrames(noWait)
+			// Drain never waits, as a poll must; an error means the port
+			// closed, and the poll finds no frame.
+			n.batch, _ = n.port.Drain()
 		}
 		if len(n.batch) > 0 {
 			n.rxBuf = append(n.rxBuf, n.batch[0].Payload()...)

@@ -234,7 +234,8 @@ got:    ds 2
 	done := make(chan error, 1)
 	go func() { done <- b.Run(50_000_000) }()
 	// Host peer: wait for "hi", answer "yo".
-	frames, err := peer.DrainFrames(nil)
+	<-peer.Ready()
+	frames, err := peer.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stack is one host's TCP/IP instance, bound to a netsim port. It runs
-// a receive goroutine demultiplexing ARP/ICMP/TCP and a timer
-// goroutine driving TCP retransmission. All exported methods are safe
-// for concurrent use.
+// Stack is one host's TCP/IP instance, bound to a netsim port. One
+// goroutine runs it, as tcp_tick ran the board's stack: it demuxes
+// ARP/ICMP/TCP as frames arrive and drives TCP retransmission and
+// state timeouts every 10 ms. All exported methods are safe for
+// concurrent use.
 type Stack struct {
 	mu   sync.Mutex
 	port *netsim.Port
@@ -103,8 +104,7 @@ func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, tr
 		metrics:    newStackMetrics(reg),
 		trace:      trace,
 	}
-	go s.recvLoop()
-	go s.timerLoop()
+	go s.loop()
 	return s, nil
 }
 
@@ -145,19 +145,40 @@ func (s *Stack) Close() {
 	})
 }
 
-// recvLoop drains the port's receive ring one batch per hub-lock
-// acquisition and demuxes each frame in place. Every frame handed to
-// handleFrameView is a view into the drain slab, valid until the next
-// DrainFrames call — the handlers copy only what they keep (TCP
-// receive-buffer bytes, ARP cache entries).
-func (s *Stack) recvLoop() {
+// loop is the stack's one goroutine. When the port is ready it drains
+// the whole pending batch and demuxes each frame in place; every frame
+// handed to handleFrameView is a view into the drain slab, valid until
+// the next Drain, so the handlers copy only what they keep (TCP
+// receive-buffer bytes, ARP cache entries). Every 10 ms it ticks each
+// TCB's timers. A port closed under a live stack (its hub closed) stops
+// the demux; the timers run until Close.
+func (s *Stack) loop() {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	ready := s.port.Ready()
+	var scratch []*TCB // reused across ticks: the loop must not allocate at steady state
 	for {
-		frames, err := s.port.DrainFrames(s.closed)
-		if err != nil {
+		select {
+		case <-s.closed:
 			return
-		}
-		for _, f := range frames {
-			s.handleFrameView(f)
+		case <-ready:
+			frames, err := s.port.Drain()
+			if err != nil {
+				ready = nil
+			}
+			for _, f := range frames {
+				s.handleFrameView(f)
+			}
+		case now := <-tick.C:
+			s.mu.Lock()
+			scratch = scratch[:0]
+			for _, t := range s.tcbs {
+				scratch = append(scratch, t)
+			}
+			s.mu.Unlock()
+			for _, t := range scratch {
+				t.tick(now)
+			}
 		}
 	}
 }
@@ -183,29 +204,6 @@ func (s *Stack) handleFrameView(f netsim.EthFrame) {
 			s.handleICMP(ip.Src(), ip.Payload())
 		case ProtoTCP:
 			s.handleTCPView(ip.Src(), ip.Payload())
-		}
-	}
-}
-
-// timerLoop drives TCP retransmission and state timeouts.
-func (s *Stack) timerLoop() {
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	var scratch []*TCB // reused across ticks: the loop must not allocate at steady state
-	for {
-		select {
-		case <-s.closed:
-			return
-		case now := <-tick.C:
-			s.mu.Lock()
-			scratch = scratch[:0]
-			for _, t := range s.tcbs {
-				scratch = append(scratch, t)
-			}
-			s.mu.Unlock()
-			for _, t := range scratch {
-				t.tick(now)
-			}
 		}
 	}
 }

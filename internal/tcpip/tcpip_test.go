@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -587,6 +588,41 @@ func TestStackCloseAbortsConnections(t *testing.T) {
 	if _, err := conn.ReadDeadline(buf, time.Now().Add(time.Second)); err == nil {
 		t.Error("read on closed stack succeeded")
 	}
+}
+
+// TestStackRunsOneGoroutine: a stack is one loop, like the board's
+// tcp_tick. NewStack adds exactly one goroutine and Close gives it back.
+func TestStackRunsOneGoroutine(t *testing.T) {
+	hub := netsim.NewHub()
+	defer hub.Close()
+	base := settledGoroutines()
+	s, err := NewStack(hub, IP4(10, 0, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines() - base; got != 1 {
+		t.Errorf("NewStack added %d goroutines, want 1", got)
+	}
+	s.Close()
+	if got := settledGoroutines() - base; got != 0 {
+		t.Errorf("%d goroutines outlive Close, want 0", got)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for a few consecutive reads, so goroutines that earlier tests'
+// cleanups are still retiring do not skew a delta.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && same < 5; i++ {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 func TestEphemeralPortsDistinct(t *testing.T) {
