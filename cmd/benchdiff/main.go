@@ -12,8 +12,8 @@
 // change). A baseline benchmark missing from the new report fails the
 // run, so a deleted or renamed benchmark cannot silently leave the
 // ladder: drop or rename its baseline entry in the same change. The
-// threshold applies to ns/op; results faster than -min-ns are skipped
-// as too small to time reliably at -benchtime=1x.
+// threshold applies to ns/op; results faster than minNs (10 µs) on both
+// sides are skipped as too small to time reliably at -benchtime=1x.
 //
 // -trend switches to history mode: the positional arguments are dated
 // reports (the BENCH_head_<date>.json artifacts CI uploads per run),
@@ -70,7 +70,6 @@ func main() {
 		newPath    = flag.String("new", "", "candidate report (required)")
 		filter     = flag.String("filter", "", "regexp; only matching benchmark names are compared")
 		maxRegress = flag.Float64("max-regress", 25, "fail when ns/op grows more than this percent")
-		minNs      = flag.Float64("min-ns", 10_000, "skip results faster than this (too noisy at one iteration)")
 		trend      = flag.Bool("trend", false, "history mode: positional args are dated reports; print per-benchmark ns/op trend")
 	)
 	flag.Parse()
@@ -106,7 +105,7 @@ func main() {
 
 	fmt.Printf("benchdiff: %s (%s) vs %s (%s), max regression %.0f%%\n",
 		*oldPath, oldRep.Date, *newPath, newRep.Date, *maxRegress)
-	compared, failed := gate(os.Stdout, oldRep, newRep, re, *maxRegress, *minNs)
+	compared, failed := gate(os.Stdout, oldRep, newRep, re, *maxRegress)
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no benchmarks compared (filter too narrow, or empty reports)")
 		os.Exit(2)
@@ -118,13 +117,17 @@ func main() {
 	fmt.Printf("benchdiff: %d benchmark(s) within threshold\n", compared)
 }
 
+// minNs is the ns/op below which a one-iteration result is too noisy to
+// gate on.
+const minNs = 10_000
+
 // gate compares every filter-matching benchmark of newRep against
 // oldRep and writes one line per benchmark to w. It returns how many
 // were timed on both sides and how many failed: a benchmark that
 // regressed by more than maxRegress percent, or a baseline benchmark
 // missing from newRep. Benchmarks faster than minNs on both sides are
 // skipped; benchmarks only in newRep are listed and pass.
-func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegress, minNs float64) (compared, failed int) {
+func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegress float64) (compared, failed int) {
 	oldBy := map[string]benchResult{}
 	for _, r := range oldRep.Results {
 		oldBy[r.Name] = r
@@ -154,13 +157,13 @@ func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegres
 		pct := (nw.NsPerOp - od.NsPerOp) / od.NsPerOp * 100
 		status := "ok"
 		if od.NsPerOp < minNs && nw.NsPerOp < minNs {
-			status = "skipped (below -min-ns)"
-		} else if pct > maxRegress {
-			status = "REGRESSION"
-			failed++
-		}
-		if status != "skipped (below -min-ns)" {
+			status = "skipped (below 10 µs)"
+		} else {
 			compared++
+			if pct > maxRegress {
+				status = "REGRESSION"
+				failed++
+			}
 		}
 		fmt.Fprintf(w, "  %-44s %12.0f -> %-12.0f ns/op  %+7.1f%%  %s\n",
 			name, od.NsPerOp, nw.NsPerOp, pct, status)

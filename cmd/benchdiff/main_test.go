@@ -42,11 +42,11 @@ func TestGate(t *testing.T) {
 		{"rung under -min-ns on both sides is skipped", report(
 			benchResult{Name: "BenchmarkKernelA", NsPerOp: 100_000},
 			benchResult{Name: "BenchmarkKernelTiny", NsPerOp: 9_000},
-		), 1, 0, "skipped (below -min-ns)"},
+		), 1, 0, "skipped (below 10 µs)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
-			compared, failed := gate(&out, base, tc.newRep, re, 25, 10_000)
+			compared, failed := gate(&out, base, tc.newRep, re, 25)
 			if compared != tc.wantCompared || failed != tc.wantFail {
 				t.Errorf("gate: compared %d failed %d, want %d and %d",
 					compared, failed, tc.wantCompared, tc.wantFail)

@@ -7,7 +7,6 @@
 //
 //	conform -seed 1                       # full matrix, text verdict
 //	conform -seed 1 -json report.json     # also write the CI artifact
-//	conform -vectors 500 -proto 200       # quick smoke sizing
 //
 // Exit status 0 iff every check passed.
 package main
@@ -23,21 +22,11 @@ import (
 func main() {
 	var (
 		seed     = flag.Uint64("seed", 1, "seed for all generated vectors (same seed, same run)")
-		vectors  = flag.Int("vectors", 0, "differential vectors per crypto kernel (default 10000)")
-		isaPairs = flag.Int("isa-pairs", 0, "key/plaintext pairs for the asm/C/Go AES cosimulation (default 8)")
-		isaChain = flag.Int("isa-chain", 0, "chained-block depth midpoint per cosim pair (default 3)")
-		proto    = flag.Int("proto", 0, "inputs per protocol sweep (default 2000)")
 		jsonPath = flag.String("json", "", "also write the JSON report to this file")
 	)
 	flag.Parse()
 
-	rep := conform.Run(conform.Options{
-		Seed:          *seed,
-		CryptoVectors: *vectors,
-		ISAPairs:      *isaPairs,
-		ISAChain:      *isaChain,
-		ProtoVectors:  *proto,
-	})
+	rep := conform.Run(conform.Options{Seed: *seed})
 	rep.WriteText(os.Stdout)
 
 	if *jsonPath != "" {

@@ -4,23 +4,23 @@
 //
 // Usage:
 //
-//	experiments [-e4bytes N] [e1|e2|e3|e4|e5 ...]
+//	experiments [e1|e2|e3|e4|e5 ...]
 //
 // With no arguments, all experiments run in order.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
 )
 
+// e4Bytes is the payload each E4 throughput run echoes.
+const e4Bytes = 256 * 1024
+
 func main() {
-	e4bytes := flag.Int("e4bytes", 256*1024, "payload size for the E4 throughput runs")
-	flag.Parse()
-	which := flag.Args()
+	which := os.Args[1:]
 	if len(which) == 0 {
 		which = []string{"e1", "e2", "e3", "e4", "e5"}
 	}
@@ -34,7 +34,7 @@ func main() {
 		case "e3":
 			err = runE3()
 		case "e4":
-			err = runE4(*e4bytes)
+			err = runE4(e4Bytes)
 		case "e5":
 			err = runE5()
 		default:

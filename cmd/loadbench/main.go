@@ -40,15 +40,10 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		clients     = fs.Int("clients", 100, "virtual client population")
 		requests    = fs.Int("requests", 2, "requests per client")
 		resume      = fs.Float64("resume", 0.5, "session-resumption probability on reconnect (0..1)")
-		churn       = fs.Int("churn", 1, "reconnect every N requests (0 = one connection per client)")
-		rate        = fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-		concurrency = fs.Int("concurrency", 32, "closed-loop width / open-loop in-flight cap")
-		payloads    = fs.String("payloads", "64:60,512:30,4096:10", "payload distribution size:weight,...")
+		concurrency = fs.Int("concurrency", 32, "closed-loop width")
 		inflight    = fs.Int("inflight", 0, "redirector admission bound (0 = unbounded)")
-		cache       = fs.Int("cache", 0, "session cache bound (0 = 2x clients)")
 		latency     = fs.Duration("latency", 0, "one-way hub latency")
 		faults      = fs.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
-		plain       = fs.Bool("plain", false, "plaintext baseline (no issl layer)")
 		jsonPath    = fs.String("json", "BENCH_load.json", "report output path (empty = skip; -smoke writes only an explicit -json)")
 		baseline    = fs.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
 		smoke       = fs.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags); exits 1 on any request error or echo mismatch")
@@ -60,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		restartAfter = fs.Duration("restart-after", 0, "restart the killed node this long after the kill (0 = stays down)")
 		retries      = fs.Int("request-retries", 0, "per-request transport-failure retries (fresh connection each)")
 
-		stampede = fs.Bool("stampede", false, "reconnect-stampede scenario: all clients dial at once, 0% resumption (forces -resume 0 -churn 1)")
+		stampede = fs.Bool("stampede", false, "reconnect-stampede scenario: all clients dial at once, 0% resumption (forces -resume 0)")
 		signpool = fs.Int("signpool", 0, "RSA sign/decrypt worker-pool size (0 = key ops inline)")
 		keyBits  = fs.Int("keybits", 0, "server RSA key size (0 = 512; stampede runs want 1024)")
 	)
@@ -70,56 +65,48 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		return 2
 	}
 
-	dist, err := loadgen.ParsePayloads(*payloads)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *instances <= 1 {
+		for _, name := range []string{"policy", "kill-node", "kill-at", "restart-after"} {
+			if set[name] {
+				fmt.Fprintf(stderr, "loadbench: -%s needs a cluster (-instances 2 or more)\n", name)
+				return 2
+			}
+		}
 	}
 	if *clients <= 0 || *clients > loadgen.MaxClients {
 		fmt.Fprintf(stderr, "loadbench: -clients %d out of range (1..%d)\n", *clients, loadgen.MaxClients)
 		return 2
 	}
 	cfg := loadgen.Config{
-		Seed:          *seed,
-		Clients:       *clients,
-		Requests:      *requests,
-		Resume:        *resume,
-		ChurnEvery:    *churn,
-		Concurrency:   *concurrency,
-		Payloads:      dist,
-		MaxInflight:   *inflight,
-		CacheSessions: *cache,
-		HubLatency:    *latency,
-		Plain:         *plain,
-		Stampede:      *stampede,
-		SignWorkers:   *signpool,
-		KeyBits:       *keyBits,
+		Seed:           *seed,
+		Clients:        *clients,
+		Requests:       *requests,
+		Resume:         *resume,
+		Concurrency:    *concurrency,
+		MaxInflight:    *inflight,
+		HubLatency:     *latency,
+		Stampede:       *stampede,
+		SignWorkers:    *signpool,
+		KeyBits:        *keyBits,
+		RequestRetries: *retries,
 	}
 	if *instances > 1 {
 		cfg.Instances = *instances
 		cfg.Policy = *policy
-		cfg.RequestRetries = *retries
 		if *killAt > 0 {
 			cfg.KillNode = *killNode
 			cfg.KillAfter = *killAt
 			cfg.RestartAfter = *restartAfter
 		}
 	}
-	if *churn == 0 {
-		cfg.KeepConnections()
-	}
-	if *rate > 0 {
-		cfg.Mode = loadgen.ModeOpen
-		cfg.RatePerSec = *rate
-	}
 	if *faults {
 		cfg.Faults = chaos.SoakPlan(*seed)
 	}
 	if *smoke {
 		cfg.Clients, cfg.Requests, cfg.Resume, cfg.Concurrency = 32, 2, 0.5, 16
-		jsonSet := false
-		fs.Visit(func(f *flag.Flag) { jsonSet = jsonSet || f.Name == "json" })
-		if !jsonSet {
+		if !set["json"] {
 			*jsonPath = ""
 		}
 	}

@@ -71,3 +71,39 @@ func TestSmokeKeepsCommittedReport(t *testing.T) {
 		t.Fatalf("-smoke -json did not write its report: %v", err)
 	}
 }
+
+// TestSingleRedirectorFlags: -request-retries reaches the config with
+// one redirector too (loadgen retries there as well), and the flags
+// that only a cluster reads are refused, not dropped, without one.
+func TestSingleRedirectorFlags(t *testing.T) {
+	var got loadgen.Config
+	record := func(cfg loadgen.Config) (*loadgen.Report, error) {
+		got = cfg
+		return &loadgen.Report{}, nil
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-request-retries", "2", "-json", ""}, &out, &errOut, record); code != 0 {
+		t.Fatalf("exited %d\n%s", code, errOut.String())
+	}
+	if got.RequestRetries != 2 {
+		t.Errorf("RequestRetries = %d with one redirector, want 2", got.RequestRetries)
+	}
+
+	for _, args := range [][]string{
+		{"-policy", "least"},
+		{"-kill-node", "1"},
+		{"-kill-at", "100ms"},
+		{"-restart-after", "200ms"},
+		{"-instances", "1", "-kill-at", "100ms"},
+	} {
+		got = loadgen.Config{}
+		errOut.Reset()
+		code := run(append(args, "-json", ""), &out, &errOut, record)
+		if code != 2 || !strings.Contains(errOut.String(), "-instances") {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and a message naming -instances", args, code, errOut.String())
+		}
+		if got.Clients != 0 {
+			t.Errorf("%v: the workload ran", args)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Command rasm assembles Rabbit 2000 assembly source into a binary
-// image, printing the symbol table and section size.
+// image, printing the section size and the symbol table.
 //
 // Usage:
 //
@@ -18,10 +18,9 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output image path (default: input with .bin)")
-	quiet := flag.Bool("q", false, "suppress the symbol listing")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rasm [-o out.bin] [-q] prog.asm")
+		fmt.Fprintln(os.Stderr, "usage: rasm [-o out.bin] prog.asm")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
@@ -41,17 +40,15 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("%s: %d bytes at origin %04x -> %s\n", in, prog.Size(), prog.Origin, dst)
-	if !*quiet {
-		names := make([]string, 0, len(prog.Symbols))
-		for n := range prog.Symbols {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			return prog.Symbols[names[i]] < prog.Symbols[names[j]]
-		})
-		for _, n := range names {
-			fmt.Printf("  %04x  %s\n", prog.Symbols[n], n)
-		}
+	names := make([]string, 0, len(prog.Symbols))
+	for n := range prog.Symbols {
+		names = append(names, n)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		return prog.Symbols[names[i]] < prog.Symbols[names[j]]
+	})
+	for _, n := range names {
+		fmt.Printf("  %04x  %s\n", prog.Symbols[n], n)
 	}
 }
 

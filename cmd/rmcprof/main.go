@@ -6,16 +6,16 @@
 // The report gives each symbol two numbers, the same split pprof
 // makes: SELF (cycles attributed while the symbol's own code ran,
 // stack-leaf attribution) and CUM (cycles while it was anywhere on the
-// stack). SELF sums to the profile total; CUM does not.
+// stack). SELF sums to the profile total; CUM does not. Rows are
+// sorted by SELF.
 //
 // Usage:
 //
-//	rmcprof [-top N] [-cum] [profile.folded ...]
+//	rmcprof [profile.folded ...]
 package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -25,10 +25,6 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 0, "show only the top N symbols (0 = all)")
-	byCum := flag.Bool("cum", false, "sort by cumulative cycles instead of self")
-	flag.Parse()
-
 	self := map[string]uint64{}
 	cum := map[string]uint64{}
 	var total uint64
@@ -65,12 +61,13 @@ func main() {
 		return sc.Err()
 	}
 
-	if flag.NArg() == 0 {
+	paths := os.Args[1:]
+	if len(paths) == 0 {
 		if err := readOne("stdin", os.Stdin); err != nil {
 			fatal(err)
 		}
 	}
-	for _, path := range flag.Args() {
+	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			fatal(err)
@@ -88,30 +85,18 @@ func main() {
 	}
 	sort.Slice(syms, func(i, j int) bool {
 		a, b := syms[i], syms[j]
-		ka, kb := self[a], self[b]
-		if *byCum {
-			ka, kb = cum[a], cum[b]
-		}
-		if ka != kb {
-			return ka > kb
+		if self[a] != self[b] {
+			return self[a] > self[b]
 		}
 		return a < b
 	})
-	shown := len(syms)
-	if *top > 0 && *top < shown {
-		shown = *top
-	}
 
 	fmt.Printf("%-24s %12s %7s %12s %7s\n", "SYMBOL", "SELF", "PCT", "CUM", "PCT")
-	for _, s := range syms[:shown] {
+	for _, s := range syms {
 		fmt.Printf("%-24s %12d %6.2f%% %12d %6.2f%%\n",
 			s, self[s], pct(self[s], total), cum[s], pct(cum[s], total))
 	}
-	fmt.Printf("%-24s %12d %6.2f%%", "TOTAL", total, 100.0)
-	if shown < len(syms) {
-		fmt.Printf(" (top %d of %d)", shown, len(syms))
-	}
-	fmt.Println()
+	fmt.Printf("%-24s %12d %6.2f%%\n", "TOTAL", total, 100.0)
 }
 
 func pct(n, total uint64) float64 {

@@ -1,10 +1,10 @@
-// Command rmcsim runs a binary image on the simulated RMC2000 board.
-// Bytes given with -serial are fed to serial port A before execution;
-// anything the program transmits on port A is printed afterward.
+// Command rmcsim runs a binary image on the simulated RMC2000 board for
+// up to 100M cycles. Anything the program transmits on serial port A
+// is printed afterward.
 //
 // Usage:
 //
-//	rmcsim [-cycles N] [-serial "text"] [-d] [-profile] [-folded FILE] [-top N] prog.bin|prog.asm
+//	rmcsim [-d] [-profile] [-folded FILE] [-top N] prog.bin|prog.asm
 //	rmcsim -e1 [-blocks N] [-profile] [-folded PREFIX]
 //
 // A .asm argument is assembled with rasm first, which gives the
@@ -35,9 +35,10 @@ import (
 	"repro/internal/rmc2000"
 )
 
+// cycleBudget bounds one image run: 3.3 s of board time at 30 MHz.
+const cycleBudget = 100_000_000
+
 func main() {
-	budget := flag.Uint64("cycles", 100_000_000, "cycle budget")
-	serial := flag.String("serial", "", "bytes to queue on serial port A")
 	disasm := flag.Bool("d", false, "print a disassembly listing instead of running")
 	profile := flag.Bool("profile", false, "attribute cycles to rasm symbols; print a flat report")
 	folded := flag.String("folded", "", "write folded call stacks (flamegraph format) to this file")
@@ -54,7 +55,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rmcsim [-cycles N] [-serial text] [-profile] [-folded FILE] prog.bin|prog.asm")
+		fmt.Fprintln(os.Stderr, "usage: rmcsim [-d] [-profile] [-folded FILE] [-top N] prog.bin|prog.asm")
 		fmt.Fprintln(os.Stderr, "       rmcsim -e1 [-blocks N] [-profile] [-folded PREFIX]")
 		os.Exit(2)
 	}
@@ -91,10 +92,7 @@ func main() {
 		prof = rabbit.NewProgramProfiler(origin, img, symbols)
 		prof.Attach(board.CPU)
 	}
-	if *serial != "" {
-		board.Serial[0].HostSend([]byte(*serial)...)
-	}
-	runErr := board.Run(*budget)
+	runErr := board.Run(cycleBudget)
 	cpu := board.CPU
 	fmt.Printf("halted=%v instructions=%d cycles=%d (%.3f ms at 30 MHz)\n",
 		cpu.Halted, cpu.Instructions, cpu.Cycles, float64(cpu.Cycles)/30000.0)

@@ -12,9 +12,10 @@ import (
 )
 
 // The balancer's active probing. Each node is probed every
-// probeInterval, each probe bounded by probeTimeout. failThreshold
-// consecutive failures mark a node down and drain it from the
-// rotation; riseThreshold consecutive successes make a down node
+// probeInterval by a round of probeDials simultaneous connects, each
+// bounded by probeTimeout; the round fails only if every connect does.
+// failThreshold consecutive failed rounds mark a node down and drain it
+// from the rotation; riseThreshold consecutive successes make a down node
 // eligible again, but only once reinstateBackoff has passed since it
 // went down, however quickly its probes recover — a flapping node must
 // not churn the rotation. The durations are variables only so tests
@@ -28,6 +29,13 @@ var (
 const (
 	failThreshold = 2
 	riseThreshold = 2
+	// probeDials is three connects per round because one cannot
+	// outlast a lost segment: tcpip's initial RTO (200 ms) is longer
+	// than probeTimeout, so a connect whose SYN or SYN-ACK is lost
+	// fails unretransmitted. A longer probeTimeout, or a retry later
+	// in the round, would let a node restarted soon after a kill hide
+	// the kill.
+	probeDials = 3
 )
 
 // BalancerStats are the balancer's live counters (nil-safe handles
@@ -195,10 +203,11 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 	client.Close()
 }
 
-// probeLoop is one node's health checker: a TCP connect to the node's
-// health port per interval. failThreshold consecutive failures drain
-// the node from rotation; reinstatement needs riseThreshold successes
-// AND reinstateBackoff elapsed since the node went down.
+// probeLoop is one node's health checker: a probe round against the
+// node's health port per interval. failThreshold consecutive failed
+// rounds drain the node from rotation; reinstatement needs
+// riseThreshold successful rounds AND reinstateBackoff elapsed since
+// the node went down.
 func (b *Balancer) probeLoop(n *nodeEntry) {
 	defer b.wg.Done()
 	fails, rises := 0, 0
@@ -209,9 +218,7 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 			return
 		case <-time.After(probeInterval):
 		}
-		tcb, err := b.stack.Connect(n.addr, healthPort, probeTimeout)
-		if err == nil {
-			tcb.Close()
+		if b.probe(n) {
 			fails = 0
 			if !n.up.Load() {
 				rises++
@@ -234,4 +241,30 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 			b.cfg.Trace.Emit("cluster", "node.down", "node", n.index, "fails", fails)
 		}
 	}
+}
+
+// probe runs one round against n: probeDials connects to its health
+// port at once, each bounded by probeTimeout. It returns true at the
+// first that connects and false once all have failed, so only a node
+// that answers none of them fails the round. A connect still running
+// when it returns ends by its timeout; Close waits for it.
+func (b *Balancer) probe(n *nodeEntry) bool {
+	ok := make(chan bool, probeDials)
+	for range probeDials {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			tcb, err := b.stack.Connect(n.addr, healthPort, probeTimeout)
+			if err == nil {
+				tcb.Close()
+			}
+			ok <- err == nil
+		}()
+	}
+	for range probeDials {
+		if <-ok {
+			return true
+		}
+	}
+	return false
 }

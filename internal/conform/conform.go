@@ -32,36 +32,37 @@ import (
 	"time"
 )
 
-// Options parameterizes a conformance run. The zero value is remapped
-// to the defaults below by Run.
+// Options parameterizes a conformance run. The vector budgets are
+// fixed; only the package's tests shrink them. Run remaps a zero budget
+// to its default.
 type Options struct {
 	// Seed drives every generated vector. Same seed, same run.
 	Seed uint64
-	// CryptoVectors is the differential-vector budget per crypto kernel
+	// cryptoVectors is the differential-vector budget per crypto kernel
 	// (aes, sha1, rsa, bignum, prng). Default 10000.
-	CryptoVectors int
-	// ISAPairs is the number of random key/plaintext pairs pushed
+	cryptoVectors int
+	// isaPairs is the number of random key/plaintext pairs pushed
 	// through the asm/C/Go/stdlib AES cosimulation. Default 8.
-	ISAPairs int
-	// ISAChain is the chained-block depth per cosimulation pair
+	isaPairs int
+	// isaChain is the chained-block depth per cosimulation pair
 	// (output feeding input, the paper's §6 workload). Default 3.
-	ISAChain int
-	// ProtoVectors is the input budget per protocol sweep. Default 2000.
-	ProtoVectors int
+	isaChain int
+	// protoVectors is the input budget per protocol sweep. Default 2000.
+	protoVectors int
 }
 
 func (o Options) withDefaults() Options {
-	if o.CryptoVectors <= 0 {
-		o.CryptoVectors = 10000
+	if o.cryptoVectors <= 0 {
+		o.cryptoVectors = 10000
 	}
-	if o.ISAPairs <= 0 {
-		o.ISAPairs = 8
+	if o.isaPairs <= 0 {
+		o.isaPairs = 8
 	}
-	if o.ISAChain <= 0 {
-		o.ISAChain = 3
+	if o.isaChain <= 0 {
+		o.isaChain = 3
 	}
-	if o.ProtoVectors <= 0 {
-		o.ProtoVectors = 2000
+	if o.protoVectors <= 0 {
+		o.protoVectors = 2000
 	}
 	return o
 }
@@ -121,7 +122,7 @@ type check struct {
 // small budget (their vector count is the size of the published set);
 // differential checks get the per-kernel budget.
 func suite(opt Options) []check {
-	cryptoN := func(o Options) int { return o.CryptoVectors }
+	cryptoN := func(o Options) int { return o.cryptoVectors }
 	fixed := func(int) func(Options) int { return func(Options) int { return 0 } }
 	return []check{
 		{"aes/differential", "crypto", cryptoN, checkAESDifferential},
@@ -132,22 +133,22 @@ func suite(opt Options) []check {
 		{"bignum/differential", "crypto", cryptoN, checkBignumDifferential},
 		{"prng/differential", "crypto", cryptoN, checkPRNGDifferential},
 		{"prng/golden-ansi-c", "crypto", fixed(0), checkPRNGGolden},
-		{"isa/aes-cosim", "isa", func(o Options) int { return o.ISAPairs }, nil}, // bound at Run
-		{"proto/issl-handshake", "protocol", func(o Options) int { return o.ProtoVectors }, checkISSLHandshakeSweep},
-		{"proto/issl-ticket", "protocol", func(o Options) int { return o.ProtoVectors }, checkISSLTicketSeal},
-		{"proto/tcpip-ingress", "protocol", func(o Options) int { return o.ProtoVectors }, checkTCPIPIngressSweep},
-		{"proto/dcc-compile", "protocol", func(o Options) int { return o.ProtoVectors }, checkDCCCompileSweep},
+		{"isa/aes-cosim", "isa", func(o Options) int { return o.isaPairs }, nil}, // bound at Run
+		{"proto/issl-handshake", "protocol", func(o Options) int { return o.protoVectors }, checkISSLHandshakeSweep},
+		{"proto/issl-ticket", "protocol", func(o Options) int { return o.protoVectors }, checkISSLTicketSeal},
+		{"proto/tcpip-ingress", "protocol", func(o Options) int { return o.protoVectors }, checkTCPIPIngressSweep},
+		{"proto/dcc-compile", "protocol", func(o Options) int { return o.protoVectors }, checkDCCCompileSweep},
 	}
 }
 
 // Run executes the full conformance matrix and returns the report.
 func Run(opt Options) *Report {
 	opt = opt.withDefaults()
-	rep := &Report{Seed: opt.Seed, Options: opt}
+	rep := &Report{Seed: opt.Seed}
 	for i, ck := range suite(opt) {
 		fn := ck.fn
 		if fn == nil { // the ISA check needs the chain depth too
-			chain := opt.ISAChain
+			chain := opt.isaChain
 			fn = func(c *checkCtx) { checkISACosim(c, chain) }
 		}
 		// Per-check sub-seed: checks stay independent of one another, so

@@ -14,10 +14,10 @@ import (
 func smokeOptions(seed uint64) Options {
 	return Options{
 		Seed:          seed,
-		CryptoVectors: 300,
-		ISAPairs:      2,
-		ISAChain:      2,
-		ProtoVectors:  120,
+		cryptoVectors: 300,
+		isaPairs:      2,
+		isaChain:      2,
+		protoVectors:  120,
 	}
 }
 
@@ -56,7 +56,7 @@ func TestMatrixCoversAllThreeLayers(t *testing.T) {
 // timing). This is the property that makes a CI failure reproducible
 // from the seed it prints.
 func TestRunIsDeterministic(t *testing.T) {
-	opts := Options{Seed: 7, CryptoVectors: 120, ISAPairs: 1, ISAChain: 2, ProtoVectors: 80}
+	opts := Options{Seed: 7, cryptoVectors: 120, isaPairs: 1, isaChain: 2, protoVectors: 80}
 	a, b := Run(opts), Run(opts)
 	stripTimes := func(r *Report) {
 		for i := range r.Results {
@@ -123,7 +123,7 @@ func TestReportRendering(t *testing.T) {
 // TestGoldenVectorsAlwaysRun: golden checks must execute their full
 // published sets even at tiny budgets (their cost is fixed).
 func TestGoldenVectorsAlwaysRun(t *testing.T) {
-	rep := Run(Options{Seed: 3, CryptoVectors: 1, ISAPairs: 1, ISAChain: 1, ProtoVectors: 1})
+	rep := Run(Options{Seed: 3, cryptoVectors: 1, isaPairs: 1, isaChain: 1, protoVectors: 1})
 	want := map[string]int{
 		"aes/golden-fips197": 8,  // 4 vectors × encrypt+decrypt
 		"sha1/golden-nist":   12, // 5 FIPS digests + 7 RFC 2202 HMACs

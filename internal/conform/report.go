@@ -25,7 +25,6 @@ func (r *Result) Pass() bool { return r.Mismatches == 0 && r.Err == "" }
 // line for CI and humans alike.
 type Report struct {
 	Seed    uint64   `json:"seed"`
-	Options Options  `json:"options"`
 	Results []Result `json:"results"`
 
 	TotalVectors    int  `json:"total_vectors"`

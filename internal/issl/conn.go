@@ -97,7 +97,7 @@ func (c *Conn) Profile() Profile { return c.cfg.Profile }
 
 // CipherInfo returns the negotiated key and block sizes in bits.
 func (c *Conn) CipherInfo() (keyBits, blockBits int) {
-	return c.cfg.KeyBits, c.cfg.BlockBits
+	return c.cfg.keyBits, c.cfg.blockBits
 }
 
 // Stats returns plaintext byte and record counters for both directions.

@@ -69,9 +69,9 @@ type Dialer struct {
 	Config Config
 	// Policy shapes the backoff; zero value = defaults.
 	Policy RetryPolicy
-	// Sleep is the delay hook, defaulting to time.Sleep (tests and the
-	// chaos harness substitute their own to observe the schedule).
-	Sleep func(time.Duration)
+	// sleep is the delay hook, defaulting to time.Sleep (the package's
+	// tests substitute their own to observe the schedule).
+	sleep func(time.Duration)
 
 	session *Session
 	stats   DialStats
@@ -102,7 +102,7 @@ func (d *Dialer) DialWithRetry() (*Conn, io.ReadWriteCloser, error) {
 		return nil, nil, fmt.Errorf("%w: Dialer needs a Dial function", ErrConfig)
 	}
 	pol := d.Policy.withDefaults()
-	sleep := d.Sleep
+	sleep := d.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}

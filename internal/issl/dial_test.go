@@ -62,7 +62,7 @@ func TestDialWithRetrySucceedsAfterFailures(t *testing.T) {
 		},
 		Config: Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(7)},
 		Policy: RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond},
-		Sleep:  func(d time.Duration) { slept = append(slept, d) },
+		sleep:  func(d time.Duration) { slept = append(slept, d) },
 	}
 	conn, tr, err := d.DialWithRetry()
 	if err != nil {
@@ -107,7 +107,7 @@ func TestDialWithRetryResumesSession(t *testing.T) {
 			return ct, nil
 		},
 		Config: Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(7)},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	// First connection: a full handshake that earns a session.
 	c1, tr1, err := d.DialWithRetry()
@@ -152,7 +152,7 @@ func TestDialWithRetryFallsBackWhenCacheEvicted(t *testing.T) {
 			return ct, nil
 		},
 		Config: Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(9)},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	c1, tr1, err := d.DialWithRetry()
 	if err != nil {
@@ -190,7 +190,7 @@ func TestDialWithRetryExhaustsAttempts(t *testing.T) {
 		Dial:   func() (io.ReadWriteCloser, error) { return nil, errors.New("nope") },
 		Config: Config{Profile: ProfileEmbedded, PSK: []byte("k"), Rand: prng.NewXorshift(1)},
 		Policy: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	_, _, err := d.DialWithRetry()
 	if err == nil {

@@ -170,7 +170,7 @@ func TestWireGolden(t *testing.T) {
 	// (256-bit key, 192-bit block), then a resumption by session ID.
 	cache := NewSessionCache(8)
 	cli := unixCli(0x101, nil)
-	cli.KeyBits, cli.BlockBits = 256, 192
+	cli.keyBits, cli.blockBits = 256, 192
 	sess := record("unix-full-cache", cli, unixSrv(0x102, cache, nil), false)
 	record("unix-resume-sid", unixCli(0x103, sess), unixSrv(0x104, cache, nil), true)
 

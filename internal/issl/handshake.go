@@ -123,7 +123,7 @@ func (c *Conn) clientHandshake() error {
 	hsStart := cfg.Trace.Now()
 	c.rng.Fill(c.hs.clientRandom[:])
 
-	hello := []byte{msgClientHello, byte(cfg.Profile), bitsByte(cfg.KeyBits), bitsByte(cfg.BlockBits)}
+	hello := []byte{msgClientHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits)}
 	hello = append(hello, c.hs.clientRandom[:]...)
 	offeredTicket := false
 	if cfg.Resume != nil {
@@ -157,9 +157,9 @@ func (c *Conn) clientHandshake() error {
 	if Profile(sh[1]) != cfg.Profile {
 		return fmt.Errorf("%w: client %s vs server %s", ErrProfileMismatch, cfg.Profile, Profile(sh[1]))
 	}
-	if int(sh[2])*8 != cfg.KeyBits || int(sh[3])*8 != cfg.BlockBits {
+	if int(sh[2])*8 != cfg.keyBits || int(sh[3])*8 != cfg.blockBits {
 		return fmt.Errorf("%w: server negotiated %d/%d, client wanted %d/%d",
-			ErrHandshake, int(sh[2])*8, int(sh[3])*8, cfg.KeyBits, cfg.BlockBits)
+			ErrHandshake, int(sh[2])*8, int(sh[3])*8, cfg.keyBits, cfg.blockBits)
 	}
 	copy(c.hs.serverRandom[:], sh[4:4+randomLen])
 	rest := sh[4+randomLen:]
@@ -285,7 +285,7 @@ func (c *Conn) serverHandshake() error {
 	// The server accedes to the client's cipher geometry (the library
 	// trusts both ends were configured alike; issl had no downgrade
 	// negotiation to speak of).
-	cfg.KeyBits, cfg.BlockBits = wantKey, wantBlock
+	cfg.keyBits, cfg.blockBits = wantKey, wantBlock
 	copy(c.hs.clientRandom[:], ch[4:4+randomLen])
 
 	// What did the client offer? A session ID (per-instance cache path),
@@ -393,7 +393,7 @@ func (c *Conn) serverHandshake() error {
 func (c *Conn) serverHello(withSID, promiseTicket bool) []byte {
 	cfg := &c.cfg
 	hello := make([]byte, 0, 4+randomLen+3+SessionIDLen)
-	hello = append(hello, msgServerHello, byte(cfg.Profile), bitsByte(cfg.KeyBits), bitsByte(cfg.BlockBits))
+	hello = append(hello, msgServerHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits))
 	hello = append(hello, c.hs.serverRandom[:]...)
 	hello = append(hello, flagByte(c.resumed))
 	if withSID {
@@ -502,17 +502,17 @@ func (c *Conn) deriveKeys(isClient bool) error {
 	master := sha1.HMAC(c.hs.premaster, seed)
 	c.master = master[:]
 
-	keyBytes := c.cfg.KeyBits / 8
+	keyBytes := c.cfg.keyBits / 8
 	cKey := expand(c.master, "c key", keyBytes)
 	sKey := expand(c.master, "s key", keyBytes)
 	cMAC := expand(c.master, "c mac", sha1.Size)
 	sMAC := expand(c.master, "s mac", sha1.Size)
 
-	cCipher, err := cipherFor(cKey, c.cfg.BlockBits)
+	cCipher, err := cipherFor(cKey, c.cfg.blockBits)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	sCipher, err := cipherFor(sKey, c.cfg.BlockBits)
+	sCipher, err := cipherFor(sKey, c.cfg.blockBits)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}

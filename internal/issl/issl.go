@@ -68,11 +68,13 @@ const (
 type Config struct {
 	// Profile selects Unix or Embedded behavior.
 	Profile Profile
-	// KeyBits and BlockBits choose the Rijndael configuration
-	// (128/192/256). The embedded profile forces both to 128 — the
-	// port "dropped support of multiple key and block sizes".
-	KeyBits   int
-	BlockBits int
+	// keyBits and blockBits choose the Rijndael configuration
+	// (128/192/256; default 128). The embedded profile forces both to
+	// 128 — the port "dropped support of multiple key and block sizes"
+	// — and no production caller of the Unix profile asks for more, so
+	// only the package's tests set them; a server adopts the client's.
+	keyBits   int
+	blockBits int
 	// ServerKey is the server's RSA private key (Unix profile server).
 	ServerKey *rsa.PrivateKey
 	// PSK is the pre-shared master secret (Embedded profile, both ends).
@@ -131,27 +133,27 @@ func (c *Config) validate(server bool) error {
 	}
 	switch c.Profile {
 	case ProfileUnix:
-		if c.KeyBits == 0 {
-			c.KeyBits = 128
+		if c.keyBits == 0 {
+			c.keyBits = 128
 		}
-		if c.BlockBits == 0 {
-			c.BlockBits = 128
+		if c.blockBits == 0 {
+			c.blockBits = 128
 		}
-		if !validBits(c.KeyBits) || !validBits(c.BlockBits) {
-			return fmt.Errorf("%w: key %d / block %d bits", ErrConfig, c.KeyBits, c.BlockBits)
+		if !validBits(c.keyBits) || !validBits(c.blockBits) {
+			return fmt.Errorf("%w: key %d / block %d bits", ErrConfig, c.keyBits, c.blockBits)
 		}
 		if server && c.ServerKey == nil {
 			return fmt.Errorf("%w: Unix server requires ServerKey", ErrConfig)
 		}
 	case ProfileEmbedded:
 		// The port supports exactly one configuration.
-		if c.KeyBits != 0 && c.KeyBits != 128 {
-			return fmt.Errorf("%w: embedded profile is AES-128 only (got %d-bit key)", ErrConfig, c.KeyBits)
+		if c.keyBits != 0 && c.keyBits != 128 {
+			return fmt.Errorf("%w: embedded profile is AES-128 only (got %d-bit key)", ErrConfig, c.keyBits)
 		}
-		if c.BlockBits != 0 && c.BlockBits != 128 {
-			return fmt.Errorf("%w: embedded profile is 128-bit blocks only (got %d)", ErrConfig, c.BlockBits)
+		if c.blockBits != 0 && c.blockBits != 128 {
+			return fmt.Errorf("%w: embedded profile is 128-bit blocks only (got %d)", ErrConfig, c.blockBits)
 		}
-		c.KeyBits, c.BlockBits = 128, 128
+		c.keyBits, c.blockBits = 128, 128
 		if len(c.PSK) == 0 {
 			return fmt.Errorf("%w: embedded profile requires PSK (RSA was dropped in the port)", ErrConfig)
 		}

@@ -66,7 +66,7 @@ func handshakePair(t *testing.T, cliCfg, srvCfg Config) (*Conn, *Conn) {
 
 func unixConfigs(t *testing.T, keyBits, blockBits int) (Config, Config) {
 	key := serverKey(t)
-	cli := Config{Profile: ProfileUnix, KeyBits: keyBits, BlockBits: blockBits,
+	cli := Config{Profile: ProfileUnix, keyBits: keyBits, blockBits: blockBits,
 		Rand: prng.NewXorshift(11)}
 	srv := Config{Profile: ProfileUnix, ServerKey: key, Rand: prng.NewXorshift(22)}
 	return cli, srv
@@ -158,7 +158,7 @@ func TestEmbeddedHandshakeAndTransfer(t *testing.T) {
 }
 
 func TestEmbeddedRejectsBigCipher(t *testing.T) {
-	cfg := Config{Profile: ProfileEmbedded, KeyBits: 256, PSK: []byte("k"), Rand: prng.NewXorshift(1)}
+	cfg := Config{Profile: ProfileEmbedded, keyBits: 256, PSK: []byte("k"), Rand: prng.NewXorshift(1)}
 	if err := cfg.validate(false); err == nil {
 		t.Error("embedded profile accepted 256-bit key")
 	}

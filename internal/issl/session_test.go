@@ -388,7 +388,7 @@ func TestChainedResumptionStaysResumable(t *testing.T) {
 				Dial: dial,
 				Config: Config{Profile: ProfileUnix, Rand: prng.NewXorshift(61),
 					HandshakeTimeout: resumeTimeout},
-				Sleep: func(time.Duration) {},
+				sleep: func(time.Duration) {},
 			}
 			const reconnects = 8
 			var first *Session

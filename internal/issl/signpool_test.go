@@ -195,7 +195,7 @@ func TestDialRetryTicketFallbackUnderSaturatedPool(t *testing.T) {
 	d := &Dialer{
 		Dial:   dialTo(oldStore),
 		Config: Config{Profile: ProfileUnix, Rand: prng.NewXorshift(77), Metrics: reg},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	c1, tr1, err := d.DialWithRetry()
 	if err != nil {

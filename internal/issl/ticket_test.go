@@ -198,7 +198,7 @@ func TestTicketResumptionAcrossInstances(t *testing.T) {
 	d := &Dialer{
 		Dial:   dialTo(chA),
 		Config: Config{Profile: ProfileEmbedded, PSK: psk, Rand: prng.NewXorshift(11)},
-		Sleep:  func(time.Duration) {},
+		sleep:  func(time.Duration) {},
 	}
 	c1, tr1, err := d.DialWithRetry()
 	if err != nil {
@@ -259,7 +259,7 @@ func TestDialTicketRejectionFallsBackSameAttempt(t *testing.T) {
 		},
 		Config: Config{Profile: ProfileEmbedded, PSK: psk,
 			Rand: prng.NewXorshift(13), Metrics: creg},
-		Sleep: func(d time.Duration) { t.Errorf("slept %v; fallback must not back off", d) },
+		sleep: func(d time.Duration) { t.Errorf("slept %v; fallback must not back off", d) },
 	}
 	c1, tr1, err := d.DialWithRetry()
 	if err != nil {

@@ -29,21 +29,19 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		Nodes:            cfg.Instances,
 		Target:           back.Addr(),
 		TargetPort:       backendPort,
-		Secure:           !cfg.Plain,
+		Secure:           true,
 		TicketMaterial:   []byte(fmt.Sprintf("loadgen ticket material %d", cfg.Seed)),
-		SessionCacheSize: cfg.CacheSessions,
+		SessionCacheSize: cfg.cacheSessions,
 		MaxInflight:      cfg.MaxInflight,
 		SignWorkers:      cfg.SignWorkers,
 		Policy:           cluster.PolicyByName(cfg.Policy),
 		RandSeed:         cfg.Seed ^ 0xC105FEED,
 	}
-	if !cfg.Plain {
-		key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
-		if err != nil {
-			return nil, err
-		}
-		ccfg.ServerKey = key
+	key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
+	if err != nil {
+		return nil, err
 	}
+	ccfg.ServerKey = key
 	cl, err := cluster.New(hub, ccfg)
 	if err != nil {
 		return nil, err

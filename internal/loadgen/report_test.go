@@ -9,8 +9,8 @@ import (
 
 func sampleReport(measuredRPS float64, durNs, reqs uint64) *Report {
 	return &Report{
-		Seed: 1, Clients: 1000, Requests: 2, Mode: "closed",
-		Concurrency: 32, Resume: 0.95, ChurnEvery: 1, Secure: true,
+		Seed: 1, Clients: 1000, Requests: 2,
+		Concurrency: 32, Resume: 0.95,
 		Measured: MeasuredReport{
 			RPS: measuredRPS, DurationNs: durNs, Requests: reqs,
 		},

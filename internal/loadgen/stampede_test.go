@@ -23,9 +23,9 @@ func runStampede(t *testing.T, workers, keyBits int) *Report {
 	if err != nil {
 		t.Fatalf("stampede run (pool=%d): %v", workers, err)
 	}
-	if !rep.Stampede || rep.Resume != 0 || rep.ChurnEvery != 1 || rep.Concurrency != rep.Clients {
-		t.Fatalf("stampede config not forced: resume=%v churn=%d concurrency=%d",
-			rep.Resume, rep.ChurnEvery, rep.Concurrency)
+	if !rep.Stampede || rep.Resume != 0 || rep.Concurrency != rep.Clients {
+		t.Fatalf("stampede config not forced: resume=%v concurrency=%d",
+			rep.Resume, rep.Concurrency)
 	}
 	m := &rep.Measured
 	wantHS := uint64(rep.Clients * rep.Requests)
