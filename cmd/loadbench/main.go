@@ -1,6 +1,6 @@
 // Command loadbench drives the capacity-testing fleet (internal/
-// loadgen) against the full secure-redirector vertical and emits the
-// SLO report as text plus BENCH_load.json.
+// loadgen) against the full secure-redirector vertical and prints the
+// SLO report; -json also writes it as JSON to the path it names.
 //
 // The acceptance workload — a thousand returning clients at the
 // Goldberg et al. 95% session-cache hit rate:
@@ -9,10 +9,12 @@
 //
 // The plan section of the output (planned requests and handshakes) is
 // identical across runs with one seed (see internal/loadgen); the
-// measured section is the live run. -smoke runs a small fixed workload
-// as a CI gate and exits 1 if any request failed or echoed wrong bytes;
-// it writes a report only to an explicit -json path, so a smoke run
-// never replaces the committed acceptance report.
+// measured section is the live run. A single run is a measurement, not
+// a comparison: host noise moves its throughput by tens of percent, so
+// changes are compared by paired benchmark runs (towerbench) and the
+// gated kernel baseline (cmd/benchdiff). -smoke runs a small fixed
+// workload as a CI gate and exits 1 if any request failed or echoed
+// wrong bytes.
 package main
 
 import (
@@ -44,12 +46,10 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 		inflight    = fs.Int("inflight", 0, "redirector admission bound (0 = unbounded)")
 		latency     = fs.Duration("latency", 0, "one-way hub latency")
 		faults      = fs.Bool("faults", false, "degrade the wire with the chaos soak fault plan")
-		jsonPath    = fs.String("json", "BENCH_load.json", "report output path (empty = skip; -smoke writes only an explicit -json)")
-		baseline    = fs.String("baseline", "", "prior report to diff against (empty = the -json path's current contents, if any)")
+		jsonPath    = fs.String("json", "", "also write the report as JSON to this path (empty = text only)")
 		smoke       = fs.Bool("smoke", false, "small fixed workload for CI (overrides sizing flags); exits 1 on any request error or echo mismatch")
 
 		instances    = fs.Int("instances", 1, "redirector instances behind the L4 balancer (1 = no cluster)")
-		policy       = fs.String("policy", "hash", "balancer policy: hash | least")
 		killNode     = fs.Int("kill-node", 0, "cluster node to kill mid-load (with -kill-at)")
 		killAt       = fs.Duration("kill-at", 0, "kill -kill-node this long into the run (0 = no kill)")
 		restartAfter = fs.Duration("restart-after", 0, "restart the killed node this long after the kill (0 = stays down)")
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *instances <= 1 {
-		for _, name := range []string{"policy", "kill-node", "kill-at", "restart-after"} {
+		for _, name := range []string{"kill-node", "kill-at", "restart-after"} {
 			if set[name] {
 				fmt.Fprintf(stderr, "loadbench: -%s needs a cluster (-instances 2 or more)\n", name)
 				return 2
@@ -94,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 	}
 	if *instances > 1 {
 		cfg.Instances = *instances
-		cfg.Policy = *policy
 		if *killAt > 0 {
 			cfg.KillNode = *killNode
 			cfg.KillAfter = *killAt
@@ -106,33 +105,6 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 	}
 	if *smoke {
 		cfg.Clients, cfg.Requests, cfg.Resume, cfg.Concurrency = 32, 2, 0.5, 16
-		if !set["json"] {
-			*jsonPath = ""
-		}
-	}
-
-	// Capture the baseline before the run (and before -json truncates
-	// it — by default they are the same file): the committed
-	// BENCH_load.json from the last perf PR is the "before" axis.
-	basePath := *baseline
-	if basePath == "" {
-		basePath = *jsonPath
-	}
-	var base *loadgen.Report
-	if basePath != "" {
-		if f, err := os.Open(basePath); err == nil {
-			base, err = loadgen.ReadReport(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-		} else if *baseline != "" {
-			// An explicit -baseline that does not exist is an error; a
-			// missing default (first run) just skips the delta.
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
 	}
 
 	start := time.Now()
@@ -140,9 +112,6 @@ func run(args []string, stdout, stderr io.Writer, load func(loadgen.Config) (*lo
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
-	}
-	if base != nil {
-		rep.AttachBaseline(base)
 	}
 	if err := rep.WriteText(stdout); err != nil {
 		fmt.Fprintln(stderr, err)

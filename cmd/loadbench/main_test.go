@@ -20,7 +20,7 @@ func TestSmokeGate(t *testing.T) {
 		return rep, err
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-smoke", "-json", ""}, &out, &errOut, live); code != 0 {
+	if code := run([]string{"-smoke"}, &out, &errOut, live); code != 0 {
 		t.Fatalf("clean smoke exited %d\n%s%s", code, out.String(), errOut.String())
 	}
 	if clean.Measured.Requests != clean.Plan.Requests {
@@ -35,7 +35,7 @@ func TestSmokeGate(t *testing.T) {
 		return &rep, nil
 	}
 	errOut.Reset()
-	if code := run([]string{"-smoke", "-json", ""}, &out, &errOut, corrupt); code != 1 {
+	if code := run([]string{"-smoke"}, &out, &errOut, corrupt); code != 1 {
 		t.Fatalf("smoke with an echo mismatch exited %d, want 1", code)
 	}
 	if !strings.Contains(errOut.String(), "1 echo mismatches") {
@@ -43,10 +43,9 @@ func TestSmokeGate(t *testing.T) {
 	}
 }
 
-// TestSmokeKeepsCommittedReport: a -smoke run in a directory holding no
-// report writes none unless -json names a path, so running the smoke
-// at the repo root cannot replace the committed BENCH_load.json.
-func TestSmokeKeepsCommittedReport(t *testing.T) {
+// TestReportOnlyWhereJSONNames: no run writes a report file unless
+// -json names a path, a -smoke run or a sized one alike.
+func TestReportOnlyWhereJSONNames(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -57,18 +56,24 @@ func TestSmokeKeepsCommittedReport(t *testing.T) {
 	t.Cleanup(func() { os.Chdir(wd) })
 	stub := func(loadgen.Config) (*loadgen.Report, error) { return &loadgen.Report{}, nil }
 
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-smoke"}, &out, &errOut, stub); code != 0 {
-		t.Fatalf("smoke exited %d\n%s", code, errOut.String())
-	}
-	if _, err := os.Stat("BENCH_load.json"); !os.IsNotExist(err) {
-		t.Fatalf("-smoke wrote the default report (stat: %v)", err)
-	}
-	if code := run([]string{"-smoke", "-json", "BENCH_smoke.json"}, &out, &errOut, stub); code != 0 {
-		t.Fatalf("smoke with -json exited %d\n%s", code, errOut.String())
-	}
-	if _, err := os.Stat("BENCH_smoke.json"); err != nil {
-		t.Fatalf("-smoke -json did not write its report: %v", err)
+	for _, args := range [][]string{{"-smoke"}, {"-clients", "4", "-requests", "1"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut, stub); code != 0 {
+			t.Fatalf("%v exited %d\n%s", args, code, errOut.String())
+		}
+		if files, _ := os.ReadDir("."); len(files) != 0 {
+			t.Fatalf("%v without -json wrote %s", args, files[0].Name())
+		}
+		if code := run(append(args, "-json", "report.json"), &out, &errOut, stub); code != 0 {
+			t.Fatalf("%v -json exited %d\n%s", args, code, errOut.String())
+		}
+		files, _ := os.ReadDir(".")
+		if len(files) != 1 || files[0].Name() != "report.json" {
+			t.Fatalf("%v -json report.json left %v, want only report.json", args, files)
+		}
+		if err := os.Remove("report.json"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -82,7 +87,7 @@ func TestSingleRedirectorFlags(t *testing.T) {
 		return &loadgen.Report{}, nil
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-request-retries", "2", "-json", ""}, &out, &errOut, record); code != 0 {
+	if code := run([]string{"-request-retries", "2"}, &out, &errOut, record); code != 0 {
 		t.Fatalf("exited %d\n%s", code, errOut.String())
 	}
 	if got.RequestRetries != 2 {
@@ -90,7 +95,6 @@ func TestSingleRedirectorFlags(t *testing.T) {
 	}
 
 	for _, args := range [][]string{
-		{"-policy", "least"},
 		{"-kill-node", "1"},
 		{"-kill-at", "100ms"},
 		{"-restart-after", "200ms"},
@@ -98,7 +102,7 @@ func TestSingleRedirectorFlags(t *testing.T) {
 	} {
 		got = loadgen.Config{}
 		errOut.Reset()
-		code := run(append(args, "-json", ""), &out, &errOut, record)
+		code := run(args, &out, &errOut, record)
 		if code != 2 || !strings.Contains(errOut.String(), "-instances") {
 			t.Errorf("%v: exit %d, stderr %q; want 2 and a message naming -instances", args, code, errOut.String())
 		}

@@ -56,7 +56,6 @@ type nodeEntry struct {
 	index     int
 	addr      tcpip.Addr
 	up        atomic.Bool
-	inflight  atomic.Int64
 	forwarded *telemetry.Counter
 }
 
@@ -170,13 +169,9 @@ func clientKey(tcb *tcpip.TCB) uint64 {
 }
 
 func (b *Balancer) forward(client *tcpip.TCB) {
-	states := make([]NodeState, len(b.nodes))
-	for i, n := range b.nodes {
-		states[i] = NodeState{Inflight: n.inflight.Load()}
-	}
 	key := clientKey(client)
 	tried := 0
-	for _, idx := range b.cfg.Policy.Order(key, states) {
+	for _, idx := range b.cfg.Policy.Order(key, len(b.nodes)) {
 		n := b.nodes[idx]
 		if !n.up.Load() {
 			continue
@@ -190,12 +185,10 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 			b.cfg.Trace.Emit("cluster", "forward.failover", "node", idx, "err", err.Error())
 			continue
 		}
-		n.inflight.Add(1)
 		n.forwarded.Inc()
 		b.stats.Accepted.Inc()
 		b.cfg.Trace.Emit("cluster", "forward.accept", "node", idx)
 		redirector.Relay(client, backend, b.stats.BytesIn, b.stats.BytesOut, nil)
-		n.inflight.Add(-1)
 		return
 	}
 	b.stats.Refused.Inc()

@@ -46,7 +46,7 @@ func setTiming(t *testing.T, v *time.Duration, d time.Duration) {
 // and a secure fleet behind the balancer with chaos-friendly health
 // timing (fast probes, short backoff). tr, when non-nil, receives the
 // fleet's trace events.
-func testWorld(t *testing.T, nodes int, pol Policy, tr *telemetry.Trace) (*tcpip.Stack, *Cluster) {
+func testWorld(t *testing.T, nodes int, tr *telemetry.Trace) (*tcpip.Stack, *Cluster) {
 	t.Helper()
 	hub := netsim.NewHub()
 	t.Cleanup(hub.Close)
@@ -73,7 +73,6 @@ func testWorld(t *testing.T, nodes int, pol Policy, tr *telemetry.Trace) (*tcpip
 		Secure:         true,
 		ServerKey:      rsaKey(t),
 		TicketMaterial: []byte("fleet ticket material"),
-		Policy:         pol,
 		RandSeed:       0xC1A5,
 		Trace:          tr,
 	})
@@ -164,7 +163,7 @@ func ticketsOn(cl *Cluster, name string) uint64 {
 // TestSecureEchoThroughBalancer: the plain path — handshake through
 // the L4 splice, byte-exact echo, a ticket earned.
 func TestSecureEchoThroughBalancer(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil, nil)
+	cli, cl := testWorld(t, 3, nil)
 	d := dialer(cli, cl, 101)
 	conn, tr, err := d.DialWithRetry()
 	if err != nil {
@@ -189,7 +188,7 @@ func TestSecureEchoThroughBalancer(t *testing.T) {
 // and the reconnect lands an abbreviated resumption on a sibling that
 // has never seen the client — no shared cache, just the ticket.
 func TestKillNodeTicketResumesElsewhere(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil, nil)
+	cli, cl := testWorld(t, 3, nil)
 	d := dialer(cli, cl, 202)
 	conn, tr, err := d.DialWithRetry()
 	if err != nil {
@@ -237,7 +236,7 @@ func TestKillNodeTicketResumesElsewhere(t *testing.T) {
 // the kill but before the health checker notices must fail over via
 // the forward-connect path, not error out.
 func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
-	cli, cl := testWorld(t, 3, nil, nil)
+	cli, cl := testWorld(t, 3, nil)
 	cl.KillNode(1)
 	// No waitNodeState: dial immediately, racing the probes.
 	var survived int
@@ -262,7 +261,7 @@ func TestKillDuringDetectionWindowFailsOver(t *testing.T) {
 // and it must then take traffic again.
 func TestRestartReinstatesAfterBackoff(t *testing.T) {
 	tr := telemetry.NewTrace(1 << 14)
-	cli, cl := testWorld(t, 2, nil, tr)
+	cli, cl := testWorld(t, 2, tr)
 	cl.KillNode(0)
 	if !waitNodeState(cl.Balancer(), 0, false, 5*time.Second) {
 		t.Fatal("kill not detected")
@@ -327,40 +326,10 @@ func nodeUpDownTime(t *testing.T, tr *telemetry.Trace, node int) time.Duration {
 	return 0
 }
 
-// TestLeastInflightSpreadsLoad: with held-open connections, the least
-// policy must put successive connections on distinct instances.
-func TestLeastInflightSpreadsLoad(t *testing.T) {
-	cli, cl := testWorld(t, 3, LeastInflight{}, nil)
-	var conns []*issl.Conn
-	var trs []io.ReadWriteCloser
-	defer func() {
-		for i := range conns {
-			conns[i].Close()
-			trs[i].Close()
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		d := dialer(cli, cl, 500+uint64(i))
-		conn, tr, err := d.DialWithRetry()
-		if err != nil {
-			t.Fatal(err)
-		}
-		echo(t, conn, []byte{byte(i)})
-		conns = append(conns, conn)
-		trs = append(trs, tr)
-	}
-	// Three held connections, three instances: one each.
-	for i := 0; i < cl.Nodes(); i++ {
-		if got := cl.NodeRegistry(i).Counter("redirector.accepted").Value(); got != 1 {
-			t.Errorf("instance %d accepted = %d, want 1 under least-inflight", i, got)
-		}
-	}
-}
-
 // TestNoNodesRefusesCleanly: with the whole fleet dead, a client gets
 // a refusal (counted), not a hang.
 func TestNoNodesRefusesCleanly(t *testing.T) {
-	cli, cl := testWorld(t, 2, nil, nil)
+	cli, cl := testWorld(t, 2, nil)
 	cl.KillNode(0)
 	cl.KillNode(1)
 	waitNodeState(cl.Balancer(), 0, false, 5*time.Second)

@@ -19,24 +19,16 @@ import (
 	"sync"
 )
 
-// NodeState is the balancer's per-node view handed to a Policy.
-type NodeState struct {
-	// Inflight counts connections the balancer is currently pumping
-	// through the node.
-	Inflight int64
-}
-
 // Policy orders the fleet for one arriving connection. The balancer
 // walks the order, skips the nodes its health checker holds down, and
 // forwards to the first that accepts, failing over down the list — so
 // a policy expresses preference, not a hard pick, and never sees node
 // health.
 type Policy interface {
-	Name() string
-	// Order returns every node index, most preferred first. key
-	// identifies the client (address and port), so a policy can be
-	// sticky.
-	Order(key uint64, nodes []NodeState) []int
+	// Order returns every index of an n-node fleet, most preferred
+	// first. key identifies the client (address and port), so a policy
+	// can be sticky.
+	Order(key uint64, n int) []int
 }
 
 // fnv64a is FNV-1a, the balancer's non-cryptographic hash. (The repo's
@@ -88,8 +80,6 @@ func NewConsistentHash(vnodes int) *ConsistentHash {
 	return &ConsistentHash{vnodes: vnodes}
 }
 
-func (c *ConsistentHash) Name() string { return "hash" }
-
 func (c *ConsistentHash) ringFor(n int) []ringPoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,8 +105,7 @@ func (c *ConsistentHash) ringFor(n int) []ringPoint {
 // Order walks the ring from the key's position, collecting each node
 // the first time it appears. The ring ignores health — that is what
 // keeps the mapping stable; the balancer skips down nodes itself.
-func (c *ConsistentHash) Order(key uint64, nodes []NodeState) []int {
-	n := len(nodes)
+func (c *ConsistentHash) Order(key uint64, n int) []int {
 	if n == 0 {
 		return nil
 	}
@@ -135,35 +124,8 @@ func (c *ConsistentHash) Order(key uint64, nodes []NodeState) []int {
 	return order
 }
 
-// --- least inflight --------------------------------------------------------
-
-// LeastInflight routes each connection to the node the balancer is
-// pumping the fewest connections through, ties broken by lowest index
-// — deterministic, so two balancers observing the same state choose
-// the same node.
-type LeastInflight struct{}
-
-func (LeastInflight) Name() string { return "least" }
-
-func (LeastInflight) Order(_ uint64, nodes []NodeState) []int {
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		na, nb := nodes[order[a]], nodes[order[b]]
-		if na.Inflight != nb.Inflight {
-			return na.Inflight < nb.Inflight
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
-// PolicyByName maps the CLI spelling to a policy ("hash" default).
-func PolicyByName(name string) Policy {
-	if name == "least" {
-		return LeastInflight{}
-	}
+// PolicyByName maps a policy name to the balancer policy. The
+// consistent hash is the only one, whatever the name.
+func PolicyByName(string) Policy {
 	return NewConsistentHash(0)
 }

@@ -6,15 +6,15 @@ import "testing"
 // fleet for any key — the failover walk needs every node reachable.
 func TestConsistentHashCoversAllNodes(t *testing.T) {
 	p := NewConsistentHash(64)
-	nodes := make([]NodeState, 5)
+	const nodes = 5
 	for key := uint64(0); key < 200; key++ {
 		order := p.Order(key*2654435761, nodes)
-		if len(order) != len(nodes) {
+		if len(order) != nodes {
 			t.Fatalf("key %d: order %v not a full permutation", key, order)
 		}
 		seen := map[int]bool{}
 		for _, n := range order {
-			if n < 0 || n >= len(nodes) || seen[n] {
+			if n < 0 || n >= nodes || seen[n] {
 				t.Fatalf("key %d: bad order %v", key, order)
 			}
 			seen[n] = true
@@ -27,10 +27,9 @@ func TestConsistentHashCoversAllNodes(t *testing.T) {
 func TestConsistentHashSpread(t *testing.T) {
 	p := NewConsistentHash(64)
 	const n, keys = 4, 4000
-	nodes := make([]NodeState, n)
 	counts := make([]int, n)
 	for key := uint64(0); key < keys; key++ {
-		counts[p.Order(key*0x9E3779B97F4A7C15+7, nodes)[0]]++
+		counts[p.Order(key*0x9E3779B97F4A7C15+7, n)[0]]++
 	}
 	for i, c := range counts {
 		// Fair share is 1000; accept a generous band.
@@ -47,11 +46,10 @@ func TestConsistentHashSpread(t *testing.T) {
 func TestConsistentHashStableUnderRemoval(t *testing.T) {
 	p := NewConsistentHash(64)
 	const n, keys = 5, 1000
-	nodes := make([]NodeState, n)
 	const dead = 2
 	moved := 0
 	for key := uint64(0); key < keys; key++ {
-		order := p.Order(key*0xC2B2AE3D27D4EB4F+3, nodes)
+		order := p.Order(key*0xC2B2AE3D27D4EB4F+3, n)
 		before := order[0]
 		// "Removal" is how the balancer sees it: the ring is unchanged,
 		// the dead node is skipped on the walk.
@@ -79,7 +77,7 @@ func TestConsistentHashStableUnderRemoval(t *testing.T) {
 // must agree — the ring is a pure function of fleet size.
 func TestConsistentHashDeterministic(t *testing.T) {
 	a, b := NewConsistentHash(32), NewConsistentHash(32)
-	nodes := make([]NodeState, 4)
+	const nodes = 4
 	for key := uint64(1); key < 100; key++ {
 		oa, ob := a.Order(key, nodes), b.Order(key, nodes)
 		for i := range oa {
@@ -90,40 +88,10 @@ func TestConsistentHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestLeastInflightOrdering: strictly by load, ties broken by lowest
-// index so the choice is deterministic.
-func TestLeastInflightOrdering(t *testing.T) {
-	p := LeastInflight{}
-	nodes := []NodeState{
-		{Inflight: 3},
-		{Inflight: 1},
-		{Inflight: 1},
-		{Inflight: 0},
-	}
-	got := p.Order(12345, nodes)
-	want := []int{3, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-	// The key must not matter.
-	got2 := p.Order(99999, nodes)
-	for i := range want {
-		if got2[i] != want[i] {
-			t.Fatalf("key-dependent order: %v", got2)
-		}
-	}
-}
-
 func TestPolicyByName(t *testing.T) {
-	if PolicyByName("least").Name() != "least" {
-		t.Error("least not mapped")
-	}
-	if PolicyByName("hash").Name() != "hash" {
-		t.Error("hash not mapped")
-	}
-	if PolicyByName("").Name() != "hash" {
-		t.Error("default not hash")
+	for _, name := range []string{"hash", ""} {
+		if _, ok := PolicyByName(name).(*ConsistentHash); !ok {
+			t.Errorf("PolicyByName(%q) is not the consistent hash", name)
+		}
 	}
 }

@@ -26,14 +26,10 @@ var ErrKilled = errors.New("costate: killed")
 
 // Co is the handle a costatement body uses to give up control.
 type Co struct {
-	name   string
 	resume chan struct{}
 	yield  chan struct{}
 	killed bool
 }
-
-// Name returns the costatement's name.
-func (c *Co) Name() string { return c.name }
 
 // Yield passes control to the next costatement (the `yield` statement).
 // When control returns, execution resumes after the Yield call.
@@ -80,7 +76,6 @@ func New() *Scheduler { return &Scheduler{} }
 // on the provided Co.
 func (s *Scheduler) Spawn(name string, body func(*Co)) *Co {
 	co := &Co{
-		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/netsim"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 // Cluster mode: the same client fleet, but the service side is N
@@ -24,8 +24,8 @@ import (
 // service is listening. The balancer holds the single redirector's
 // address and port (10.0.0.2:redirectorPort), so the fleet dials it
 // unchanged.
-func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stack) (*MeasuredReport, error) {
-	ccfg := cluster.Config{
+func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stack, key *rsa.PrivateKey) (*MeasuredReport, error) {
+	cl, err := cluster.New(hub, cluster.Config{
 		Nodes:            cfg.Instances,
 		Target:           back.Addr(),
 		TargetPort:       backendPort,
@@ -34,15 +34,9 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		SessionCacheSize: cfg.cacheSessions,
 		MaxInflight:      cfg.MaxInflight,
 		SignWorkers:      cfg.SignWorkers,
-		Policy:           cluster.PolicyByName(cfg.Policy),
+		ServerKey:        key,
 		RandSeed:         cfg.Seed ^ 0xC105FEED,
-	}
-	key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
-	if err != nil {
-		return nil, err
-	}
-	ccfg.ServerKey = key
-	cl, err := cluster.New(hub, ccfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -76,56 +70,20 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 
 	fc, wall, wallHist := runFleet(cfg, cli, p, ks)
 
-	// Per-instance breakdown, then fleet sums from it — every server
-	// counter lives in an instance's private registry.
-	m := &MeasuredReport{
-		DurationNs:      uint64(wall.Nanoseconds()),
-		Requests:        fc.ok.Load(),
-		Errors:          fc.errs.Load(),
-		EchoMismatches:  fc.mismatches.Load(),
-		Retries:         fc.retries.Load(),
-		ResumeFallbacks: fc.resumeFallbacks.Load(),
-		BytesEchoed:     fc.bytes.Load(),
-		DialAttempts:    fc.dialAttempts.Load(),
-		DialFailures:    fc.dialFailures.Load(),
+	regs := make([]*telemetry.Registry, cl.Nodes())
+	for i := range regs {
+		regs[i] = cl.NodeRegistry(i)
 	}
-	for i := 0; i < cl.Nodes(); i++ {
-		reg := cl.NodeRegistry(i)
-		c := func(name string) uint64 { return reg.Counter(name).Value() }
-		inst := InstanceReport{
-			Node:              i,
-			Up:                cl.Balancer().NodeUp(i),
-			Accepted:          c("redirector.accepted"),
-			Refused:           c("redirector.refused"),
-			AdmissionRefused:  c("redirector.refused_admission"),
-			HandshakesFull:    c("issl.handshakes_full"),
-			HandshakesResumed: c("issl.handshakes_resumed"),
-			HandshakesFailed:  c("issl.handshakes_failed"),
-			TicketsIssued:     c("issl.tickets_issued"),
-			TicketsResumed:    c("issl.tickets_resumed"),
-			TicketsRejected:   c("issl.tickets_rejected"),
-			BytesForward:      c("redirector.bytes_forward"),
-			BytesBackward:     c("redirector.bytes_backward"),
-		}
-		m.PerInstance = append(m.PerInstance, inst)
-		m.HandshakesFull += inst.HandshakesFull
-		m.HandshakesResumed += inst.HandshakesResumed
-		m.HandshakesFailed += inst.HandshakesFailed
-		m.Accepted += inst.Accepted
-		m.Refused += inst.Refused
-		m.AdmissionRefused += inst.AdmissionRefused
-		m.TicketsIssued += inst.TicketsIssued
-		m.TicketsResumed += inst.TicketsResumed
-		m.TicketsRejected += inst.TicketsRejected
-		m.SignPoolOps += c("issl.signpool_ops")
-		m.SignPoolQueueFull += c("issl.signpool_queue_full")
+	m, rows := measure(fc, wall, wallHist, regs)
+	for i := range rows {
+		rows[i].Up = cl.Balancer().NodeUp(i)
 	}
+	m.PerInstance = rows
 
 	bs := cl.Balancer().Stats()
 	m.Refused += bs.Refused.Value() // fleet-wide refusals include "no node up"
 	cr := &ClusterReport{
 		Instances:  cfg.Instances,
-		Policy:     ccfg.Policy.Name(),
 		Balanced:   bs.Accepted.Value(),
 		Refused:    bs.Refused.Value(),
 		Failovers:  bs.Failovers.Value(),
@@ -142,12 +100,5 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		cr.KilledNode = -1
 	}
 	m.Cluster = cr
-
-	if wall > 0 {
-		m.RPS = float64(m.Requests) / wall.Seconds()
-		m.HandshakesPerSec = float64(m.HandshakesFull+m.HandshakesResumed) / wall.Seconds()
-	}
-	pct := percentilesFrom(wallHist)
-	m.WallLatency = &pct
 	return m, nil
 }

@@ -67,7 +67,6 @@ func TestClusterNodeKillSoak(t *testing.T) {
 		HubLatency:  time.Millisecond,
 
 		Instances:      3,
-		Policy:         "hash",
 		RequestRetries: 3,
 		KillNode:       killed,
 		KillAfter:      150 * time.Millisecond,

@@ -35,7 +35,6 @@ func TestClusterCombinedChaosSoak(t *testing.T) {
 		Faults: chaos.SoakPlan(seed),
 
 		Instances:      3,
-		Policy:         "hash",
 		RequestRetries: 6,
 		KillNode:       killed,
 		KillAfter:      150 * time.Millisecond,

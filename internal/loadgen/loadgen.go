@@ -91,9 +91,6 @@ type Config struct {
 	// stack, session cache and telemetry registry, sharing only the
 	// sealed-ticket key material. 0 or 1 keeps the single redirector.
 	Instances int
-	// Policy selects the balancer policy: "hash" (consistent hash,
-	// default) or "least" (least inflight). Cluster mode only.
-	Policy string
 	// KillAfter kills instance KillNode that long into the measured
 	// run — the node-kill chaos plan (0 = no kill; cluster mode only).
 	// RestartAfter restarts it that long after the kill (0 = stays
@@ -162,11 +159,6 @@ func (cfg *Config) withDefaults() (*Config, error) {
 	if c.Instances < 0 {
 		return nil, fmt.Errorf("loadgen: Instances must be >= 0")
 	}
-	switch c.Policy {
-	case "", "hash", "least":
-	default:
-		return nil, fmt.Errorf("loadgen: unknown policy %q", c.Policy)
-	}
 	if c.Instances > 1 && (c.KillNode < 0 || c.KillNode >= c.Instances) {
 		return nil, fmt.Errorf("loadgen: KillNode %d out of range for %d instances", c.KillNode, c.Instances)
 	}
@@ -198,10 +190,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if c.Instances > 1 {
 		rep.Instances = c.Instances
-		rep.Policy = c.Policy
-		if rep.Policy == "" {
-			rep.Policy = "hash"
-		}
 	}
 	rep.Plan = PlanReport{
 		Requests:          p.requests,
@@ -252,9 +240,11 @@ func (ks *killState) recoveryNs() uint64 {
 	return uint64(fo - ka)
 }
 
-// runReal executes the plan against the live vertical: hub, three
-// stacks, a plaintext echo backend, the secure redirector with the
-// sharded session cache and admission control, and the client fleet.
+// runReal executes the plan against the live vertical: hub, client
+// and backend stacks, a plaintext echo backend, the secure service at
+// 10.0.0.2 (one redirector with the sharded session cache and
+// admission control, or a fleet behind the balancer), and the client
+// fleet.
 func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 	hub := netsim.NewHub()
 	defer hub.Close()
@@ -274,11 +264,6 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		return nil, err
 	}
 	defer cli.Close()
-	mid, err := mk(2)
-	if err != nil {
-		return nil, err
-	}
-	defer mid.Close()
 	back, err := mk(3)
 	if err != nil {
 		return nil, err
@@ -288,19 +273,19 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 	if err := startBackend(back); err != nil {
 		return nil, err
 	}
-
-	if cfg.Instances > 1 {
-		// The mid stack at 10.0.0.2 goes unused in cluster mode — the
-		// balancer takes that address so the client fleet cannot tell
-		// one redirector from a fleet of them.
-		mid.Close()
-		return runRealCluster(cfg, p, hub, cli, back)
-	}
-
 	key, err := rsa.GenerateKey(prng.NewXorshift(cfg.Seed^0x4B455947454E), cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Instances > 1 {
+		return runRealCluster(cfg, p, hub, cli, back, key)
+	}
+
+	mid, err := mk(2)
+	if err != nil {
+		return nil, err
+	}
+	defer mid.Close()
 	reg := telemetry.NewRegistry()
 	srv, err := redirector.NewUnixServer(mid, redirector.Config{
 		ListenPort:   redirectorPort,
@@ -321,25 +306,56 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 	defer srv.Close()
 
 	fc, wall, wallHist := runFleet(cfg, cli, p, nil)
+	m, _ := measure(fc, wall, wallHist, []*telemetry.Registry{reg})
+	return m, nil
+}
 
+// measure builds the measured section for either service shape: the
+// client fleet's counters, the server counters read from regs (the
+// single redirector's registry, or one per fleet instance) and summed,
+// and the wall-clock rates and latency tail. It also returns one row
+// per registry; only a fleet reports them.
+func measure(fc *fleetCounters, wall time.Duration, wallHist *telemetry.Histogram, regs []*telemetry.Registry) (*MeasuredReport, []InstanceReport) {
 	m := &MeasuredReport{
-		DurationNs:        uint64(wall.Nanoseconds()),
-		Requests:          fc.ok.Load(),
-		Errors:            fc.errs.Load(),
-		EchoMismatches:    fc.mismatches.Load(),
-		Retries:           fc.retries.Load(),
-		ResumeFallbacks:   fc.resumeFallbacks.Load(),
-		BytesEchoed:       fc.bytes.Load(),
-		HandshakesFull:    reg.Counter("issl.handshakes_full").Value(),
-		HandshakesResumed: reg.Counter("issl.handshakes_resumed").Value(),
-		HandshakesFailed:  reg.Counter("issl.handshakes_failed").Value(),
-		Accepted:          reg.Counter("redirector.accepted").Value(),
-		Refused:           reg.Counter("redirector.refused").Value(),
-		AdmissionRefused:  reg.Counter("redirector.refused_admission").Value(),
-		DialAttempts:      fc.dialAttempts.Load(),
-		DialFailures:      fc.dialFailures.Load(),
-		SignPoolOps:       reg.Counter("issl.signpool_ops").Value(),
-		SignPoolQueueFull: reg.Counter("issl.signpool_queue_full").Value(),
+		DurationNs:      uint64(wall.Nanoseconds()),
+		Requests:        fc.ok.Load(),
+		Errors:          fc.errs.Load(),
+		EchoMismatches:  fc.mismatches.Load(),
+		Retries:         fc.retries.Load(),
+		ResumeFallbacks: fc.resumeFallbacks.Load(),
+		BytesEchoed:     fc.bytes.Load(),
+		DialAttempts:    fc.dialAttempts.Load(),
+		DialFailures:    fc.dialFailures.Load(),
+	}
+	rows := make([]InstanceReport, len(regs))
+	for i, reg := range regs {
+		c := func(name string) uint64 { return reg.Counter(name).Value() }
+		inst := InstanceReport{
+			Node:              i,
+			Accepted:          c("redirector.accepted"),
+			Refused:           c("redirector.refused"),
+			AdmissionRefused:  c("redirector.refused_admission"),
+			HandshakesFull:    c("issl.handshakes_full"),
+			HandshakesResumed: c("issl.handshakes_resumed"),
+			HandshakesFailed:  c("issl.handshakes_failed"),
+			TicketsIssued:     c("issl.tickets_issued"),
+			TicketsResumed:    c("issl.tickets_resumed"),
+			TicketsRejected:   c("issl.tickets_rejected"),
+			BytesForward:      c("redirector.bytes_forward"),
+			BytesBackward:     c("redirector.bytes_backward"),
+		}
+		rows[i] = inst
+		m.HandshakesFull += inst.HandshakesFull
+		m.HandshakesResumed += inst.HandshakesResumed
+		m.HandshakesFailed += inst.HandshakesFailed
+		m.Accepted += inst.Accepted
+		m.Refused += inst.Refused
+		m.AdmissionRefused += inst.AdmissionRefused
+		m.TicketsIssued += inst.TicketsIssued
+		m.TicketsResumed += inst.TicketsResumed
+		m.TicketsRejected += inst.TicketsRejected
+		m.SignPoolOps += c("issl.signpool_ops")
+		m.SignPoolQueueFull += c("issl.signpool_queue_full")
 	}
 	if wall > 0 {
 		m.RPS = float64(m.Requests) / wall.Seconds()
@@ -347,7 +363,7 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 	}
 	pct := percentilesFrom(wallHist)
 	m.WallLatency = &pct
-	return m, nil
+	return m, rows
 }
 
 // runFleet launches the virtual-client fleet against the service at

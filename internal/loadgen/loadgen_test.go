@@ -28,6 +28,12 @@ func TestSmokeClosed(t *testing.T) {
 	if rep.Measured.BytesEchoed == 0 {
 		t.Error("no bytes echoed")
 	}
+	// The redirector's own counters: one accepted connection per
+	// request (each request reconnects), none refused.
+	if rep.Measured.Accepted != want || rep.Measured.Refused != 0 {
+		t.Errorf("server accepted %d / refused %d, want %d / 0",
+			rep.Measured.Accepted, rep.Measured.Refused, want)
+	}
 	// Every connection handshakes: 16 fresh connections planned.
 	if got := rep.Plan.HandshakesFull + rep.Plan.HandshakesResumed; got != want {
 		t.Errorf("planned handshakes = %d, want %d", got, want)

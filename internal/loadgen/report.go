@@ -109,7 +109,6 @@ type InstanceReport struct {
 // recovered.
 type ClusterReport struct {
 	Instances  int    `json:"instances"`
-	Policy     string `json:"policy"`
 	Balanced   uint64 `json:"balanced"`  // connections spliced to a node
 	Refused    uint64 `json:"refused"`   // connections no node would take
 	Failovers  uint64 `json:"failovers"` // candidates skipped on connect failure
@@ -123,44 +122,6 @@ type ClusterReport struct {
 	// RecoveryNs is kill -> first subsequent successful request across
 	// the fleet: the service-level recovery bound.
 	RecoveryNs uint64 `json:"recovery_ns,omitempty"`
-}
-
-// Delta is one before/after pair from a baseline comparison. Pct is
-// the relative change in percent: positive means New > Old.
-type Delta struct {
-	Old float64 `json:"old"`
-	New float64 `json:"new"`
-	Pct float64 `json:"pct"`
-}
-
-// keyBitsOf normalizes the server-key size for comparability: reports
-// written before the KeyBits knob existed (field absent → 0) all used
-// the historical 512-bit key.
-func keyBitsOf(r *Report) int {
-	if r.KeyBits == 0 {
-		return 512
-	}
-	return r.KeyBits
-}
-
-func deltaOf(old, new float64) Delta {
-	d := Delta{Old: old, New: new}
-	if old != 0 {
-		d.Pct = (new - old) / old * 100
-	}
-	return d
-}
-
-// BaselineDelta compares this run against a previously committed
-// report. Comparable is false when the two runs used different
-// workloads (seed, sizing, resumption, faults or key size differ), in which case
-// the deltas are still filled in but mean nothing as a regression
-// signal. MeasuredRPS is the wall-clock throughput axis — the one a
-// host-side kernel optimization moves.
-type BaselineDelta struct {
-	Comparable    bool  `json:"comparable"`
-	MeasuredRPS   Delta `json:"measured_rps"`
-	MeasuredReqNs Delta `json:"measured_ns_per_request"`
 }
 
 // Report is the SLO report: configuration echo, the seeded plan's
@@ -177,51 +138,16 @@ type Report struct {
 	SignWorkers int     `json:"sign_workers,omitempty"`
 	KeyBits     int     `json:"key_bits,omitempty"`
 	Instances   int     `json:"instances,omitempty"`
-	Policy      string  `json:"policy,omitempty"`
 
 	Plan     PlanReport     `json:"plan"`
 	Measured MeasuredReport `json:"measured"`
-
-	// Baseline is filled in by AttachBaseline when a previously
-	// committed report is available to diff against.
-	Baseline *BaselineDelta `json:"baseline_delta,omitempty"`
 }
 
-// AttachBaseline computes the before/after section against a prior
-// report (typically the committed BENCH_load.json from the last perf
-// PR) and hangs it off the report as baseline_delta.
-func (r *Report) AttachBaseline(old *Report) {
-	nsPerReq := func(rep *Report) float64 {
-		if rep.Measured.Requests == 0 {
-			return 0
-		}
-		return float64(rep.Measured.DurationNs) / float64(rep.Measured.Requests)
-	}
-	r.Baseline = &BaselineDelta{
-		Comparable: old.Seed == r.Seed && old.Clients == r.Clients &&
-			old.Requests == r.Requests && old.Resume == r.Resume &&
-			old.Concurrency == r.Concurrency &&
-			old.Faulty == r.Faulty && old.Stampede == r.Stampede &&
-			keyBitsOf(old) == keyBitsOf(r),
-		MeasuredRPS:   deltaOf(old.Measured.RPS, r.Measured.RPS),
-		MeasuredReqNs: deltaOf(nsPerReq(old), nsPerReq(r)),
-	}
-}
-
-// WriteJSON writes the full report (BENCH_load.json).
+// WriteJSON writes the full report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadReport parses a report previously written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("loadgen: parse baseline report: %w", err)
-	}
-	return &r, nil
 }
 
 // WriteText writes the human SLO report.
@@ -231,7 +157,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		mode += " stampede"
 	}
 	fmt.Fprintf(w, "loadbench: seed=%d  %d clients x %d requests  %s  secure (issl Unix profile, %d-bit key)\n",
-		r.Seed, r.Clients, r.Requests, mode, keyBitsOf(r))
+		r.Seed, r.Clients, r.Requests, mode, r.KeyBits)
 	fmt.Fprintf(w, "           resume=%.0f%%  concurrency=%d  max-inflight=%d  faults=%v\n\n",
 		r.Resume*100, r.Concurrency, r.MaxInflight, r.Faulty)
 
@@ -278,7 +204,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 
 	if c := m.Cluster; c != nil {
-		fmt.Fprintf(w, "\ncluster (%d instances, %s policy):\n", c.Instances, c.Policy)
+		fmt.Fprintf(w, "\ncluster (%d instances):\n", c.Instances)
 		fmt.Fprintf(w, "  balancer       %12d balanced, %d refused, %d failovers\n",
 			c.Balanced, c.Refused, c.Failovers)
 		fmt.Fprintf(w, "  health         %12d downs, %d reinstatements, %d/%d up at end\n",
@@ -304,19 +230,6 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 
-	if d := r.Baseline; d != nil {
-		fmt.Fprintf(w, "\nbaseline delta:")
-		if !d.Comparable {
-			fmt.Fprintf(w, " (workloads differ — not a regression signal)")
-		}
-		fmt.Fprintln(w)
-		row := func(label, unit string, dl Delta, scale float64) {
-			fmt.Fprintf(w, "  %-14s %12.1f -> %-12.1f %s  (%+.1f%%)\n",
-				label, dl.Old/scale, dl.New/scale, unit, dl.Pct)
-		}
-		row("measured rps", "req/s", d.MeasuredRPS, 1)
-		row("measured cost", "ms/req", d.MeasuredReqNs, 1e6)
-	}
 	return nil
 }
 

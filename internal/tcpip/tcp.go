@@ -304,6 +304,16 @@ func (t *TCB) armRTO() {
 	t.rtoDeadline = time.Now().Add(t.rto)
 }
 
+// startRTO arms the timer for a new segment only if it is not already
+// running (RFC 6298 §5.1): the deadline belongs to the oldest
+// unacknowledged segment, so a steady stream of writes cannot keep
+// pushing it out. An ACK that advances sndUna restarts it (§5.3).
+func (t *TCB) startRTO() {
+	if !t.rtoArmed {
+		t.armRTO()
+	}
+}
+
 // transmit pushes out as much pending data as window allows, then the
 // FIN if Close has drained the buffer. Called with t.mu held.
 func (t *TCB) transmit() {
@@ -340,7 +350,7 @@ func (t *TCB) transmit() {
 			t.rttSeq = t.sndNxt
 			t.rttAt = time.Now()
 		}
-		t.armRTO()
+		t.startRTO()
 	}
 	if t.sndClosed && !t.finSent && sent == t.sndLen() {
 		t.finSeq = t.sndUna + uint32(t.sndLen())
@@ -353,7 +363,7 @@ func (t *TCB) transmit() {
 		case stateCloseWait:
 			t.state = stateLastAck
 		}
-		t.armRTO()
+		t.startRTO()
 	}
 }
 

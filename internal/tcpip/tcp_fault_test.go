@@ -167,3 +167,83 @@ func TestTCPCloseWriteRequestResponse(t *testing.T) {
 		t.Errorf("response = %q", resp)
 	}
 }
+
+// TestTCPRetransmitsUnderSteadyWrites: the retransmission timer runs
+// from the oldest unacknowledged segment (RFC 6298 §5.1), so a sender
+// that keeps writing still retransmits a lost segment one RTO later.
+// The sender writes one byte every 50 ms and the receiver's port is
+// cut off for one of those writes; every byte must reach the reader in
+// order within 1 s of its write, while the writes go on.
+func TestTCPRetransmitsUnderSteadyWrites(t *testing.T) {
+	hub, stacks := testNet(t, 2)
+	l, err := stacks[1].Listen(8081, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan *TCB, 1)
+	go func() {
+		if c, err := l.Accept(5 * time.Second); err == nil {
+			accepted <- c
+		}
+	}()
+	snd, err := stacks[0].Connect(stacks[1].Addr(), 8081, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snd.Close()
+	var rcv *TCB
+	select {
+	case rcv = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no connection accepted")
+	}
+	defer rcv.Close()
+
+	const writes, lost, gap = 40, 5, 50 * time.Millisecond
+	written := make([]time.Time, writes)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < writes; i++ {
+			if i == lost {
+				if err := hub.PartitionPort(stacks[1].MAC(), gap/2); err != nil {
+					done <- err
+					return
+				}
+			}
+			written[i] = time.Now()
+			if _, err := snd.Write([]byte{byte(i)}); err != nil {
+				done <- err
+				return
+			}
+			time.Sleep(gap)
+		}
+		done <- nil
+	}()
+
+	arrived := make([]time.Time, 0, writes)
+	buf := make([]byte, writes)
+	for len(arrived) < writes {
+		n, err := rcv.ReadDeadline(buf, time.Now().Add(5*time.Second))
+		now := time.Now()
+		for _, b := range buf[:n] {
+			if int(b) != len(arrived) {
+				t.Fatalf("read byte %d where byte %d was due", b, len(arrived))
+			}
+			arrived = append(arrived, now)
+		}
+		if err != nil {
+			t.Fatalf("read after %d bytes: %v", len(arrived), err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range arrived {
+		if d := at.Sub(written[i]); d > time.Second {
+			t.Fatalf("byte %d read %v after its write, want within 1s", i, d.Round(time.Millisecond))
+		}
+	}
+	if hub.FaultStats().PartitionDrops == 0 {
+		t.Error("the partition dropped nothing; the test exercised nothing")
+	}
+}
