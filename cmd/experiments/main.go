@@ -96,8 +96,10 @@ func runE4(payload int) error {
 	}
 	fmt.Println("E4 — redirector throughput, plaintext vs issl-secured (§2, after Goldberg et al.)")
 	fmt.Printf("  plaintext   %10.0f KB/s (per CPU-second)\n", r.PlainKBps)
-	fmt.Printf("  issl        %10.0f KB/s (per CPU-second)\n", r.SecureKBps)
+	fmt.Printf("  issl        %10.0f KB/s (per CPU-second; software AES and SHA-1)\n", r.SecureKBps)
 	fmt.Printf("  slowdown    %10.1fx   (paper cites ~an order of magnitude)\n", r.Slowdown)
+	fmt.Printf("  issl, hw    %10.0f KB/s (per CPU-second; AES-NI and SHA-NI where present)\n", r.HardwareKBps)
+	fmt.Printf("  slowdown    %10.1fx\n", r.HardwareSlowdown)
 	return nil
 }
 

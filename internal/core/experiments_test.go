@@ -77,8 +77,8 @@ func TestRunE4Shape(t *testing.T) {
 	if r.Slowdown < 1.5 {
 		t.Errorf("SSL slowdown = %.1fx; expected a clear cost (paper cites ~10x)", r.Slowdown)
 	}
-	t.Logf("E4: plain=%.0f KB/s, secure=%.0f KB/s, slowdown=%.1fx over %d bytes",
-		r.PlainKBps, r.SecureKBps, r.Slowdown, r.Bytes)
+	t.Logf("E4: plain=%.0f KB/s, secure=%.0f KB/s, slowdown=%.1fx over %d bytes; hardware kernels %.0f KB/s, %.1fx",
+		r.PlainKBps, r.SecureKBps, r.Slowdown, r.Bytes, r.HardwareKBps, r.HardwareSlowdown)
 }
 
 func TestRunE5Shape(t *testing.T) {

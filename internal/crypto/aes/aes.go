@@ -5,20 +5,30 @@
 // everything but 128-bit keys and blocks; issl's embedded profile
 // enforces that reduced configuration.
 //
-// Two implementations coexist: a straightforward byte-oriented
-// transliteration of the Rijndael specification — the same style as the
-// portable C code the paper ported — and a precomputed T-table fast
-// path (ttable.go) used for the FIPS-197 Nb=4 geometry that the issl
-// record layer runs hot. The generic path remains the only
-// implementation for 192/256-bit blocks and serves as the in-package
-// oracle for the fast path. The hand-written Rabbit assembly
-// counterpart lives in asm/aes128.asm and is exercised on the CPU
-// simulator by the E1 benchmark.
+// Three implementations coexist. On amd64 CPUs with AES-NI the
+// FIPS-197 geometry (16-byte blocks, every key size) runs in the
+// AESENC/AESDEC kernels of aes_amd64.s, the host's counterpart of the
+// paper's hand-assembled Rabbit AES (asm/aes128.asm, exercised on the
+// CPU simulator by the E1 benchmark). Elsewhere that geometry takes the
+// precomputed T-table path (ttable.go). The byte-oriented
+// transliteration of the Rijndael specification, the same style as the
+// portable C code the paper ported, is the only implementation for
+// 192/256-bit blocks and the in-package oracle both fast paths are
+// tested against. New picks the path once per Cipher, from CPUID
+// unless SetHardware says otherwise, and builds only that path's key
+// schedule.
+//
+// The T-table path indexes its tables with key- and data-dependent
+// bytes, so its cache footprint leaks key material to a timing
+// attacker sharing the CPU; the AES-NI rounds touch no tables (the key
+// schedule is still expanded through the S-box, once per key).
 package aes
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Block/key sizes in bytes accepted by New.
@@ -36,8 +46,21 @@ type Cipher struct {
 	nr     int      // number of rounds
 	rk     []uint32 // expanded key, (nr+1)*nb words
 	drk    []uint32 // equivalent-inverse key for the Nb=4 T-table path
+	ek, dk []byte   // AES-NI round keys, byte order; nil off that path
 	shifts [4]int   // ShiftRows offsets per row
 }
+
+// useAESNI selects the AES-NI path for the 16-byte-block ciphers New
+// builds. It starts as hasAESNI; SetHardware changes it.
+var useAESNI atomic.Bool
+
+// SetHardware chooses the path for the 16-byte-block ciphers New builds
+// from now on: the AES-NI kernels (on, where CPUID reports AES-NI) or
+// the portable T-table code (off). Ciphers already built keep their
+// path. It returns the previous choice; the default is on. E4 turns it
+// off to measure the software SSL the paper's claim is about, and the
+// tests run both paths on one host.
+func SetHardware(on bool) (was bool) { return useAESNI.Swap(on && hasAESNI) }
 
 var (
 	// ErrKeySize is returned for key lengths other than 16/24/32 bytes.
@@ -79,6 +102,7 @@ func init() {
 		isbox[s] = byte(i)
 	}
 	initTables()
+	useAESNI.Store(hasAESNI)
 }
 
 func rotl8(b byte, n uint) byte { return b<<n | b>>(8-n) }
@@ -166,9 +190,27 @@ func (c *Cipher) expandKey(key []byte) {
 		}
 		c.rk[i] = c.rk[i-c.nk] ^ t
 	}
-	if c.nb == 4 {
+	if c.nb != 4 {
+		return
+	}
+	if useAESNI.Load() {
+		c.expandKeyNI()
+	} else {
 		c.expandDecKey()
 	}
+}
+
+// expandKeyNI lays the schedule out for the AES-NI kernels: each round
+// key's four words as 16 bytes, then the equivalent-inverse keys
+// (AESIMC on the middle ones) for AESDEC. Both share one allocation.
+func (c *Cipher) expandKeyNI() {
+	n := len(c.rk) * 4
+	xk := make([]byte, 2*n)
+	for i, w := range c.rk {
+		binary.BigEndian.PutUint32(xk[4*i:], w)
+	}
+	c.ek, c.dk = xk[:n:n], xk[n:]
+	expandDecNI(c.nr, &c.ek[0], &c.dk[0])
 }
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
@@ -185,15 +227,18 @@ func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < bs || len(dst) < bs {
 		panic("aes: input not full block")
 	}
-	if c.nb == 4 {
+	switch {
+	case c.ek != nil:
+		encryptBlockNI(c.nr, &c.ek[0], &dst[0], &src[0])
+	case c.nb == 4:
 		c.encryptBlock4(dst, src)
-		return
+	default:
+		c.encryptGeneric(dst, src)
 	}
-	c.encryptGeneric(dst, src)
 }
 
 // encryptGeneric is the byte-oriented spec transliteration, used for
-// the big Rijndael blocks and as the T-table path's oracle.
+// the big Rijndael blocks and as the fast paths' oracle.
 func (c *Cipher) encryptGeneric(dst, src []byte) {
 	bs := c.BlockSize()
 	var st [32]byte // column-major state, 4 rows x nb cols
@@ -217,11 +262,14 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < bs || len(dst) < bs {
 		panic("aes: input not full block")
 	}
-	if c.nb == 4 {
+	switch {
+	case c.dk != nil:
+		decryptBlockNI(c.nr, &c.dk[0], &dst[0], &src[0])
+	case c.nb == 4:
 		c.decryptBlock4(dst, src)
-		return
+	default:
+		c.decryptGeneric(dst, src)
 	}
-	c.decryptGeneric(dst, src)
 }
 
 // decryptGeneric is the byte-oriented inverse cipher.

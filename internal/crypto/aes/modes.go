@@ -44,8 +44,9 @@ func (c *Cipher) Unpad(data []byte) ([]byte, error) {
 
 // EncryptCBCInPlace encrypts buf (a whole number of blocks) in place
 // under the given IV, allocating nothing. This is the record-layer
-// fast path: for 16-byte blocks the chaining value stays in registers
-// (encryptCBC4); the 24- and 32-byte Rijndael blocks chain byte by byte.
+// fast path: for 16-byte blocks the chaining value stays in a register
+// (encryptCBCNI, or encryptCBC4 on the T-table path); the 24- and
+// 32-byte Rijndael blocks chain byte by byte.
 func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 	bs := c.BlockSize()
 	if len(iv) != bs {
@@ -54,7 +55,11 @@ func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 	if len(buf)%bs != 0 {
 		return fmt.Errorf("aes: CBC plaintext length %d not a multiple of %d", len(buf), bs)
 	}
-	if c.nb == 4 {
+	switch {
+	case c.ek != nil:
+		encryptCBCNI(c.nr, &c.ek[0], &iv[0], buf)
+		return nil
+	case c.nb == 4:
 		c.encryptCBC4(iv, buf)
 		return nil
 	}
@@ -71,8 +76,9 @@ func (c *Cipher) EncryptCBCInPlace(iv, buf []byte) error {
 }
 
 // DecryptCBCInPlace reverses EncryptCBCInPlace, decrypting buf in
-// place. For 16-byte blocks the ciphertext chain is four words in
-// registers (decryptCBC4); the bigger blocks keep it in stack scratch.
+// place. For 16-byte blocks decryptCBCNI runs eight blocks at a time
+// (decryptCBC4 carries the chain in four words on the T-table path);
+// the bigger blocks keep it in stack scratch.
 func (c *Cipher) DecryptCBCInPlace(iv, buf []byte) error {
 	bs := c.BlockSize()
 	if len(iv) != bs {
@@ -81,7 +87,11 @@ func (c *Cipher) DecryptCBCInPlace(iv, buf []byte) error {
 	if len(buf)%bs != 0 {
 		return fmt.Errorf("aes: CBC ciphertext length %d not a multiple of %d", len(buf), bs)
 	}
-	if c.nb == 4 {
+	switch {
+	case c.dk != nil:
+		decryptCBCNI(c.nr, &c.dk[0], &iv[0], buf)
+		return nil
+	case c.nb == 4:
 		c.decryptCBC4(iv, buf)
 		return nil
 	}

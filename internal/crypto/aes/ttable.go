@@ -1,19 +1,21 @@
 package aes
 
 // T-table fast path for the FIPS-197 geometry (Nb=4, the only block
-// size the issl record layer runs hot). The four 256-entry tables fold
-// SubBytes, ShiftRows and MixColumns into one lookup+XOR per state
-// byte per round — the same transformation the paper applied by hand
-// in Rabbit assembly, done here at the Go level. The cipher is one
-// words-in, words-out round function per direction (encrypt4,
-// decrypt4) shared by the single-block and CBC paths, and CBC keeps
-// its chaining value in four uint32 locals, so the state stays in
-// registers from the first block of a record to the last — the
-// paper's §6 lesson at host scale. Tables are generated at init from
-// the same GF(2^8) arithmetic as the S-boxes, so they are correct by
-// construction; the byte-oriented spec transliteration in aes.go
-// remains both the path for the big Rijndael blocks and the in-package
-// oracle the tests diff against.
+// size the issl record layer runs hot) wherever the AES-NI kernels of
+// aes_amd64.s do not run: other architectures, CPUs without AES-NI,
+// and ciphers built after SetHardware(false). The four 256-entry
+// tables fold SubBytes, ShiftRows and MixColumns into one lookup+XOR
+// per state byte per round — the same transformation the paper
+// applied by hand in Rabbit assembly, done here at the Go level. The
+// cipher is one words-in, words-out round function per direction
+// (encrypt4, decrypt4) shared by the single-block and CBC paths, and
+// CBC keeps its chaining value in four uint32 locals, so the state
+// stays in registers from the first block of a record to the last —
+// the paper's §6 lesson at host scale. Tables are generated at init
+// from the same GF(2^8) arithmetic as the S-boxes, so they are
+// correct by construction; the byte-oriented spec transliteration in
+// aes.go remains both the path for the big Rijndael blocks and the
+// in-package oracle the tests diff against.
 
 import "encoding/binary"
 

@@ -1,25 +1,30 @@
-// Package sha1 implements the SHA-1 hash and HMAC-SHA1 from scratch
-// (crypto/sha1 is deliberately not imported). SSL-era libraries like
-// issl used MD5/SHA-1 for key derivation and record authentication;
-// this package supplies both needs for the simulated library.
+// Package sha1 implements the SHA-1 hash and HMAC-SHA1 without
+// crypto/sha1, which is imported only by the tests as their oracle.
+// SSL-era libraries like issl used MD5/SHA-1 for key derivation and
+// record authentication; this package supplies both needs for the
+// simulated library.
 //
 // SHA-1 is obsolete for collision resistance today; it is used here
 // solely to reproduce a 2003-era protocol stack.
 //
 // The compression function takes a whole run of blocks per call: Write
-// hands it every complete block of a write at once, and the chaining
-// value stays in locals from one block to the next. Each block's 80
-// rounds are written out as four 20-round stages (constant f and k per
-// stage) in groups of five, with the working-variable names rotating
-// through the group instead of shuffling five registers every round.
-// The streaming paths allocate nothing, so the issl record layer can
-// MAC every record without garbage. The package tests diff it against
-// crypto/sha1.
+// hands it every complete block of a write at once. On amd64 CPUs with
+// SHA-NI the run goes to the assembly kernel in sha1_amd64.s, which
+// keeps A..D and E in two vector registers and does four rounds per
+// SHA1RNDS4, with SHA1MSG1/SHA1MSG2 computing the message schedule.
+// Elsewhere the Go rounds run: the chaining value stays in locals from
+// one block to the next, and each block's 80 rounds are written out as
+// four 20-round stages (constant f and k per stage) in groups of five,
+// with the working-variable names rotating through the group instead of
+// shuffling five registers every round. The streaming paths allocate
+// nothing, so the issl record layer can MAC every record without
+// garbage. The package tests diff both paths against crypto/sha1.
 package sha1
 
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Size is the digest length in bytes.
@@ -27,6 +32,21 @@ const Size = 20
 
 // BlockSize is the compression-function block length in bytes.
 const BlockSize = 64
+
+// useSHANI routes compress to the SHA-NI kernel. It starts as
+// hasSHANI; SetHardware changes it.
+var useSHANI atomic.Bool
+
+func init() { useSHANI.Store(hasSHANI) }
+
+// SetHardware chooses the compression function every Digest uses from
+// now on: the SHA-NI kernel (on, where CPUID reports SHA-NI, SSSE3 and
+// SSE4.1) or the portable Go rounds (off). Both compute the same
+// digest, so a switch mid-stream is harmless. It returns the previous
+// choice; the default is on. E4 turns it off to measure the software
+// SSL the paper's claim is about, and the tests run both paths on one
+// host.
+func SetHardware(on bool) (was bool) { return useSHANI.Swap(on && hasSHANI) }
 
 // Digest is a streaming SHA-1 computation. The zero value is NOT
 // ready; use New.
@@ -100,13 +120,23 @@ func (d *Digest) SumInto(out *[Size]byte) {
 	}
 }
 
-// compress absorbs p, a whole number of blocks, keeping the chaining
-// value in locals across the run. The 80 rounds are written out in
-// groups of five: each line is one round with the roles of a..e
+// compress absorbs p, a whole number of blocks: in the SHA-NI kernel
+// where the CPU has one, else in compressGeneric.
+func (d *Digest) compress(p []byte) {
+	if useSHANI.Load() {
+		blockSHANI(&d.h, p)
+		return
+	}
+	d.compressGeneric(p)
+}
+
+// compressGeneric is the portable compression function. It keeps the
+// chaining value in locals across the run, and writes the 80 rounds out
+// in groups of five: each line is one round with the roles of a..e
 // rotated one place from the line before, so after five rounds every
 // name is back in place and no round shuffles five registers. Written
 // out, every message-schedule index is a constant.
-func (d *Digest) compress(p []byte) {
+func (d *Digest) compressGeneric(p []byte) {
 	var w [16]uint32
 	h0, h1, h2, h3, h4 := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
 	for ; len(p) >= BlockSize; p = p[BlockSize:] {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/crypto/bignum"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
+	"repro/internal/crypto/sha1"
 )
 
 // fuzzTransport feeds a fixed byte string to the record reader and
@@ -46,6 +47,14 @@ func fuzzKeyedConn(t testing.TB) *Conn {
 		wMAC: mac, rMAC: mac,
 		rng: prng.NewXorshift(7),
 	}
+}
+
+// onPath runs f with the record kernels on the hardware path (where
+// this CPU has it) or on the portable path.
+func onPath(hw bool, f func()) {
+	defer aes.SetHardware(aes.SetHardware(hw))
+	defer sha1.SetHardware(sha1.SetHardware(hw))
+	f()
 }
 
 func FuzzISSLRecord(f *testing.F) {
@@ -92,6 +101,31 @@ func FuzzISSLRecord(f *testing.F) {
 		if !bytes.Equal(pt, data) {
 			t.Fatalf("seal/open round-trip corrupted %d bytes", len(data))
 		}
+		// Cross-path: sealing on the portable kernels gives the same
+		// bytes as on the hardware ones (same keys, same IV stream),
+		// and each path opens the other's record.
+		var sealedOn [2][]byte // hardware, portable
+		for i, hw := range []bool{true, false} {
+			onPath(hw, func() {
+				r, err := fuzzKeyedConn(t).appendSealed(nil, recData, data)
+				if err != nil {
+					t.Fatalf("appendSealed(%d bytes, hw %v): %v", len(data), hw, err)
+				}
+				sealedOn[i] = r[recordHeaderLen:]
+			})
+		}
+		if !bytes.Equal(sealedOn[0], sealedOn[1]) {
+			t.Fatalf("%d bytes: hardware and portable kernels sealed different records", len(data))
+		}
+		for i, hw := range []bool{false, true} { // open the other path's record
+			onPath(hw, func() {
+				pt, err := fuzzKeyedConn(t).openRecord(recData, bytes.Clone(sealedOn[i]))
+				if err != nil || !bytes.Equal(pt, data) {
+					t.Fatalf("%d bytes: opening on hw=%v: err %v, plaintext match %v", len(data), hw, err, bytes.Equal(pt, data))
+				}
+			})
+		}
+
 		// A single flipped ciphertext bit must flip the verdict too.
 		if len(sealed) > 0 {
 			sealed[len(sealed)/2] ^= 0x01

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -43,10 +44,13 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 	defer cl.Close()
 
 	ks := &killState{}
+	stop := make(chan struct{})
+	var chaos sync.WaitGroup
+	chaosStart := time.Now().UnixNano()
 	if cfg.KillAfter > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
+		chaos.Add(1)
 		go func() {
+			defer chaos.Done()
 			select {
 			case <-stop:
 				return
@@ -62,13 +66,20 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 				return
 			case <-time.After(cfg.RestartAfter):
 			}
-			// Ignore a restart error: the run may already be tearing
-			// down, and a kill-only report is still valid.
-			_ = cl.RestartNode(cfg.KillNode)
+			// A restart error leaves restartedAt unset: the run may
+			// already be tearing down, and a kill-only report is still
+			// valid.
+			if cl.RestartNode(cfg.KillNode) == nil {
+				ks.restartedAt.Store(time.Now().UnixNano())
+			}
 		}()
 	}
 
 	fc, wall, wallHist := runFleet(cfg, cli, p, ks)
+	// Stop the chaos plan before reading its timeline: a kill whose
+	// timer outlasts the fleet never runs and is not reported.
+	close(stop)
+	chaos.Wait()
 
 	regs := make([]*telemetry.Registry, cl.Nodes())
 	for i := range regs {
@@ -90,14 +101,15 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		NodeDowns:  bs.NodeDowns.Value(),
 		NodeUps:    bs.NodeUps.Value(),
 		NodesUpEnd: cl.Balancer().UpCount(),
+		KilledNode: -1,
 	}
-	if cfg.KillAfter > 0 {
+	if ka := ks.killedAt.Load(); ka != 0 {
 		cr.KilledNode = cfg.KillNode
-		cr.KillAfterNs = uint64(cfg.KillAfter.Nanoseconds())
-		cr.RestartAfterNs = uint64(cfg.RestartAfter.Nanoseconds())
+		cr.KillAfterNs = uint64(ka - chaosStart)
+		if ra := ks.restartedAt.Load(); ra != 0 {
+			cr.RestartAfterNs = uint64(ra - ka)
+		}
 		cr.RecoveryNs = ks.recoveryNs()
-	} else {
-		cr.KilledNode = -1
 	}
 	m.Cluster = cr
 	return m, nil

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,6 +43,38 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if rep.Measured.Cluster.KilledNode != -1 {
 		t.Errorf("no kill was scheduled but KilledNode = %d", rep.Measured.Cluster.KilledNode)
+	}
+}
+
+// TestClusterKillAfterRunNotReported schedules a kill the fleet
+// outlasts: the run ends before the timer, so no node dies and the
+// report must say so, with no chaos line in the text.
+func TestClusterKillAfterRunNotReported(t *testing.T) {
+	rep, err := Run(Config{
+		Seed: 22, Clients: 6, Requests: 2, Resume: 0.5, Concurrency: 3,
+		Instances:    3,
+		KillNode:     1,
+		KillAfter:    time.Minute,
+		RestartAfter: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := rep.Measured.Cluster
+	if cr == nil {
+		t.Fatal("no cluster section in the report")
+	}
+	if cr.KilledNode != -1 || cr.KillAfterNs != 0 || cr.RestartAfterNs != 0 || cr.RecoveryNs != 0 {
+		t.Errorf("kill never ran but the report has node %d killed at %v, restarted %v later, recovery %v",
+			cr.KilledNode, time.Duration(cr.KillAfterNs), time.Duration(cr.RestartAfterNs), time.Duration(cr.RecoveryNs))
+	}
+	if cr.NodesUpEnd != 3 {
+		t.Errorf("%d/3 nodes up at the end, want all", cr.NodesUpEnd)
+	}
+	var text strings.Builder
+	rep.WriteText(&text)
+	if strings.Contains(text.String(), "chaos") {
+		t.Errorf("text report claims a kill:\n%s", text.String())
 	}
 }
 
@@ -95,6 +128,9 @@ func TestClusterNodeKillSoak(t *testing.T) {
 	}
 	if cr.KilledNode != killed {
 		t.Fatalf("killed node = %d, want %d", cr.KilledNode, killed)
+	}
+	if cr.KillAfterNs < uint64(150*time.Millisecond) {
+		t.Errorf("kill reported at %v, before its 150ms timer", time.Duration(cr.KillAfterNs))
 	}
 	// The health checker saw the kill.
 	if cr.NodeDowns == 0 {

@@ -214,12 +214,14 @@ type fleetCounters struct {
 	retries                     atomic.Uint64 // requests that needed a fresh-connection retry
 }
 
-// killState tracks the node-kill chaos timeline: when the kill landed
-// and when the fleet first completed a request afterwards — the
-// service-level recovery bound the cluster report publishes.
+// killState tracks the node-kill chaos timeline: when the kill and the
+// restart landed, and when the fleet first completed a request after
+// the kill — the service-level recovery bound the cluster report
+// publishes.
 type killState struct {
-	killedAt atomic.Int64 // unix ns; 0 = not (yet) killed
-	firstOk  atomic.Int64 // unix ns of first success after the kill
+	killedAt    atomic.Int64 // unix ns; 0 = not (yet) killed
+	restartedAt atomic.Int64 // unix ns; 0 = not (yet) restarted
+	firstOk     atomic.Int64 // unix ns of first success after the kill
 }
 
 func (ks *killState) noteOK() {

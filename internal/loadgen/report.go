@@ -115,7 +115,10 @@ type ClusterReport struct {
 	NodeDowns  uint64 `json:"node_downs"`
 	NodeUps    uint64 `json:"node_ups"`
 	NodesUpEnd int    `json:"nodes_up_end"`
-	// KilledNode is the chaos plan's victim (-1 when no kill ran).
+	// KilledNode is the chaos plan's victim, -1 when no kill ran
+	// (none planned, or the fleet finished before its timer fired).
+	// KillAfterNs is when the kill landed, from the start of the run;
+	// RestartAfterNs is the kill -> restart gap, 0 if no restart ran.
 	KilledNode     int    `json:"killed_node"`
 	KillAfterNs    uint64 `json:"kill_after_ns,omitempty"`
 	RestartAfterNs uint64 `json:"restart_after_ns,omitempty"`
