@@ -7,9 +7,10 @@ package chaos
 // process-wide, so every goroutine on the path (both stacks' receive
 // and timer loops, the server's echo loop) is inside the measurement.
 //
-// echoServer is not used here: its per-read idle deadline arms a
-// timer (an allocation) per echo, which is fine for soaks and fatal
-// for this pin. This harness is the same layering with zero deadlines.
+// The harness is echoServer's layering without its bookkeeping. It
+// runs twice: with no deadlines, and with a deadline on every read at
+// both ends, as echoServer's idle limit sets one. A deadline wait
+// re-arms the TCB's one wake timer, so it must allocate nothing either.
 
 import (
 	"testing"
@@ -22,7 +23,13 @@ import (
 	"repro/internal/tcpip"
 )
 
-func TestEchoRoundTripZeroAlloc(t *testing.T) {
+func TestEchoRoundTripZeroAlloc(t *testing.T) { echoRoundTripZeroAlloc(t, false) }
+
+func TestEchoRoundTripZeroAllocReadDeadline(t *testing.T) { echoRoundTripZeroAlloc(t, true) }
+
+// echoRoundTripZeroAlloc pins one secure echo round trip at 0 allocs;
+// with deadline set, every read at both ends carries a deadline.
+func echoRoundTripZeroAlloc(t *testing.T, deadline bool) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
@@ -61,8 +68,9 @@ func TestEchoRoundTripZeroAlloc(t *testing.T) {
 		ready <- conn
 		buf := make([]byte, 4096)
 		for {
-			// No read deadline: a deadline arms a timer per wait, and
-			// this loop must stay off the allocator.
+			if deadline {
+				conn.SetReadDeadline(time.Now().Add(time.Minute))
+			}
 			n, err := conn.Read(buf)
 			if n > 0 {
 				if _, werr := conn.Write(buf[:n]); werr != nil {
@@ -103,6 +111,9 @@ func TestEchoRoundTripZeroAlloc(t *testing.T) {
 		}
 		got := 0
 		for got < len(payload) {
+			if deadline {
+				conn.SetReadDeadline(time.Now().Add(time.Minute))
+			}
 			n, err := conn.Read(rbuf[got:])
 			if err != nil {
 				t.Fatal(err)

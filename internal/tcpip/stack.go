@@ -82,6 +82,16 @@ func NewStack(hub *netsim.Hub, ip Addr) (*Stack, error) {
 // resolved once here, so there is no registry swap to race with; either
 // argument may be nil (nil registry: counters are no-ops).
 func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, trace *telemetry.Trace) (*Stack, error) {
+	s, err := newStack(hub, ip, reg, trace)
+	if err != nil {
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
+}
+
+// newStack builds and attaches a stack without starting its loop.
+func newStack(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, trace *telemetry.Trace) (*Stack, error) {
 	mac := netsim.MAC{0x02, 0x00, ip[0], ip[1], ip[2], ip[3]}
 	port, err := hub.Attach(mac)
 	if err != nil {
@@ -104,7 +114,6 @@ func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, tr
 		metrics:    newStackMetrics(reg),
 		trace:      trace,
 	}
-	go s.loop()
 	return s, nil
 }
 
@@ -145,29 +154,25 @@ func (s *Stack) Close() {
 	})
 }
 
-// loop is the stack's one goroutine. When the port is ready it drains
-// the whole pending batch and demuxes each frame in place; every frame
-// handed to handleFrameView is a view into the drain slab, valid until
-// the next Drain, so the handlers copy only what they keep (TCP
-// receive-buffer bytes, ARP cache entries). Every 10 ms it ticks each
-// TCB's timers. A port closed under a live stack (its hub closed) stops
-// the demux; the timers run until Close.
+// loop is the stack's one goroutine. When the port is ready it serves
+// the pending batch (serveBatch). Every 10 ms it ticks each TCB's
+// timers. A port closed under a live stack (its hub closed) stops the
+// demux; the timers run until Close.
 func (s *Stack) loop() {
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	ready := s.port.Ready()
-	var scratch []*TCB // reused across ticks: the loop must not allocate at steady state
+	// Both lists are reused: the loop must not allocate at steady state.
+	// owed is the loop's own, so the segment path takes no extra lock.
+	var scratch, owed []*TCB
 	for {
 		select {
 		case <-s.closed:
 			return
 		case <-ready:
-			frames, err := s.port.Drain()
-			if err != nil {
+			var err error
+			if owed, err = s.serveBatch(owed); err != nil {
 				ready = nil
-			}
-			for _, f := range frames {
-				s.handleFrameView(f)
 			}
 		case now := <-tick.C:
 			s.mu.Lock()
@@ -183,12 +188,33 @@ func (s *Stack) loop() {
 	}
 }
 
+// serveBatch drains every frame pending on the port and demuxes each in
+// place; every frame handed to handleFrameView is a view into the drain
+// slab, valid until the next Drain, so the handlers copy only what they
+// keep (TCP receive-buffer bytes, ARP cache entries). Then it flushes
+// the ACKs the batch's in-order data earned: one pure ACK per TCB that
+// no segment sent meanwhile has acknowledged for it. owed is scratch,
+// returned emptied for reuse; the error is the Drain's.
+func (s *Stack) serveBatch(owed []*TCB) ([]*TCB, error) {
+	frames, err := s.port.Drain()
+	for _, f := range frames {
+		if t := s.handleFrameView(f); t != nil {
+			owed = append(owed, t)
+		}
+	}
+	for _, t := range owed {
+		t.flushACK()
+	}
+	clear(owed)
+	return owed[:0], err
+}
+
 // handleFrameView demuxes one received frame by ethertype and IP
 // protocol without decoding headers into structs: IPv4 and TCP headers
 // are read through validated views over the drain slab, so the payload
 // travels from the wire to the TCP receive buffer with no intermediate
-// copy.
-func (s *Stack) handleFrameView(f netsim.EthFrame) {
+// copy. It returns the TCB the frame left owing an ACK, or nil.
+func (s *Stack) handleFrameView(f netsim.EthFrame) *TCB {
 	switch f.EtherType() {
 	case netsim.EtherTypeARP:
 		s.mu.Lock()
@@ -197,15 +223,16 @@ func (s *Stack) handleFrameView(f netsim.EthFrame) {
 	case netsim.EtherTypeIPv4:
 		ip, err := ParseIPv4Frame(f.Payload())
 		if err != nil || ip.Dst() != s.ip {
-			return
+			return nil
 		}
 		switch ip.Proto() {
 		case ProtoICMP:
 			s.handleICMP(ip.Src(), ip.Payload())
 		case ProtoTCP:
-			s.handleTCPView(ip.Src(), ip.Payload())
+			return s.handleTCPView(ip.Src(), ip.Payload())
 		}
 	}
+	return nil
 }
 
 // addTCBLocked registers t in the connection table under key, which

@@ -15,6 +15,18 @@ import (
 // and bounded out-of-order reassembly (segments ahead of the expected
 // sequence wait for the gap to fill instead of forcing retransmission).
 //
+// ACK policy: the drain batch is the ACK unit, as receive coalescing
+// makes it on a real NIC. In-order data does not answer with a pure
+// ACK of its own; it marks the TCB as owing one, and Stack.loop sends
+// one pure ACK per TCB still owing after it has demuxed the whole
+// batch. Every segment a TCB sends carries ack = rcvNxt, so a reply
+// written before that flush pays the debt and the ACK rides on the
+// data. Out-of-order data, a segment that fills a reassembly gap, and
+// old or duplicate data are ACKed at once (RFC 5681 §4.2), and so is
+// a FIN. There is no delayed-ACK timer: every ACK leaves within the
+// batch that earned it, so a sender never waits on one against
+// maxInFlight.
+//
 // Two listen models coexist, because the paper's two platforms differ
 // exactly here (§5.3):
 //
@@ -209,6 +221,17 @@ type TCB struct {
 	// the connection dies first.
 	listener *Listener
 
+	// wake is the one timer that wakes deadline waiters, armed for
+	// wakeAt (zero when not armed) while timedWaiters > 0; see
+	// armWakeLocked.
+	wake         *time.Timer
+	wakeAt       time.Time
+	timedWaiters int
+
+	// ackOwed marks in-order data received in the current drain batch
+	// and not yet acknowledged; any segment sent with ACK clears it.
+	ackOwed bool
+
 	// txScratch is the reusable segment marshal buffer (guarded by
 	// t.mu, like every send call); Port.Send copies at the wire
 	// boundary, so reuse on the next segment is safe.
@@ -231,24 +254,60 @@ func (t *TCB) RemoteAddr() (Addr, uint16) {
 // waitCond blocks until pred() holds, the connection errors, or the
 // deadline passes. Called with t.mu held; returns with t.mu held.
 func (t *TCB) waitCond(deadline time.Time, pred func() bool) error {
+	if !deadline.IsZero() {
+		t.timedWaiters++
+		defer t.leaveTimedWaitLocked()
+	}
 	for !pred() {
 		if t.err != nil {
 			return t.err
 		}
-		now := time.Now()
-		if !deadline.IsZero() && now.After(deadline) {
-			return ErrTimeout
-		}
-		var timer *time.Timer
 		if !deadline.IsZero() {
-			timer = time.AfterFunc(deadline.Sub(now), t.cond.Broadcast)
+			now := time.Now()
+			if now.After(deadline) {
+				return ErrTimeout
+			}
+			t.armWakeLocked(deadline, now)
 		}
 		t.cond.Wait()
-		if timer != nil {
-			timer.Stop()
-		}
 	}
 	return nil
+}
+
+// armWakeLocked makes sure the TCB's one wake timer fires no later
+// than deadline. Waiters with different deadlines share it: it is set
+// to the earliest, and when it fires every waiter wakes, re-checks,
+// and whoever still waits re-arms it for its own deadline. Reusing one
+// timer keeps a deadline wait off the allocator. t.mu held.
+func (t *TCB) armWakeLocked(deadline, now time.Time) {
+	if !t.wakeAt.IsZero() && !deadline.Before(t.wakeAt) {
+		return
+	}
+	t.wakeAt = deadline
+	if t.wake == nil {
+		t.wake = time.AfterFunc(deadline.Sub(now), t.wakeWaiters)
+		return
+	}
+	t.wake.Reset(deadline.Sub(now))
+}
+
+// leaveTimedWaitLocked stops the wake timer once no deadline waiter is
+// left, so a pending timer does not keep a finished TCB reachable until
+// a long deadline passes. t.mu held.
+func (t *TCB) leaveTimedWaitLocked() {
+	t.timedWaiters--
+	if t.timedWaiters == 0 && !t.wakeAt.IsZero() {
+		t.wake.Stop()
+		t.wakeAt = time.Time{}
+	}
+}
+
+// wakeWaiters is the wake timer's callback.
+func (t *TCB) wakeWaiters() {
+	t.mu.Lock()
+	t.wakeAt = time.Time{}
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // sndLen returns the bytes pending in the send buffer. t.mu held.
@@ -292,6 +351,9 @@ func (t *TCB) send(seg tcpSegment) {
 	seg.srcPort = t.localPort
 	seg.dstPort = t.remotePort
 	seg.window = advertisedWnd
+	if seg.flags&flagACK != 0 {
+		t.ackOwed = false // every ACK carries rcvNxt
+	}
 	t.txScratch = appendTCPIP(t.txScratch, t.stack.ip, t.remoteIP, seg)
 	t.stack.metrics.segsSent.Inc()
 	t.stack.mu.Lock()
@@ -475,10 +537,14 @@ func (t *TCB) abortLocked(err error, sendRST bool) {
 	t.cond.Broadcast()
 }
 
-// handleSegment runs the state machine for one incoming segment.
-func (t *TCB) handleSegment(seg tcpSegment) {
+// handleSegment runs the state machine for one incoming segment. It
+// reports whether the segment left the TCB owing an ACK it did not owe
+// before, which the caller must send with flushACK once its batch is
+// done.
+func (t *TCB) handleSegment(seg tcpSegment) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	wasOwed := t.ackOwed
 
 	if seg.flags&flagRST != 0 {
 		switch t.state {
@@ -492,7 +558,7 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 				t.abortLocked(ErrConnReset, false)
 			}
 		}
-		return
+		return false
 	}
 
 	switch t.state {
@@ -510,13 +576,13 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 			t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
 			t.cond.Broadcast()
 		}
-		return
+		return false
 
 	case stateSynRcvd:
 		if seg.flags&flagSYN != 0 {
 			// Duplicate SYN: our SYN-ACK was lost; resend.
 			t.send(tcpSegment{seq: t.iss, ack: t.rcvNxt, flags: flagSYN | flagACK})
-			return
+			return false
 		}
 		if seg.flags&flagACK != 0 && seg.ack == t.iss+1 {
 			t.sndUna = seg.ack
@@ -535,11 +601,11 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 			t.cond.Broadcast()
 			// Fall through: segment may carry data too.
 		} else {
-			return
+			return false
 		}
 
 	case stateClosed, stateListen:
-		return
+		return false
 	}
 
 	// Data-phase states from here on.
@@ -596,12 +662,23 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 		case stateEstablished, stateFinWait1, stateFinWait2:
 			switch {
 			case seg.seq == t.rcvNxt:
+				fillsGap := len(t.ooo) > 0
 				t.appendRcvLocked(seg.payload)
 				t.rcvNxt += uint32(len(seg.payload))
 				t.drainOOO()
 				t.cond.Broadcast()
+				if fillsGap {
+					// A gap fill is ACKed at once, so the sender
+					// learns how far reassembly got.
+					t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
+				} else {
+					// The batch's flush (or a reply sent before it)
+					// carries this ACK.
+					t.ackOwed = true
+				}
 			case seqLT(t.rcvNxt, seg.seq):
-				// Future segment: stash for reassembly (bounded).
+				// Future segment: stash for reassembly (bounded), and
+				// send the duplicate ACK that prods the sender.
 				if t.ooo == nil {
 					t.ooo = map[uint32][]byte{}
 				}
@@ -610,10 +687,11 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 						t.ooo[seg.seq] = append([]byte(nil), seg.payload...)
 					}
 				}
+				t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
+			default:
+				// Old or duplicate data: our ACK was lost, so repeat it.
+				t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
 			}
-			// ACK everything: in-order data advances rcvNxt; dups and
-			// gaps produce the duplicate ACKs that prod the sender.
-			t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
 		default:
 			t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
 		}
@@ -642,6 +720,18 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 	}
 
 	t.transmit()
+	return t.ackOwed && !wasOwed
+}
+
+// flushACK sends the pure ACK a drain batch's in-order data earned,
+// unless a segment sent since has already carried it.
+func (t *TCB) flushACK() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ackOwed && t.state != stateClosed {
+		t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
+	}
+	t.ackOwed = false
 }
 
 // drainOOO appends any stashed segments that have become contiguous.
@@ -1029,25 +1119,27 @@ func (s *Stack) ListenOne(port uint16) (*TCB, error) {
 // view into the receive slab. The header is read in place through
 // TCPFrame; the segment's payload slice still aliases the slab, so
 // everything downstream must copy what it keeps before returning
-// (handleSegment's receive-buffer append does exactly that).
-func (s *Stack) handleTCPView(src Addr, b []byte) {
+// (handleSegment's receive-buffer append does exactly that). It
+// returns the TCB the segment left owing an ACK, or nil.
+func (s *Stack) handleTCPView(src Addr, b []byte) *TCB {
 	// The frame was addressed to us (handleFrameView checked), so the
 	// pseudo-header destination is our own address.
 	if pseudoChecksum(ProtoTCP, src, s.ip, b) != 0 {
 		s.metrics.checksumDrops.Inc()
 		s.trace.Emit("tcp", "checksum_drop", "src", src.String(), "len", len(b))
-		return
+		return nil
 	}
 	f, err := ParseTCPFrame(b)
 	if err != nil {
-		return
+		return nil
 	}
-	s.demuxTCP(src, f.segment())
+	return s.demuxTCP(src, f.segment())
 }
 
 // demuxTCP routes a verified segment to its TCB, matching SYNs against
-// listeners and answering strays with RST.
-func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
+// listeners and answering strays with RST. It returns the TCB if the
+// segment left it owing an ACK it did not owe before, else nil.
+func (s *Stack) demuxTCP(src Addr, seg tcpSegment) *TCB {
 	s.metrics.segsRcvd.Inc()
 	key := tcpKey{src, seg.srcPort, seg.dstPort}
 	s.mu.Lock()
@@ -1070,16 +1162,19 @@ func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
 			s.removeTCBLocked(key, t)
 			s.mu.Unlock()
 			s.sendRST(src, seg)
-			return
+			return nil
 		}
 	}
 	if t != nil {
-		t.handleSegment(seg)
-		return
+		if t.handleSegment(seg) {
+			return t
+		}
+		return nil
 	}
 	if seg.flags&flagRST == 0 {
 		s.sendRST(src, seg)
 	}
+	return nil
 }
 
 // matchSYNLocked matches an incoming SYN against DC one-shot sockets
