@@ -73,6 +73,10 @@ type Balancer struct {
 	stop  chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
+
+	connMu sync.Mutex
+	conns  map[*tcpip.TCB]struct{} // both ends of every live forward
+	closed bool                    // Close has aborted conns; track refuses
 }
 
 // newBalancer starts the balancer on its stack, probing and forwarding
@@ -93,6 +97,7 @@ func newBalancer(stack *tcpip.Stack, nodeAddrs []tcpip.Addr, cfg Config) (*Balan
 		stack: stack,
 		lst:   lst,
 		stop:  make(chan struct{}),
+		conns: make(map[*tcpip.TCB]struct{}),
 		stats: BalancerStats{
 			Accepted:  reg.Counter("cluster.accepted"),
 			Refused:   reg.Counter("cluster.refused"),
@@ -136,13 +141,41 @@ func (b *Balancer) UpCount() int {
 	return n
 }
 
-// Close stops accepting and probing and waits for the forwarders.
+// Close stops accepting and probing, aborts every forwarded connection
+// and waits for the forwarders. Aborting is what lets a relay whose
+// peer vanished without FIN or RST end: its halves block in reads with
+// no deadline, and nothing else would wake them.
 func (b *Balancer) Close() {
 	b.once.Do(func() {
 		close(b.stop)
 		b.lst.Close()
+		b.connMu.Lock()
+		b.closed = true
+		for tcb := range b.conns {
+			tcb.Abort()
+		}
+		b.connMu.Unlock()
 	})
 	b.wg.Wait()
+}
+
+// track records tcb as one end of a live forward, for Close to abort.
+// Once Close has run it aborts tcb instead and reports false.
+func (b *Balancer) track(tcb *tcpip.TCB) bool {
+	b.connMu.Lock()
+	defer b.connMu.Unlock()
+	if b.closed {
+		tcb.Abort()
+		return false
+	}
+	b.conns[tcb] = struct{}{}
+	return true
+}
+
+func (b *Balancer) untrack(tcb *tcpip.TCB) {
+	b.connMu.Lock()
+	delete(b.conns, tcb)
+	b.connMu.Unlock()
 }
 
 func (b *Balancer) acceptLoop() {
@@ -169,6 +202,10 @@ func clientKey(tcb *tcpip.TCB) uint64 {
 }
 
 func (b *Balancer) forward(client *tcpip.TCB) {
+	if !b.track(client) {
+		return
+	}
+	defer b.untrack(client)
 	key := clientKey(client)
 	tried := 0
 	for _, idx := range b.cfg.Policy.Order(key, len(b.nodes)) {
@@ -185,6 +222,10 @@ func (b *Balancer) forward(client *tcpip.TCB) {
 			b.cfg.Trace.Emit("cluster", "forward.failover", "node", idx, "err", err.Error())
 			continue
 		}
+		if !b.track(backend) {
+			return
+		}
+		defer b.untrack(backend)
 		n.forwarded.Inc()
 		b.stats.Accepted.Inc()
 		b.cfg.Trace.Emit("cluster", "forward.accept", "node", idx)

@@ -444,3 +444,85 @@ func waitNodeState(b *Balancer, i int, up bool, timeout time.Duration) bool {
 	}
 	return true
 }
+
+// TestBalancerCloseEndsSilentRelay: Close returns while a relay's
+// backend has vanished without FIN or RST. The relay is up and has
+// echoed once; then the wire drops every frame and the node's stack
+// closes, so its RSTs never arrive and both relay halves sit in reads
+// with no deadline. Close must abort them rather than wait.
+func TestBalancerCloseEndsSilentRelay(t *testing.T) {
+	const bound = 2 * time.Second
+	hub := netsim.NewHub()
+	defer hub.Close()
+	stack := func(last byte) *tcpip.Stack {
+		s, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	cli, lb, node := stack(1), stack(2), stack(4)
+
+	// A one-shot echo node.
+	l, err := node.Listen(nodePort, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := l.Accept(30 * time.Second)
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 64)
+		for {
+			n, err := conn.ReadDeadline(buf, time.Now().Add(30*time.Second))
+			if err != nil {
+				return
+			}
+			conn.Write(buf[:n])
+		}
+	}()
+
+	// No health endpoint: probing is pushed past the test's lifetime so
+	// the node stays in rotation.
+	setTiming(t, &probeInterval, time.Hour)
+	cfg, err := Config{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newBalancer(lb, []tcpip.Addr{node.Addr()}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcb, err := cli.Connect(lb.Addr(), listenPort, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcb.Abort()
+	if _, err := tcb.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	if n, err := tcb.ReadDeadline(buf, time.Now().Add(10*time.Second)); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("echo through the balancer: %q, %v", buf[:n], err)
+	}
+
+	if err := hub.SetFaultPlan(&netsim.FaultPlan{Seed: 1, LossGoodPct: 100}); err != nil {
+		t.Fatal(err)
+	}
+	node.Close()
+
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		b.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Logf("Close returned in %v", time.Since(start))
+	case <-time.After(bound):
+		t.Fatalf("Balancer.Close still waiting after %v on a relay whose backend vanished", bound)
+	}
+}

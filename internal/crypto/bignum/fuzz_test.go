@@ -8,7 +8,8 @@ import (
 
 // FuzzBignum cross-checks the limb arithmetic against math/big on the
 // same byte inputs: add, sub, mul, div/mod and modexp all have to
-// agree byte-for-byte. This is the fuzz-shaped twin of the conform
+// agree byte-for-byte, modexp on every kernel path the host has. This
+// is the fuzz-shaped twin of the conform
 // bignum/differential check; the CI fuzz-smoke matrix runs it for 30s
 // per push.
 func FuzzBignum(f *testing.F) {
@@ -24,11 +25,13 @@ func FuzzBignum(f *testing.F) {
 	// RSA-ish sizes.
 	f.Add(bytes.Repeat([]byte{0x5a}, 32), bytes.Repeat([]byte{0xa5}, 24), append([]byte{0x80}, bytes.Repeat([]byte{0x11}, 15)...))
 	// Montgomery kernel widths: all-ones 4- and 8-limb moduli (the
-	// unrolled kernels), a 9-limb one (generic), and x = m − 1.
+	// unrolled kernels), a 9-limb one (generic), a 16-limb one (the
+	// assembly loop kernel), and x = m − 1.
 	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x3c}, 10), bytes.Repeat([]byte{0xff}, 32))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 10), bytes.Repeat([]byte{0xff}, 64))
 	f.Add(append(bytes.Repeat([]byte{0xc3}, 63), 0xfe), bytes.Repeat([]byte{0x77}, 9), append(bytes.Repeat([]byte{0xc3}, 63), 0xff))
 	f.Add(bytes.Repeat([]byte{0x42}, 64), []byte{0x01, 0x00, 0x01}, append([]byte{0x80}, bytes.Repeat([]byte{0x0f}, 71)...))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 10), bytes.Repeat([]byte{0xff}, 128))
 
 	f.Fuzz(func(t *testing.T, ab, bb, mb []byte) {
 		// Bound the work per input so the fuzzer explores instead of
@@ -39,8 +42,8 @@ func FuzzBignum(f *testing.F) {
 		if len(bb) > 64 {
 			bb = bb[:64]
 		}
-		if len(mb) > 72 {
-			mb = mb[:72] // 9 limbs: past both unrolled kernel widths
+		if len(mb) > 136 {
+			mb = mb[:136] // 17 limbs: past every fixed and loop kernel width
 		}
 		x, y := FromBytes(ab), FromBytes(bb)
 		xb, yb := new(big.Int).SetBytes(ab), new(big.Int).SetBytes(bb)
@@ -83,6 +86,9 @@ func FuzzBignum(f *testing.F) {
 		eMod := new(big.Int).Lsh(big.NewInt(1), 80)
 		ebig := new(big.Int).Mod(yb, eMod)
 		e := FromBytes(ebig.Bytes())
-		diff("modexp", x.ModExp(e, m), new(big.Int).Exp(xb, ebig, mbig))
+		want := new(big.Int).Exp(xb, ebig, mbig)
+		for _, path := range kernelPaths() {
+			withADX(path.adx, func() { diff("modexp/"+path.name, x.ModExp(e, m), want) })
+		}
 	})
 }

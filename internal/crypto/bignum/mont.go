@@ -9,7 +9,7 @@ import "math/bits"
 // Knuth long division per step — the exact shape of the
 // "difficult-to-port bignum package" the paper's RMC2000 port gave up
 // on. The host profile keeps RSA, so the hot path gets the standard
-// fix, Montgomery multiplication, in three pieces:
+// fix, Montgomery multiplication, in four pieces:
 //
 //   - Fused CIOS (Coarsely Integrated Operand Scanning). One inner loop
 //     per limb of b both adds a[j]·b[i] and folds in u·m[j], on two
@@ -22,9 +22,18 @@ import "math/bits"
 //     unrolled and the accumulator in locals, plus a squaring kernel
 //     that forms each cross product a[i]·a[j] once: n(n+1)/2 + n²
 //     multiplies instead of 2n². Both are written into
-//     mont_unrolled.go by mont_gen.go. newMontCtx picks the kernels
-//     from len(m) once; other widths square with the generic
-//     multiply.
+//     mont_unrolled.go by mont_gen.go. Other widths square with the
+//     generic multiply.
+//   - Hand-scheduled assembly where the CPU has BMI2 and ADX
+//     (hasADX). mont_gen.go also writes mont_amd64.s: the 4- and
+//     8-limb multiplies with the n+2 accumulator limbs in registers,
+//     MULXQ products and two carry chains (ADOXQ for low halves, ADCXQ
+//     for high), an 8-limb squaring built the same way, and a loop
+//     kernel for any multiple of 4 limbs (16: the public op of a
+//     1024-bit key). At 4 limbs the multiply squares too: a dedicated
+//     squaring gained 3%, under the 10% it had to show. newMontCtx
+//     picks the kernels from hasADX and len(m) once; the Go kernels
+//     are the portable path and the tests' oracle.
 //   - An exponent schedule that fits the exponent. Exponents under 64
 //     bits (the public exponent 65537) use left-to-right square-and-
 //     multiply; longer ones use a fixed 4-bit window whose 16-entry
@@ -53,10 +62,16 @@ type montCtx struct {
 
 func newMontCtx(m Int) montCtx {
 	ctx := montCtx{m: m.limbs, kernel: montMulGeneric, square: montMulGeneric}
-	switch len(m.limbs) {
-	case 4:
+	switch n := len(m.limbs); {
+	case hasADX && n == 4:
+		ctx.kernel, ctx.square = montMul4ADX, montMul4ADX
+	case hasADX && n == 8:
+		ctx.kernel, ctx.square = montMul8ADX, montSqr8ADX
+	case hasADX && n%4 == 0:
+		ctx.kernel, ctx.square = montMulADX, montMulADX
+	case n == 4:
 		ctx.kernel, ctx.square = montMul4, montSqr4
-	case 8:
+	case n == 8:
 		ctx.kernel, ctx.square = montMul8, montSqr8
 	}
 	// Newton iteration for m[0]^-1 mod 2^64: an odd m0 is its own

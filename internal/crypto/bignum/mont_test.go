@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -28,14 +31,79 @@ func allOnes(n int) Int {
 
 func toBig(x Int) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
 
+// kernelPath is one kernel set newMontCtx can pick: the Go kernels, or
+// the ADX assembly.
+type kernelPath struct {
+	name string
+	adx  bool
+}
+
+// kernelPaths lists the paths this host can run: Go always, ADX where
+// the CPU has it.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{"go", false}}
+	if hasADX {
+		paths = append(paths, kernelPath{"adx", true})
+	}
+	return paths
+}
+
+// withADX runs f with newMontCtx choosing the ADX kernels or not.
+func withADX(on bool, f func()) {
+	defer func(was bool) { hasADX = was }(hasADX)
+	hasADX = on
+	f()
+}
+
+// TestKernelChoice pins which kernels newMontCtx picks per width on
+// each path.
+func TestKernelChoice(t *testing.T) {
+	name := func(k montKernel) string {
+		return runtime.FuncForPC(reflect.ValueOf(k).Pointer()).Name()
+	}
+	for _, path := range kernelPaths() {
+		for _, c := range []struct {
+			n             int
+			goMul, goSq   string
+			adxMul, adxSq string
+		}{
+			{4, "montMul4", "montSqr4", "montMul4ADX", "montMul4ADX"},
+			{8, "montMul8", "montSqr8", "montMul8ADX", "montSqr8ADX"},
+			{12, "montMulGeneric", "montMulGeneric", "montMulADX", "montMulADX"},
+			{16, "montMulGeneric", "montMulGeneric", "montMulADX", "montMulADX"},
+			{9, "montMulGeneric", "montMulGeneric", "montMulGeneric", "montMulGeneric"},
+		} {
+			var ctx montCtx
+			withADX(path.adx, func() { ctx = newMontCtx(allOnes(c.n)) })
+			wantMul, wantSq := c.goMul, c.goSq
+			if path.adx {
+				wantMul, wantSq = c.adxMul, c.adxSq
+			}
+			gotMul, gotSq := name(ctx.kernel), name(ctx.square)
+			if !strings.HasSuffix(gotMul, "."+wantMul) || !strings.HasSuffix(gotSq, "."+wantSq) {
+				t.Errorf("%s path, %d limbs: kernels %s, %s; want %s, %s",
+					path.name, c.n, gotMul, gotSq, wantMul, wantSq)
+			}
+		}
+	}
+}
+
 // TestMontExpEquivalence diffs the Montgomery exponentiation against
 // the schoolbook oracle and math/big over 10k seeded (x, e, m) triples
-// with odd moduli of 1–17 limbs, so the generic kernel and both
-// unrolled widths (4 and 8 limbs) run, and exponents of up to three
-// limbs, so both schedules (square-and-multiply under 64 bits, the
-// window above) run. Three vectors in ten take an adversarial shape:
-// m = 2^(64n) − 1, x = m − 1, or x = m − 1 with an all-ones exponent.
+// with odd moduli of 1–17 limbs, so every kernel runs (generic, the
+// unrolled 4- and 8-limb ones, and on the ADX path the assembly at 4, 8
+// and multiples of 4 limbs), and exponents of up to three limbs, so
+// both schedules (square-and-multiply under 64 bits, the window above)
+// run. Three vectors in ten take an adversarial shape: m = 2^(64n) − 1,
+// x = m − 1, or x = m − 1 with an all-ones exponent. Each kernel path
+// runs the same vectors.
 func TestMontExpEquivalence(t *testing.T) {
+	for _, path := range kernelPaths() {
+		t.Run(path.name, func(t *testing.T) { withADX(path.adx, func() { testMontExpEquivalence(t) }) })
+	}
+}
+
+func testMontExpEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 10_000
 	if testing.Short() {
@@ -80,19 +148,24 @@ func TestMontExpEquivalence(t *testing.T) {
 	}
 }
 
-// TestMontKernels diffs each unrolled kernel against the generic fused
-// kernel and math/big's a·b·R^-1 mod m: the multiply with dst fresh
-// and aliasing a, b or both, and the squaring in place against a·a.
-// Operands cover random values, all-ones limbs, m = 2^(64n) − 1 and
-// a = b = m − 1, and the test insists the final subtraction (t ≥ m
-// before it) ran on some vectors at each width.
+// TestMontKernels diffs the kernels newMontCtx picks, on each kernel
+// path, against the generic fused kernel and math/big's a·b·R^-1 mod m:
+// the multiply with dst fresh and aliasing a, b or both, and the
+// squaring in place against a·a. Widths are 4 and 8 limbs (unrolled Go
+// or assembly) and 12 and 16 (generic Go or the assembly loop).
+// Moduli include m = 2^(64n) − 1 and moduli whose top half is all
+// ones; operands cover random values, all-ones limbs, m − 1, values
+// just below it, and limbs that are mostly all ones. The test insists the final subtraction (t ≥ m before
+// it) ran on some vectors at each width.
 func TestMontKernels(t *testing.T) {
+	for _, path := range kernelPaths() {
+		t.Run(path.name, func(t *testing.T) { withADX(path.adx, func() { testMontKernels(t) }) })
+	}
+}
+
+func testMontKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for _, k := range []struct {
-		n           int
-		mul, square montKernel
-	}{{4, montMul4, montSqr4}, {8, montMul8, montSqr8}} {
-		n := k.n
+	for _, n := range []int{4, 8, 12, 16} {
 		R := new(big.Int).Lsh(big.NewInt(1), uint(64*n))
 		subtracted := 0
 		for i := 0; i < 2000; i++ {
@@ -100,6 +173,13 @@ func TestMontKernels(t *testing.T) {
 			switch i % 4 {
 			case 0:
 				m = allOnes(n)
+			case 2:
+				// Within 2^(64·n/2) of R: T reaches R often, so the
+				// carries out of the top limb run.
+				m = Int{limbs: oddModulus(rng, n)}
+				for k := n / 2; k < n; k++ {
+					m.limbs[k] = ^uint64(0)
+				}
 			default:
 				m = Int{limbs: oddModulus(rng, n)}
 			}
@@ -108,13 +188,32 @@ func TestMontKernels(t *testing.T) {
 			}
 			bm := toBig(m)
 			ctx := newMontCtx(m)
+			scratch := make([]uint64, n)
+			ctx.t = scratch
 			operand := func() ([]uint64, *big.Int) {
 				var v *big.Int
-				switch rng.Intn(4) {
+				shape := rng.Intn(6)
+				if i%4 == 0 && i%8 != 4 {
+					shape = 3 // m = 2^(64n) − 1: mostly all-ones limbs
+				}
+				switch shape {
 				case 0:
 					v = new(big.Int).Sub(bm, big.NewInt(1))
 				case 1:
 					v = new(big.Int).Mod(toBig(allOnes(n)), bm)
+				case 2:
+					v = new(big.Int).Sub(bm, big.NewInt(2+rng.Int63n(64)))
+				case 3:
+					// Mostly all-ones limbs: with m = 2^(64n) − 1 these
+					// drive the accumulator's top limb to all ones, so
+					// the rare carries out of it run at every limb of b.
+					l := make([]uint64, n)
+					for k := range l {
+						if l[k] = rng.Uint64(); rng.Intn(4) != 0 {
+							l[k] = ^uint64(0)
+						}
+					}
+					v = new(big.Int).Mod(toBig(Int{limbs: norm(l)}), bm)
 				default:
 					v = new(big.Int).Rand(rng, bm)
 				}
@@ -122,6 +221,14 @@ func TestMontKernels(t *testing.T) {
 			}
 			a, ba := operand()
 			b, bb := operand()
+			if i%16 == 0 {
+				// Low limbs 2^64 − 2 and 2^64 − 1 against m = 2^(64n) − 1:
+				// the top limb's carry rides the OF chain at the first
+				// limbs of b, which the shapes above leave unexercised.
+				a[0], b[0] = ^uint64(0)-1, ^uint64(0)
+				b[n-1] >>= 1
+				ba, bb = toBig(Int{limbs: norm(slices.Clone(a))}), toBig(Int{limbs: norm(slices.Clone(b))})
+			}
 
 			// math/big: a·b·R^-1 mod m, and whether the kernel's t
 			// before the final subtraction, (a·b + q·m)/R, reaches m.
@@ -135,7 +242,6 @@ func TestMontKernels(t *testing.T) {
 				subtracted++
 			}
 
-			scratch := make([]uint64, n)
 			generic := make([]uint64, n)
 			montMulGeneric(generic, a, b, m.limbs, ctx.n0, scratch)
 			if !slices.Equal(generic, padLimbs(FromBytes(want.Bytes()).limbs, n)) {
@@ -144,26 +250,26 @@ func TestMontKernels(t *testing.T) {
 			check := func(name string, got []uint64) {
 				t.Helper()
 				if !slices.Equal(got, generic) {
-					t.Fatalf("n=%d vector %d %s: unrolled %x, generic %x (a=%x b=%x m=%x)",
+					t.Fatalf("n=%d vector %d %s: kernel %x, generic %x (a=%x b=%x m=%x)",
 						n, i, name, got, generic, a, b, m.limbs)
 				}
 			}
 			dst := make([]uint64, n)
-			k.mul(dst, a, b, m.limbs, ctx.n0, nil)
+			ctx.mul(dst, a, b)
 			check("fresh dst", dst)
 			ac := append([]uint64(nil), a...)
-			k.mul(ac, ac, b, m.limbs, ctx.n0, nil)
+			ctx.mul(ac, ac, b)
 			check("dst=a", ac)
 			bc := append([]uint64(nil), b...)
-			k.mul(bc, a, bc, m.limbs, ctx.n0, nil)
+			ctx.mul(bc, a, bc)
 			check("dst=b", bc)
 			// Squares, in place, against the generic multiply a·a.
 			montMulGeneric(generic, a, a, m.limbs, ctx.n0, scratch)
 			sq := append([]uint64(nil), a...)
-			k.mul(sq, sq, sq, m.limbs, ctx.n0, nil)
+			ctx.mul(sq, sq, sq)
 			check("mul dst=a=b", sq)
 			copy(sq, a)
-			k.square(sq, sq, sq, m.limbs, ctx.n0, nil)
+			ctx.sqr(sq, sq)
 			check("square dst=a", sq)
 		}
 		if subtracted == 0 {
@@ -187,8 +293,12 @@ func TestModExpAllocs(t *testing.T) {
 	m := Int{limbs: oddModulus(rng, 8)}
 	x := randInt(rng, 7)
 	e := Int{limbs: oddModulus(rng, 8)}
-	if allocs := testing.AllocsPerRun(20, func() { x.ModExp(e, m) }); allocs > 3 {
-		t.Fatalf("8-limb ModExp: %.0f allocations, want <= 3", allocs)
+	for _, path := range kernelPaths() {
+		withADX(path.adx, func() {
+			if allocs := testing.AllocsPerRun(20, func() { x.ModExp(e, m) }); allocs > 3 {
+				t.Fatalf("%s path, 8-limb ModExp: %.0f allocations, want <= 3", path.name, allocs)
+			}
+		})
 	}
 }
 

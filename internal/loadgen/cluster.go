@@ -56,8 +56,11 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 				return
 			case <-time.After(cfg.KillAfter):
 			}
-			cl.KillNode(cfg.KillNode)
+			// Stamp the kill as it is issued: KillNode waits for the
+			// node's handlers, and a request finishing meanwhile ran
+			// against a node already going down.
 			ks.killedAt.Store(time.Now().UnixNano())
+			cl.KillNode(cfg.KillNode)
 			if cfg.RestartAfter <= 0 {
 				return
 			}

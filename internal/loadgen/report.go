@@ -117,7 +117,8 @@ type ClusterReport struct {
 	NodesUpEnd int    `json:"nodes_up_end"`
 	// KilledNode is the chaos plan's victim, -1 when no kill ran
 	// (none planned, or the fleet finished before its timer fired).
-	// KillAfterNs is when the kill landed, from the start of the run;
+	// KillAfterNs is when the kill was issued (KillNode called), from
+	// the start of the run: the planned instant plus timer slack.
 	// RestartAfterNs is the kill -> restart gap, 0 if no restart ran.
 	KilledNode     int    `json:"killed_node"`
 	KillAfterNs    uint64 `json:"kill_after_ns,omitempty"`

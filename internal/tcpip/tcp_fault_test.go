@@ -12,8 +12,9 @@ import (
 // faultTransfer pushes size patterned bytes from stacks[1] to a client
 // on stacks[0] with plan active during the data phase (installed only
 // after the handshake, like TestTCPBulkTransferWithLoss, so connection
-// setup stays deterministic). Returns the receiving TCB and the bytes
-// that arrived; the caller asserts integrity.
+// setup stays deterministic). The accepting side holds its Write until
+// the plan is in, so every data frame meets it. Returns the receiving
+// TCB and the bytes that arrived; the caller asserts integrity.
 func faultTransfer(t *testing.T, hub *netsim.Hub, stacks []*Stack, size int, plan *netsim.FaultPlan) (*TCB, []byte) {
 	t.Helper()
 	want := make([]byte, size)
@@ -24,6 +25,7 @@ func faultTransfer(t *testing.T, hub *netsim.Hub, stacks []*Stack, size int, pla
 	if err != nil {
 		t.Fatal(err)
 	}
+	planSet := make(chan struct{})
 	go func() {
 		for {
 			conn, err := l.Accept(60 * time.Second)
@@ -31,6 +33,7 @@ func faultTransfer(t *testing.T, hub *netsim.Hub, stacks []*Stack, size int, pla
 				return
 			}
 			go func(c *TCB) {
+				<-planSet
 				c.Write(want)
 				c.Close()
 			}(conn)
@@ -38,9 +41,12 @@ func faultTransfer(t *testing.T, hub *netsim.Hub, stacks []*Stack, size int, pla
 	}()
 	conn, err := stacks[0].Connect(stacks[1].Addr(), 8080, 15*time.Second)
 	if err != nil {
+		close(planSet)
 		t.Fatal(err)
 	}
-	if err := hub.SetFaultPlan(plan); err != nil {
+	err = hub.SetFaultPlan(plan)
+	close(planSet)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.SetFaultPlan(nil)

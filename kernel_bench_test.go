@@ -193,6 +193,48 @@ func BenchmarkKernelModExp1024(b *testing.B) {
 	record(b, kernelAllocs(b, exp))
 }
 
+// BenchmarkKernelModExp512 times one 8-limb Montgomery exponentiation
+// with a full 512-bit exponent: one CRT half of the RSA-1024 private
+// op, without the padding and recombination around it. Its 508
+// squarings and ~140 multiplies run on the kernels newMontCtx picks for
+// 8 limbs (MULX/ADX assembly where the CPU has it); ns/kernel divides
+// the op by that kernel-call count.
+func BenchmarkKernelModExp512(b *testing.B) {
+	buf := kernelBuf()
+	x := bignum.FromBytes(buf[:64])
+	e := bignum.FromBytes(buf[64:128])
+	mb := append([]byte(nil), buf[128:192]...)
+	mb[0] |= 0x80      // full width
+	mb[len(mb)-1] |= 1 // odd
+	m := bignum.FromBytes(mb)
+	x = x.Mod(m)
+	exp := func() { _ = x.ModExp(e, m) }
+	exp() // warm caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp()
+	}
+	b.StopTimer()
+	metrics := kernelAllocs(b, exp)
+	metrics["ns/kernel"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(montKernelCalls(e))
+	record(b, metrics)
+}
+
+// montKernelCalls counts the Montgomery kernel calls of a windowed
+// exponentiation by e (64 bits or more): 14 to fill the table, 4
+// squarings per nibble below the top one plus a multiply per nonzero
+// one, and the two conversions in and out of Montgomery form.
+func montKernelCalls(e bignum.Int) int {
+	nibbles := (e.BitLen() + 3) / 4
+	calls := 14 + 2 + 4*(nibbles-1)
+	for i := 0; i < nibbles-1; i++ {
+		if e.Bit(4*i)|e.Bit(4*i+1)|e.Bit(4*i+2)|e.Bit(4*i+3) != 0 {
+			calls++
+		}
+	}
+	return calls
+}
+
 // BenchmarkKernelFullHandshake times one complete Unix-profile
 // handshake — ClientHello through Finished, RSA key exchange included
 // — over an in-process pipe. This is the per-connection setup cost the
