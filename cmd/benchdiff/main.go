@@ -14,6 +14,8 @@
 // ladder: drop or rename its baseline entry in the same change. The
 // threshold applies to ns/op; results faster than minNs (10 µs) on both
 // sides are skipped as too small to time reliably at -benchtime=1x.
+// A rung that reports allocs/op on both sides also fails when the count
+// grows at all: allocations are deterministic, so any rise is real.
 //
 // -trend switches to history mode: the positional arguments are dated
 // reports (the BENCH_head_<date>.json artifacts CI uploads per run),
@@ -124,9 +126,11 @@ const minNs = 10_000
 // gate compares every filter-matching benchmark of newRep against
 // oldRep and writes one line per benchmark to w. It returns how many
 // were timed on both sides and how many failed: a benchmark that
-// regressed by more than maxRegress percent, or a baseline benchmark
-// missing from newRep. Benchmarks faster than minNs on both sides are
-// skipped; benchmarks only in newRep are listed and pass.
+// regressed by more than maxRegress percent, one whose allocs/op
+// (reported on both sides) grew, or a baseline benchmark missing from
+// newRep. Benchmarks faster than minNs on both sides are skipped on
+// time, not on allocations; benchmarks only in newRep are listed and
+// pass.
 func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegress float64) (compared, failed int) {
 	oldBy := map[string]benchResult{}
 	for _, r := range oldRep.Results {
@@ -167,6 +171,18 @@ func gate(w io.Writer, oldRep, newRep *benchReport, re *regexp.Regexp, maxRegres
 		}
 		fmt.Fprintf(w, "  %-44s %12.0f -> %-12.0f ns/op  %+7.1f%%  %s\n",
 			name, od.NsPerOp, nw.NsPerOp, pct, status)
+		oa, okOld := od.Metrics["allocs/op"]
+		na, okNew := nw.Metrics["allocs/op"]
+		if okOld && okNew {
+			allocStatus := "ok"
+			if na > oa {
+				allocStatus = "ALLOCS GREW"
+				if status != "REGRESSION" { // a time regression already counted
+					failed++
+				}
+			}
+			fmt.Fprintf(w, "  %-44s %12.0f -> %-12.0f allocs/op  %s\n", name, oa, na, allocStatus)
+		}
 	}
 	for _, r := range oldRep.Results {
 		if re != nil && !re.MatchString(r.Name) {

@@ -39,7 +39,9 @@ const (
 )
 
 // Cipher is a Rijndael instance with a fixed key schedule.
-// It is safe for concurrent use once created.
+// It is safe for concurrent use once created. Its schedules live in
+// arrays inside it, so one built in place by Init costs no allocation;
+// a Cipher must not be copied once keyed.
 type Cipher struct {
 	nb     int      // block size in 32-bit words (4, 6 or 8)
 	nk     int      // key size in 32-bit words (4, 6 or 8)
@@ -48,6 +50,12 @@ type Cipher struct {
 	drk    []uint32 // equivalent-inverse key for the Nb=4 T-table path
 	ek, dk []byte   // AES-NI round keys, byte order; nil off that path
 	shifts [4]int   // ShiftRows offsets per row
+
+	// Backing for rk, drk and ek+dk at their largest: 15 rounds of 8
+	// words, and 15 of 4 for the 16-byte-block schedules.
+	rkBuf  [15 * 8]uint32
+	drkBuf [15 * 4]uint32
+	xkBuf  [2 * 15 * 16]byte
 }
 
 // useAESNI selects the AES-NI path for the 16-byte-block ciphers New
@@ -131,15 +139,27 @@ func gmul(a, b byte) byte {
 // New creates a Rijndael cipher with the given key and block size in
 // bytes. blockSize must be 16, 24 or 32; len(key) must be 16, 24 or 32.
 func New(key []byte, blockSize int) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.Init(key, blockSize); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Init keys c in place with New's arguments and checks, replacing any
+// earlier key. The issl record layer keeps its two ciphers by value in
+// each connection and keys them here.
+func (c *Cipher) Init(key []byte, blockSize int) error {
 	nk, ok := words(len(key))
 	if !ok {
-		return nil, fmt.Errorf("%w: %d bytes", ErrKeySize, len(key))
+		return fmt.Errorf("%w: %d bytes", ErrKeySize, len(key))
 	}
 	nb, ok := words(blockSize)
 	if !ok {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBlockSize, blockSize)
+		return fmt.Errorf("%w: %d bytes", ErrBlockSize, blockSize)
 	}
-	c := &Cipher{nb: nb, nk: nk}
+	c.nb, c.nk = nb, nk
+	c.drk, c.ek, c.dk = nil, nil, nil
 	c.nr = max(nb, nk) + 6
 	// ShiftRows offsets depend on block size (Rijndael spec, table 2).
 	switch nb {
@@ -149,7 +169,7 @@ func New(key []byte, blockSize int) (*Cipher, error) {
 		c.shifts = [4]int{0, 1, 2, 3}
 	}
 	c.expandKey(key)
-	return c, nil
+	return nil
 }
 
 // NewAES creates a FIPS-197 AES cipher (16-byte block) with a 16-, 24-
@@ -173,7 +193,7 @@ func (c *Cipher) BlockSize() int { return c.nb * 4 }
 
 func (c *Cipher) expandKey(key []byte) {
 	total := (c.nr + 1) * c.nb
-	c.rk = make([]uint32, total)
+	c.rk = c.rkBuf[:total]
 	for i := 0; i < c.nk; i++ {
 		c.rk[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
 			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
@@ -202,10 +222,10 @@ func (c *Cipher) expandKey(key []byte) {
 
 // expandKeyNI lays the schedule out for the AES-NI kernels: each round
 // key's four words as 16 bytes, then the equivalent-inverse keys
-// (AESIMC on the middle ones) for AESDEC. Both share one allocation.
+// (AESIMC on the middle ones) for AESDEC. Both share xkBuf.
 func (c *Cipher) expandKeyNI() {
 	n := len(c.rk) * 4
-	xk := make([]byte, 2*n)
+	xk := c.xkBuf[:2*n]
 	for i, w := range c.rk {
 		binary.BigEndian.PutUint32(xk[4*i:], w)
 	}

@@ -53,7 +53,7 @@ func initTables() {
 // the table. Called from expandKey when nb == 4.
 func (c *Cipher) expandDecKey() {
 	n := (c.nr + 1) * 4
-	c.drk = make([]uint32, n)
+	c.drk = c.drkBuf[:n]
 	for i := 0; i < n; i += 4 {
 		ei := n - i - 4
 		for j := 0; j < 4; j++ {

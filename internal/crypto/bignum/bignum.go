@@ -130,14 +130,16 @@ func (x Int) Bytes() []byte {
 // FillBytes writes x as big-endian into buf, left-padded with zeros.
 // It panics if x does not fit.
 func (x Int) FillBytes(buf []byte) []byte {
-	b := x.Bytes()
-	if len(b) > len(buf) {
+	if (x.BitLen()+7)/8 > len(buf) {
 		panic("bignum: FillBytes buffer too small")
 	}
-	for i := range buf[:len(buf)-len(b)] {
-		buf[i] = 0
+	clear(buf)
+	pos := len(buf) - 1
+	for _, l := range x.limbs {
+		for k := 0; k < 64 && pos >= 0; k, pos = k+8, pos-1 {
+			buf[pos] = byte(l >> k)
+		}
 	}
-	copy(buf[len(buf)-len(b):], b)
 	return buf
 }
 
@@ -207,9 +209,16 @@ func (x Int) Mul(y Int) Int {
 		return Int{}
 	}
 	out := make([]uint64, len(x.limbs)+len(y.limbs))
-	for i, xi := range x.limbs {
+	mulInto(out, x.limbs, y.limbs)
+	return Int{limbs: norm(out)}
+}
+
+// mulInto sets out, len(x)+len(y) limbs, to the schoolbook product x·y.
+func mulInto(out, x, y []uint64) {
+	clear(out)
+	for i, xi := range x {
 		var carry uint64
-		for j, yj := range y.limbs {
+		for j, yj := range y {
 			hi, lo := bits.Mul64(xi, yj)
 			lo, c := bits.Add64(lo, out[i+j], 0)
 			hi += c
@@ -218,9 +227,8 @@ func (x Int) Mul(y Int) Int {
 			out[i+j] = lo
 			carry = hi
 		}
-		out[i+len(y.limbs)] = carry
+		out[i+len(y)] = carry
 	}
-	return Int{limbs: norm(out)}
 }
 
 // Shl returns x << n.
@@ -378,8 +386,7 @@ func (x Int) ModExp(e, m Int) Int {
 		if x.Cmp(m) >= 0 {
 			x = x.Mod(m)
 		}
-		ctx := newMontCtx(m)
-		return ctx.exp(x, e)
+		return modExpMont(x, e, m)
 	}
 	return x.modExpBasic(e, m)
 }

@@ -32,47 +32,62 @@ import "math/bits"
 //     kernel for any multiple of 4 limbs (16: the public op of a
 //     1024-bit key). At 4 limbs the multiply squares too: a dedicated
 //     squaring gained 3%, under the 10% it had to show. newMontCtx
-//     picks the kernels from hasADX and len(m) once; the Go kernels
-//     are the portable path and the tests' oracle.
+//     picks the kernels from hasADX and len(m) once, as a montKind
+//     that mul and sqr switch on: a direct call from Go reaches an
+//     assembly kernel with no ABI wrapper, where a func value would
+//     go through one. The Go kernels are the portable path and the
+//     tests' oracle.
 //   - An exponent schedule that fits the exponent. Exponents under 64
 //     bits (the public exponent 65537) use left-to-right square-and-
 //     multiply; longer ones use a fixed 4-bit window whose 16-entry
 //     table pays for itself only over many nibbles.
 //
-// Each exponentiation draws R² mod m (by divLoop, the long division
-// DivMod runs), the window table and all temporaries from one slice.
-// The schoolbook path survives as modExpBasic, an oracle the tests
-// diff against beside math/big, and still serves even moduli.
+// ModExp draws R² mod m (by divLoop, the long division DivMod runs),
+// the window table and all temporaries from one slice; a CRT key
+// (crt.go) computes R² once per prime instead. The schoolbook path
+// survives as modExpBasic, an oracle the tests diff against beside
+// math/big, and still serves even moduli.
+//
+// Every kernel computes dst = a·b·R^-1 mod m for R = 2^(64·len(m)),
+// given a, b < m and n0 = -m^-1 mod 2^64, with t len(m) limbs of
+// scratch: func(dst, a, b, m []uint64, n0 uint64, t []uint64). dst may
+// alias a and/or b: the result is written only at the end.
 
-// montKernel computes dst = a·b·R^-1 mod m for R = 2^(64·len(m)),
-// given a, b < m and n0 = -m^-1 mod 2^64. t is len(m) limbs of
-// scratch. dst may alias a and/or b: the result is written only at the
-// end.
-type montKernel func(dst, a, b, m []uint64, n0 uint64, t []uint64)
+// montKind is the kernel pair a montCtx runs: the multiply, and the
+// squaring (a multiply with b = a).
+type montKind uint8
+
+const (
+	kindGeneric montKind = iota // montMulGeneric for both
+	kindGo4                     // montMul4, montSqr4
+	kindGo8                     // montMul8, montSqr8
+	kindADX4                    // montMul4ADX for both
+	kindADX8                    // montMul8ADX, montSqr8ADX
+	kindADX                     // montMulADX for both, any multiple of 4 limbs
+)
 
 // montCtx holds a modulus, its Montgomery constant and the kernels for
 // its width.
 type montCtx struct {
-	m      []uint64
-	n0     uint64
-	kernel montKernel // multiply
-	square montKernel // multiply with b = a
-	t      []uint64   // kernel scratch, set by exp
+	m    []uint64
+	n0   uint64
+	kind montKind
+	t    []uint64 // kernel scratch, set by expInto
 }
 
 func newMontCtx(m Int) montCtx {
-	ctx := montCtx{m: m.limbs, kernel: montMulGeneric, square: montMulGeneric}
+	ctx := montCtx{m: m.limbs}
 	switch n := len(m.limbs); {
 	case hasADX && n == 4:
-		ctx.kernel, ctx.square = montMul4ADX, montMul4ADX
+		ctx.kind = kindADX4
 	case hasADX && n == 8:
-		ctx.kernel, ctx.square = montMul8ADX, montSqr8ADX
+		ctx.kind = kindADX8
 	case hasADX && n%4 == 0:
-		ctx.kernel, ctx.square = montMulADX, montMulADX
+		ctx.kind = kindADX
 	case n == 4:
-		ctx.kernel, ctx.square = montMul4, montSqr4
+		ctx.kind = kindGo4
 	case n == 8:
-		ctx.kernel, ctx.square = montMul8, montSqr8
+		ctx.kind = kindGo8
 	}
 	// Newton iteration for m[0]^-1 mod 2^64: an odd m0 is its own
 	// inverse mod 8, and each step doubles the valid bit count
@@ -87,11 +102,37 @@ func newMontCtx(m Int) montCtx {
 }
 
 func (ctx *montCtx) mul(dst, a, b []uint64) {
-	ctx.kernel(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	switch ctx.kind {
+	case kindADX8:
+		montMul8ADX(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	case kindADX4:
+		montMul4ADX(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	case kindADX:
+		montMulADX(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	case kindGo8:
+		montMul8(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	case kindGo4:
+		montMul4(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	default:
+		montMulGeneric(dst, a, b, ctx.m, ctx.n0, ctx.t)
+	}
 }
 
 func (ctx *montCtx) sqr(dst, a []uint64) {
-	ctx.square(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	switch ctx.kind {
+	case kindADX8:
+		montSqr8ADX(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	case kindADX4:
+		montMul4ADX(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	case kindADX:
+		montMulADX(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	case kindGo8:
+		montSqr8(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	case kindGo4:
+		montSqr4(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	default:
+		montMulGeneric(dst, a, a, ctx.m, ctx.n0, ctx.t)
+	}
 }
 
 // montMulGeneric is the fused CIOS kernel for any width. The
@@ -162,32 +203,51 @@ func (ctx *montCtx) setRR(rr, s []uint64) {
 	}
 }
 
-// exp returns x^e mod m for x < m, m odd and greater than one.
-func (ctx *montCtx) exp(x, e Int) Int {
-	if e.IsZero() {
-		return One()
-	}
-	n := len(ctx.m)
-	ebits := e.BitLen()
-	windowed := ebits >= 64
-	size := 4*n + (3*n + 2) // kernel scratch, rr, xm, acc; setRR's division
-	if windowed {
-		size += 14 * n // x^2 … x^15; x^1 is xm
-	}
-	buf := make([]uint64, size)
-	carve := func(k int) []uint64 {
-		s := buf[:k:k]
-		buf = buf[k:]
-		return s
-	}
-	ctx.t = carve(n)
-	rr, xm, acc := carve(n), carve(n), carve(n)
+// modExpMont returns x^e mod m for x < m, m odd and greater than one.
+func modExpMont(x, e, m Int) Int {
+	ctx := newMontCtx(m)
+	n := len(m.limbs)
+	buf := make([]uint64, n+max(3*n+2, expLen(n, e)))
+	rr, s := buf[:n], buf[n:]
+	ctx.setRR(rr, s[:3*n+2])
+	out := make([]uint64, n)
+	ctx.expInto(out, x.limbs, e, rr, s)
+	return Int{limbs: norm(out)}
+}
 
-	ctx.setRR(rr, carve(3*n+2))
-	copy(acc, x.limbs)
+// expLen is the scratch expInto needs for an n-limb modulus and
+// exponent e: the kernel's, x and the accumulator in Montgomery form,
+// and for a windowed exponent the table x^2 … x^15.
+func expLen(n int, e Int) int {
+	if e.BitLen() >= 64 {
+		return 17 * n
+	}
+	return 3 * n
+}
+
+// expInto sets out, len(m) limbs, to x^e mod m for x < m of at most
+// len(m) limbs, m odd and greater than one. rr is R² mod m; s is at
+// least expLen limbs of scratch. It allocates nothing.
+func (ctx *montCtx) expInto(out, x []uint64, e Int, rr, s []uint64) {
+	n := len(ctx.m)
+	if e.IsZero() {
+		clear(out)
+		out[0] = 1
+		return
+	}
+	ebits := e.BitLen()
+	carve := func() []uint64 {
+		c := s[:n:n]
+		s = s[n:]
+		return c
+	}
+	ctx.t = carve()
+	xm, acc := carve(), carve()
+	clear(acc)
+	copy(acc, x)
 	ctx.mul(xm, acc, rr)
 
-	if !windowed {
+	if ebits < 64 {
 		// Left-to-right square-and-multiply from the top set bit.
 		copy(acc, xm)
 		for i := ebits - 2; i >= 0; i-- {
@@ -197,11 +257,12 @@ func (ctx *montCtx) exp(x, e Int) Int {
 			}
 		}
 	} else {
-		// win[w] = x^w in Montgomery form; win[0] is never read.
+		// A fixed 4-bit window. win[w] = x^w in Montgomery form; win[0]
+		// is never read.
 		var win [16][]uint64
 		win[1] = xm
 		for w := 2; w < 16; w++ {
-			win[w] = carve(n)
+			win[w] = carve()
 			ctx.mul(win[w], win[w-1], xm)
 		}
 		nibbles := (ebits + 3) / 4
@@ -219,9 +280,7 @@ func (ctx *montCtx) exp(x, e Int) Int {
 		}
 	}
 	// Leave Montgomery form: multiply by plain 1.
-	clear(rr)
-	rr[0] = 1
-	out := make([]uint64, n)
-	ctx.mul(out, acc, rr)
-	return Int{limbs: norm(out)}
+	clear(xm)
+	xm[0] = 1
+	ctx.mul(out, acc, xm)
 }

@@ -1,8 +1,8 @@
 package bignum
 
 // Declarations for the MULX/ADCX/ADOX kernels in mont_amd64.s, which
-// mont_gen.go writes. Each has montKernel's contract for its width:
-// a, b, m and dst hold exactly that many limbs, t is unused.
+// mont_gen.go writes. Each has the kernel contract mont.go states, for
+// its width: a, b, m and dst hold exactly that many limbs, t is unused.
 
 // hasADX reports whether the CPU has BMI2 (leaf 7 EBX bit 8, MULX) and
 // ADX (bit 19, ADCX and ADOX). newMontCtx reads it; the tests clear it

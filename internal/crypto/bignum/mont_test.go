@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -55,34 +52,28 @@ func withADX(on bool, f func()) {
 	f()
 }
 
-// TestKernelChoice pins which kernels newMontCtx picks per width on
-// each path.
+// TestKernelChoice pins which kernel pair newMontCtx picks per width
+// on each path.
 func TestKernelChoice(t *testing.T) {
-	name := func(k montKernel) string {
-		return runtime.FuncForPC(reflect.ValueOf(k).Pointer()).Name()
-	}
 	for _, path := range kernelPaths() {
 		for _, c := range []struct {
-			n             int
-			goMul, goSq   string
-			adxMul, adxSq string
+			n               int
+			goKind, adxKind montKind
 		}{
-			{4, "montMul4", "montSqr4", "montMul4ADX", "montMul4ADX"},
-			{8, "montMul8", "montSqr8", "montMul8ADX", "montSqr8ADX"},
-			{12, "montMulGeneric", "montMulGeneric", "montMulADX", "montMulADX"},
-			{16, "montMulGeneric", "montMulGeneric", "montMulADX", "montMulADX"},
-			{9, "montMulGeneric", "montMulGeneric", "montMulGeneric", "montMulGeneric"},
+			{4, kindGo4, kindADX4},
+			{8, kindGo8, kindADX8},
+			{12, kindGeneric, kindADX},
+			{16, kindGeneric, kindADX},
+			{9, kindGeneric, kindGeneric},
 		} {
 			var ctx montCtx
 			withADX(path.adx, func() { ctx = newMontCtx(allOnes(c.n)) })
-			wantMul, wantSq := c.goMul, c.goSq
+			want := c.goKind
 			if path.adx {
-				wantMul, wantSq = c.adxMul, c.adxSq
+				want = c.adxKind
 			}
-			gotMul, gotSq := name(ctx.kernel), name(ctx.square)
-			if !strings.HasSuffix(gotMul, "."+wantMul) || !strings.HasSuffix(gotSq, "."+wantSq) {
-				t.Errorf("%s path, %d limbs: kernels %s, %s; want %s, %s",
-					path.name, c.n, gotMul, gotSq, wantMul, wantSq)
+			if ctx.kind != want {
+				t.Errorf("%s path, %d limbs: kernel kind %d, want %d", path.name, c.n, ctx.kind, want)
 			}
 		}
 	}
@@ -274,6 +265,58 @@ func testMontKernels(t *testing.T) {
 		}
 		if subtracted == 0 {
 			t.Fatalf("n=%d: no vector needed the final subtraction", n)
+		}
+		testSquareCarries(t, rng, n)
+	}
+}
+
+// sqr8ViaValue is montSqr8ADX as a func value, so a call through it
+// takes the ABI wrapper, which leaves other values in the argument
+// registers than mul's direct call does. A kernel that skips loading
+// an argument and reads a stale register fails one path or the other.
+var sqr8ViaValue = montSqr8ADX
+
+// testSquareCarries squares directed operands against m = 2^(64n) − 1
+// and diffs the squaring kernel against the generic multiply. With
+// that m, n0 is 1 and each reduction row's u is the row's low limb,
+// and operands whose limbs are all ones or zero reach the rare carries
+// that close every row of the squaring kernel's reduction: out of the
+// window's top limb into the stored limb entering it, and out of that
+// limb into the next row's ext (a mutation sweep of montSqr8ADX found
+// four such ADOXQs that no other vector reached). The
+// first operand, all ones under a top limb of 2^63, leaves the first
+// cross-product row's OF set, which the next row must clear.
+func testSquareCarries(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	m := allOnes(n)
+	ctx := newMontCtx(m)
+	scratch := make([]uint64, n)
+	ctx.t = scratch
+	a, want, got := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := 0; i < 3000; i++ {
+		for k := range a {
+			a[k] = 0
+			if i == 0 || rng.Intn(2) == 0 {
+				a[k] = ^uint64(0)
+			}
+		}
+		if i == 0 {
+			a[n-1] = 1 << 63
+		}
+		if slices.Equal(a, m.limbs) {
+			clear(a) // a must be below m
+		}
+		montMulGeneric(want, a, a, m.limbs, ctx.n0, scratch)
+		copy(got, a)
+		ctx.sqr(got, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d directed square %d: kernel %x, generic %x (a=%x)", n, i, got, want, a)
+		}
+		if ctx.kind == kindADX8 {
+			sqr8ViaValue(got, a, a, m.limbs, ctx.n0, scratch)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d directed square %d via func value: kernel %x, generic %x (a=%x)", n, i, got, want, a)
+			}
 		}
 	}
 }

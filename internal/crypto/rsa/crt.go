@@ -8,41 +8,33 @@ import (
 // private operation splits into two half-size exponentiations
 // recombined by Garner's formula — roughly a 4x win on top of the
 // Montgomery kernel, since modexp cost grows cubically with width.
-// The precomputed exponents are derived lazily on first use (keys are
-// built with struct literals all over the tests) and cached on the key.
+// The precompute (bignum.CRT: the half exponents, q⁻¹ mod p and each
+// prime's Montgomery constants) is derived lazily on first use (keys
+// are built with struct literals all over the tests) and cached on the
+// key.
 
-type crtValues struct {
-	dp   bignum.Int // D mod (P-1)
-	dq   bignum.Int // D mod (Q-1)
-	qinv bignum.Int // Q^-1 mod P
-	ok   bool       // P, Q present, consistent with N, and Q invertible
-}
-
-func (priv *PrivateKey) crt() *crtValues {
+// crt returns the key's CRT precompute, or nil when P and Q are
+// missing, inconsistent with N, or Q is not invertible mod P.
+func (priv *PrivateKey) crt() *bignum.CRT {
 	priv.crtOnce.Do(func() {
-		cv := &crtValues{}
-		if !priv.P.IsZero() && !priv.Q.IsZero() && priv.P.Mul(priv.Q).Cmp(priv.N) == 0 {
-			one := bignum.One()
-			cv.dp = priv.D.Mod(priv.P.Sub(one))
-			cv.dq = priv.D.Mod(priv.Q.Sub(one))
-			cv.qinv, cv.ok = priv.Q.ModInverse(priv.P)
+		if priv.P.IsZero() || priv.Q.IsZero() || priv.P.Mul(priv.Q).Cmp(priv.N) != 0 {
+			return
 		}
-		priv.crtVals = cv
+		one := bignum.One()
+		dp := priv.D.Mod(priv.P.Sub(one))
+		dq := priv.D.Mod(priv.Q.Sub(one))
+		if qinv, ok := priv.Q.ModInverse(priv.P); ok {
+			priv.crtKey = bignum.NewCRT(priv.P, priv.Q, dp, dq, qinv)
+		}
 	})
-	return priv.crtVals
+	return priv.crtKey
 }
 
-// privExp computes c^D mod N, via the CRT split when the key carries
-// usable prime factors and via the plain exponent otherwise.
+// privExp computes c^D mod N for c < N, via the CRT split when the key
+// carries usable prime factors and via the plain exponent otherwise.
 func (priv *PrivateKey) privExp(c bignum.Int) bignum.Int {
-	cv := priv.crt()
-	if !cv.ok {
-		return c.ModExp(priv.D, priv.N)
+	if k := priv.crt(); k != nil {
+		return k.Exp(c)
 	}
-	m1 := c.ModExp(cv.dp, priv.P)
-	m2 := c.ModExp(cv.dq, priv.Q)
-	// Garner: h = qinv·(m1 - m2) mod P, m = m2 + h·Q. The subtraction
-	// is lifted by P to stay in unsigned arithmetic.
-	h := m1.Add(priv.P).Sub(m2.Mod(priv.P)).ModMul(cv.qinv, priv.P)
-	return m2.Add(h.Mul(priv.Q))
+	return c.ModExp(priv.D, priv.N)
 }

@@ -107,3 +107,32 @@ func BenchmarkPrivExpPlain_512(b *testing.B) {
 		c.ModExp(priv.D, priv.N)
 	}
 }
+
+// TestPrivateOpAllocs pins the private-key operations' allocations
+// once the CRT precompute is cached: DecryptPKCS1 makes three (the
+// ciphertext's Int, CRT.Exp's one slice, the padded block), SignRaw
+// four (the padded digest besides).
+func TestPrivateOpAllocs(t *testing.T) {
+	priv, err := GenerateKey(prng.NewXorshift(0xF00D), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := priv.PublicKey.EncryptPKCS1(prng.NewXorshift(1), make([]byte, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := make([]byte, 20)
+	priv.crt()
+	for _, c := range []struct {
+		name string
+		op   func()
+		max  float64
+	}{
+		{"DecryptPKCS1", func() { priv.DecryptPKCS1(ct) }, 3},
+		{"SignRaw", func() { priv.SignRaw(digest) }, 4},
+	} {
+		if n := testing.AllocsPerRun(20, c.op); n > c.max {
+			t.Errorf("%s: %.0f allocations, want <= %.0f", c.name, n, c.max)
+		}
+	}
+}

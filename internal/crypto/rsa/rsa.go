@@ -33,7 +33,7 @@ type PrivateKey struct {
 	Q bignum.Int // prime factor
 
 	crtOnce sync.Once
-	crtVals *crtValues
+	crtKey  *bignum.CRT // nil when P, Q are missing or do not fit N
 }
 
 var (
@@ -165,7 +165,7 @@ func (pub *PublicKey) EncryptPKCS1(rng *prng.Xorshift, msg []byte) ([]byte, erro
 	for i := 0; i < padLen; i++ {
 		b := byte(0)
 		for b == 0 {
-			b = rng.Bytes(1)[0]
+			b = byte(rng.Next64()) // what rng.Bytes(1)[0] draws, without the slice
 		}
 		em[2+i] = b
 	}

@@ -311,13 +311,6 @@ type HMACState struct {
 	innerInit, outerInit Digest // states right after absorbing the pads
 }
 
-// NewHMAC returns an HMACState keyed with key.
-func NewHMAC(key []byte) *HMACState {
-	h := &HMACState{}
-	h.Init(key)
-	return h
-}
-
 // Init keys (or re-keys) the state.
 func (h *HMACState) Init(key []byte) {
 	var keyBuf [Size]byte

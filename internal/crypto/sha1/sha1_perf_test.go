@@ -114,7 +114,7 @@ func TestHMACRecordShape(t *testing.T) {
 			if i%16 == 0 {
 				key = make([]byte, 1+rng.Intn(2*BlockSize))
 				rng.Read(key)
-				st = NewHMAC(key)
+				st = keyedHMAC(key)
 			}
 			var pre [9]byte
 			iv := make([]byte, 16)
@@ -152,7 +152,7 @@ func TestHMACStateMatchesOneShot(t *testing.T) {
 		if i%8 == 0 { // re-key every 8 messages
 			key = make([]byte, 1+rng.Intn(100))
 			rng.Read(key)
-			st = NewHMAC(key)
+			st = keyedHMAC(key)
 		} else {
 			st.Reset()
 		}
@@ -174,7 +174,7 @@ func TestStreamingZeroAlloc(t *testing.T) {
 	}
 	bothPaths(t, func(t *testing.T) {
 		msg := make([]byte, 300)
-		st := NewHMAC([]byte("record mac key twenty"))
+		st := keyedHMAC([]byte("record mac key twenty"))
 		var out [Size]byte
 		if n := testing.AllocsPerRun(100, func() {
 			st.Reset()
@@ -215,7 +215,7 @@ func BenchmarkCompressUnrolled(b *testing.B) {
 }
 
 func BenchmarkHMACStream_256B(b *testing.B) {
-	st := NewHMAC([]byte("record mac key twenty"))
+	st := keyedHMAC([]byte("record mac key twenty"))
 	msg := make([]byte, 256)
 	var out [Size]byte
 	b.SetBytes(256)
@@ -233,4 +233,11 @@ func BenchmarkHMACOneShot_256B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HMAC(key, msg)
 	}
+}
+
+// keyedHMAC returns a fresh HMACState keyed with key.
+func keyedHMAC(key []byte) *HMACState {
+	h := new(HMACState)
+	h.Init(key)
+	return h
 }

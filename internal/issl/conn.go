@@ -28,22 +28,22 @@ type Conn struct {
 	// derived from on a resumption, or master itself after a full
 	// handshake; Session() and issued tickets carry secret, so it stays
 	// the same across every resumption of a session.
-	master []byte
+	master [sha1.Size]byte
 	secret []byte
 
-	wMu     sync.Mutex // guards write-side state and the rng
-	wCipher *aes.Cipher
-	rCipher *aes.Cipher
-	wMAC    []byte
-	rMAC    []byte
-	wSeq    uint64
-	rSeq    uint64
-
-	// Streaming MAC states, lazily derived from wMAC/rMAC (record.go)
-	// and invalidated by deriveKeys. wHMAC is guarded by wMu; rHMAC is
+	// The record keys live by value in the Conn: deriveKeys keys wAES,
+	// rAES, wHMAC and rHMAC in place. wCipher and rCipher point at the
+	// AES pair once keys are installed and are nil before. The write
+	// side (wCipher, wHMAC, wSeq) is guarded by wMu; the read side is
 	// owned by the reading goroutine.
-	wHMAC *sha1.HMACState
-	rHMAC *sha1.HMACState
+	wMu        sync.Mutex // guards write-side state and the rng
+	wCipher    *aes.Cipher
+	rCipher    *aes.Cipher
+	wAES, rAES aes.Cipher
+	wHMAC      sha1.HMACState
+	rHMAC      sha1.HMACState
+	wSeq       uint64
+	rSeq       uint64
 
 	rbuf      []byte // decrypted-but-undelivered plaintext
 	peerClose bool
@@ -84,6 +84,7 @@ type Conn struct {
 
 func newConn(tr io.ReadWriter, cfg Config) *Conn {
 	c := &Conn{tr: tr, cfg: cfg, rng: cfg.Rand, metrics: newConnMetrics(cfg.Metrics)}
+	c.hs.transcript.Reset()
 	if pk, ok := tr.(peekTransport); ok {
 		c.pk = pk
 	} else {

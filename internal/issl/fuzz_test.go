@@ -33,21 +33,21 @@ func (f *fuzzTransport) Write(p []byte) (int, error) { return len(p), nil }
 func fuzzKeyedConn(t testing.TB) *Conn {
 	t.Helper()
 	key := bytes.Repeat([]byte{0x42}, 16)
-	w, err := aes.NewAES(key)
-	if err != nil {
+	c := &Conn{rng: prng.NewXorshift(7)}
+	if err := c.wAES.Init(key, aes.Size128); err != nil {
 		t.Fatal(err)
 	}
-	r, err := aes.NewAES(key)
-	if err != nil {
+	if err := c.rAES.Init(key, aes.Size128); err != nil {
 		t.Fatal(err)
 	}
-	mac := bytes.Repeat([]byte{0x69}, 20)
-	return &Conn{
-		wCipher: w, rCipher: r,
-		wMAC: mac, rMAC: mac,
-		rng: prng.NewXorshift(7),
-	}
+	c.wCipher, c.rCipher = &c.wAES, &c.rAES
+	c.wHMAC.Init(fuzzMACKey)
+	c.rHMAC.Init(fuzzMACKey)
+	return c
 }
+
+// fuzzMACKey is both directions' MAC key in fuzzKeyedConn.
+var fuzzMACKey = bytes.Repeat([]byte{0x69}, 20)
 
 // onPath runs f with the record kernels on the hardware path (where
 // this CPU has it) or on the portable path.
@@ -205,7 +205,7 @@ func TestClientRejectsHostileServerKey(t *testing.T) {
 	_, s2c, _ := goldenExchange(t, uc, us)
 	n := int(s2c[2])<<8 | int(s2c[3])
 	hello := s2c[recordHeaderLen : recordHeaderLen+n]
-	prefix := hello[:len(hello)-len(marshalPublicKey(&us.ServerKey.PublicKey))]
+	prefix := hello[:len(hello)-len(appendPublicKey(nil, &us.ServerKey.PublicKey))]
 
 	ones := func(n int) bignum.Int { return bignum.FromBytes(bytes.Repeat([]byte{0xff}, n)) }
 	e65537 := bignum.FromUint64(65537)
@@ -221,7 +221,7 @@ func TestClientRejectsHostileServerKey(t *testing.T) {
 		{"even exponent", rsa.PublicKey{N: ones(128), E: bignum.FromUint64(65536)}},
 		{"exponent 2^31+1", rsa.PublicKey{N: ones(128), E: bignum.FromUint64(1<<31 + 1)}},
 	} {
-		body := append(append([]byte(nil), prefix...), marshalPublicKey(&tc.key)...)
+		body := append(append([]byte(nil), prefix...), appendPublicKey(nil, &tc.key)...)
 		flight := append([]byte{recHandshake, protocolVersion, byte(len(body) >> 8), byte(len(body))}, body...)
 		cfg, _, _, _ := handshakeFuzzConfigs(t)
 		start := time.Now()
@@ -238,7 +238,7 @@ func TestClientRejectsHostileServerKey(t *testing.T) {
 	// largest exponent, and the smallest exponent.
 	for _, e := range []bignum.Int{bignum.FromUint64(1<<31 - 1), bignum.FromUint64(3)} {
 		key := rsa.PublicKey{N: bignum.One().Shl(4095).Add(bignum.One()), E: e}
-		if _, err := parsePublicKey(marshalPublicKey(&key)); err != nil {
+		if _, err := parsePublicKey(appendPublicKey(nil, &key)); err != nil {
 			t.Errorf("4096-bit modulus, e=%s: %v", e, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package issl
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/crypto/bignum"
@@ -60,11 +59,19 @@ const randomLen = 32
 // premasterLen is the session secret length the client generates.
 const premasterLen = 32
 
+// handshakeState is one handshake's working state, all of it by value
+// in the Conn. transcript is a running SHA-1 over the messages the
+// Finished values bind (Reset by newConn), prf is HMAC keyed with the
+// master secret for the key expansion and the Finished values, and msg
+// is scratch the outgoing hello and key-exchange messages are built
+// in: sendHandshake is done with a message when it returns.
 type handshakeState struct {
-	transcript   bytes.Buffer
+	transcript   sha1.Digest
+	prf          sha1.HMACState
 	clientRandom [randomLen]byte
 	serverRandom [randomLen]byte
 	premaster    []byte
+	msg          [256]byte
 }
 
 // msgNames label handshake messages in errors and logs.
@@ -123,7 +130,7 @@ func (c *Conn) clientHandshake() error {
 	hsStart := cfg.Trace.Now()
 	c.rng.Fill(c.hs.clientRandom[:])
 
-	hello := []byte{msgClientHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits)}
+	hello := append(c.hs.msg[:0], msgClientHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits))
 	hello = append(hello, c.hs.clientRandom[:]...)
 	offeredTicket := false
 	if cfg.Resume != nil {
@@ -190,7 +197,7 @@ func (c *Conn) clientHandshake() error {
 		// Abbreviated handshake: no KeyExchange; fresh keys derive
 		// from the session secret plus the new nonces.
 		c.resumed = true
-		c.secret = append([]byte(nil), cfg.Resume.master...)
+		c.secret = cfg.Resume.master // read-only, like the Session it came from
 		c.hs.premaster = c.secret
 		if !ticketPromised {
 			// Keep resuming on the same ticket next time.
@@ -209,12 +216,12 @@ func (c *Conn) clientHandshake() error {
 			if err != nil {
 				return fmt.Errorf("%w: RSA encrypt: %v", ErrHandshake, err)
 			}
-			keyExchange = []byte{msgKeyExchange, byte(len(ct) >> 8), byte(len(ct))}
+			keyExchange = append(c.hs.msg[:0], msgKeyExchange, byte(len(ct)>>8), byte(len(ct)))
 			keyExchange = append(keyExchange, ct...)
 		case ProfileEmbedded:
 			// RSA was dropped in the port; the premaster is the PSK.
-			c.hs.premaster = append([]byte(nil), cfg.PSK...)
-			keyExchange = []byte{msgKeyExchange}
+			c.hs.premaster = cfg.PSK
+			keyExchange = append(c.hs.msg[:0], msgKeyExchange)
 		}
 		if err := c.sendHandshake(keyExchange); err != nil {
 			return err
@@ -379,7 +386,7 @@ func (c *Conn) serverHandshake() error {
 			}
 			c.hs.premaster = pm
 		case ProfileEmbedded:
-			c.hs.premaster = append([]byte(nil), cfg.PSK...)
+			c.hs.premaster = cfg.PSK
 		}
 		phaseStart = c.emitPhase("server", "key_exchange", false, phaseStart)
 	}
@@ -392,8 +399,7 @@ func (c *Conn) serverHandshake() error {
 // server's public key.
 func (c *Conn) serverHello(withSID, promiseTicket bool) []byte {
 	cfg := &c.cfg
-	hello := make([]byte, 0, 4+randomLen+3+SessionIDLen)
-	hello = append(hello, msgServerHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits))
+	hello := append(c.hs.msg[:0], msgServerHello, byte(cfg.Profile), bitsByte(cfg.keyBits), bitsByte(cfg.blockBits))
 	hello = append(hello, c.hs.serverRandom[:]...)
 	hello = append(hello, flagByte(c.resumed))
 	if withSID {
@@ -404,7 +410,7 @@ func (c *Conn) serverHello(withSID, promiseTicket bool) []byte {
 	}
 	hello = append(hello, flagByte(promiseTicket))
 	if !c.resumed && cfg.Profile == ProfileUnix {
-		hello = append(hello, marshalPublicKey(&cfg.ServerKey.PublicKey)...)
+		hello = appendPublicKey(hello, &cfg.ServerKey.PublicKey)
 	}
 	return hello
 }
@@ -429,7 +435,7 @@ func (c *Conn) finish(isClient, ticketPromised bool, phaseStart uint64) error {
 	}
 	if !c.resumed {
 		// A full handshake's master is the new session's secret.
-		c.secret = c.master
+		c.secret = c.master[:]
 		if !isClient && c.cfg.Cache != nil {
 			c.cfg.Cache.put(c.sessionID, c.secret)
 		}
@@ -464,14 +470,23 @@ func (c *Conn) finish(isClient, ticketPromised bool, phaseStart uint64) error {
 	return nil
 }
 
-func (c *Conn) verifyData(label string) []byte {
-	digest := sha1.Sum1(c.hs.transcript.Bytes())
-	v := sha1.HMAC(c.master, append([]byte(label), digest[:]...))
-	return v[:]
+// verifyData returns HMAC(master, label || SHA1(transcript so far)).
+func (c *Conn) verifyData(label string) (v [sha1.Size]byte) {
+	var digest [sha1.Size]byte
+	c.hs.transcript.SumInto(&digest)
+	c.hs.prf.Reset()
+	c.hs.prf.Write([]byte(label))
+	c.hs.prf.Write(digest[:])
+	c.hs.prf.SumInto(&v)
+	return v
 }
 
 func (c *Conn) sendFinished(label string) error {
-	return c.sendHandshake(append([]byte{msgFinished}, c.verifyData(label)...))
+	var msg [1 + sha1.Size]byte
+	msg[0] = msgFinished
+	v := c.verifyData(label)
+	copy(msg[1:], v[:])
+	return c.sendHandshake(msg[:])
 }
 
 // recvFinished checks the peer's Finished against the verify value
@@ -482,7 +497,7 @@ func (c *Conn) recvFinished(label string) error {
 	if err != nil {
 		return err
 	}
-	if len(msg) != 1+sha1.Size || !constEq(msg[1:], want) {
+	if len(msg) != 1+sha1.Size || !constEq(msg[1:], want[:]) {
 		return fmt.Errorf("%w: Finished verify mismatch", ErrHandshake)
 	}
 	return nil
@@ -492,65 +507,65 @@ func (c *Conn) recvFinished(label string) error {
 
 // deriveKeys computes the connection's master secret from the
 // premaster (on a resumption, the session secret) and the nonces, and
-// installs directional cipher/MAC state. isClient orients write vs
-// read keys.
+// keys the directional cipher/MAC state in place. isClient orients
+// write vs read keys.
 func (c *Conn) deriveKeys(isClient bool) error {
-	seed := make([]byte, 0, len("master")+2*randomLen)
-	seed = append(seed, "master"...)
-	seed = append(seed, c.hs.clientRandom[:]...)
-	seed = append(seed, c.hs.serverRandom[:]...)
-	master := sha1.HMAC(c.hs.premaster, seed)
-	c.master = master[:]
+	var seed [len("master") + 2*randomLen]byte
+	n := copy(seed[:], "master")
+	n += copy(seed[n:], c.hs.clientRandom[:])
+	copy(seed[n:], c.hs.serverRandom[:])
+	c.master = sha1.HMAC(c.hs.premaster, seed[:])
+	c.hs.prf.Init(c.master[:])
 
 	keyBytes := c.cfg.keyBits / 8
-	cKey := expand(c.master, "c key", keyBytes)
-	sKey := expand(c.master, "s key", keyBytes)
-	cMAC := expand(c.master, "c mac", sha1.Size)
-	sMAC := expand(c.master, "s mac", sha1.Size)
-
-	cCipher, err := cipherFor(cKey, c.cfg.blockBits)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	sCipher, err := cipherFor(sKey, c.cfg.blockBits)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
+	var cKey, sKey [32]byte
+	var cMAC, sMAC [sha1.Size]byte
+	c.expand("c key", cKey[:keyBytes])
+	c.expand("s key", sKey[:keyBytes])
+	c.expand("c mac", cMAC[:])
+	c.expand("s mac", sMAC[:])
+	wKey, rKey, wMAC, rMAC := sKey[:keyBytes], cKey[:keyBytes], sMAC[:], cMAC[:]
 	if isClient {
-		c.wCipher, c.wMAC = cCipher, cMAC
-		c.rCipher, c.rMAC = sCipher, sMAC
-	} else {
-		c.wCipher, c.wMAC = sCipher, sMAC
-		c.rCipher, c.rMAC = cCipher, cMAC
+		wKey, rKey, wMAC, rMAC = rKey, wKey, rMAC, wMAC
 	}
-	// Fresh keys invalidate the cached streaming MAC states.
-	c.wHMAC, c.rHMAC = nil, nil
+	if err := c.wAES.Init(wKey, c.cfg.blockBits/8); err != nil {
+		return fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	if err := c.rAES.Init(rKey, c.cfg.blockBits/8); err != nil {
+		return fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	c.wCipher, c.rCipher = &c.wAES, &c.rAES
+	c.wHMAC.Init(wMAC)
+	c.rHMAC.Init(rMAC)
 	return nil
 }
 
-// expand derives n bytes of key material from the master secret.
-func expand(master []byte, label string, n int) []byte {
-	out := make([]byte, 0, n)
-	counter := byte(0)
-	for len(out) < n {
-		block := sha1.HMAC(master, append([]byte(label), counter))
-		out = append(out, block[:]...)
-		counter++
+// expand fills out with key material from the master secret:
+// HMAC(master, label || counter) blocks, counter counting from 0,
+// through the master-keyed hs.prf.
+func (c *Conn) expand(label string, out []byte) {
+	var block [sha1.Size]byte
+	for counter := byte(0); len(out) > 0; counter++ {
+		c.hs.prf.Reset()
+		c.hs.prf.Write([]byte(label))
+		c.hs.prf.Write([]byte{counter})
+		c.hs.prf.SumInto(&block)
+		out = out[copy(out, block[:]):]
 	}
-	return out[:n]
 }
 
 // --- RSA key wire format ----------------------------------------------------------
 
-func marshalPublicKey(pub *rsa.PublicKey) []byte {
-	e := pub.E.Bytes()
-	n := pub.N.Bytes()
-	out := make([]byte, 0, 4+len(e)+len(n))
-	out = append(out, byte(len(e)>>8), byte(len(e)))
-	out = append(out, e...)
-	out = append(out, byte(len(n)>>8), byte(len(n)))
-	out = append(out, n...)
-	return out
+// appendPublicKey appends the wire form of pub to dst: eLen(2) e
+// nLen(2) n, big-endian and minimal.
+func appendPublicKey(dst []byte, pub *rsa.PublicKey) []byte {
+	for _, v := range [2]bignum.Int{pub.E, pub.N} {
+		n := (v.BitLen() + 7) / 8
+		dst = append(dst, byte(n>>8), byte(n))
+		dst = append(dst, make([]byte, n)...)
+		v.FillBytes(dst[len(dst)-n:])
+	}
+	return dst
 }
 
 // maxServerKeyBits is the largest RSA modulus a client accepts in a

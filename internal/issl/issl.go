@@ -31,7 +31,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/crypto/aes"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/telemetry"
@@ -213,9 +212,4 @@ func bind(transport io.ReadWriter, cfg Config, server bool) (*Conn, error) {
 	}
 	conn.readDeadline = time.Time{}
 	return conn, nil
-}
-
-// cipherFor builds the negotiated Rijndael instance.
-func cipherFor(key []byte, blockBits int) (*aes.Cipher, error) {
-	return aes.New(key, blockBits/8)
 }

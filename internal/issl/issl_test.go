@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
+	"repro/internal/crypto/sha1"
 	"repro/internal/netsim"
 	"repro/internal/tcpip"
 )
@@ -414,6 +415,13 @@ func TestRecordLayerConstEq(t *testing.T) {
 
 func TestExpandDeterministicAndSized(t *testing.T) {
 	m := []byte("master secret")
+	expand := func(master []byte, label string, n int) []byte {
+		var c Conn
+		c.hs.prf.Init(master)
+		out := make([]byte, n)
+		c.expand(label, out)
+		return out
+	}
 	a := expand(m, "label", 16)
 	b := expand(m, "label", 16)
 	if !bytes.Equal(a, b) {
@@ -424,6 +432,12 @@ func TestExpandDeterministicAndSized(t *testing.T) {
 	}
 	if bytes.Equal(expand(m, "l1", 16), expand(m, "l2", 16)) {
 		t.Error("different labels gave same key material")
+	}
+	// The schedule is HMAC(master, label || counter) blocks.
+	b0 := sha1.HMAC(m, []byte("label\x00"))
+	b1 := sha1.HMAC(m, []byte("label\x01"))
+	if want := append(b0[:], b1[:13]...); !bytes.Equal(expand(m, "label", 33), want) {
+		t.Error("expand differs from HMAC(master, label || counter)")
 	}
 }
 

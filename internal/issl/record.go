@@ -248,24 +248,6 @@ func (c *Conn) readRecord() (byte, []byte, error) {
 	return recType, buf[recordHeaderLen : recordHeaderLen+n], nil
 }
 
-// writeHMAC and readHMAC lazily build the streaming MAC states from
-// the directional keys. Lazy rather than eager because tests (and the
-// fuzz harness) assemble Conns from key material directly; deriveKeys
-// drops the cached states whenever it installs fresh keys.
-func (c *Conn) writeHMAC() *sha1.HMACState {
-	if c.wHMAC == nil {
-		c.wHMAC = sha1.NewHMAC(c.wMAC)
-	}
-	return c.wHMAC
-}
-
-func (c *Conn) readHMAC() *sha1.HMACState {
-	if c.rHMAC == nil {
-		c.rHMAC = sha1.NewHMAC(c.rMAC)
-	}
-	return c.rHMAC
-}
-
 // macInto computes the record MAC into sum without allocating:
 // HMAC(key, seq64 || type || iv || ct), truncated by the callers.
 func macInto(st *sha1.HMACState, seq uint64, recType byte, iv, ct []byte, sum *[sha1.Size]byte) {
@@ -312,7 +294,7 @@ func (c *Conn) appendSealed(dst []byte, recType byte, plaintext []byte) ([]byte,
 		return dst[:off], err
 	}
 	var sum [sha1.Size]byte
-	macInto(c.writeHMAC(), c.wSeq, recType, iv, ct, &sum)
+	macInto(&c.wHMAC, c.wSeq, recType, iv, ct, &sum)
 	copy(body[bs+ctLen:], sum[:macLen])
 	c.wSeq++
 	return dst, nil
@@ -332,7 +314,7 @@ func (c *Conn) openRecord(recType byte, body []byte) ([]byte, error) {
 	ct := body[bs : len(body)-macLen]
 	mac := body[len(body)-macLen:]
 	var sum [sha1.Size]byte
-	macInto(c.readHMAC(), c.rSeq, recType, iv, ct, &sum)
+	macInto(&c.rHMAC, c.rSeq, recType, iv, ct, &sum)
 	if !constEq(mac, sum[:macLen]) {
 		return nil, ErrBadMAC
 	}

@@ -32,7 +32,7 @@ func sealedBodyRef(t *testing.T, c *Conn, rngSeed uint64, seq uint64, recType by
 	msg = append(msg, recType)
 	msg = append(msg, iv...)
 	msg = append(msg, ct...)
-	m := sha1.HMAC(c.wMAC, msg)
+	m := sha1.HMAC(fuzzMACKey, msg)
 	out := append(iv, ct...)
 	return append(out, m[:macLen]...)
 }

@@ -43,7 +43,7 @@ func resumablePair(t *testing.T) (*Session, *SessionCache) {
 // handshake pair in TestResumedHandshakeAllocs, counted process-wide:
 // both ends, their PRNGs, the pipe and the server goroutine. Lower it
 // when a change removes allocations; never raise it to admit a new one.
-const resumedHandshakeAllocs = 78
+const resumedHandshakeAllocs = 28
 
 // TestResumedHandshakeAllocs pins the allocations of one resumed
 // handshake pair over an in-memory pipe, the BenchmarkE9_ResumedHandshake

@@ -137,42 +137,55 @@ func newStats(reg *telemetry.Registry) Stats {
 // destination down. aToB and bToA count the bytes moved each way and
 // halfCloses each half-close sent (nil counters are no-ops); the
 // per-direction totals are returned.
+//
+// The a→b direction runs on the calling goroutine, whose stack the
+// handshake before it has already grown, and only b→a gets a goroutine
+// of its own; both copy through buffers from relayBufs.
 func Relay(a, b io.ReadWriteCloser, aToB, bToA, halfCloses *telemetry.Counter) (ab, ba uint64) {
-	var wg sync.WaitGroup
-	copyDir := func(dst io.WriteCloser, src io.Reader, counter *telemetry.Counter, total *uint64) {
-		defer wg.Done()
-		buf := make([]byte, 4096)
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				counter.Add(uint64(n))
-				*total += uint64(n)
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					dst.Close()
-					return
-				}
-			}
-			if err == io.EOF {
-				if cw, ok := dst.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
-					halfCloses.Inc()
-				} else {
-					dst.Close()
-				}
-				return
-			}
-			if err != nil {
-				dst.Close()
-				return
-			}
-		}
-	}
-	wg.Add(2)
-	go copyDir(b, a, aToB, &ab)
-	go copyDir(a, b, bToA, &ba)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		ba = relayDir(a, b, bToA, halfCloses)
+		close(done)
+	}()
+	ab = relayDir(b, a, aToB, halfCloses)
+	<-done
 	a.Close()
 	b.Close()
 	return ab, ba
+}
+
+// relayBufs recycles Relay's copy buffers, so a reconnecting load pays
+// no buffer allocation per hop.
+var relayBufs = sync.Pool{New: func() any { return new([4096]byte) }}
+
+// relayDir is one direction of Relay: it copies src to dst until src
+// ends, then half-closes or closes dst, and returns the bytes moved.
+func relayDir(dst io.WriteCloser, src io.Reader, counter, halfCloses *telemetry.Counter) (total uint64) {
+	buf := relayBufs.Get().(*[4096]byte)
+	defer relayBufs.Put(buf)
+	for {
+		n, err := src.Read(buf[:])
+		if n > 0 {
+			counter.Add(uint64(n))
+			total += uint64(n)
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				dst.Close()
+				return total
+			}
+		}
+		if err == io.EOF {
+			if cw, ok := dst.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+				halfCloses.Inc()
+			} else {
+				dst.Close()
+			}
+			return total
+		}
+		if err != nil {
+			dst.Close()
+			return total
+		}
+	}
 }
 
 // service is what both flavors share: the configuration, the counters

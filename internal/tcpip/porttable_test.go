@@ -186,9 +186,9 @@ func TestEphemeralPortSkipsTimeWaitAcrossWrap(t *testing.T) {
 	}
 	tw.Close()
 	waitUntil(t, "TIME_WAIT", func() bool { return stateOf(tw) == stateTimeWait })
-	tw.mu.Lock()
+	cli.mu.Lock()
 	tw.timeWaitAt = time.Now().Add(time.Hour)
-	tw.mu.Unlock()
+	cli.mu.Unlock()
 
 	setNextPort(cli, 65535)
 	var got []uint16
@@ -206,9 +206,9 @@ func TestEphemeralPortSkipsTimeWaitAcrossWrap(t *testing.T) {
 	checkPortTable(t, cli, "after wrap")
 
 	// Once TIME_WAIT expires the port is free again.
-	tw.mu.Lock()
+	cli.mu.Lock()
 	tw.timeWaitAt = time.Now()
-	tw.mu.Unlock()
+	cli.mu.Unlock()
 	waitUntil(t, "TIME_WAIT expiry", func() bool { return portRefs(cli, 49152) == 0 })
 	cli.mu.Lock()
 	cli.nextPort = 49152
@@ -249,14 +249,16 @@ func TestEphemeralPortNeverReturnsLivePort(t *testing.T) {
 }
 
 // fillTimeWait registers n connections in TIME_WAIT on s, each on its
-// own ephemeral port, with an expiry far enough out to outlive the
-// caller: the table a busy reconnecting client carries.
-func fillTimeWait(tb testing.TB, s *Stack, n int) {
+// own ephemeral port, parked on the TIME_WAIT FIFO to expire after
+// hold: the table a busy reconnecting client carries. A hold past the
+// caller's end keeps them for its whole run.
+func fillTimeWait(tb testing.TB, s *Stack, n int, hold time.Duration) []*TCB {
 	tb.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	peer := IP4(10, 0, 0, 250)
-	for i := 0; i < n; i++ {
+	tws := make([]*TCB, n)
+	for i := range tws {
 		p := s.ephemeralPort()
 		if p == 0 {
 			tb.Fatal("ephemeral ports exhausted")
@@ -264,9 +266,11 @@ func fillTimeWait(tb testing.TB, s *Stack, n int) {
 		t := newTCB(s)
 		t.localPort, t.remoteIP, t.remotePort = p, peer, 80
 		t.state = stateTimeWait
-		t.timeWaitAt = time.Now().Add(time.Hour)
 		s.addTCBLocked(tcpKey{peer, 80, p}, t)
+		s.parkTimeWaitLocked(t, time.Now().Add(hold))
+		tws[i] = t
 	}
+	return tws
 }
 
 // BenchmarkConnectUnderTimeWait times one connect, accept and abort
@@ -296,7 +300,7 @@ func BenchmarkConnectUnderTimeWait(b *testing.B) {
 			// however the accepting goroutine is scheduled.
 			accepted := make(chan *TCB, 1)
 			acceptAll(l, func(c *TCB) { accepted <- c })
-			fillTimeWait(b, cli, tw)
+			fillTimeWait(b, cli, tw, time.Hour)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -32,6 +32,13 @@ type Stack struct {
 	nextPort  uint16
 	isn       *prng.Xorshift
 
+	// live and timeWait split the tcbs entries for the timer sweep
+	// (dueTCBs): timeWait holds the TIME_WAIT ones in the order they
+	// entered it, which is expiry order because timeWaitDelay is a
+	// constant; live holds the rest, every entry that can have a
+	// retransmission deadline. Each entry is on exactly one of them.
+	live, timeWait tcbList
+
 	pingMu   sync.Mutex
 	pingWait map[uint16]chan struct{}
 	pingSeq  uint16
@@ -155,9 +162,9 @@ func (s *Stack) Close() {
 }
 
 // loop is the stack's one goroutine. When the port is ready it serves
-// the pending batch (serveBatch). Every 10 ms it ticks each TCB's
-// timers. A port closed under a live stack (its hub closed) stops the
-// demux; the timers run until Close.
+// the pending batch (serveBatch). Every 10 ms it ticks the TCBs whose
+// timers can be due (dueTCBs). A port closed under a live stack (its
+// hub closed) stops the demux; the timers run until Close.
 func (s *Stack) loop() {
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
@@ -175,17 +182,76 @@ func (s *Stack) loop() {
 				ready = nil
 			}
 		case now := <-tick.C:
-			s.mu.Lock()
-			scratch = scratch[:0]
-			for _, t := range s.tcbs {
-				scratch = append(scratch, t)
-			}
-			s.mu.Unlock()
-			for _, t := range scratch {
-				t.tick(now)
-			}
+			scratch = s.sweep(now, scratch)
 		}
 	}
+}
+
+// sweep is one timer pass at now: it ticks every live TCB and ends
+// every expired TIME_WAIT. buf is scratch, returned emptied for reuse.
+func (s *Stack) sweep(now time.Time, buf []*TCB) []*TCB {
+	buf, live := s.dueTCBs(now, buf)
+	for i, t := range buf {
+		if i < live {
+			t.tick(now)
+		} else {
+			t.expireTimeWait()
+		}
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// dueTCBs appends to buf the TCBs a timer pass at now must visit: every
+// live one, then the TIME_WAIT ones that have expired, and returns how
+// many are live. The expired ones are a prefix of the FIFO, so a pass
+// costs O(live + expired) however many connections linger in
+// TIME_WAIT, as the board's tcp_tick cost a constant three slots.
+func (s *Stack) dueTCBs(now time.Time, buf []*TCB) ([]*TCB, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for t := s.live.head; t != nil; t = t.next {
+		buf = append(buf, t)
+	}
+	live := len(buf)
+	for t := s.timeWait.head; t != nil && now.After(t.timeWaitAt); t = t.next {
+		buf = append(buf, t)
+	}
+	return buf, live
+}
+
+// tcbList is an intrusive doubly linked list of TCBs, threaded through
+// TCB.prev and TCB.next, so moving a TCB between lists or taking it off
+// one allocates nothing and costs O(1). Guarded by Stack.mu.
+type tcbList struct {
+	head, tail *TCB
+	n          int
+}
+
+func (l *tcbList) pushBack(t *TCB) {
+	t.list, t.prev, t.next = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+	l.n++
+}
+
+func (l *tcbList) remove(t *TCB) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		l.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.list, t.prev, t.next = nil, nil, nil
+	l.n--
 }
 
 // serveBatch drains every frame pending on the port and demuxes each in
@@ -236,13 +302,26 @@ func (s *Stack) handleFrameView(f netsim.EthFrame) *TCB {
 }
 
 // addTCBLocked registers t in the connection table under key, which
-// must be free, and counts its local port. Every s.tcbs insertion goes
-// through here and every removal through removeTCBLocked, so tcbPorts
-// always holds, per local port, the number of s.tcbs entries using it.
-// Called with s.mu held.
+// must be free, counts its local port and puts it on the live list.
+// Every s.tcbs insertion goes through here and every removal through
+// removeTCBLocked, so tcbPorts always holds, per local port, the number
+// of s.tcbs entries using it, and live plus timeWait hold exactly the
+// entries. Called with s.mu held.
 func (s *Stack) addTCBLocked(key tcpKey, t *TCB) {
 	s.tcbs[key] = t
 	s.tcbPorts[key.localPort]++
+	s.live.pushBack(t)
+}
+
+// parkTimeWaitLocked moves a registered TCB from the live list to the
+// tail of the TIME_WAIT FIFO, to expire at at. Called with s.mu held.
+func (s *Stack) parkTimeWaitLocked(t *TCB, at time.Time) {
+	if t.list != &s.live {
+		return // already unregistered (or parked)
+	}
+	s.live.remove(t)
+	t.timeWaitAt = at
+	s.timeWait.pushBack(t)
 }
 
 // removeTCBLocked unregisters t from key, if t still owns it. Called
@@ -252,6 +331,7 @@ func (s *Stack) removeTCBLocked(key tcpKey, t *TCB) {
 		return
 	}
 	delete(s.tcbs, key)
+	t.list.remove(t)
 	if n := s.tcbPorts[key.localPort] - 1; n > 0 {
 		s.tcbPorts[key.localPort] = n
 	} else {

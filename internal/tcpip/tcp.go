@@ -161,7 +161,7 @@ func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 type TCB struct {
 	stack *Stack
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond // L is &mu
 
 	state      tcpState
 	localPort  uint16
@@ -205,7 +205,13 @@ type TCB struct {
 	rtoDeadline time.Time
 	rto         time.Duration
 	retries     int
-	timeWaitAt  time.Time
+
+	// The stack's sweep lists (Stack.live, Stack.timeWait) thread
+	// through these, and timeWaitAt is the TIME_WAIT expiry; all are
+	// guarded by stack.mu, not t.mu.
+	list       *tcbList
+	prev, next *TCB
+	timeWaitAt time.Time
 
 	// RTT sampling, Karn's algorithm: one timed sequence number at a
 	// time, and the pending sample is invalidated on retransmission
@@ -234,13 +240,18 @@ type TCB struct {
 
 	// txScratch is the reusable segment marshal buffer (guarded by
 	// t.mu, like every send call); Port.Send copies at the wire
-	// boundary, so reuse on the next segment is safe.
+	// boundary, so reuse on the next segment is safe. It is txBuf,
+	// sized for the largest segment, so marshalling never regrows it.
 	txScratch []byte
+	txBuf     [ipHeaderLen + tcpHeaderLen + tcpMSS]byte
 }
 
+// newTCB returns a closed TCB on s in one allocation: its condition
+// variable and segment buffer live inside it.
 func newTCB(s *Stack) *TCB {
 	t := &TCB{stack: s, rto: initialRTO, peerWnd: advertisedWnd}
-	t.cond = sync.NewCond(&t.mu)
+	t.cond.L = &t.mu
+	t.txScratch = t.txBuf[:0]
 	return t
 }
 
@@ -429,16 +440,12 @@ func (t *TCB) transmit() {
 	}
 }
 
-// tick is called periodically by the stack's timer loop.
+// tick runs a live TCB's retransmission timer; the stack's timer pass
+// calls it every 10 ms. TIME_WAIT has no timer here (rtoArmed is
+// off): the pass ends it with expireTimeWait.
 func (t *TCB) tick(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.state == stateTimeWait && now.After(t.timeWaitAt) {
-		t.removeLocked()
-		t.state = stateClosed
-		t.cond.Broadcast()
-		return
-	}
 	if !t.rtoArmed || now.Before(t.rtoDeadline) {
 		return
 	}
@@ -483,6 +490,19 @@ func (t *TCB) tick(now time.Time) {
 		}
 	}
 	t.armRTO()
+}
+
+// expireTimeWait closes a TIME_WAIT TCB whose expiry the timer pass
+// saw pass; one that left TIME_WAIT meanwhile (RST, abort) is done.
+func (t *TCB) expireTimeWait() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != stateTimeWait {
+		return
+	}
+	t.removeLocked()
+	t.state = stateClosed
+	t.cond.Broadcast()
 }
 
 // removeLocked unregisters the TCB from the stack. t.mu held.
@@ -754,10 +774,15 @@ func (t *TCB) drainOOO() {
 	}
 }
 
+// enterTimeWait moves the TCB to TIME_WAIT and off the stack's live
+// list onto its TIME_WAIT FIFO, so the timer sweep visits it again only
+// once timeWaitDelay has passed. Called with t.mu held.
 func (t *TCB) enterTimeWait() {
 	t.state = stateTimeWait
 	t.rtoArmed = false
-	t.timeWaitAt = time.Now().Add(timeWaitDelay)
+	t.stack.mu.Lock()
+	t.stack.parkTimeWaitLocked(t, time.Now().Add(timeWaitDelay))
+	t.stack.mu.Unlock()
 }
 
 // --- Public connection API ------------------------------------------------

@@ -103,7 +103,8 @@ func BenchmarkKernelSHA1(b *testing.B) {
 // once and every record reuses it.
 func BenchmarkKernelHMACSHA1(b *testing.B) {
 	buf := kernelBuf()
-	st := sha1.NewHMAC(buf[:20])
+	var st sha1.HMACState
+	st.Init(buf[:20])
 	var sum [sha1.Size]byte
 	st.Write(buf) // warm caches
 	st.SumInto(&sum)
