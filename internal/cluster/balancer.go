@@ -172,6 +172,20 @@ func (b *Balancer) track(tcb *tcpip.TCB) bool {
 	return true
 }
 
+// dropForwards aborts every forward to addr, a node just marked down,
+// so the relays' clients see the failure now and retry elsewhere. A
+// dead node answers nothing: a relay waiting on its reply would
+// otherwise sit until the client's own timeout.
+func (b *Balancer) dropForwards(addr tcpip.Addr) {
+	b.connMu.Lock()
+	defer b.connMu.Unlock()
+	for tcb := range b.conns {
+		if a, _ := tcb.RemoteAddr(); a == addr {
+			tcb.Abort()
+		}
+	}
+}
+
 func (b *Balancer) untrack(tcb *tcpip.TCB) {
 	b.connMu.Lock()
 	delete(b.conns, tcb)
@@ -273,6 +287,7 @@ func (b *Balancer) probeLoop(n *nodeEntry) {
 			b.stats.NodeDowns.Inc()
 			b.stats.NodesUp.Add(-1)
 			b.cfg.Trace.Emit("cluster", "node.down", "node", n.index, "fails", fails)
+			b.dropForwards(n.addr)
 		}
 	}
 }

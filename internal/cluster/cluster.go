@@ -231,10 +231,14 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // per-instance SLO breakdown reads these.
 func (c *Cluster) NodeRegistry(i int) *telemetry.Registry { return c.nodes[i].Registry }
 
-// KillNode is the chaos primitive: instance i dies abruptly — live
-// connections reset, session cache gone, stack off the fabric — as if
-// the box lost power. Idempotent. The balancer's probes notice on
-// their own clock; nothing tells it.
+// KillNode is the chaos primitive: instance i dies abruptly, as if the
+// box lost power. Its stack leaves the fabric first, so from then on
+// nothing leaves the node: live connections end without a RST or FIN
+// (their peers find out by timing out), a SYN gets neither a SYN-ACK
+// nor a RST, and the session cache is gone. Only then are the
+// redirector and the health endpoint torn down, their connections
+// already aborted under them. Idempotent. The balancer's probes notice
+// on their own clock; nothing tells it.
 func (c *Cluster) KillNode(i int) {
 	node := c.nodes[i]
 	node.mu.Lock()
@@ -245,9 +249,9 @@ func (c *Cluster) KillNode(i int) {
 	node.stopped = true
 	stack, srv, health := node.stack, node.srv, node.health
 	node.mu.Unlock()
+	stack.Halt()
+	srv.Close()
 	health.Close()
-	srv.Close() // abort in-flight: a power cut drains nothing
-	stack.Close()
 	node.hwg.Wait()
 }
 

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,6 +232,162 @@ func TestKillNodeTicketResumesElsewhere(t *testing.T) {
 	if got := ticketsOn(cl, "issl.tickets_resumed"); got != 1 {
 		t.Errorf("fleet tickets_resumed = %d, want 1 (on a surviving instance)", got)
 	}
+}
+
+// TestKillNodeGoesSilent: a kill is a power cut, not a closed port.
+// From the moment KillNode starts no frame leaves the node: the
+// connection it was relaying gets no RST or FIN, and a connect whose
+// SYN reaches the node during the kill gets neither a SYN-ACK nor a
+// RST, so it times out. Cluster.Close still returns promptly after.
+func TestKillNodeGoesSilent(t *testing.T) {
+	hub := netsim.NewHub()
+	t.Cleanup(hub.Close)
+	stack := func(last byte) *tcpip.Stack {
+		s, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	cli, back := stack(1), stack(3)
+	startEchoBackend(t, back)
+	// No probes: every frame the node sends is the test's doing.
+	setTiming(t, &probeInterval, time.Hour)
+	cl, err := New(hub, Config{Nodes: 1, Target: back.Addr(), TargetPort: backendPort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	node := cl.nodes[0].Addr
+
+	live, err := cli.Connect(node, nodePort, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Abort()
+	buf := make([]byte, 4)
+	if _, err := live.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := live.ReadDeadline(buf, time.Now().Add(5*time.Second)); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("echo through the node: %q, %v", buf[:n], err)
+	}
+
+	// Let the last ACKs land, then sniff: from here on every frame
+	// from the node's address is the kill's doing.
+	time.Sleep(100 * time.Millisecond)
+	sniff, err := hub.AttachPromiscuous(netsim.MAC{0x02, 0xee, 0, 0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromNode atomic.Int64
+	sniffed := make(chan struct{})
+	go func() {
+		defer close(sniffed)
+		for range sniff.Ready() {
+			frames, _ := sniff.Drain()
+			for _, f := range frames {
+				p := f.Payload()
+				var src []byte
+				switch f.EtherType() {
+				case netsim.EtherTypeIPv4:
+					src = p[12:16]
+				case netsim.EtherTypeARP:
+					src = p[14:18]
+				}
+				if bytes.Equal(src, node[:]) {
+					fromNode.Add(1)
+				}
+			}
+		}
+	}()
+
+	// On a 100 ms wire the SYN is still in flight when the kill starts.
+	hub.SetLatency(100 * time.Millisecond)
+	dialed := make(chan error, 1)
+	go func() {
+		tcb, err := cli.Connect(node, nodePort, 600*time.Millisecond)
+		if err == nil {
+			tcb.Abort()
+		}
+		dialed <- err
+	}()
+	cl.KillNode(0)
+	if _, err := live.ReadDeadline(buf, time.Now().Add(300*time.Millisecond)); !errors.Is(err, tcpip.ErrTimeout) {
+		t.Errorf("relayed connection after the kill: %v, want a timeout (no RST, no FIN)", err)
+	}
+	if err := <-dialed; !errors.Is(err, tcpip.ErrTimeout) {
+		t.Errorf("connect during the kill: %v, want a timeout (no SYN-ACK, no RST)", err)
+	}
+	time.Sleep(200 * time.Millisecond) // drain the wire into the sniffer
+	sniff.Close()
+	<-sniffed
+	if n := fromNode.Load(); n != 0 {
+		t.Errorf("%d frames left the node after KillNode started, want 0", n)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		cl.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cluster.Close still running 5s after the kill")
+	}
+}
+
+// TestNodeDownDropsForwards: a killed node is silent, so only the
+// balancer's probes learn it died. When they mark it down, the
+// balancer aborts its relays to the node, and a client waiting on a
+// reply from it sees its connection end then, not at its own timeout.
+func TestNodeDownDropsForwards(t *testing.T) {
+	hub := netsim.NewHub()
+	t.Cleanup(hub.Close)
+	stack := func(last byte) *tcpip.Stack {
+		s, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	cli, back := stack(1), stack(3)
+	startEchoBackend(t, back)
+	setTiming(t, &probeInterval, 20*time.Millisecond)
+	setTiming(t, &probeTimeout, 50*time.Millisecond)
+	cl, err := New(hub, Config{Nodes: 1, Target: back.Addr(), TargetPort: backendPort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	addr, port := cl.Addr()
+	conn, err := cli.Connect(addr, port, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Abort()
+	buf := make([]byte, 4)
+	if _, err := conn.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.ReadDeadline(buf, time.Now().Add(5*time.Second)); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("echo through the balancer: %q, %v", buf[:n], err)
+	}
+
+	cl.KillNode(0)
+	start := time.Now()
+	_, err = conn.ReadDeadline(buf, start.Add(5*time.Second))
+	if err == nil || errors.Is(err, tcpip.ErrTimeout) {
+		t.Fatalf("read through the balancer after the kill: %v, want the connection ended", err)
+	}
+	if cl.Balancer().NodeUp(0) {
+		t.Fatal("connection ended before the probes marked the node down")
+	}
+	t.Logf("connection ended %v after the kill: %v", time.Since(start), err)
 }
 
 // TestKillDuringDetectionWindowFailsOver: connections arriving after

@@ -25,8 +25,8 @@ func FuzzBignum(f *testing.F) {
 	// RSA-ish sizes.
 	f.Add(bytes.Repeat([]byte{0x5a}, 32), bytes.Repeat([]byte{0xa5}, 24), append([]byte{0x80}, bytes.Repeat([]byte{0x11}, 15)...))
 	// Montgomery kernel widths: all-ones 4- and 8-limb moduli (the
-	// unrolled kernels), a 9-limb one (generic), a 16-limb one (the
-	// assembly loop kernel), and x = m − 1.
+	// unrolled assembly), a 9-limb one (generic only), a 16-limb one
+	// (the assembly loop kernel), and x = m − 1.
 	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x3c}, 10), bytes.Repeat([]byte{0xff}, 32))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 10), bytes.Repeat([]byte{0xff}, 64))
 	f.Add(append(bytes.Repeat([]byte{0xc3}, 63), 0xfe), bytes.Repeat([]byte{0x77}, 9), append(bytes.Repeat([]byte{0xc3}, 63), 0xff))

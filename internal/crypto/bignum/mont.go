@@ -9,34 +9,31 @@ import "math/bits"
 // Knuth long division per step — the exact shape of the
 // "difficult-to-port bignum package" the paper's RMC2000 port gave up
 // on. The host profile keeps RSA, so the hot path gets the standard
-// fix, Montgomery multiplication, in four pieces:
+// fix, Montgomery multiplication, in three pieces:
 //
-//   - Fused CIOS (Coarsely Integrated Operand Scanning). One inner loop
-//     per limb of b both adds a[j]·b[i] and folds in u·m[j], on two
-//     carry chains, so the n+1-limb accumulator is walked once per limb
-//     instead of twice. Operands are resliced to fixed lengths up front
-//     so the loop runs without bounds checks. The final subtraction
-//     always computes t − m and keeps t only if that borrowed.
-//   - Unrolled widths. 4 and 8 limbs, the CRT halves of 512- and
-//     1024-bit RSA keys, get the same kernel with the inner loop fully
-//     unrolled and the accumulator in locals, plus a squaring kernel
-//     that forms each cross product a[i]·a[j] once: n(n+1)/2 + n²
-//     multiplies instead of 2n². Both are written into
-//     mont_unrolled.go by mont_gen.go. Other widths square with the
-//     generic multiply.
+//   - Fused CIOS (Coarsely Integrated Operand Scanning) in Go,
+//     montMulGeneric, for every width: the portable path. One inner
+//     loop per limb of b both adds a[j]·b[i] and folds in u·m[j], on
+//     two carry chains, so the n+1-limb accumulator is walked once per
+//     limb instead of twice. Operands are resliced to fixed lengths up
+//     front so the loop runs without bounds checks. The final
+//     subtraction always computes t − m and keeps t only if that
+//     borrowed. It squares too, as a·a.
 //   - Hand-scheduled assembly where the CPU has BMI2 and ADX
-//     (hasADX). mont_gen.go also writes mont_amd64.s: the 4- and
-//     8-limb multiplies with the n+2 accumulator limbs in registers,
-//     MULXQ products and two carry chains (ADOXQ for low halves, ADCXQ
-//     for high), an 8-limb squaring built the same way, and a loop
-//     kernel for any multiple of 4 limbs (16: the public op of a
+//     (hasADX). mont_gen.go writes mont_amd64.s: the 4- and 8-limb
+//     multiplies (the CRT halves of 512- and 1024-bit RSA keys) with
+//     the n+2 accumulator limbs in registers, MULXQ products and two
+//     carry chains (ADOXQ for low halves, ADCXQ for high), an 8-limb
+//     squaring that forms each cross product a[i]·a[j] once, and a
+//     loop kernel for any multiple of 4 limbs (16: the public op of a
 //     1024-bit key). At 4 limbs the multiply squares too: a dedicated
 //     squaring gained 3%, under the 10% it had to show. newMontCtx
 //     picks the kernels from hasADX and len(m) once, as a montKind
 //     that mul and sqr switch on: a direct call from Go reaches an
 //     assembly kernel with no ABI wrapper, where a func value would
-//     go through one. The Go kernels are the portable path and the
-//     tests' oracle.
+//     go through one. Hosts without BMI2 and ADX, and builds off
+//     amd64, run montMulGeneric at every width (EXPERIMENTS.md E25
+//     prices that against the unrolled Go kernels it replaced).
 //   - An exponent schedule that fits the exponent. Exponents under 64
 //     bits (the public exponent 65537) use left-to-right square-and-
 //     multiply; longer ones use a fixed 4-bit window whose 16-entry
@@ -59,8 +56,6 @@ type montKind uint8
 
 const (
 	kindGeneric montKind = iota // montMulGeneric for both
-	kindGo4                     // montMul4, montSqr4
-	kindGo8                     // montMul8, montSqr8
 	kindADX4                    // montMul4ADX for both
 	kindADX8                    // montMul8ADX, montSqr8ADX
 	kindADX                     // montMulADX for both, any multiple of 4 limbs
@@ -84,10 +79,6 @@ func newMontCtx(m Int) montCtx {
 		ctx.kind = kindADX8
 	case hasADX && n%4 == 0:
 		ctx.kind = kindADX
-	case n == 4:
-		ctx.kind = kindGo4
-	case n == 8:
-		ctx.kind = kindGo8
 	}
 	// Newton iteration for m[0]^-1 mod 2^64: an odd m0 is its own
 	// inverse mod 8, and each step doubles the valid bit count
@@ -109,10 +100,6 @@ func (ctx *montCtx) mul(dst, a, b []uint64) {
 		montMul4ADX(dst, a, b, ctx.m, ctx.n0, ctx.t)
 	case kindADX:
 		montMulADX(dst, a, b, ctx.m, ctx.n0, ctx.t)
-	case kindGo8:
-		montMul8(dst, a, b, ctx.m, ctx.n0, ctx.t)
-	case kindGo4:
-		montMul4(dst, a, b, ctx.m, ctx.n0, ctx.t)
 	default:
 		montMulGeneric(dst, a, b, ctx.m, ctx.n0, ctx.t)
 	}
@@ -126,10 +113,6 @@ func (ctx *montCtx) sqr(dst, a []uint64) {
 		montMul4ADX(dst, a, a, ctx.m, ctx.n0, ctx.t)
 	case kindADX:
 		montMulADX(dst, a, a, ctx.m, ctx.n0, ctx.t)
-	case kindGo8:
-		montSqr8(dst, a, a, ctx.m, ctx.n0, ctx.t)
-	case kindGo4:
-		montSqr4(dst, a, a, ctx.m, ctx.n0, ctx.t)
 	default:
 		montMulGeneric(dst, a, a, ctx.m, ctx.n0, ctx.t)
 	}

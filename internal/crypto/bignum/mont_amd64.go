@@ -6,7 +6,7 @@ package bignum
 
 // hasADX reports whether the CPU has BMI2 (leaf 7 EBX bit 8, MULX) and
 // ADX (bit 19, ADCX and ADOX). newMontCtx reads it; the tests clear it
-// to run the Go kernels on the same host.
+// to run the portable montMulGeneric on the same host.
 var hasADX = func() bool {
 	maxLeaf, ebx7 := cpuidADX()
 	const want = 1<<8 | 1<<19

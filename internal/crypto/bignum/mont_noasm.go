@@ -2,7 +2,7 @@
 
 package bignum
 
-// Without the amd64 kernels every width runs the Go kernels; the stubs
+// Without the amd64 kernels every width runs montMulGeneric; the stubs
 // below are never reached.
 
 var hasADX = false

@@ -28,17 +28,17 @@ func allOnes(n int) Int {
 
 func toBig(x Int) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
 
-// kernelPath is one kernel set newMontCtx can pick: the Go kernels, or
-// the ADX assembly.
+// kernelPath is one kernel set newMontCtx can pick: montMulGeneric at
+// every width, or the ADX assembly.
 type kernelPath struct {
 	name string
 	adx  bool
 }
 
-// kernelPaths lists the paths this host can run: Go always, ADX where
-// the CPU has it.
+// kernelPaths lists the paths this host can run: generic always, ADX
+// where the CPU has it.
 func kernelPaths() []kernelPath {
-	paths := []kernelPath{{"go", false}}
+	paths := []kernelPath{{"generic", false}}
 	if hasADX {
 		paths = append(paths, kernelPath{"adx", true})
 	}
@@ -53,22 +53,23 @@ func withADX(on bool, f func()) {
 }
 
 // TestKernelChoice pins which kernel pair newMontCtx picks per width
-// on each path.
+// on each path: kindGeneric at every width on the portable path, the
+// assembly at multiples of 4 limbs on the ADX path.
 func TestKernelChoice(t *testing.T) {
 	for _, path := range kernelPaths() {
 		for _, c := range []struct {
-			n               int
-			goKind, adxKind montKind
+			n       int
+			adxKind montKind
 		}{
-			{4, kindGo4, kindADX4},
-			{8, kindGo8, kindADX8},
-			{12, kindGeneric, kindADX},
-			{16, kindGeneric, kindADX},
-			{9, kindGeneric, kindGeneric},
+			{4, kindADX4},
+			{8, kindADX8},
+			{12, kindADX},
+			{16, kindADX},
+			{9, kindGeneric},
 		} {
 			var ctx montCtx
 			withADX(path.adx, func() { ctx = newMontCtx(allOnes(c.n)) })
-			want := c.goKind
+			want := kindGeneric
 			if path.adx {
 				want = c.adxKind
 			}
@@ -81,9 +82,9 @@ func TestKernelChoice(t *testing.T) {
 
 // TestMontExpEquivalence diffs the Montgomery exponentiation against
 // the schoolbook oracle and math/big over 10k seeded (x, e, m) triples
-// with odd moduli of 1–17 limbs, so every kernel runs (generic, the
-// unrolled 4- and 8-limb ones, and on the ADX path the assembly at 4, 8
-// and multiples of 4 limbs), and exponents of up to three limbs, so
+// with odd moduli of 1–17 limbs, so every kernel runs (generic at every
+// width, and on the ADX path the assembly at 4, 8 and multiples of 4
+// limbs), and exponents of up to three limbs, so
 // both schedules (square-and-multiply under 64 bits, the window above)
 // run. Three vectors in ten take an adversarial shape: m = 2^(64n) − 1,
 // x = m − 1, or x = m − 1 with an all-ones exponent. Each kernel path
@@ -142,8 +143,9 @@ func testMontExpEquivalence(t *testing.T) {
 // TestMontKernels diffs the kernels newMontCtx picks, on each kernel
 // path, against the generic fused kernel and math/big's a·b·R^-1 mod m:
 // the multiply with dst fresh and aliasing a, b or both, and the
-// squaring in place against a·a. Widths are 4 and 8 limbs (unrolled Go
-// or assembly) and 12 and 16 (generic Go or the assembly loop).
+// squaring in place against a·a. Widths are 4 and 8 limbs (the
+// unrolled assembly) and 12 and 16 (the assembly loop); the generic
+// path runs montMulGeneric itself, so there math/big is the oracle.
 // Moduli include m = 2^(64n) − 1 and moduli whose top half is all
 // ones; operands cover random values, all-ones limbs, m − 1, values
 // just below it, and limbs that are mostly all ones. The test insists the final subtraction (t ≥ m before

@@ -74,10 +74,14 @@ func TestClusterCombinedChaosSoak(t *testing.T) {
 	} else if cr.RecoveryNs > uint64(5*time.Second) {
 		t.Errorf("recovery took %v, want bounded (<5s)", time.Duration(cr.RecoveryNs))
 	}
-	// The combined failure planes actually bit: a run in which no
-	// request ever needed a retry means the wire faults and the kill
-	// never touched the workload, and the soak proved nothing.
-	if m.Retries == 0 {
-		t.Error("no retries recorded: neither the degraded wire nor the kill touched the workload")
+	// The degraded wire actually bit: the hub's fault plan dropped and
+	// corrupted frames, and TCP had to retransmit. (Request retries are
+	// no such evidence: the transport absorbs most faults below the
+	// request, so a clean run of the soak often needs none.)
+	if m.WireLost == 0 || m.WireCorrupted == 0 {
+		t.Errorf("wire faults: %d frames lost, %d corrupted; want both > 0", m.WireLost, m.WireCorrupted)
+	}
+	if m.TCPRetransmits == 0 {
+		t.Error("no tcp retransmits recorded: the wire faults never reached a connection")
 	}
 }

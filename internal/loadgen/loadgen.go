@@ -258,8 +258,11 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 			return nil, err
 		}
 	}
+	// The tcp counters of the stacks built here: client, backend and
+	// the single redirector's.
+	stacks := telemetry.NewRegistry()
 	mk := func(last byte) (*tcpip.Stack, error) {
-		return tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, last))
+		return tcpip.NewStackWithTelemetry(hub, tcpip.IP4(10, 0, 0, last), stacks, nil)
 	}
 	cli, err := mk(1)
 	if err != nil {
@@ -280,7 +283,11 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		return nil, err
 	}
 	if cfg.Instances > 1 {
-		return runRealCluster(cfg, p, hub, cli, back, key)
+		m, err := runRealCluster(cfg, p, hub, cli, back, key)
+		if err == nil {
+			m.noteWire(hub, stacks)
+		}
+		return m, err
 	}
 
 	mid, err := mk(2)
@@ -309,7 +316,18 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 
 	fc, wall, wallHist := runFleet(cfg, cli, p, nil)
 	m, _ := measure(fc, wall, wallHist, []*telemetry.Registry{reg})
+	m.noteWire(hub, stacks)
 	return m, nil
+}
+
+// noteWire records what the wire did to the run: the frames the hub's
+// fault plan dropped and corrupted, and the segments retransmitted by
+// the stacks whose counters live on stacks.
+func (m *MeasuredReport) noteWire(hub *netsim.Hub, stacks *telemetry.Registry) {
+	fs := hub.FaultStats()
+	m.WireLost = fs.LostGood + fs.LostBurst
+	m.WireCorrupted = fs.Corrupted
+	m.TCPRetransmits = stacks.Counter("tcp.retransmits").Value()
 }
 
 // measure builds the measured section for either service shape: the

@@ -68,6 +68,13 @@ type MeasuredReport struct {
 	AdmissionRefused  uint64  `json:"admission_refused"`
 	DialAttempts      uint64  `json:"dial_attempts"`
 	DialFailures      uint64  `json:"dial_failures"`
+	// WireLost and WireCorrupted count the frames the hub's fault plan
+	// dropped and corrupted (0 on a clean wire); TCPRetransmits counts
+	// the segments the client, backend and single-redirector stacks
+	// sent again.
+	WireLost       uint64 `json:"wire_lost,omitempty"`
+	WireCorrupted  uint64 `json:"wire_corrupted,omitempty"`
+	TCPRetransmits uint64 `json:"tcp_retransmits,omitempty"`
 	// HandshakesPerSec is completed handshakes (full + resumed) per
 	// wall-clock second — the stampede scenario's SLO axis.
 	HandshakesPerSec float64 `json:"handshakes_per_sec,omitempty"`
@@ -183,6 +190,10 @@ func (r *Report) WriteText(w io.Writer) error {
 	if m.EchoMismatches > 0 || m.Retries > 0 || m.ResumeFallbacks > 0 {
 		fmt.Fprintf(w, "  degradations   %12d echo mismatches, %d request retries, %d resume fallbacks\n",
 			m.EchoMismatches, m.Retries, m.ResumeFallbacks)
+	}
+	if r.Faulty || m.TCPRetransmits > 0 {
+		fmt.Fprintf(w, "  wire           %12d frames lost, %d corrupted, %d tcp retransmits\n",
+			m.WireLost, m.WireCorrupted, m.TCPRetransmits)
 	}
 	if m.TicketsIssued > 0 || m.TicketsResumed > 0 || m.TicketsRejected > 0 {
 		fmt.Fprintf(w, "  tickets        %12d issued, %d resumed, %d rejected\n",

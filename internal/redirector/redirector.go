@@ -281,6 +281,9 @@ func (s *service) dialBackend(stack *tcpip.Stack) (*tcpip.TCB, error) {
 		if tcb, err = stack.Connect(s.cfg.Target, s.cfg.TargetPort, 5*time.Second); err == nil {
 			return tcb, nil
 		}
+		if errors.Is(err, tcpip.ErrStackClosed) {
+			break // our own host is down: no retry can succeed
+		}
 	}
 	s.stats.BackendDown.Inc()
 	s.cfg.Trace.Emit("redirector", "backend.down", "attempts", backendAttempts)

@@ -131,6 +131,15 @@ func (s *Stack) Addr() Addr { return s.ip }
 // harness hands to netsim.Hub.PartitionPort to unplug this host.
 func (s *Stack) MAC() netsim.MAC { return s.mac }
 
+// Halt takes the stack down as a power cut would: it leaves the fabric
+// first, so nothing it does afterwards reaches the wire, and then
+// closes as Close does. Its connections abort in place; peers get no
+// RST or FIN, and a SYN sent to it gets no answer at all.
+func (s *Stack) Halt() {
+	s.port.Close()
+	s.Close()
+}
+
 // Close shuts the stack down, resetting every connection.
 func (s *Stack) Close() {
 	s.closing.Do(func() {

@@ -595,6 +595,15 @@ func (t *TCB) handleSegment(seg tcpSegment) bool {
 			t.rto = initialRTO
 			t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
 			t.cond.Broadcast()
+		} else if seg.flags&flagACK != 0 {
+			// An ACK that is no SYN-ACK: the peer still holds a
+			// connection on this 4-tuple that we have forgotten (a
+			// host that lost power and came back on the same address
+			// and port). Reset it (RFC 9293 §3.10.7.3) so our next SYN
+			// finds the listener. Even an ACK of iss+1 is that stale
+			// connection's: the ISN sequence is a function of the
+			// address, so a restarted host reuses its ISNs too.
+			t.send(tcpSegment{seq: seg.ack, flags: flagRST})
 		}
 		return false
 
@@ -629,6 +638,14 @@ func (t *TCB) handleSegment(seg tcpSegment) bool {
 	}
 
 	// Data-phase states from here on.
+	if seg.flags&flagSYN != 0 {
+		// A SYN on a synchronized connection: the peer has forgotten
+		// it and is opening a new one on the same 4-tuple. Answer with
+		// an ACK of where this one stands (RFC 9293 §3.10.7.4); a peer
+		// in SYN_SENT resets it in reply.
+		t.send(tcpSegment{seq: t.sndNxt, ack: t.rcvNxt, flags: flagACK})
+		return false
+	}
 	t.peerWnd = seg.window
 
 	if seg.flags&flagACK != 0 && seqLT(t.sndUna, seg.ack) && seqLEQ(seg.ack, t.sndNxt) {
@@ -979,6 +996,14 @@ func (t *TCB) WaitEstablished(timeout time.Duration) error {
 func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, error) {
 	t := newTCB(s)
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		// Close has already aborted every TCB it found; one added now
+		// would wait out its whole timeout.
+		s.mu.Unlock()
+		return nil, ErrStackClosed
+	default:
+	}
 	local := s.ephemeralPort()
 	if local == 0 {
 		s.mu.Unlock()

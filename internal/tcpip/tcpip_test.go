@@ -590,6 +590,58 @@ func TestStackCloseAbortsConnections(t *testing.T) {
 	}
 }
 
+// TestHaltedHostReconnects: Halt is a power cut, so the peer keeps its
+// side of a live connection. A host restarted at the same address
+// reuses the same ephemeral port, and its SYN lands on that half-open
+// connection. The stale side answers with an ACK, the new host resets
+// it, and the retransmitted SYN reaches the listener (RFC 9293
+// §3.10.7.3), instead of going unanswered until the connect times out.
+func TestHaltedHostReconnects(t *testing.T) {
+	hub, stacks := testNet(t, 1)
+	srv := stacks[0]
+	l, err := srv.Listen(7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept := func() *TCB {
+		t.Helper()
+		c, err := l.Accept(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ip := IP4(10, 0, 0, 9)
+	old, err := NewStack(hub, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Connect(srv.Addr(), 7, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stale := accept()
+	old.Halt()
+
+	fresh, err := NewStack(hub, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fresh.Close)
+	start := time.Now()
+	if _, err := fresh.Connect(srv.Addr(), 7, 2*time.Second); err != nil {
+		t.Fatalf("connect from the restarted host: %v", err)
+	}
+	t.Logf("reconnected in %v", time.Since(start))
+	_, stalePort := stale.RemoteAddr()
+	if _, port := accept().RemoteAddr(); port != stalePort {
+		t.Fatalf("restarted host connected from port %d, not the stale connection's %d: nothing collided", port, stalePort)
+	}
+	buf := make([]byte, 1)
+	if _, err := stale.ReadDeadline(buf, time.Now().Add(time.Second)); !errors.Is(err, ErrConnReset) {
+		t.Fatalf("stale connection: %v, want %v", err, ErrConnReset)
+	}
+}
+
 // TestStackRunsOneGoroutine: a stack is one loop, like the board's
 // tcp_tick. NewStack adds exactly one goroutine and Close gives it back.
 func TestStackRunsOneGoroutine(t *testing.T) {
