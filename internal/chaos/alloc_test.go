@@ -9,8 +9,9 @@ package chaos
 //
 // The harness is echoServer's layering without its bookkeeping. It
 // runs twice: with no deadlines, and with a deadline on every read at
-// both ends, as echoServer's idle limit sets one. A deadline wait
-// re-arms the TCB's one wake timer, so it must allocate nothing either.
+// both ends, as echoServer's idle limit sets one. A deadline wait only
+// records its deadline for the stack's timer sweep to check, so it must
+// allocate nothing either.
 
 import (
 	"testing"

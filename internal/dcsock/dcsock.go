@@ -14,6 +14,10 @@
 // one goroutine of its own, so TcpTick here is a cooperative poll
 // point: it yields the processor and reports liveness. The call sites
 // keep the exact shape of Dynamic C code.
+//
+// Every timeout here is a deadline on the socket's TCB, and the stack's
+// 10 ms timer sweep is what ends it, as tcp_tick ends it on the board:
+// a call times out at most one pass (10 ms) after its timeout.
 package dcsock
 
 import (

@@ -439,3 +439,34 @@ func TestStatusCodesOnAbort(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitEstablishedTimesOutUnconnected: sock_wait_established on a
+// tcp_listen socket that no client connects to times out. A listening
+// socket is on none of the stack's connection lists; its deadline rides
+// the stack's 10 ms timer sweep all the same, so the wait ends no
+// earlier than its timeout and no later than two passes after it.
+func TestWaitEstablishedTimesOutUnconnected(t *testing.T) {
+	_, env := twoHosts(t)
+	env.SockInit()
+	var sock TCPSocket
+	if err := env.TcpListen(&sock, 7777); err != nil {
+		t.Fatal(err)
+	}
+	const timeout, pass = 50 * time.Millisecond, 10 * time.Millisecond
+	start := time.Now()
+	status := make(chan int, 1)
+	go func() { status <- sock.SockWaitEstablished(timeout) }()
+	var st int
+	select {
+	case st = <-status:
+	case <-time.After(2 * time.Second):
+		t.Fatal("wait_established on an unconnected socket never timed out")
+	}
+	took := time.Since(start)
+	if st != StatusTimedOut {
+		t.Fatalf("wait_established on an unconnected socket: status %d, want %d", st, StatusTimedOut)
+	}
+	if took < timeout || took > timeout+2*pass {
+		t.Errorf("wait_established timed out after %v, want %v to %v", took, timeout, timeout+2*pass)
+	}
+}

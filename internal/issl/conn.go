@@ -108,8 +108,9 @@ func (c *Conn) Stats() (bytesIn, bytesOut, recordsIn, recordsOut uint64) {
 
 // SetReadDeadline bounds subsequent Reads: a record that has not fully
 // arrived by t fails with the transport's timeout error. A zero t
-// clears the deadline. It must be called from the reading goroutine
-// (the Conn supports one concurrent reader).
+// clears the deadline. Over a tcpip.TCB the read fails at most one
+// 10 ms timer-sweep pass after t. It must be called from the reading
+// goroutine (the Conn supports one concurrent reader).
 func (c *Conn) SetReadDeadline(t time.Time) { c.readDeadline = t }
 
 // fail records the first fatal error; later calls keep the original.

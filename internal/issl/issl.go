@@ -103,7 +103,8 @@ type Config struct {
 	// stalls mid-handshake (a half-open connection on a degraded wire)
 	// fails with ErrHandshakeTimeout instead of wedging the endpoint
 	// forever. Honored when the transport supports read deadlines
-	// (tcpip.TCB and net.Conn both do).
+	// (tcpip.TCB and net.Conn both do); over a tcpip.TCB the handshake
+	// fails at most one 10 ms timer-sweep pass after the deadline.
 	HandshakeTimeout time.Duration
 	// Metrics receives the connection's counters (handshakes full vs
 	// resumed, alerts sent/received, records and plaintext bytes both

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/netsim"
 	"repro/internal/race"
+	"repro/internal/tcpip"
 	"repro/internal/telemetry"
 )
 
@@ -81,6 +83,80 @@ func TestResumedHandshakeAllocs(t *testing.T) {
 		t.Errorf("resumed handshake pair: %v allocs/op, ceiling %d", n, resumedHandshakeAllocs)
 	}
 	t.Logf("resumed handshake pair: %v allocs/op", n)
+}
+
+// resumedHandshakeTCPAllocs is the allocation ceiling of one resumed
+// handshake pair in TestResumedHandshakeAllocsOverTCP: the TCP connect
+// and graceful close included, counted process-wide (both ends, both
+// stack loops, the server goroutine). Lower it when a change removes
+// allocations; never raise it to admit a new one.
+const resumedHandshakeTCPAllocs = 11
+
+// TestResumedHandshakeAllocsOverTCP pins one reconnect-and-resume over
+// a tcpip pair, the transport every service runs on, with the
+// handshake deadline the services set. It has no pipe and no pipe
+// deadlines, so it counts what the tower pays per resumed connection.
+func TestResumedHandshakeAllocsOverTCP(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	sess, cache := resumablePair(t)
+	key := serverKey(t)
+	hub := netsim.NewHub()
+	defer hub.Close()
+	cliStack, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cliStack.Close()
+	srvStack, err := tcpip.NewStack(hub, tcpip.IP4(10, 0, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvStack.Close()
+	l, err := srvStack.Listen(443, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error)
+	go func() {
+		seed := uint64(2001)
+		for {
+			tcb, err := l.Accept(0)
+			if err != nil {
+				return
+			}
+			seed += 2
+			_, err = BindServer(tcb, Config{Profile: ProfileUnix, ServerKey: key,
+				Rand: prng.NewXorshift(seed), Cache: cache, HandshakeTimeout: resumeTimeout})
+			tcb.Close()
+			served <- err
+		}
+	}()
+	seed := uint64(2000)
+	n := testing.AllocsPerRun(50, func() {
+		seed += 2
+		tcb, err := cliStack.Connect(srvStack.Addr(), 443, resumeTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := BindClient(tcb, Config{Profile: ProfileUnix,
+			Rand: prng.NewXorshift(seed), Resume: sess, HandshakeTimeout: resumeTimeout})
+		tcb.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		if !cli.Resumed() {
+			t.Fatal("handshake not resumed")
+		}
+	})
+	if n > resumedHandshakeTCPAllocs {
+		t.Errorf("resumed handshake over tcpip: %v allocs/op, ceiling %d", n, resumedHandshakeTCPAllocs)
+	}
+	t.Logf("resumed handshake over tcpip: %v allocs/op", n)
 }
 
 func TestSessionResumptionSkipsRSA(t *testing.T) {

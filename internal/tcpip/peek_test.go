@@ -194,65 +194,6 @@ func TestPeekDeadlineExpires(t *testing.T) {
 	}
 }
 
-// TestDeadlineWaitersShareOneTimer: deadline waits on one TCB share its
-// one wake timer. A short wait that starts after a long one must still
-// expire on time (the timer moves earlier), the long one must expire
-// after it (the timer is re-armed), a later wait must reuse the timer,
-// and a wait that data ends early must not leave the timer armed.
-func TestDeadlineWaitersShareOneTimer(t *testing.T) {
-	client, server := peekPair(t)
-	defer client.Close()
-	defer server.Close()
-	type result struct {
-		took time.Duration
-		err  error
-	}
-	read := func(d time.Duration) <-chan result {
-		out := make(chan result, 1)
-		go func() {
-			start := time.Now()
-			buf := make([]byte, 1)
-			_, err := server.ReadDeadline(buf, start.Add(d))
-			out <- result{time.Since(start), err}
-		}()
-		return out
-	}
-	wait := func(what string, ch <-chan result) result {
-		t.Helper()
-		select {
-		case r := <-ch:
-			return r
-		case <-time.After(3 * time.Second):
-			t.Fatalf("%s never woke", what)
-			return result{}
-		}
-	}
-	long := read(500 * time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	short := read(50 * time.Millisecond)
-	if r := wait("50 ms wait", short); r.err != ErrTimeout || r.took > 400*time.Millisecond {
-		t.Errorf("50 ms wait behind a 500 ms one: %v after %v, want ErrTimeout on time", r.err, r.took)
-	}
-	if r := wait("500 ms wait", long); r.err != ErrTimeout || r.took < 500*time.Millisecond {
-		t.Errorf("500 ms wait: %v after %v, want ErrTimeout after its deadline", r.err, r.took)
-	}
-	if r := wait("wait after the timer fired", read(50*time.Millisecond)); r.err != ErrTimeout {
-		t.Errorf("wait after the timer fired: err = %v, want ErrTimeout", r.err)
-	}
-	early := read(time.Minute)
-	time.Sleep(20 * time.Millisecond)
-	client.Write([]byte("x"))
-	if r := wait("read ended by data", early); r.err != nil {
-		t.Fatalf("read ended by data: %v", r.err)
-	}
-	server.mu.Lock()
-	defer server.mu.Unlock()
-	if server.timedWaiters != 0 || !server.wakeAt.IsZero() {
-		t.Errorf("after the waits: %d timed waiters, wake timer armed for %v; want 0, none",
-			server.timedWaiters, server.wakeAt)
-	}
-}
-
 func TestDiscardClampsToAvailable(t *testing.T) {
 	client, server := peekPair(t)
 	defer client.Close()

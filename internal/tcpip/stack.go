@@ -124,6 +124,18 @@ func newStack(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, trace *telemetr
 	return s, nil
 }
 
+// closedLocked reports whether Close has begun. Calls that register a
+// socket refuse a closed stack: Close has aborted every socket it found,
+// and one added later would never be closed or swept. s.mu held.
+func (s *Stack) closedLocked() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
 // Addr returns the stack's IP address.
 func (s *Stack) Addr() Addr { return s.ip }
 
@@ -196,8 +208,8 @@ func (s *Stack) loop() {
 	}
 }
 
-// sweep is one timer pass at now: it ticks every live TCB and ends
-// every expired TIME_WAIT. buf is scratch, returned emptied for reuse.
+// sweep is one timer pass at now: it ticks every live and LISTEN TCB
+// and ends every expired TIME_WAIT. buf is scratch, returned emptied.
 func (s *Stack) sweep(now time.Time, buf []*TCB) []*TCB {
 	buf, live := s.dueTCBs(now, buf)
 	for i, t := range buf {
@@ -212,8 +224,8 @@ func (s *Stack) sweep(now time.Time, buf []*TCB) []*TCB {
 }
 
 // dueTCBs appends to buf the TCBs a timer pass at now must visit: every
-// live one, then the TIME_WAIT ones that have expired, and returns how
-// many are live. The expired ones are a prefix of the FIFO, so a pass
+// live and LISTEN one, then the expired TIME_WAIT ones, and returns how
+// many come first. The expired ones are a prefix of the FIFO, so a pass
 // costs O(live + expired) however many connections linger in
 // TIME_WAIT, as the board's tcp_tick cost a constant three slots.
 func (s *Stack) dueTCBs(now time.Time, buf []*TCB) ([]*TCB, int) {
@@ -221,6 +233,9 @@ func (s *Stack) dueTCBs(now time.Time, buf []*TCB) ([]*TCB, int) {
 	defer s.mu.Unlock()
 	for t := s.live.head; t != nil; t = t.next {
 		buf = append(buf, t)
+	}
+	for _, ls := range s.dcListen {
+		buf = append(buf, ls...)
 	}
 	live := len(buf)
 	for t := s.timeWait.head; t != nil && now.After(t.timeWaitAt); t = t.next {
@@ -416,8 +431,11 @@ func (s *Stack) Ping(dst Addr, timeout time.Duration) error {
 	copy(req[8:], "rmc2000!")
 	put16(req[2:], checksum(req))
 
-	deadline := time.After(timeout)
-	// Retransmit the request a few times; ARP may eat the first one.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	// Retransmit the request every 50 ms; ARP may eat the first one.
+	resend := time.NewTicker(50 * time.Millisecond)
+	defer resend.Stop()
 	for {
 		s.mu.Lock()
 		s.sendIP(dst, ProtoICMP, req)
@@ -425,12 +443,12 @@ func (s *Stack) Ping(dst Addr, timeout time.Duration) error {
 		select {
 		case <-ch:
 			return nil
-		case <-deadline:
+		case <-deadline.C:
 			s.pingMu.Lock()
 			delete(s.pingWait, id)
 			s.pingMu.Unlock()
 			return fmt.Errorf("tcpip: ping %s: timeout after %v", dst, timeout)
-		case <-time.After(50 * time.Millisecond):
+		case <-resend.C:
 		}
 	}
 }

@@ -227,12 +227,9 @@ type TCB struct {
 	// the connection dies first.
 	listener *Listener
 
-	// wake is the one timer that wakes deadline waiters, armed for
-	// wakeAt (zero when not armed) while timedWaiters > 0; see
-	// armWakeLocked.
-	wake         *time.Timer
-	wakeAt       time.Time
-	timedWaiters int
+	// wakeAt is the earliest deadline a waiter is blocked on (zero:
+	// none); see waitCond.
+	wakeAt time.Time
 
 	// ackOwed marks in-order data received in the current drain batch
 	// and not yet acknowledged; any segment sent with ACK clears it.
@@ -264,61 +261,31 @@ func (t *TCB) RemoteAddr() (Addr, uint16) {
 
 // waitCond blocks until pred() holds, the connection errors, or the
 // deadline passes. Called with t.mu held; returns with t.mu held.
+// A waiter lowers wakeAt to its deadline, and the stack's 10 ms sweep
+// wakes every waiter once wakeAt has passed (tick), so a wait expires
+// at most one pass late; each re-checks its own deadline. No waiter is
+// out of the sweep's reach: it visits every live and LISTEN TCB, and a
+// waiter on a TIME_WAIT or CLOSED one, where no predicate can come
+// true, returns ErrConnClosed at once.
 func (t *TCB) waitCond(deadline time.Time, pred func() bool) error {
-	if !deadline.IsZero() {
-		t.timedWaiters++
-		defer t.leaveTimedWaitLocked()
-	}
 	for !pred() {
 		if t.err != nil {
 			return t.err
 		}
+		if t.state == stateTimeWait || t.state == stateClosed {
+			return ErrConnClosed
+		}
 		if !deadline.IsZero() {
-			now := time.Now()
-			if now.After(deadline) {
+			if !time.Now().Before(deadline) {
 				return ErrTimeout
 			}
-			t.armWakeLocked(deadline, now)
+			if t.wakeAt.IsZero() || deadline.Before(t.wakeAt) {
+				t.wakeAt = deadline
+			}
 		}
 		t.cond.Wait()
 	}
 	return nil
-}
-
-// armWakeLocked makes sure the TCB's one wake timer fires no later
-// than deadline. Waiters with different deadlines share it: it is set
-// to the earliest, and when it fires every waiter wakes, re-checks,
-// and whoever still waits re-arms it for its own deadline. Reusing one
-// timer keeps a deadline wait off the allocator. t.mu held.
-func (t *TCB) armWakeLocked(deadline, now time.Time) {
-	if !t.wakeAt.IsZero() && !deadline.Before(t.wakeAt) {
-		return
-	}
-	t.wakeAt = deadline
-	if t.wake == nil {
-		t.wake = time.AfterFunc(deadline.Sub(now), t.wakeWaiters)
-		return
-	}
-	t.wake.Reset(deadline.Sub(now))
-}
-
-// leaveTimedWaitLocked stops the wake timer once no deadline waiter is
-// left, so a pending timer does not keep a finished TCB reachable until
-// a long deadline passes. t.mu held.
-func (t *TCB) leaveTimedWaitLocked() {
-	t.timedWaiters--
-	if t.timedWaiters == 0 && !t.wakeAt.IsZero() {
-		t.wake.Stop()
-		t.wakeAt = time.Time{}
-	}
-}
-
-// wakeWaiters is the wake timer's callback.
-func (t *TCB) wakeWaiters() {
-	t.mu.Lock()
-	t.wakeAt = time.Time{}
-	t.cond.Broadcast()
-	t.mu.Unlock()
 }
 
 // sndLen returns the bytes pending in the send buffer. t.mu held.
@@ -440,12 +407,16 @@ func (t *TCB) transmit() {
 	}
 }
 
-// tick runs a live TCB's retransmission timer; the stack's timer pass
-// calls it every 10 ms. TIME_WAIT has no timer here (rtoArmed is
-// off): the pass ends it with expireTimeWait.
+// tick wakes the deadline waiters once now reaches wakeAt and runs the
+// retransmission timer; the stack's timer pass calls it every 10 ms.
+// TIME_WAIT has no timer here: the pass ends it with expireTimeWait.
 func (t *TCB) tick(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if !t.wakeAt.IsZero() && !now.Before(t.wakeAt) {
+		t.wakeAt = time.Time{}
+		t.cond.Broadcast()
+	}
 	if !t.rtoArmed || now.Before(t.rtoDeadline) {
 		return
 	}
@@ -810,7 +781,9 @@ func (t *TCB) Read(buf []byte) (int, error) {
 	return t.ReadDeadline(buf, time.Time{})
 }
 
-// ReadDeadline is Read with an absolute deadline (zero = none).
+// ReadDeadline is Read with an absolute deadline (zero = none). The
+// deadline is checked on the stack's 10 ms timer sweep, so an expired
+// read returns ErrTimeout at most one pass (10 ms) after it.
 func (t *TCB) ReadDeadline(buf []byte, deadline time.Time) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -846,7 +819,8 @@ func (t *TCB) Avail() int {
 // memory cannot move under the caller. On EOF with no buffered data it
 // returns io.EOF; with some-but-fewer than n bytes, io.ErrUnexpectedEOF
 // (the io.ReadFull convention, which the record layer's framing
-// expects).
+// expects). Like ReadDeadline's, its deadline expires at most one
+// 10 ms sweep pass late.
 func (t *TCB) Peek(n int, deadline time.Time) ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -976,7 +950,8 @@ func (t *TCB) Alive() bool {
 	return true
 }
 
-// WaitEstablished blocks until the handshake completes or fails.
+// WaitEstablished blocks until the handshake completes or fails; a
+// timeout (zero = none) expires at most one 10 ms sweep pass late.
 func (t *TCB) WaitEstablished(timeout time.Duration) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -992,17 +967,14 @@ func (t *TCB) WaitEstablished(timeout time.Duration) error {
 // --- Connect (active open) -------------------------------------------------
 
 // Connect opens a TCP connection to dst:port, blocking until the
-// handshake completes or the timeout expires.
+// handshake completes or the timeout expires; the timeout expires at
+// most one 10 ms sweep pass late.
 func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, error) {
 	t := newTCB(s)
 	s.mu.Lock()
-	select {
-	case <-s.closed:
-		// Close has already aborted every TCB it found; one added now
-		// would wait out its whole timeout.
+	if s.closedLocked() {
 		s.mu.Unlock()
 		return nil, ErrStackClosed
-	default:
 	}
 	local := s.ephemeralPort()
 	if local == 0 {
@@ -1065,6 +1037,9 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closedLocked() {
+		return nil, ErrStackClosed
+	}
 	if _, ok := s.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: tcp/%d", ErrPortInUse, port)
 	}
@@ -1081,7 +1056,9 @@ func (s *Stack) Listen(port uint16, backlog int) (*Listener, error) {
 func (l *Listener) Accept(timeout time.Duration) (*TCB, error) {
 	var timer <-chan time.Time
 	if timeout > 0 {
-		timer = time.After(timeout)
+		t := time.NewTimer(timeout) // stopped on return, unlike time.After's
+		defer t.Stop()
+		timer = t.C
 	}
 	select {
 	case t, ok := <-l.acceptCh:
@@ -1153,6 +1130,9 @@ func (l *Listener) Close() {
 func (s *Stack) ListenOne(port uint16) (*TCB, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closedLocked() {
+		return nil, ErrStackClosed
+	}
 	if _, ok := s.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: tcp/%d (BSD listener present)", ErrPortInUse, port)
 	}

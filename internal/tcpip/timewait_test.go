@@ -186,13 +186,9 @@ func BenchmarkTickUnderTimeWait(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			s.mu.Lock()
 			for i := 0; i < 4; i++ {
-				t := newTCB(s)
-				t.localPort, t.remoteIP, t.remotePort, t.state = s.ephemeralPort(), IP4(10, 0, 0, 2), 7, stateEstablished
-				s.addTCBLocked(tcpKey{t.remoteIP, t.remotePort, t.localPort}, t)
+				handTCB(s, stateEstablished)
 			}
-			s.mu.Unlock()
 			fillTimeWait(b, s, tw, time.Hour)
 			var scratch []*TCB
 			now := time.Now()
