@@ -167,7 +167,7 @@ func report(w io.Writer, p *rabbit.Profiler, flat bool, foldedPath string, top i
 		return nil
 	}
 	if flat {
-		if err := writeFlat(p, w, top); err != nil {
+		if err := p.WriteFlat(w, top); err != nil {
 			return err
 		}
 	}
@@ -185,28 +185,6 @@ func report(w io.Writer, p *rabbit.Profiler, flat bool, foldedPath string, top i
 		}
 		fmt.Fprintf(w, "folded stacks written to %s\n", foldedPath)
 	}
-	return nil
-}
-
-// writeFlat renders the flat report, optionally truncated to top rows.
-func writeFlat(p *rabbit.Profiler, w io.Writer, top int) error {
-	if top <= 0 {
-		return p.WriteFlat(w)
-	}
-	rows := p.Flat()
-	if top < len(rows) {
-		rows = rows[:top]
-	}
-	total := p.TotalCycles()
-	fmt.Fprintf(w, "%-24s %12s %7s %12s\n", "SYMBOL", "CYCLES", "PCT", "INSTRS")
-	for _, r := range rows {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(r.Cycles) / float64(total)
-		}
-		fmt.Fprintf(w, "%-24s %12d %6.2f%% %12d\n", r.Symbol, r.Cycles, pct, r.Instrs)
-	}
-	fmt.Fprintf(w, "%-24s %12d %6.2f%% (top %d of %d)\n", "TOTAL", total, 100.0, top, len(p.Flat()))
 	return nil
 }
 

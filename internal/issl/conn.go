@@ -29,7 +29,7 @@ type Conn struct {
 	// handshake; Session() and issued tickets carry secret, so it stays
 	// the same across every resumption of a session.
 	master [sha1.Size]byte
-	secret []byte
+	secret [sha1.Size]byte
 
 	// The record keys live by value in the Conn: deriveKeys keys wAES,
 	// rAES, wHMAC and rHMAC in place. wCipher and rCipher point at the

@@ -197,8 +197,8 @@ func (c *Conn) clientHandshake() error {
 		// Abbreviated handshake: no KeyExchange; fresh keys derive
 		// from the session secret plus the new nonces.
 		c.resumed = true
-		c.secret = cfg.Resume.master // read-only, like the Session it came from
-		c.hs.premaster = c.secret
+		c.secret = cfg.Resume.master
+		c.hs.premaster = c.secret[:]
 		if !ticketPromised {
 			// Keep resuming on the same ticket next time.
 			c.ticket = append([]byte(nil), cfg.Resume.Ticket...)
@@ -252,7 +252,7 @@ func (c *Conn) recvNewTicket() error {
 // sendNewTicket mints a ticket over the session secret and sends it
 // sealed under the new keys (server side, after Finished).
 func (c *Conn) sendNewTicket() error {
-	tkt, err := c.cfg.TicketKeys.Seal(c.secret)
+	tkt, err := c.cfg.TicketKeys.Seal(c.secret[:])
 	if err != nil {
 		return fmt.Errorf("%w: sealing ticket: %v", ErrHandshake, err)
 	}
@@ -324,30 +324,29 @@ func (c *Conn) serverHandshake() error {
 	// rejection (expired, retired key, tampered, future version)
 	// degrades to the next path, never to a handshake failure.
 	viaTicket := false
-	var cachedMaster []byte
 	if len(offeredTicket) > 0 && cfg.TicketKeys != nil {
 		m, err := cfg.TicketKeys.Open(offeredTicket)
 		if err == nil {
-			cachedMaster, viaTicket = m, true
+			copy(c.secret[:], m) // Open checks the length: sha1.Size
+			c.resumed, viaTicket = true, true
 			c.metrics.ticketsResumed.Inc()
 		} else {
 			c.metrics.ticketsRejected.Inc()
 			c.cfg.Trace.Emit("issl", "ticket.rejected", "err", err.Error())
 		}
 	}
-	if cachedMaster == nil && offeredSession && cfg.Cache != nil {
-		cachedMaster, _ = cfg.Cache.get(offered)
+	if !c.resumed && offeredSession && cfg.Cache != nil {
+		c.secret, c.resumed = cfg.Cache.get(offered)
 	}
 
 	c.rng.Fill(c.hs.serverRandom[:])
 	promiseTicket := cfg.TicketKeys != nil
 	withSID := true // the ServerHello carries a session ID
 	switch {
-	case cachedMaster != nil:
+	case c.resumed:
 		// Abbreviated handshake (Goldberg et al. session-key caching,
 		// or its stateless ticket form): echo the offered ID, if any.
-		c.resumed = true
-		c.secret, c.hs.premaster = cachedMaster, cachedMaster
+		c.hs.premaster = c.secret[:]
 		if viaTicket && !offeredSession {
 			withSID = false
 		} else {
@@ -435,7 +434,7 @@ func (c *Conn) finish(isClient, ticketPromised bool, phaseStart uint64) error {
 	}
 	if !c.resumed {
 		// A full handshake's master is the new session's secret.
-		c.secret = c.master[:]
+		c.secret = c.master
 		if !isClient && c.cfg.Cache != nil {
 			c.cfg.Cache.put(c.sessionID, c.secret)
 		}

@@ -3,6 +3,8 @@ package issl
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/crypto/sha1"
 )
 
 // Session resumption, after Goldberg, Buff & Schmitt — the work the
@@ -40,28 +42,20 @@ const SessionIDLen = 16
 type Session struct {
 	ID     [SessionIDLen]byte
 	Ticket []byte
-	master []byte
+	master [sha1.Size]byte
 }
 
-// SessionCache is the server's bounded session store, sharded N ways
-// by session-ID prefix so concurrent resumption handshakes contend on
-// a shard mutex instead of one global lock — under a fleet of
-// returning clients the single-mutex cache is the first server-side
-// bottleneck a load generator exposes (see BenchmarkSessionCacheResume
-// for the measured difference). Each shard is bounded independently
-// and evicts least-recently-used: a get touches the entry, so a hot
-// session survives churn past the bound while one-shot sessions age
-// out. Session IDs come from the handshake PRNG, so the prefix shard
-// choice is uniform.
+// SessionCache is the server's session store: one mutex, one map and
+// one LRU list, holding at most max sessions. A get touches its entry,
+// so a session that keeps being resumed survives churn past the bound
+// while one-shot sessions age out; a put evicts the least recently
+// used session only when the cache is full, and reuses its entry.
+// A cache operation takes about 0.1 µs against a resumed handshake's
+// ~200 µs, so one lock serves the whole cache (see
+// BenchmarkSessionCacheResume and EXPERIMENTS.md E10).
 //
 // The zero value is unusable; use NewSessionCache.
 type SessionCache struct {
-	shards []sessionShard
-	mask   uint64
-}
-
-// sessionShard is one independently locked, independently bounded LRU.
-type sessionShard struct {
 	mu    sync.Mutex
 	max   int
 	items map[[SessionIDLen]byte]*list.Element
@@ -72,83 +66,44 @@ type sessionShard struct {
 // cached session secret.
 type sessionEntry struct {
 	id     [SessionIDLen]byte
-	master []byte
+	master [sha1.Size]byte
 }
 
-// defaultSessionShards is the shard count NewSessionCache uses. Eight
-// shards flatten the resumption-path contention of a ~16-core host.
-const defaultSessionShards = 8
-
-// NewSessionCache creates a cache bounded to max sessions (min 1),
-// sharded defaultSessionShards ways (fewer when max is small, so the
-// global bound is never exceeded).
+// NewSessionCache creates a cache bounded to max sessions (min 1).
 func NewSessionCache(max int) *SessionCache {
-	return newSessionCacheSharded(max, defaultSessionShards)
-}
-
-// newSessionCacheSharded creates a cache bounded to max sessions (min
-// 1) split over the given number of shards. The shard count is rounded
-// down to a power of two, clamped to [1, max] — a shard never holds
-// fewer than one session, and shards=1 is the single-mutex layout
-// (the pre-sharding baseline the package's benchmarks compare with).
-func newSessionCacheSharded(max, shards int) *SessionCache {
 	if max < 1 {
 		max = 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > max {
-		shards = max
-	}
-	// Round down to a power of two so shard selection is a mask.
-	for shards&(shards-1) != 0 {
-		shards &= shards - 1
-	}
-	perShard := (max + shards - 1) / shards
-	c := &SessionCache{shards: make([]sessionShard, shards), mask: uint64(shards - 1)}
-	for i := range c.shards {
-		c.shards[i].max = perShard
-		c.shards[i].items = map[[SessionIDLen]byte]*list.Element{}
-	}
-	return c
+	return &SessionCache{max: max, items: map[[SessionIDLen]byte]*list.Element{}}
 }
 
-// shard selects the shard for an ID by its leading byte.
-func (c *SessionCache) shard(id [SessionIDLen]byte) *sessionShard {
-	return &c.shards[uint64(id[0])&c.mask]
-}
-
-func (c *SessionCache) put(id [SessionIDLen]byte, master []byte) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, exists := s.items[id]; exists {
-		el.Value.(*sessionEntry).master = append([]byte(nil), master...)
-		s.lru.MoveToFront(el)
-		return
-	}
-	for len(s.items) >= s.max {
-		oldest := s.lru.Back()
-		if oldest == nil {
-			break
-		}
-		s.lru.Remove(oldest)
-		delete(s.items, oldest.Value.(*sessionEntry).id)
-	}
-	s.items[id] = s.lru.PushFront(&sessionEntry{id: id, master: append([]byte(nil), master...)})
-}
-
-func (c *SessionCache) get(id [SessionIDLen]byte) ([]byte, bool) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[id]
+func (c *SessionCache) put(id [SessionIDLen]byte, master [sha1.Size]byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[id]
 	if !ok {
-		return nil, false
+		if len(c.items) < c.max {
+			el = c.lru.PushFront(&sessionEntry{})
+		} else {
+			el = c.lru.Back() // full: the coldest entry becomes this one
+			delete(c.items, el.Value.(*sessionEntry).id)
+		}
+		c.items[id] = el
 	}
-	s.lru.MoveToFront(el) // touch-on-get: resuming keeps a session hot
-	return append([]byte(nil), el.Value.(*sessionEntry).master...), true
+	e := el.Value.(*sessionEntry)
+	e.id, e.master = id, master
+	c.lru.MoveToFront(el)
+}
+
+func (c *SessionCache) get(id [SessionIDLen]byte) (master [sha1.Size]byte, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[id]
+	if !ok {
+		return master, false
+	}
+	c.lru.MoveToFront(el) // touch-on-get: resuming keeps a session hot
+	return el.Value.(*sessionEntry).master, true
 }
 
 // Session returns resumable state after a successful client handshake,
@@ -160,7 +115,7 @@ func (c *Conn) Session() *Session {
 	return &Session{
 		ID:     c.sessionID,
 		Ticket: append([]byte(nil), c.ticket...),
-		master: append([]byte(nil), c.secret...),
+		master: c.secret,
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/crypto/prng"
+	"repro/internal/crypto/sha1"
 	"repro/internal/netsim"
 	"repro/internal/race"
 	"repro/internal/tcpip"
@@ -45,7 +47,7 @@ func resumablePair(t *testing.T) (*Session, *SessionCache) {
 // handshake pair in TestResumedHandshakeAllocs, counted process-wide:
 // both ends, their PRNGs, the pipe and the server goroutine. Lower it
 // when a change removes allocations; never raise it to admit a new one.
-const resumedHandshakeAllocs = 28
+const resumedHandshakeAllocs = 27
 
 // TestResumedHandshakeAllocs pins the allocations of one resumed
 // handshake pair over an in-memory pipe, the BenchmarkE9_ResumedHandshake
@@ -90,7 +92,7 @@ func TestResumedHandshakeAllocs(t *testing.T) {
 // and graceful close included, counted process-wide (both ends, both
 // stack loops, the server goroutine). Lower it when a change removes
 // allocations; never raise it to admit a new one.
-const resumedHandshakeTCPAllocs = 11
+const resumedHandshakeTCPAllocs = 10
 
 // TestResumedHandshakeAllocsOverTCP pins one reconnect-and-resume over
 // a tcpip pair, the transport every service runs on, with the
@@ -206,7 +208,7 @@ func handshakePairT(t *testing.T, cliCfg, srvCfg Config) (*Conn, *Conn) {
 
 func TestUnknownSessionFallsBackToFull(t *testing.T) {
 	_, cache := resumablePair(t)
-	bogus := &Session{master: []byte("wrong-master-secret")}
+	bogus := &Session{master: testSecret("wrong-master-secret")}
 	copy(bogus.ID[:], bytes.Repeat([]byte{0xEE}, SessionIDLen))
 	cliCfg := Config{Profile: ProfileUnix, Rand: prng.NewXorshift(81), Resume: bogus}
 	srvCfg := Config{Profile: ProfileUnix, ServerKey: serverKey(t),
@@ -244,6 +246,12 @@ func TestNoCacheNoSession(t *testing.T) {
 	}
 }
 
+// testSecret builds a session secret from a short label.
+func testSecret(label string) (m [sha1.Size]byte) {
+	copy(m[:], label)
+	return m
+}
+
 func TestSessionCacheEviction(t *testing.T) {
 	c := NewSessionCache(2)
 	mk := func(b byte) [SessionIDLen]byte {
@@ -251,117 +259,142 @@ func TestSessionCacheEviction(t *testing.T) {
 		id[0] = b
 		return id
 	}
-	c.put(mk(1), []byte("m1"))
-	c.put(mk(2), []byte("m2"))
-	c.put(mk(3), []byte("m3")) // evicts 1
+	c.put(mk(1), testSecret("m1"))
+	c.put(mk(2), testSecret("m2"))
+	c.put(mk(3), testSecret("m3")) // evicts 1
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
 	if _, ok := c.get(mk(1)); ok {
 		t.Error("oldest session not evicted")
 	}
-	if m, ok := c.get(mk(3)); !ok || string(m) != "m3" {
+	if m, ok := c.get(mk(3)); !ok || m != testSecret("m3") {
 		t.Error("newest session missing")
 	}
 	// Updating an existing id must not evict.
-	c.put(mk(2), []byte("m2b"))
+	c.put(mk(2), testSecret("m2b"))
 	if c.Len() != 2 {
 		t.Errorf("len after update = %d", c.Len())
 	}
-	if m, _ := c.get(mk(2)); string(m) != "m2b" {
+	if m, _ := c.get(mk(2)); m != testSecret("m2b") {
 		t.Error("update lost")
 	}
 }
 
-// shardID builds a session ID that lands in the shard selected by the
-// lead byte, distinguished within the shard by tail.
-func shardID(lead, tail byte) [SessionIDLen]byte {
-	var id [SessionIDLen]byte
-	id[0], id[1] = lead, tail
-	return id
+// randomIDs returns n session IDs drawn from a seeded PRNG, the way
+// the handshake draws them.
+func randomIDs(seed uint64, n int) [][SessionIDLen]byte {
+	rng := prng.NewXorshift(seed)
+	ids := make([][SessionIDLen]byte, n)
+	for i := range ids {
+		rng.Fill(ids[i][:])
+	}
+	return ids
 }
 
-// TestSessionCacheShardBoundaryEviction pins the per-shard LRU bound:
-// overflowing one shard evicts that shard's LRU entry even while the
-// global count is far below max, and neighboring shards are untouched.
-func TestSessionCacheShardBoundaryEviction(t *testing.T) {
-	c := newSessionCacheSharded(8, 4) // 4 shards × 2 sessions each
-	if len(c.shards) != 4 {
-		t.Fatalf("shards = %d, want 4", len(c.shards))
-	}
+// sessionCacheSizes are the bounds the cache-bound tests run: the
+// floor, small and odd sizes, the cluster's default (64) and the
+// single redirector's (1024).
+var sessionCacheSizes = []int{1, 2, 3, 10, 16, 64, 100, 1024}
 
-	// Park one resident in a neighboring shard (lead byte 1 -> shard 1).
-	c.put(shardID(1, 0), []byte("neighbor"))
-
-	// Overflow shard 0: three same-lead IDs into a 2-slot shard.
-	c.put(shardID(0, 1), []byte("s1"))
-	c.put(shardID(0, 2), []byte("s2"))
-	c.put(shardID(0, 3), []byte("s3")) // shard 0 full -> evicts s1
-
-	if got := c.Len(); got != 3 {
-		t.Fatalf("global len = %d, want 3 (bound is per shard, max is 8)", got)
-	}
-	if _, ok := c.get(shardID(0, 1)); ok {
-		t.Error("shard-LRU entry survived overflow despite global len < max")
-	}
-	for _, tail := range []byte{2, 3} {
-		if _, ok := c.get(shardID(0, tail)); !ok {
-			t.Errorf("entry tail=%d lost from overflowed shard", tail)
-		}
-	}
-	if m, ok := c.get(shardID(1, 0)); !ok || string(m) != "neighbor" {
-		t.Error("neighboring shard was disturbed by another shard's eviction")
-	}
-}
-
-// TestSessionCacheTouchOnGetAcrossShardBoundary: a get refreshes LRU
-// position within its shard, so the untouched entry is the one evicted.
-func TestSessionCacheTouchOnGetAcrossShardBoundary(t *testing.T) {
-	c := newSessionCacheSharded(8, 4)
-	c.put(shardID(4, 1), []byte("old-but-hot")) // shard 0 (4&3)
-	c.put(shardID(4, 2), []byte("cold"))
-	if _, ok := c.get(shardID(4, 1)); !ok { // touch: now MRU
-		t.Fatal("warm get missed")
-	}
-	c.put(shardID(4, 3), []byte("new")) // evicts the cold one
-	if _, ok := c.get(shardID(4, 2)); ok {
-		t.Error("untouched entry survived; touch-on-get not honored at the boundary")
-	}
-	if _, ok := c.get(shardID(4, 1)); !ok {
-		t.Error("touched entry was evicted")
-	}
-}
-
-// TestSessionCacheGlobalBoundUnderUniformLoad: with max divisible by
-// the shard count, uniform inserts settle at exactly max sessions.
+// TestSessionCacheGlobalBoundUnderUniformLoad: under 10×max puts of
+// random IDs the cache settles at exactly max sessions, never more. A
+// cache asked for fewer than one session holds one.
 func TestSessionCacheGlobalBoundUnderUniformLoad(t *testing.T) {
-	c := newSessionCacheSharded(8, 4)
-	for i := 0; i < 40; i++ {
-		c.put(shardID(byte(i), byte(i>>2)), []byte{byte(i)})
+	for _, asked := range []int{0, -1} {
+		c := NewSessionCache(asked)
+		for _, id := range randomIDs(5, 4) {
+			c.put(id, testSecret("m"))
+		}
+		if c.Len() != 1 {
+			t.Errorf("NewSessionCache(%d) holds %d sessions, want the floor of 1", asked, c.Len())
+		}
 	}
-	if got := c.Len(); got != 8 {
-		t.Fatalf("len after uniform churn = %d, want exactly max (8)", got)
+	for _, max := range sessionCacheSizes {
+		c := NewSessionCache(max)
+		for i, id := range randomIDs(uint64(max), 10*max) {
+			c.put(id, testSecret("m"))
+			if got, want := c.Len(), min(i+1, max); got != want {
+				t.Fatalf("max=%d: %d sessions after %d puts, want %d", max, got, i+1, want)
+			}
+		}
 	}
 }
 
-// TestSessionCacheShardedConstruction pins the documented rounding and
-// clamping: power-of-two rounding, shards <= max, minimums of one.
-func TestSessionCacheShardedConstruction(t *testing.T) {
-	cases := []struct {
-		max, shards, want int
-	}{
-		{8, 3, 2},  // rounded down to a power of two
-		{8, 8, 8},  // exact
-		{4, 64, 4}, // clamped to max
-		{0, 0, 1},  // minimums
-		{1, 16, 1}, // one-session cache is single-shard
-		{10, 4, 4}, // non-divisible max still shards
-	}
-	for _, tc := range cases {
-		if got := len(newSessionCacheSharded(tc.max, tc.shards).shards); got != tc.want {
-			t.Errorf("newSessionCacheSharded(%d,%d) has %d shards, want %d",
-				tc.max, tc.shards, got, tc.want)
+// TestSessionCacheNoEvictionBelowMax: max random sessions all stay
+// resumable, whatever their IDs — the cache evicts only when full.
+func TestSessionCacheNoEvictionBelowMax(t *testing.T) {
+	for _, max := range sessionCacheSizes {
+		c := NewSessionCache(max)
+		ids := randomIDs(uint64(max)+7, max)
+		for _, id := range ids {
+			c.put(id, testSecret("m"))
 		}
+		lost := 0
+		for _, id := range ids {
+			if _, ok := c.get(id); !ok {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("max=%d: %d of %d sessions evicted before the cache was full", max, lost, max)
+		}
+	}
+}
+
+// TestSessionCachePutFullAllocs pins a put into a full cache at zero
+// allocations: the evicted entry and its list element are reused.
+func TestSessionCachePutFullAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	const max = 64
+	c := NewSessionCache(max)
+	ids := randomIDs(3, 2*max)
+	for _, id := range ids[:max] {
+		c.put(id, testSecret("m"))
+	}
+	i := 0
+	n := testing.AllocsPerRun(max-1, func() {
+		c.put(ids[max+i], testSecret("fresh"))
+		i++
+	})
+	if n != 0 {
+		t.Errorf("put into a full cache: %v allocs/op, want 0", n)
+	}
+	if c.Len() != max {
+		t.Errorf("len = %d, want %d", c.Len(), max)
+	}
+}
+
+// TestSessionCacheConcurrent runs puts, gets and removes from several
+// goroutines at once (the race detector's subject) and then checks
+// the bound and that the map and the LRU list still agree.
+func TestSessionCacheConcurrent(t *testing.T) {
+	const max = 32
+	c := NewSessionCache(max)
+	ids := randomIDs(9, 4*max)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				id := ids[(i*7+g*13)%len(ids)]
+				switch i % 5 {
+				case 0, 1:
+					c.put(id, testSecret("m"))
+				case 4:
+					c.Remove(id)
+				default:
+					c.get(id)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, l := c.Len(), c.lru.Len(); n > max || n != l {
+		t.Errorf("after concurrent use: %d in the map, %d on the list, max %d", n, l, max)
 	}
 }
 
@@ -507,26 +540,20 @@ func TestChainedResumptionStaysResumable(t *testing.T) {
 	}
 }
 
-// Len counts the cached sessions across all shards.
+// Len counts the cached sessions.
 func (c *SessionCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
 // Remove evicts one session, as a server reboot or eviction pressure
 // would.
 func (c *SessionCache) Remove(id [SessionIDLen]byte) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[id]; ok {
-		s.lru.Remove(el)
-		delete(s.items, id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[id]; ok {
+		c.lru.Remove(el)
+		delete(c.items, id)
 	}
 }

@@ -7,15 +7,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SignPool runs RSA private-key operations (the KeyExchange decrypt of
-// a full handshake, and raw signing) on a bounded worker pool instead
-// of inline on each connection's goroutine. A cache-flush reconnect
-// stampede lands N simultaneous full handshakes on the server; without
-// the pool every one of them grinds its own CRT exponentiation wherever
-// the scheduler put it, with it the private-key work is confined to a
-// fixed set of workers sized to the cores the operator wants to spend
-// on handshakes — the software shape of the Multi-Core SSL/TLS
-// Security Processor's parallel-crypto-core tier.
+// SignPool runs the one RSA private-key operation of a full handshake,
+// the KeyExchange decrypt, on a bounded worker pool instead of inline
+// on each connection's goroutine. A cache-flush reconnect stampede
+// lands N simultaneous full handshakes on the server; without the pool
+// every one of them grinds its own CRT exponentiation wherever the
+// scheduler put it, with it the private-key work is confined to a fixed
+// set of workers sized to the cores the operator wants to spend on
+// handshakes — the software shape of the Multi-Core SSL/TLS Security
+// Processor's parallel-crypto-core tier.
 //
 // The Garner/CRT precompute inside rsa.PrivateKey is per-key and
 // lazily built under a sync.Once, so all workers hammering one server

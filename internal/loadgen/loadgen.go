@@ -244,7 +244,7 @@ func (ks *killState) recoveryNs() uint64 {
 
 // runReal executes the plan against the live vertical: hub, client
 // and backend stacks, a plaintext echo backend, the secure service at
-// 10.0.0.2 (one redirector with the sharded session cache and
+// 10.0.0.2 (one redirector with its session cache and
 // admission control, or a fleet behind the balancer), and the client
 // fleet.
 func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {

@@ -10,8 +10,8 @@ import (
 // byte-exact, with the handshake mix the plan called for.
 func TestSmokeClosed(t *testing.T) {
 	// No session can be evicted, so the live handshake mix must equal
-	// the planned mix exactly: 128 sessions over the cache's 8 shards
-	// leave each shard room for all 16 sessions the plan can issue.
+	// the planned mix exactly: a 128-session cache holds all 16
+	// sessions the plan can issue.
 	rep, err := Run(Config{Seed: 7, Clients: 8, Requests: 2, Resume: 0.5, Concurrency: 4,
 		cacheSessions: 128})
 	if err != nil {

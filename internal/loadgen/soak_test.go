@@ -47,7 +47,7 @@ func TestSoak1kConnections(t *testing.T) {
 		t.Error("no bytes echoed")
 	}
 	// The 95% resumption mix must actually reach the server: the
-	// bounded sharded cache has to grant a solid majority of the ~475
+	// bounded cache has to grant a solid majority of the ~475
 	// planned resumptions even with faults forcing occasional full
 	// re-handshakes.
 	if rep.Measured.HandshakesResumed < rep.Plan.HandshakesResumed/2 {

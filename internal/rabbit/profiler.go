@@ -22,8 +22,8 @@ import (
 //     so push-address/ret tricks degrade gracefully instead of
 //     underflowing;
 //   - interrupt dispatch and halted idle cycles are events too (the
-//     CPU emits them), so TotalCycles always equals the growth of
-//     CPU.Cycles while attached.
+//     CPU emits them), so the flat profile's cycles always sum to the
+//     growth of CPU.Cycles while attached.
 //
 // PC→symbol resolution uses only symbols whose value lies inside the
 // program's code range [origin, origin+len(code)): rasm symbol tables
@@ -44,8 +44,6 @@ type Profiler struct {
 	stack  []int    // span indices, bottom-first; -1 = orphan frame
 	keys   []string // keys[d] = folded key for stack[:d+1]
 	folded map[string]uint64
-
-	total uint64 // cycles seen since last reset
 
 	// lastSpan caches the most recent resolution: straight-line code
 	// hits the same span for many instructions in a row.
@@ -157,8 +155,6 @@ func (p *Profiler) spanName(i int) string {
 
 // OnInstr implements InstrHook.
 func (p *Profiler) OnInstr(ev InstrEvent) {
-	p.total += ev.Cycles
-
 	si := p.resolve(ev.PC)
 	if si < 0 {
 		p.orphanCycles += ev.Cycles
@@ -228,14 +224,8 @@ func (p *Profiler) OnReset() {
 	p.stack = p.stack[:0]
 	p.keys = p.keys[:0]
 	p.folded = map[string]uint64{}
-	p.total = 0
 	p.lastSpan = -1
 }
-
-// TotalCycles returns the cycles observed since attach/reset. It
-// equals the growth of CPU.Cycles over the same window, and the sum of
-// per-symbol cycles in Flat().
-func (p *Profiler) TotalCycles() uint64 { return p.total }
 
 // FlatLine is one row of the flat profile.
 type FlatLine struct {
@@ -266,13 +256,23 @@ func (p *Profiler) Flat() []FlatLine {
 	return out
 }
 
-// WriteFlat renders the flat profile as a table with percentages.
-func (p *Profiler) WriteFlat(w io.Writer) error {
-	total := p.total
+// WriteFlat renders the flat profile as a table with percentages,
+// cut to the top hottest symbols when top > 0; the TOTAL row then says
+// how many of them it shows.
+func (p *Profiler) WriteFlat(w io.Writer, top int) error {
+	rows := p.Flat()
+	var total uint64
+	for _, l := range rows {
+		total += l.Cycles
+	}
+	all := len(rows)
+	if top > 0 && top < all {
+		rows = rows[:top]
+	}
 	if _, err := fmt.Fprintf(w, "%-24s %12s %8s %12s\n", "SYMBOL", "CYCLES", "PCT", "INSTRS"); err != nil {
 		return err
 	}
-	for _, l := range p.Flat() {
+	for _, l := range rows {
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(l.Cycles) / float64(total)
@@ -281,7 +281,11 @@ func (p *Profiler) WriteFlat(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "%-24s %12d %7.2f%% %12s\n", "TOTAL", total, 100.0, "")
+	cut := ""
+	if len(rows) < all {
+		cut = fmt.Sprintf(" (top %d of %d)", len(rows), all)
+	}
+	_, err := fmt.Fprintf(w, "%-24s %12d %7.2f%%%s\n", "TOTAL", total, 100.0, cut)
 	return err
 }
 

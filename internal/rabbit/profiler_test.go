@@ -25,6 +25,16 @@ gn:     nop
         ret
 `
 
+// flatCycles sums the flat profile's cycles: the cycles the profiler
+// has seen since attach or reset.
+func flatCycles(p *rabbit.Profiler) uint64 {
+	var n uint64
+	for _, l := range p.Flat() {
+		n += l.Cycles
+	}
+	return n
+}
+
 func buildProfiled(t *testing.T, src string) (*rabbit.CPU, *rabbit.Profiler) {
 	t.Helper()
 	prog, err := rasm.Assemble(src)
@@ -66,8 +76,8 @@ func TestProfilerFoldedGolden(t *testing.T) {
 		t.Fatalf("folded output mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
-	if p.TotalCycles() != c.Cycles {
-		t.Fatalf("TotalCycles %d != CPU.Cycles %d", p.TotalCycles(), c.Cycles)
+	if flatCycles(p) != c.Cycles {
+		t.Fatalf("flat cycles %d != CPU.Cycles %d", flatCycles(p), c.Cycles)
 	}
 	if c.Cycles != 44 {
 		t.Fatalf("CPU.Cycles = %d, want 44", c.Cycles)
@@ -103,11 +113,19 @@ func TestProfilerFlatSumsToCycles(t *testing.T) {
 	}
 
 	var rep bytes.Buffer
-	if err := p.WriteFlat(&rep); err != nil {
+	if err := p.WriteFlat(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep.String(), "TOTAL") || !strings.Contains(rep.String(), "fn ") {
 		t.Fatalf("flat report missing content:\n%s", rep.String())
+	}
+	rep.Reset()
+	if err := p.WriteFlat(&rep, 1); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(rep.String()), "\n"); len(lines) != 3 ||
+		!strings.HasPrefix(lines[1], "fn ") || !strings.HasSuffix(lines[2], "(top 1 of 3)") {
+		t.Fatalf("top-1 flat report wrong:\n%s", rep.String())
 	}
 }
 
@@ -133,14 +151,14 @@ func TestProfilerReset(t *testing.T) {
 	if err := c.Run(10_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	first := p.TotalCycles()
+	first := flatCycles(p)
 	if first == 0 {
 		t.Fatal("no cycles profiled")
 	}
 
 	c.Reset()
-	if p.TotalCycles() != 0 {
-		t.Fatalf("TotalCycles after Reset = %d, want 0", p.TotalCycles())
+	if flatCycles(p) != 0 {
+		t.Fatalf("flat cycles after Reset = %d, want 0", flatCycles(p))
 	}
 	if len(p.Flat()) != 0 {
 		t.Fatalf("Flat after Reset = %+v, want empty", p.Flat())
@@ -154,8 +172,8 @@ func TestProfilerReset(t *testing.T) {
 	if err := c.Run(10_000); err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	if p.TotalCycles() != first || p.TotalCycles() != c.Cycles {
-		t.Fatalf("rerun TotalCycles = %d (CPU %d), want %d", p.TotalCycles(), c.Cycles, first)
+	if flatCycles(p) != first || flatCycles(p) != c.Cycles {
+		t.Fatalf("rerun flat cycles = %d (CPU %d), want %d", flatCycles(p), c.Cycles, first)
 	}
 }
 
@@ -188,8 +206,8 @@ isr:    nop
 	if err := c.Run(10_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if p.TotalCycles() != c.Cycles {
-		t.Fatalf("TotalCycles %d != CPU.Cycles %d", p.TotalCycles(), c.Cycles)
+	if flatCycles(p) != c.Cycles {
+		t.Fatalf("flat cycles %d != CPU.Cycles %d", flatCycles(p), c.Cycles)
 	}
 	var isrSeen bool
 	for _, l := range p.Flat() {

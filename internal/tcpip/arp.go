@@ -72,26 +72,21 @@ func (s *Stack) handleARP(body []byte) {
 	}
 }
 
-// sendIP routes an IP packet: resolve the destination MAC, queueing
-// behind an ARP request if unknown. Called with s.mu held.
-func (s *Stack) sendIP(dst Addr, proto byte, payload []byte) {
-	s.sendIPRaw(dst, marshalIP(ipPacket{src: s.ip, dst: dst, proto: proto, ttl: 64, payload: payload}))
-}
-
-// sendIPRaw routes an already-marshaled IP packet. Called with s.mu
-// held. raw may alias a caller's reusable scratch buffer: Port.Send
-// copies payloads at the wire boundary, and a packet parked behind
-// ARP resolution is copied before queueing.
-func (s *Stack) sendIPRaw(dst Addr, raw []byte) {
+// sendIP routes an already-marshaled IP packet: resolve the
+// destination MAC, queueing behind an ARP request if unknown. Called
+// with s.mu held. pkt may alias a caller's reusable scratch buffer:
+// Port.Send copies payloads at the wire boundary, and a packet parked
+// behind ARP resolution is copied before queueing.
+func (s *Stack) sendIP(dst Addr, pkt []byte) {
 	if mac, ok := s.arpCache[dst]; ok {
-		s.sendFrame(mac, netsim.EtherTypeIPv4, raw)
+		s.sendFrame(mac, netsim.EtherTypeIPv4, pkt)
 		return
 	}
 	pend := s.arpPending[dst]
 	if len(pend) >= maxPendingARP {
 		return // drop; transport-level retransmission recovers
 	}
-	s.arpPending[dst] = append(pend, append([]byte(nil), raw...))
+	s.arpPending[dst] = append(pend, append([]byte(nil), pkt...))
 	req := marshalARP(arpRequest, s.mac, s.ip, netsim.MAC{}, dst)
 	s.sendFrame(netsim.Broadcast, netsim.EtherTypeARP, req)
 }

@@ -15,29 +15,25 @@ const MTU = 1500
 
 const ipHeaderLen = 20
 
-// ipPacket is a parsed IPv4 packet.
-type ipPacket struct {
-	src, dst Addr
-	proto    byte
-	ttl      byte
-	payload  []byte
-}
-
 var errBadIPHeader = errors.New("tcpip: bad IP header")
 
-// marshalIP builds an IPv4 header + payload.
-func marshalIP(p ipPacket) []byte {
-	buf := make([]byte, ipHeaderLen+len(p.payload))
-	buf[0] = 0x45 // version 4, IHL 5
-	total := len(buf)
-	put16(buf[2:], uint16(total))
-	buf[8] = p.ttl
-	buf[9] = p.proto
-	copy(buf[12:16], p.src[:])
-	copy(buf[16:20], p.dst[:])
-	put16(buf[10:], 0)
-	cs := checksum(buf[:ipHeaderLen])
-	put16(buf[10:], cs)
-	copy(buf[ipHeaderLen:], p.payload)
-	return buf
+// putIPHeader writes the IPv4 header of pkt, a whole packet whose
+// payload already follows the header's 20 bytes: the total length is
+// len(pkt), the TTL 64, no options and no fragmentation. Every header
+// byte is written, so a reused buffer leaks no stale contents. It is
+// the stack's only IP header writer; TCP segments (appendTCPIP) and
+// ICMP echoes both go through it.
+func putIPHeader(pkt []byte, proto byte, src, dst Addr) {
+	ip := pkt[:ipHeaderLen]
+	ip[0] = 0x45 // version 4, IHL 5
+	ip[1] = 0
+	put16(ip[2:], uint16(len(pkt)))
+	put16(ip[4:], 0) // identification
+	put16(ip[6:], 0) // flags / fragment offset
+	ip[8] = 64       // TTL
+	ip[9] = proto
+	put16(ip[10:], 0)
+	copy(ip[12:16], src[:])
+	copy(ip[16:20], dst[:])
+	put16(ip[10:], checksum(ip))
 }

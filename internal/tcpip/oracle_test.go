@@ -9,9 +9,9 @@ package tcpip
 // checked against: frame_test.go diffs ParseIPv4Frame/ParseTCPFrame against
 // them field-for-field, and FuzzFrameView keeps the two in agreement
 // over random input. Production ingress uses the views only. Likewise
-// marshalTCP is the independent encoder appendTCPIP is checked against
-// (TestAppendTCPIPMatchesMarshal, FuzzTCPSegment); production egress
-// uses appendTCPIP only.
+// marshalIP and marshalTCP are the independent encoders appendTCPIP
+// and putIPHeader are checked against (TestAppendTCPIPMatchesMarshal,
+// FuzzTCPSegment); production egress uses those two only.
 
 import "fmt"
 
@@ -42,6 +42,28 @@ func pseudoChecksumRef(proto byte, src, dst Addr, seg []byte) uint16 {
 	ph[11] = byte(len(seg))
 	copy(ph[12:], seg)
 	return checksumRef(ph)
+}
+
+// ipPacket is a parsed IPv4 packet.
+type ipPacket struct {
+	src, dst Addr
+	proto    byte
+	ttl      byte
+	payload  []byte
+}
+
+// marshalIP builds an IPv4 header + payload in a fresh buffer.
+func marshalIP(p ipPacket) []byte {
+	buf := make([]byte, ipHeaderLen+len(p.payload))
+	buf[0] = 0x45 // version 4, IHL 5
+	put16(buf[2:], uint16(len(buf)))
+	buf[8] = p.ttl
+	buf[9] = p.proto
+	copy(buf[12:16], p.src[:])
+	copy(buf[16:20], p.dst[:])
+	put16(buf[10:], checksumRef(buf[:ipHeaderLen]))
+	copy(buf[ipHeaderLen:], p.payload)
+	return buf
 }
 
 // parseIP validates and splits an IPv4 packet.

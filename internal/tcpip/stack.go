@@ -397,12 +397,17 @@ func (s *Stack) handleICMP(src Addr, b []byte) {
 	}
 	switch b[0] {
 	case icmpEchoRequest:
-		reply := append([]byte(nil), b...)
+		// The reply is the request, retyped, behind a fresh IP header:
+		// one copy, into the packet that goes on the wire.
+		pkt := make([]byte, ipHeaderLen+len(b))
+		reply := pkt[ipHeaderLen:]
+		copy(reply, b)
 		reply[0] = icmpEchoReply
 		put16(reply[2:], 0)
 		put16(reply[2:], checksum(reply))
+		putIPHeader(pkt, ProtoICMP, s.ip, src)
 		s.mu.Lock()
-		s.sendIP(src, ProtoICMP, reply)
+		s.sendIP(src, pkt)
 		s.mu.Unlock()
 	case icmpEchoReply:
 		id := be16(b[4:])
@@ -424,12 +429,14 @@ func (s *Stack) Ping(dst Addr, timeout time.Duration) error {
 	s.pingWait[id] = ch
 	s.pingMu.Unlock()
 
-	req := make([]byte, 16)
+	pkt := make([]byte, ipHeaderLen+16)
+	req := pkt[ipHeaderLen:]
 	req[0] = icmpEchoRequest
 	put16(req[4:], id)
 	put16(req[6:], 1)
 	copy(req[8:], "rmc2000!")
 	put16(req[2:], checksum(req))
+	putIPHeader(pkt, ProtoICMP, s.ip, dst)
 
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -438,7 +445,7 @@ func (s *Stack) Ping(dst Addr, timeout time.Duration) error {
 	defer resend.Stop()
 	for {
 		s.mu.Lock()
-		s.sendIP(dst, ProtoICMP, req)
+		s.sendIP(dst, pkt)
 		s.mu.Unlock()
 		select {
 		case <-ch:

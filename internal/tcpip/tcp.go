@@ -110,13 +110,12 @@ type tcpSegment struct {
 }
 
 // appendTCPIP marshals the IP header and the TCP segment into buf's
-// backing array in a single pass — the per-segment fast path replacing
-// the marshalTCP-then-marshalIP pair, which allocated twice and copied
-// the payload twice. The buffer is reused when its capacity suffices;
-// every header byte is written explicitly, so stale contents cannot
-// leak through. The returned packet is only valid until buf's next
-// reuse: transmission must copy (Port.Send does, at the wire
-// boundary) before the caller marshals again.
+// backing array in a single pass, copying the payload once. The buffer
+// is reused when its capacity suffices; every header byte is written
+// explicitly, so stale contents cannot leak through. The returned
+// packet is only valid until buf's next reuse: transmission must copy
+// (Port.Send does, at the wire boundary) before the caller marshals
+// again.
 func appendTCPIP(buf []byte, src, dst Addr, seg tcpSegment) []byte {
 	total := ipHeaderLen + tcpHeaderLen + len(seg.payload)
 	if cap(buf) < total {
@@ -124,18 +123,7 @@ func appendTCPIP(buf []byte, src, dst Addr, seg tcpSegment) []byte {
 	} else {
 		buf = buf[:total]
 	}
-	ip := buf[:ipHeaderLen]
-	ip[0] = 0x45 // version 4, IHL 5
-	ip[1] = 0
-	put16(ip[2:], uint16(total))
-	put16(ip[4:], 0) // identification
-	put16(ip[6:], 0) // flags / fragment offset
-	ip[8] = 64       // TTL, as sendIP uses
-	ip[9] = ProtoTCP
-	put16(ip[10:], 0)
-	copy(ip[12:16], src[:])
-	copy(ip[16:20], dst[:])
-	put16(ip[10:], checksum(ip))
+	putIPHeader(buf, ProtoTCP, src, dst)
 
 	t := buf[ipHeaderLen:]
 	put16(t[0:], seg.srcPort)
@@ -335,7 +323,7 @@ func (t *TCB) send(seg tcpSegment) {
 	t.txScratch = appendTCPIP(t.txScratch, t.stack.ip, t.remoteIP, seg)
 	t.stack.metrics.segsSent.Inc()
 	t.stack.mu.Lock()
-	t.stack.sendIPRaw(t.remoteIP, t.txScratch)
+	t.stack.sendIP(t.remoteIP, t.txScratch)
 	t.stack.mu.Unlock()
 }
 
@@ -1289,6 +1277,6 @@ func (s *Stack) sendRST(dst Addr, seg tcpSegment) {
 	raw := appendTCPIP(nil, s.ip, dst, rst)
 	s.metrics.segsSent.Inc()
 	s.mu.Lock()
-	s.sendIPRaw(dst, raw)
+	s.sendIP(dst, raw)
 	s.mu.Unlock()
 }
